@@ -41,7 +41,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi, roots_legendre
 
 from .params import Params, gamma_fn, nonlin, nonlin_prime
-from .kernels import calibrate_cyl_kernel, riesz_kernel_cyl
+from .kernels import cached_kappa, riesz_kernel_cyl
 from .bubbles import TowerConfig, KernelIndex, bubble_eval, kernel_Z, tower_eval
 from .balancing import BalancedConfig
 from .delaunay import CylSolution, solve_periodic, delaunay_to_rn
@@ -58,6 +58,7 @@ __all__ = [
     "residual",
     "beta_projection",
     "beta_leading_form",
+    "require_reduction",
     "weighted_fn_norm",
     "sample_grid",
     "mc_probe",
@@ -82,11 +83,6 @@ def cutoff(s: np.ndarray, on: float = 0.5, off: float = 1.0) -> np.ndarray:
         b = np.exp(-1.0 / (1.0 - zm))
     out[mid] = b / (a + b)
     return out if out.ndim else float(out)
-
-
-@lru_cache(maxsize=8)
-def _kappa(prm: Params) -> float:
-    return calibrate_cyl_kernel(prm).kappa
 
 
 @lru_cache(maxsize=8)
@@ -124,12 +120,6 @@ def _angular_nodes(n: int, kind: str, K: int):
         x, w = roots_legendre(K)
         return 0.5 * np.sqrt(2.0) * (x + 1.0), 0.5 * np.sqrt(2.0) * w
     raise ValueError(kind)
-
-
-def _plane_total(n: int) -> float:
-    # int (1-c^2)^((n-4)/2) dc over [-1, 1]
-    return float(np.sqrt(np.pi) * gamma_fn((n - 2) / 2.0)
-                 / gamma_fn((n - 1) / 2.0))
 
 
 def _complete_frame(u_hat: np.ndarray, v_pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +268,7 @@ def assemble(balanced: BalancedConfig, prm: Params,
              levels: int = 6, M: int = 400, solver_tol: float = 1e-10,
              tau: float = 0.5) -> ApproxSolution:
     centers = balanced.sigma_set.points
-    kappa = _kappa(prm)
+    kappa = cached_kappa(prm)
     sols = {}
     for L in balanced.L_i:
         key = round(float(L), 12)
@@ -301,7 +291,7 @@ def assemble_single(center: np.ndarray, R: float, L: float, prm: Params,
                     tau: float = 0.5) -> ApproxSolution:
     """One-point assembly (the pipeline null test); no balancing involved."""
     center = np.asarray(center, dtype=float)
-    kappa = _kappa(prm)
+    kappa = cached_kappa(prm)
     cyl = solve_periodic(L, prm, M=M, tol=solver_tol, kappa=kappa)
     a0 = np.zeros((1, center.shape[0]))
     towers, base = _build_towers(center[None, :], np.array([float(R)]),
@@ -314,7 +304,11 @@ def assemble_single(center: np.ndarray, R: float, L: float, prm: Params,
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# dual operator
+# region quadrature: log-radial balls about the centers, shells elsewhere
+#
+# One ball driver and one shell driver serve the dual map and the
+# projections alike.  The angular rule, the kernel factor, the radial power
+# and the break points come in as data.
 
 # integration partition, wider than the assembly cutoff: the far region then
 # only sees the function at distance >= INT_ON from the marked points, where
@@ -322,6 +316,10 @@ def assemble_single(center: np.ndarray, R: float, L: float, prm: Params,
 # Enlarged balls may overlap; the far weight 1 - sum chi stays an exact
 # partition regardless (it just goes negative on the overlap).
 INT_ON, INT_OFF = 1.0, 2.0
+
+# log-radius where the ball integrals stop unless a deeper level needs more;
+# e^-36 is about the double-precision spacing of unit-size coordinates
+TAU_MAX = 36.0
 
 
 def _far_weight(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -331,13 +329,101 @@ def _far_weight(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return W
 
 
+def _dirs(axis: np.ndarray, v_pref: np.ndarray, zs: np.ndarray,
+          Kc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angular rule: directions (Kz, Kc, n) at polar cosines zs about axis,
+    and the in-plane weights.  The in-plane cosine runs towards v_pref's part
+    orthogonal to axis; Kc = 1, or no such part, collapses it to one node,
+    exact for integrands symmetric about that plane."""
+    n = axis.shape[0]
+    v_hat, w_hat = _complete_frame(axis, v_pref)
+    if Kc == 1 or np.linalg.norm(v_hat) < 0.5:
+        # one node carrying int (1-c^2)^((n-4)/2) dc over [-1, 1]
+        cs = np.zeros(1)
+        cws = np.array([np.sqrt(np.pi) * gamma_fn((n - 2) / 2.0)
+                        / gamma_fn((n - 1) / 2.0)])
+    else:
+        cs, cws = _angular_nodes(n, "plane", Kc)
+    sin_pol = np.sqrt(np.clip(1.0 - zs ** 2, 0.0, None))
+    dirs = (zs[:, None, None] * axis
+            + sin_pol[:, None, None] * (cs[None, :, None] * v_hat
+            + np.sqrt(1.0 - cs ** 2)[None, :, None] * w_hat))
+    return dirs, cws
+
+
+def _ball(u: ApproxSolution, G, i: int, dirs: np.ndarray, zw: np.ndarray,
+          cw: np.ndarray, tol: float, epsabs: float, tau_hi: float = TAU_MAX,
+          peak: tuple[float, np.ndarray] | None = None,
+          breaks: tuple[float, ...] = ()) -> float:
+    """int over the ball about x_i of G(y) chi_i(y) [times the kernel], in
+    the log-radius tau = -ln|y - x_i| up to tau_hi.
+
+    peak = (rho, w) gives the Riesz kernel |x-y|^(2s-n) for an evaluation
+    point at distance rho along the polar axis of polar nodes 1 - w^2:
+    ((rho - s)^2 + 2 rho s w^2)^(-gamma_s); None means kernel 1.
+    """
+    prm = u.prm
+    n, g = prm.n, prm.gamma_s
+    center = u.centers[i]
+    tau_lo = -np.log(INT_OFF)
+
+    def slice_val(tau):
+        s = np.exp(-tau)
+        chi = cutoff(s, INT_ON, INT_OFF)
+        if chi == 0.0:
+            return 0.0
+        pts = center[None, None, :] + s * dirs
+        vals = G(pts)
+        kern = 1.0
+        if peak is not None:
+            rho, w = peak
+            kern = (((rho - s) ** 2 + 2.0 * rho * s * w ** 2) ** (-g))[:, None]
+        inner = np.sum(zw[:, None] * kern * cw[None, :] * vals)
+        return float(_omega_ring(n) * chi * s ** n * inner)
+
+    pts_arg = [b for b in breaks if tau_lo < b < tau_hi] or None
+    val, _ = quad(slice_val, tau_lo, tau_hi, epsabs=epsabs, epsrel=tol,
+                  limit=300, points=pts_arg)
+    return val
+
+
+def _shell(u: ApproxSolution, G, x0: np.ndarray, dirs: np.ndarray,
+           zw: np.ndarray, cw: np.ndarray, power: float, tol: float,
+           epsabs: float) -> float:
+    """int over the far region of G(y) (1 - sum chi_i(y)), in shells
+    |y - x0| = r with radial weight r^power, broken where a shell enters or
+    leaves a cutoff annulus."""
+    n = u.prm.n
+
+    def shell(r):
+        pts = x0[None, None, :] + r * dirs
+        W = _far_weight(pts, u.centers)
+        if np.max(np.abs(W)) == 0.0:
+            return 0.0
+        vals = G(pts) * W
+        inner = np.sum(zw[:, None] * cw[None, :] * vals)
+        return float(_omega_ring(n) * r ** power * inner)
+
+    dists = [float(np.linalg.norm(x0 - c)) for c in u.centers]
+    breaks = sorted({b for d in dists
+                     for b in (d - INT_OFF, d - INT_ON, d + INT_ON,
+                               d + INT_OFF) if 0.0 < b < 80.0})
+    val, _ = quad(shell, 0.0, 80.0, epsabs=epsabs, epsrel=tol, limit=400,
+                  points=breaks or None)
+    return val
+
+
+# ─────────────────────────────────────────────────────────────────────────────
+# dual operator
+
+
 def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
                       tol: float = 1e-9, kappa: float | None = None) -> float:
     """Riesz image of f(u) for u radial about one center: the angular
     integral collapses onto the reduced cylindrical kernel."""
     center = np.asarray(center, dtype=float)
     x = np.asarray(x, dtype=float)
-    kap = _kappa(prm) if kappa is None else kappa
+    kap = cached_kappa(prm) if kappa is None else kappa
     g = prm.gamma_s
     ray = np.zeros_like(center)
     ray[0] = 1.0
@@ -372,58 +458,29 @@ def _require_line(u: ApproxSolution) -> None:
             "rotate the configuration or use mc_probe")
 
 
-def _ball_kernel(u: ApproxSolution, F, i: int, x: np.ndarray, tol: float,
-                 Kw: int = 32, Kc: int = 12, weighted: bool = True) -> float:
-    """int over B_1(x_i) of |x-y|^(2s-n) F(y) [chi_i(y)], log-radial in the
-    center distance, peak-resolving substitution in the polar angle."""
-    prm = u.prm
-    n, g = prm.n, prm.gamma_s
-    center = u.centers[i]
-    rho_vec = x - center
-    rho = float(np.linalg.norm(rho_vec))
-    u_hat = rho_vec / rho
-    v_hat, w_hat = _complete_frame(u_hat, u.axis)
-    single_c = np.linalg.norm(v_hat) < 0.5
+def require_reduction(u: ApproxSolution) -> None:
+    """Raise NotImplementedError unless the projections' deterministic
+    reduction applies: marked points on one line along a coordinate axis."""
+    _require_line(u)
+    if u.size > 1 and np.max(np.abs(u.axis)) < 1.0 - 1e-12:
+        raise NotImplementedError(
+            "projection quadrature needs the singular line along a "
+            "coordinate axis")
 
-    ws, wws = _angular_nodes(n, "peak", Kw)
-    if single_c:
-        cs, cws = np.zeros(1), np.array([_plane_total(n)])
-    else:
-        cs, cws = _angular_nodes(n, "plane", Kc)
-    zetas = 1.0 - ws ** 2
-    sin_pol = np.sqrt(np.clip(1.0 - zetas ** 2, 0.0, None))
-    # directions (Kw, Kc, n)
-    dirs = (zetas[:, None, None] * u_hat
-            + sin_pol[:, None, None] * (cs[None, :, None] * v_hat
-            + np.sqrt(1.0 - cs ** 2)[None, :, None] * w_hat))
+
+def _dual_integral(u: ApproxSolution, F, x: np.ndarray, tol: float) -> float:
+    """int |x-y|^(2s-n) F(y) dy: per ball a peak-resolving polar angle about
+    the direction of x, then shells about x, whose radial weight r^(2s-1)
+    absorbs the kernel singularity."""
+    n = u.prm.n
+    ws, wws = _angular_nodes(n, "peak", 32)
     wmeas = 2.0 * wws * ws ** (n - 2) * (2.0 - ws ** 2) ** ((n - 3) / 2.0)
-    tau_lo = -np.log(INT_OFF)
-    t_break = -np.log(rho) if rho < INT_OFF else None
-
-    def slice_val(tau):
-        s = np.exp(-tau)
-        chi = cutoff(s, INT_ON, INT_OFF) if weighted else 1.0
-        if chi == 0.0:
-            return 0.0
-        pts = center[None, None, :] + s * dirs
-        vals = F(pts)
-        kern = ((rho - s) ** 2 + 2.0 * rho * s * ws ** 2) ** (-g)
-        inner = np.sum(wmeas[:, None] * kern[:, None] * cws[None, :] * vals)
-        return float(_omega_ring(n) * chi * s ** n * inner)
-
-    pts_arg = [t_break] if t_break is not None and tau_lo < t_break < 36 \
-        else None
-    val, _ = quad(slice_val, tau_lo, 36.0, epsabs=1e-14, epsrel=tol,
-                  limit=300, points=pts_arg)
-    return val
-
-
-def _far_kernel(u: ApproxSolution, F, x: np.ndarray, tol: float,
-                Kz: int | None = None, Kc: int = 12) -> float:
-    """int over the cutoff complement of |x-y|^(2s-n) F(y) (1 - sum chi_i):
-    shells about x, whose radial weight r^{2s-1} kills the kernel."""
-    prm = u.prm
-    n = prm.n
+    total = 0.0
+    for i, center in enumerate(u.centers):
+        rho = float(np.linalg.norm(x - center))
+        dirs, cws = _dirs((x - center) / rho, u.axis, 1.0 - ws ** 2, 12)
+        total += _ball(u, F, i, dirs, wmeas, cws, tol, 1e-14,
+                       peak=(rho, ws), breaks=(-np.log(rho),))
     off = u.origin - x
     D0 = float(np.linalg.norm(off))
     reach = max(float(np.linalg.norm(c - u.origin)) for c in u.centers) \
@@ -431,46 +488,17 @@ def _far_kernel(u: ApproxSolution, F, x: np.ndarray, tol: float,
     if D0 > reach + 2.0:
         # distant evaluation point: aim the polar axis at the configuration
         # so its annuli land in the endpoint-clustered nodes
-        a = off / D0
-        v_hat, w_hat = _complete_frame(a, u.axis)
+        a, v_pref = off / D0, u.axis
     else:
-        a = u.axis
-        v_hat, w_hat = _complete_frame(a, -off)
-    single_c = np.linalg.norm(v_hat) < 0.5
-
-    if Kz is None:
-        # the marked-point annuli subtend a solid angle shrinking like 1/D,
-        # so the polar order grows with the distance (quantized for caching)
-        D = max(float(np.linalg.norm(x - c)) for c in u.centers)
-        Kz = int(min(512, 32 * max(1, int(np.ceil(8.0 * D / 32.0)))))
+        a, v_pref = u.axis, -off
+    # the marked-point annuli subtend a solid angle shrinking like 1/D, so
+    # the polar order grows with the distance (quantized for caching)
+    D = max(float(np.linalg.norm(x - c)) for c in u.centers)
+    Kz = int(min(512, 32 * max(1, int(np.ceil(8.0 * D / 32.0)))))
     zs, zws = _angular_nodes(n, "polar", Kz)
-    if single_c:
-        cs, cws = np.zeros(1), np.array([_plane_total(n)])
-    else:
-        cs, cws = _angular_nodes(n, "plane", Kc)
-    sin_pol = np.sqrt(np.clip(1.0 - zs ** 2, 0.0, None))
-    dirs = (zs[:, None, None] * a
-            + sin_pol[:, None, None] * (cs[None, :, None] * v_hat
-            + np.sqrt(1.0 - cs ** 2)[None, :, None] * w_hat))
-
-    def shell(r):
-        pts = x[None, None, :] + r * dirs
-        W = _far_weight(pts, u.centers)
-        if np.max(np.abs(W)) == 0.0:
-            return 0.0
-        vals = F(pts) * W
-        inner = np.sum(zws[:, None] * cws[None, :] * vals)
-        return float(_omega_ring(n) * r ** (2 * prm.sigma - 1) * inner)
-
-    breaks = []
-    for c in u.centers:
-        d = float(np.linalg.norm(x - c))
-        for b in (d - INT_OFF, d - INT_ON, d + INT_ON, d + INT_OFF):
-            if 0.0 < b < 80.0:
-                breaks.append(b)
-    val, _ = quad(shell, 0.0, 80.0, epsabs=1e-14, epsrel=tol, limit=400,
-                  points=sorted(breaks) or None)
-    return val
+    dirs, cws = _dirs(a, v_pref, zs, 12)
+    return total + _shell(u, F, x, dirs, zws, cws, 2 * u.prm.sigma - 1, tol,
+                          1e-14)
 
 
 def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
@@ -486,9 +514,7 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
     def F(pts):
         return u(pts) ** prm.p
 
-    total = sum(_ball_kernel(u, F, i, x, tol) for i in range(u.size))
-    total += _far_kernel(u, F, x, tol)
-    return float(prm.c_ns * u.kappa * total)
+    return float(prm.c_ns * u.kappa * _dual_integral(u, F, x, tol))
 
 
 def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
@@ -535,78 +561,30 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# plain region-decomposed integration (no kernel): cokernel projections
+# cokernel projections
 
 
-def _ball_plain(u: ApproxSolution, G, i: int, tol: float,
-                Kz: int = 20) -> float:
-    prm = u.prm
-    n = prm.n
-    center = u.centers[i]
+def _plain_integral(u: ApproxSolution, G, lam: float, tol: float) -> float:
+    """int G dy over R^n, for integrands that decay like e^(-gamma_s |tau|)
+    in the log-distance tau from a bubble of scale lam: polar angle about the
+    line, the balls run until that tail is below tol."""
+    n = u.prm.n
     a = u.axis
-    zs, zws = _angular_nodes(n, "polar", Kz)
-    # center sits on the line, so the polar angle about the axis suffices
-    cs, cws = np.zeros(1), np.array([_plane_total(n)])
-    v_hat, w_hat = _complete_frame(a, np.roll(a, 1))
-    sin_pol = np.sqrt(np.clip(1.0 - zs ** 2, 0.0, None))
-    dirs = (zs[:, None, None] * a
-            + sin_pol[:, None, None] * (cs[None, :, None] * v_hat
-            + np.sqrt(1.0 - cs ** 2)[None, :, None] * w_hat))
-
-    def slice_val(tau):
-        s = np.exp(-tau)
-        chi = cutoff(s, INT_ON, INT_OFF)
-        if chi == 0.0:
-            return 0.0
-        pts = center[None, None, :] + s * dirs
-        vals = G(pts)
-        inner = np.sum(zws[:, None] * cws[None, :] * vals)
-        return float(_omega_ring(n) * chi * s ** n * inner)
-
-    val, _ = quad(slice_val, -np.log(INT_OFF), 36.0, epsabs=1e-15,
-                  epsrel=tol, limit=300)
-    return val
-
-
-def _far_plain(u: ApproxSolution, G, tol: float, Kz: int = 20) -> float:
-    prm = u.prm
-    n = prm.n
-    o, a = u.origin, u.axis
-    zs, zws = _angular_nodes(n, "polar", Kz)
-    cs, cws = np.zeros(1), np.array([_plane_total(n)])
-    v_hat, w_hat = _complete_frame(a, np.roll(a, 1))
-    sin_pol = np.sqrt(np.clip(1.0 - zs ** 2, 0.0, None))
-    dirs = (zs[:, None, None] * a
-            + sin_pol[:, None, None] * (cs[None, :, None] * v_hat
-            + np.sqrt(1.0 - cs ** 2)[None, :, None] * w_hat))
-
-    def shell(r):
-        pts = o[None, None, :] + r * dirs
-        W = _far_weight(pts, u.centers)
-        if np.max(np.abs(W)) == 0.0:
-            return 0.0
-        vals = G(pts) * W
-        inner = np.sum(zws[:, None] * cws[None, :] * vals)
-        return float(_omega_ring(n) * r ** (n - 1) * inner)
-
-    spread = [float(np.linalg.norm(c - o)) for c in u.centers]
-    breaks = sorted({b for s in spread
-                     for b in (s - INT_OFF, s - INT_ON, s + INT_ON,
-                               s + INT_OFF) if 0.0 < b < 80.0})
-    val, _ = quad(shell, 0.0, 80.0, epsabs=1e-15, epsrel=tol, limit=400,
-                  points=breaks or None)
-    return val
+    tau_hi = max(TAU_MAX, -np.log(lam) - np.log(tol) / u.prm.gamma_s)
+    zs, zws = _angular_nodes(n, "polar", 20)
+    # centers sit on the line, so the polar angle about the axis suffices
+    dirs, cws = _dirs(a, np.roll(a, 1), zs, 1)
+    total = sum(_ball(u, G, k, dirs, zws, cws, tol, 1e-15, tau_hi=tau_hi)
+                for k in range(u.size))
+    total += _shell(u, G, u.origin, dirs, zws, cws, n - 1, tol, 1e-15)
+    return float(total)
 
 
 def beta_projection(u: ApproxSolution, idx: KernelIndex,
                     prm: Params | None = None, tol: float = 1e-9) -> float:
     """Projection of the residual on the (tower, level, mode) direction."""
     prm = u.prm if prm is None else prm
-    _require_line(u)
-    if u.size > 1 and np.max(np.abs(u.axis)) < 1.0 - 1e-12:
-        raise NotImplementedError(
-            "projection quadrature needs the singular line along a "
-            "coordinate axis")
+    require_reduction(u)
     i = idx.tower
     if not (0 <= i < u.size):
         raise ValueError(f"tower {i} out of range")
@@ -630,9 +608,7 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
                 - (prm.p - 1.0) * nonlin(U, prm))
         return core * kernel_Z(pts, idx, cfg, prm)
 
-    total = sum(_ball_plain(u, G, k, tol) for k in range(u.size))
-    total += _far_plain(u, G, tol)
-    return float(total)
+    return _plain_integral(u, G, b.lam, tol)
 
 
 def beta_leading_form(u: ApproxSolution, i: int) -> float:
@@ -684,7 +660,9 @@ def weighted_fn_norm(points: np.ndarray, values: np.ndarray,
                      tags: list[str], weight: WeightSpec,
                      sigma_set_points: np.ndarray, prm: Params) -> float:
     """Discrete sup proxy: near samples weighted dist^{-z_near}, far samples
-    |x|^{-z_far}, transition plain."""
+    |x|^{-z_far}, transition plain.  NaN over zero samples."""
+    if len(tags) == 0:
+        return float("nan")
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     z_near, z_far = weight.resolve(prm)

@@ -1,15 +1,15 @@
 """Batch front end: tables, sweeps, balancing, assembly diagnostics.
 
 Every command reads one JSON config, writes CSV/JSON artifacts plus a
-manifest into --out, and exits 0 on success, 2 on a config problem, 3 when a
-solver or quadrature gives up.  Reruns of the same config are bit-identical:
+manifest into --out, and exits 0 on success, 2 on a config problem or a
+geometry outside the deterministic reduction, 3 when a solver or quadrature
+gives up.  Reruns of the same config are bit-identical:
 no timestamps, fixed seeds, deterministic aggregation.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures as cf
 import hashlib
 import io
 import json
@@ -19,15 +19,16 @@ import sys
 import numpy as np
 
 from .params import derive_params
-from .kernels import (QuadratureError, build_kernel_table,
-                      calibrate_cyl_kernel, decay_slope)
+from .kernels import (QuadratureError, build_kernel_table, cached_kappa,
+                      decay_slope)
 from .delaunay import NewtonError, neck_sweep, sweep_csv
-from .interactions import (constants_payload, interaction_constants,
-                           oracle_fit_constants, psi)
+from .interactions import (InteractionConstants, constants_payload,
+                           interaction_constants, oracle_fit_constants, psi)
 from .balancing import (BalanceError, BalancedConfig, SingularSet, balance,
                         balanced_to_json, periods_from_q)
 from .assembler import (WeightSpec, assemble, beta_leading_form,
-                        beta_projection, residual, sample_grid)
+                        beta_projection, require_reduction, residual,
+                        sample_grid)
 from .bubbles import KernelIndex
 from . import toda as toda_mod
 
@@ -89,19 +90,6 @@ def _seed(doc: dict) -> int:
     return seed
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QCURV_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"QCURV_THREADS must be an integer: {env!r}") \
-                from exc
-    return 1
-
-
 # ─────────────────────────────────────────────────────────────────────────────
 # output plumbing
 
@@ -125,8 +113,9 @@ class OutDir:
 
 
 def _manifest(out: OutDir, command: str, config_doc: dict, prm,
-              seed: int, tol: float) -> None:
-    ic = interaction_constants(prm)
+              seed: int, tol: float,
+              ic: InteractionConstants | None = None) -> None:
+    ic = interaction_constants(prm) if ic is None else ic
     blob = json.dumps(config_doc, sort_keys=True).encode()
     doc = {
         "command": command,
@@ -137,7 +126,7 @@ def _manifest(out: OutDir, command: str, config_doc: dict, prm,
         "tol": tol,
         "constants": {"A1": ic.A1, "A2": ic.A2, "A3": ic.A3,
                       "method": ic.method,
-                      "kappa": calibrate_cyl_kernel(prm).kappa},
+                      "kappa": cached_kappa(prm)},
         "outputs": sorted(out.files),
     }
     out.write("manifest.json", json.dumps(doc, indent=2, sort_keys=True))
@@ -156,7 +145,7 @@ def _csv(header: list[str], rows: list[list]) -> str:
 # commands
 
 
-def cmd_kernel(doc: dict, out: OutDir, tol: float, threads: int) -> None:
+def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     blk = _block(doc, "kernel")
     t_max = float(blk.get("t_max", 16.0))
@@ -179,7 +168,7 @@ def cmd_kernel(doc: dict, out: OutDir, tol: float, threads: int) -> None:
                                                sort_keys=True))
 
 
-def cmd_delaunay(doc: dict, out: OutDir, tol: float, threads: int) -> None:
+def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     blk = _block(doc, "delaunay")
     L_list = blk.get("L_list", [2.5, 3.0, 3.5, 4.0])
@@ -200,7 +189,7 @@ def cmd_delaunay(doc: dict, out: OutDir, tol: float, threads: int) -> None:
          "gamma_s": prm.gamma_s}, indent=2, sort_keys=True))
 
 
-def cmd_constants(doc: dict, out: OutDir, tol: float, threads: int) -> None:
+def cmd_constants(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
     prm = _params(doc)
     blk = _block(doc, "constants")
     ells = blk.get("psi_ells", [0.0, 0.5, 1.0, 2.0, 4.0, 6.0])
@@ -216,6 +205,7 @@ def cmd_constants(doc: dict, out: OutDir, tol: float, threads: int) -> None:
                                            sort_keys=True))
     rows = [[float(ell), psi(float(ell), prm)] for ell in ells]
     out.write("psi.csv", _csv(["ell", "psi"], rows))
+    return ic
 
 
 def _config_geometry(doc: dict) -> tuple[SingularSet, np.ndarray, float]:
@@ -234,7 +224,7 @@ def _config_geometry(doc: dict) -> tuple[SingularSet, np.ndarray, float]:
         raise ConfigError(f"bad geometry block: {exc}") from exc
 
 
-def cmd_balance(doc: dict, out: OutDir, tol: float, threads: int) -> None:
+def cmd_balance(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
     prm = _params(doc)
     ss, q, L = _config_geometry(doc)
     ic = interaction_constants(prm)
@@ -245,54 +235,29 @@ def cmd_balance(doc: dict, out: OutDir, tol: float, threads: int) -> None:
             for i in range(ss.size)]
     head = ["i", "q", "R", "L_i"] + [f"a0_{k}" for k in range(prm.n)]
     out.write("balance.csv", _csv(head, rows))
+    return ic
 
 
-def _merged_residual(u, weight: WeightSpec, tol: float, seed: int,
-                     mc_points: int, threads: int,
-                     regions: list[str] | None = None):
+def _samples(u, regions: list[str] | None):
     pts, tags = sample_grid(u)
-    if regions is not None:
-        keep = [k for k, t in enumerate(tags)
-                if t.split(":", 1)[0] in regions]
-        if not keep:
-            raise ConfigError(f"regions {regions} select no samples")
-        pts, tags = pts[keep], [tags[k] for k in keep]
-    if threads <= 1:
-        return residual(u, weight, samples=(pts, tags), tol=tol,
-                        mc_seed=seed, mc_points=mc_points)
-    # chunk the samples; every chunk keeps its original order so the merged
-    # report is identical to the single-thread one
-    idx = np.array_split(np.arange(len(pts)), threads * 2)
-    parts = [None] * len(idx)
-    with cf.ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = {pool.submit(residual, u, weight,
-                            (pts[k], [tags[j] for j in k]), tol): c
-                for c, k in enumerate(idx) if len(k)}
-        for fut in cf.as_completed(futs):
-            parts[futs[fut]] = fut.result()
-    vals = np.concatenate([p.values for p in parts if p is not None])
-    # rebuild the report deterministically from the merged values
-    from .assembler import ResidualReport, weighted_fn_norm
-    region_sup: dict = {}
-    for k, tag in enumerate(tags):
-        if not np.isnan(vals[k]):
-            region_sup[tag] = max(region_sup.get(tag, 0.0),
-                                  abs(float(vals[k])))
-    ok = ~np.isnan(vals)
-    norm = weighted_fn_norm(pts[ok], vals[ok],
-                            [t for k, t in enumerate(tags) if ok[k]],
-                            weight, u.centers, u.prm)
-    errors = tuple(e for p in parts if p is not None for e in p.errors)
-    L = float(u.balanced.L) if u.balanced is not None \
-        else float(u.towers[0].period)
-    return ResidualReport(L=L, weight_kind=weight.kind, tau=weight.tau,
-                          points=pts, tags=tuple(tags), values=vals,
-                          weighted_norm=float(norm), region_sup=region_sup,
-                          mc_seed=seed, mc_checks=(), errors=errors)
+    if regions is None:
+        return pts, tags
+    keep = [k for k, t in enumerate(tags) if t.split(":", 1)[0] in regions]
+    if not keep:
+        raise ConfigError(f"regions {regions} select no samples")
+    return pts[keep], [tags[k] for k in keep]
 
 
-def cmd_assemble_residual(doc: dict, out: OutDir, tol: float,
-                          threads: int) -> None:
+def _write_report(out: OutDir, name: str, rep) -> None:
+    """Write the report, then fail if no sample produced a value."""
+    out.write(name, rep.to_json())
+    if not np.any(np.isfinite(rep.values)):
+        raise QuadratureError(f"{name}: no residual sample succeeded "
+                              f"({'; '.join(rep.errors[:1])})")
+
+
+def cmd_assemble_residual(doc: dict, out: OutDir,
+                          tol: float) -> InteractionConstants:
     prm = _params(doc)
     ss, q, L = _config_geometry(doc)
     blk = _block(doc, "residual")
@@ -304,51 +269,52 @@ def cmd_assemble_residual(doc: dict, out: OutDir, tol: float,
             not isinstance(regions, list)
             or not set(regions) <= {"near", "transition", "far"}):
         raise ConfigError("residual.regions must list near/transition/far")
-    seed = _seed(doc)
-    ic = interaction_constants(prm)
-    cfg = balance(ss, q, L, ic, prm)
     compare_q = blk.get("compare_q")
-    weight = WeightSpec(tau=tau, kind=kind)
-    qtol = max(tol, 1e-7)
-
-    u = assemble(cfg, prm)
-    rep = _merged_residual(u, weight, qtol, seed, mc_points, threads,
-                           regions)
-    out.write("residual_report.json", rep.to_json())
-
-    betas = []
-    for i in range(ss.size):
-        b = beta_projection(u, KernelIndex(i, 0, 0), tol=qtol)
-        betas.append({"tower": i, "level": 0, "mode": 0, "beta": b,
-                      "leading_form": beta_leading_form(u, i)})
-    summary_rows = [["balanced", rep.weighted_norm]]
-
     if compare_q is not None:
         qc = np.asarray(compare_q, dtype=float)
         if qc.shape != (ss.size,) or np.any(qc <= 0):
             raise ConfigError("residual.compare_q must match the point count")
+    seed = _seed(doc)
+    ic = interaction_constants(prm)
+    cfg = balance(ss, q, L, ic, prm)
+    weight = WeightSpec(tau=tau, kind=kind)
+    qtol = max(tol, 1e-7)
+
+    def level0_betas(v, **tag):
+        return [{"tower": i, "level": 0, "mode": 0,
+                 "beta": beta_projection(v, KernelIndex(i, 0, 0), tol=qtol),
+                 "leading_form": beta_leading_form(v, i), **tag}
+                for i in range(ss.size)]
+
+    u = assemble(cfg, prm)
+    require_reduction(u)
+    rep = residual(u, weight, samples=_samples(u, regions), tol=qtol,
+                   mc_seed=seed, mc_points=mc_points)
+    _write_report(out, "residual_report.json", rep)
+    betas = level0_betas(u)
+    summary_rows = [["balanced", rep.weighted_norm]]
+
+    if compare_q is not None:
         unb = BalancedConfig(sigma_set=ss, q=qc, R=cfg.R, a0_hat=cfg.a0_hat,
                              L=cfg.L, L_i=periods_from_q(qc, cfg.L, prm),
                              resid_B1=float("nan"), resid_B2=float("nan"))
         u2 = assemble(unb, prm)
-        rep2 = _merged_residual(u2, weight, qtol, seed, 0, threads, regions)
-        out.write("residual_report_compare.json", rep2.to_json())
+        rep2 = residual(u2, weight, samples=_samples(u2, regions), tol=qtol,
+                        mc_seed=seed)
+        _write_report(out, "residual_report_compare.json", rep2)
         summary_rows.append(["compare", rep2.weighted_norm])
         summary_rows.append(["ratio", rep2.weighted_norm
                              / rep.weighted_norm])
-        for i in range(ss.size):
-            b = beta_projection(u2, KernelIndex(i, 0, 0), tol=qtol)
-            betas.append({"tower": i, "level": 0, "mode": 0, "beta": b,
-                          "leading_form": beta_leading_form(u2, i),
-                          "config": "compare"})
+        betas += level0_betas(u2, config="compare")
 
     out.write("beta.json", json.dumps({"L": cfg.L, "entries": betas},
                                       indent=2, sort_keys=True))
     out.write("residual_summary.csv",
               _csv(["run", "weighted_norm"], summary_rows))
+    return ic
 
 
-def cmd_toda(doc: dict, out: OutDir, tol: float, threads: int) -> None:
+def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
     _params(doc)  # validates n, sigma even though the operator is scale-free
     blk = _block(doc, "toda")
     kind = blk.get("kind", "dilation")
@@ -393,8 +359,6 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default="qcurv-out", help="output directory")
     ap.add_argument("--tol", type=float, default=1e-8,
                     help="quadrature/solver budget")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: QCURV_THREADS or 1)")
     return ap
 
 
@@ -402,17 +366,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         doc = _load_config(args.config)
-        threads = _threads(args)
         prm = _params(doc)
         out = OutDir(args.out)
-        COMMANDS[args.command](doc, out, args.tol, threads)
-        _manifest(out, args.command, doc, prm, _seed(doc), args.tol)
+        # commands that hold the interaction constants return them
+        ic = COMMANDS[args.command](doc, out, args.tol)
+        _manifest(out, args.command, doc, prm, _seed(doc), args.tol, ic)
     except (NewtonError, QuadratureError, BalanceError) as exc:
         print(json.dumps({"error": "solver", "detail": str(exc)}),
               file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
-        # library validation of config-derived values lands here too
+    except (ConfigError, NotImplementedError, ValueError, TypeError,
+            KeyError) as exc:
+        # library validation of config-derived values lands here too, and so
+        # does geometry outside the deterministic quadrature's reduction
         print(json.dumps({"error": "config", "detail": str(exc)}),
               file=sys.stderr)
         return 2

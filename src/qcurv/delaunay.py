@@ -27,7 +27,8 @@ from scipy.optimize import brentq
 
 from .params import Params
 from .bubbles import cyl_coefficient
-from .kernels import calibrate_cyl_kernel, periodized_lattice, riesz_kernel_cyl
+from .kernels import (cached_kappa, calibrate_cyl_kernel, periodized_lattice,
+                      riesz_kernel_cyl)
 
 __all__ = [
     "CylSolution",
@@ -218,7 +219,7 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
         raise ValueError("need at least three half-periods for a slope fit")
     if any(b <= a for a, b in zip(L_arr, L_arr[1:])):
         raise ValueError("half-periods must be strictly increasing")
-    kappa = calibrate_cyl_kernel(prm).kappa
+    kappa = cached_kappa(prm)
     rows = []
     for L in L_arr:
         try:

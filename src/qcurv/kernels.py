@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,6 +216,12 @@ def calibrate_cyl_kernel(prm: Params, tol: float = 1e-9,
         fixed_point_err=float(resid.max()),
         check_offsets=tuple(float(t) for t in check_offsets),
     )
+
+
+@lru_cache(maxsize=8)
+def cached_kappa(prm: Params) -> float:
+    """kappa of calibrate_cyl_kernel at its defaults, once per (n, sigma)."""
+    return calibrate_cyl_kernel(prm).kappa
 
 
 # ─────────────────────────────────────────────────────────────────────────────

@@ -14,55 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Gamma function (in-repo; no dependency on scipy.special here by design)
+# Gamma function (standard library; no dependency on scipy.special here by
+# design)
 # ─────────────────────────────────────────────────────────────────────────────
-
-# Lanczos coefficients, g = 7, 9 terms.  Relative error below 1e-13 on the
-# positive real axis once the reflection formula handles z < 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _ln_gamma_pos(z: float) -> float:
-    # valid for z >= 0.5
-    z = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, 9):
-        acc += _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def gamma_fn(z):
-    """Gamma(z) for real z > 0 (scalar or array), accurate to ~1e-13 relative.
+    """Gamma(z) for real z > 0 (scalar or array), via math.gamma.
 
-    Uses a Lanczos approximation with reflection below 1/2 so accuracy does
-    not degrade near the origin.  Poles (z <= 0) are rejected.
+    Poles (z <= 0) are rejected.
     """
     arr = np.asarray(z, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("gamma_fn requires z > 0")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    for i, zi in enumerate(flat):
-        if zi >= 0.5:
-            out[i] = math.exp(_ln_gamma_pos(zi))
-        else:
-            # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-            out[i] = math.pi / (math.sin(math.pi * zi) * math.exp(_ln_gamma_pos(1.0 - zi)))
     if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return math.gamma(float(arr))
+    return np.array([math.gamma(v) for v in arr.ravel()]).reshape(arr.shape)
 
 
 # ─────────────────────────────────────────────────────────────────────────────

@@ -11,10 +11,13 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              assemble_single, beta_leading_form,
                              beta_projection, cutoff, dual_apply,
                              dual_apply_radial, mc_probe, residual,
-                             sample_grid, weighted_fn_norm, _ball_kernel,
-                             _far_kernel, _kappa, _rhat)
-from qcurv.bubbles import Bubble, KernelIndex, bubble_eval, tower_eval
+                             sample_grid, weighted_fn_norm, _dual_integral,
+                             _plain_integral, _rhat)
+from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
+                           tower_eval)
 from qcurv.delaunay import delaunay_to_rn
+from qcurv.kernels import cached_kappa
+from qcurv.params import nonlin_prime
 
 PRM = derive_params(5, 1.5)
 IC = interaction_constants(PRM)
@@ -166,7 +169,7 @@ class TestDualApply:
         # closed form (c/q)^{1/(p-1)}
         mass, _ = quad(lambda t: float(_rhat(np.array([t]), PRM)[0]),
                        -45, 45, limit=400)
-        a = (PRM.c_ns * _kappa(PRM) * mass) ** (-1.0 / (PRM.p - 1))
+        a = (PRM.c_ns * cached_kappa(PRM) * mass) ** (-1.0 / (PRM.p - 1))
         assert a == pytest.approx((PRM.c_ns / PRM.q_ns) ** (1 / (PRM.p - 1)),
                                   rel=1e-6)
         fn = lambda pts: a * np.linalg.norm(pts, axis=-1) ** (-PRM.gamma_s)
@@ -214,9 +217,8 @@ class TestDualApply:
         for r in (0.35, 2.5):
             x = r * E1
             rad = dual_apply(single, x, tol=1e-9)
-            gen = PRM.c_ns * single.kappa * (
-                _ball_kernel(single, F, 0, x, 1e-7)
-                + _far_kernel(single, F, x, 1e-7))
+            gen = PRM.c_ns * single.kappa * _dual_integral(single, F, x,
+                                                           1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
 
     def test_mc_probe_agrees(self, balanced_pair):
@@ -257,6 +259,27 @@ class TestBetaProjection:
             beta_projection(balanced_pair, KernelIndex(0, 99, 0))
         with pytest.raises(ValueError):
             KernelIndex(0, 0, -1)
+
+    def test_level_window_keeps_pairing_scale_invariant(self):
+        # int f'(U_j) Z_j^2 is scale invariant, so once normalised by the
+        # level's slope and lam_j^2 it must not depend on the level; the
+        # default 6-level tower at L = 3.5 puts levels 5 and 6 beyond
+        # log-radius 36, so the ball window has to follow the level
+        u = assemble(bal.balance(pair(), np.ones(2), 3.5, IC, PRM), PRM)
+        cfg = u.towers[0]
+        vals = []
+        for j in range(cfg.levels + 1):
+            idx = KernelIndex(0, j, 0)
+            b = cfg.level_bubble(j)
+            slope = cfg.baseline * np.exp(-(1.0 + 2.0 * j) * cfg.period)
+
+            def G(pts):
+                U = bubble_eval(pts, b, PRM)
+                return nonlin_prime(U, PRM) * kernel_Z(pts, idx, cfg, PRM) ** 2
+
+            vals.append(_plain_integral(u, G, b.lam, 1e-9)
+                        * b.lam ** 2 / slope ** 2)
+        assert vals == pytest.approx([vals[0]] * len(vals), rel=1e-6)
 
     def test_leading_form_bracket_zero_at_balance(self, balanced_pair):
         # (B1) makes the printed bracket vanish: A2*cross == q_i

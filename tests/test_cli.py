@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcurv import cli
+from qcurv import assembler, cli
 
 
 def run_cli(args):
@@ -130,20 +130,6 @@ class TestExitCodes:
         assert res.returncode == 2
 
 
-class TestThreadsFlag:
-    def test_env_fallback_parses(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QCURV_THREADS", "2")
-        cfg = write_config(tmp_path / "c.json", BASE)
-        assert cli.main(["toda", "--config", cfg,
-                         "--out", str(tmp_path / "o")]) == 0
-
-    def test_env_fallback_rejects_garbage(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QCURV_THREADS", "lots")
-        cfg = write_config(tmp_path / "c.json", BASE)
-        assert cli.main(["toda", "--config", cfg,
-                         "--out", str(tmp_path / "o")]) == 2
-
-
 class TestKernelCommand:
     def test_tables_and_slopes(self, tmp_path):
         doc = {**BASE, "kernel": {"t_max": 8.0, "t_points": 9}}
@@ -201,7 +187,7 @@ class TestAssembleResidualCommand:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "out"
         assert cli.main(["assemble_residual", "--config", cfg,
-                         "--out", str(out), "--threads", "2"]) == 0
+                         "--out", str(out)]) == 0
         summary = (out / "residual_summary.csv").read_text().splitlines()
         runs = {r.split(",")[0]: float(r.split(",")[1])
                 for r in summary[1:]}
@@ -218,14 +204,42 @@ class TestAssembleResidualCommand:
         assert rep["weight_kind"] == "starstar"
         assert rep["errors"] == []
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        doc = {**BASE, "residual": {"regions": ["transition"]}}
+    def test_rerun_with_mc_check_bit_identical(self, tmp_path):
+        doc = {**BASE, "residual": {"regions": ["transition"],
+                                    "mc_points": 1}}
         cfg = write_config(tmp_path / "c.json", doc)
-        for threads, name in (("1", "o1"), ("3", "o2")):
+        for name in ("o1", "o2"):
             assert cli.main(["assemble_residual", "--config", cfg,
-                             "--out", str(tmp_path / name),
-                             "--threads", threads]) == 0
+                             "--out", str(tmp_path / name)]) == 0
         assert_same_tree(tmp_path / "o1", tmp_path / "o2")
+        rep = json.loads((tmp_path / "o1" / "residual_report.json")
+                         .read_text())
+        assert len(rep["mc_checks"]) == 1
+
+    def test_no_good_sample_is_3_with_nan_norm(self, tmp_path,
+                                               monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("quadrature blew up")
+
+        monkeypatch.setattr(assembler, "dual_apply", fail)
+        cfg = write_config(tmp_path / "c.json", BASE)
+        out = tmp_path / "o"
+        assert cli.main(["assemble_residual", "--config", cfg,
+                         "--out", str(out)]) == 3
+        rep = json.loads((out / "residual_report.json").read_text())
+        assert math.isnan(rep["weighted_norm"])
+        assert len(rep["errors"]) == len(rep["values"])
+
+    def test_non_collinear_points_are_2(self, tmp_path):
+        doc = {**BASE, "points": [[0, 0, 0, 0, 0], [3, 0, 0, 0, 0],
+                                  [1.5, 2.8, 0, 0, 0]],
+               "q": [1.0, 1.0, 1.0]}
+        cfg = write_config(tmp_path / "c.json", doc)
+        res = run_cli(["assemble_residual", "--config", cfg,
+                       "--out", str(tmp_path / "o")])
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "config"
+        assert not (tmp_path / "o" / "residual_report.json").exists()
 
     def test_bad_regions_rejected(self, tmp_path):
         doc = {**BASE, "residual": {"regions": ["everywhere"]}}
