@@ -582,7 +582,18 @@ def _plain_integral(u: ApproxSolution, G, lam: float, tol: float) -> float:
 
 def beta_projection(u: ApproxSolution, idx: KernelIndex,
                     prm: Params | None = None, tol: float = 1e-9) -> float:
-    """Projection of the residual on the (tower, level, mode) direction."""
+    """Projection of the residual on the (tower, level, mode) direction.
+
+    The quadrature nodes sit at absolute coordinates x_i + s*dir, which are
+    rounded to the double spacing delta = |x_i|*eps at the level's center
+    x_i, so inside the level's core (s ~ lam_j) every integrand value carries
+    a relative error of about delta/lam_j.  A level with delta/lam_j > tol
+    cannot be resolved to tol and raises ValueError.  On the balanced pair
+    3 apart (n=5, sigma=1.5) the normalised pairing int f'(U_j) Z_j^2 of the
+    tower at 3*e1 was off by 3e-4 to 0.07 times delta/lam_j over levels with
+    delta/lam_j from 1e-7 to 0.7 (L = 2.5..3.5), and by 13x at
+    delta/lam_j = 169; a tower at the origin has delta = 0.
+    """
     prm = u.prm if prm is None else prm
     require_reduction(u)
     i = idx.tower
@@ -600,6 +611,12 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
                 "transverse modes of non-axisymmetric perturbations are "
                 "outside the deterministic reduction")
     b = cfg.level_bubble(idx.level)
+    spacing = float(np.linalg.norm(b.center)) * np.finfo(float).eps
+    if spacing > tol * b.lam:
+        raise ValueError(
+            f"level {idx.level} of tower {i} cannot be resolved to "
+            f"tol={tol:g}: the double spacing at its center is "
+            f"{spacing / b.lam:.3g} of its scale")
 
     def G(pts):
         U = bubble_eval(pts, b, prm)

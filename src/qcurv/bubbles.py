@@ -11,7 +11,7 @@ Everything here is pure evaluation over frozen configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -120,6 +120,12 @@ class TowerConfig:
     |dilations[j]| <= exp(-tau*t_j) and |shifts[j]| <= shift_bound*lam_j^2.
     Negative levels (used by the doubly infinite sum) carry no deformation
     data and fall back to the standard scales.
+
+    The scales and centers of levels j = -levels..levels are computed once,
+    in row j + levels of `level_scales` and `level_centers`; every level
+    evaluation reads them there.  `level_scales_sq` holds each scale squared
+    by the scalar power a single `Bubble` uses, which can differ from the
+    array square by an ulp.
     """
 
     index: int
@@ -131,6 +137,9 @@ class TowerConfig:
     shifts: np.ndarray | None = None
     tau: float = 0.5
     shift_bound: float = 1.0
+    level_scales: np.ndarray = field(init=False, repr=False, compare=False)
+    level_scales_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    level_centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center",
@@ -160,6 +169,15 @@ class TowerConfig:
         tj = self.level_heights()
         if np.any(np.abs(dil) > np.exp(-self.tau * tj)):
             raise ValueError("dilation perturbations exceed the admissible envelope")
+        J = self.levels
+        js = np.arange(-J, J + 1)
+        lams = (self.baseline * (1.0 + np.concatenate([np.zeros(J), dil]))
+                * np.exp(-(1.0 + 2.0 * js) * self.period))
+        object.__setattr__(self, "level_scales", lams)
+        object.__setattr__(self, "level_scales_sq",
+                           np.array([lam**2 for lam in lams]))
+        object.__setattr__(self, "level_centers", self.center + np.concatenate(
+            [np.zeros((J, n)), shf]))
         lam = self.scales()
         if np.any(lam <= 0):
             raise ValueError("deformed scales must stay positive")
@@ -178,29 +196,48 @@ class TowerConfig:
 
     def scales(self) -> np.ndarray:
         """Deformed scales lam_j for the stored levels."""
-        return (self.baseline * (1.0 + self.dilations)
-                * np.exp(-self.level_heights()))
+        return self.level_scales[self.levels:].copy()
+
+    def level(self, j: int) -> tuple[float, np.ndarray]:
+        """(lam_j, center_j); negative j gives the undeformed mirror level."""
+        if not -self.levels <= j <= self.levels:
+            raise ValueError(f"level {j} beyond truncation {self.levels}")
+        return self.level_scales[j + self.levels], self.level_centers[j + self.levels]
 
     def level_bubble(self, j: int) -> Bubble:
         """Bubble of level j; negative j gives the undeformed mirror level."""
-        if j >= 0:
-            if j > self.levels:
-                raise ValueError(f"level {j} beyond truncation {self.levels}")
-            lam = (self.baseline * (1.0 + self.dilations[j])
-                   * np.exp(-(1.0 + 2.0 * j) * self.period))
-            return Bubble(lam, self.center + self.shifts[j])
-        lam = self.baseline * np.exp(-(1.0 + 2.0 * j) * self.period)
-        return Bubble(lam, self.center)
+        return Bubble(*self.level(j))
+
+
+# points per broadcast block: the (n, levels, block) temporaries stay a few MB
+_BLOCK = 4096
 
 
 def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
                half: bool = True) -> float | np.ndarray:
-    """Sum the tower's bubbles at x; half=False also adds levels -J..-1."""
-    lo = 0 if half else -cfg.levels
-    vals = [bubble_eval(x, cfg.level_bubble(j), prm)
-            for j in range(lo, cfg.levels + 1)]
-    out = np.sum(vals, axis=0)
-    return float(out) if np.ndim(out) == 0 else out
+    """Sum the tower's bubbles at x; half=False also adds levels -J..-1.
+
+    The levels are broadcast against blocks of points into one
+    (levels, points) array, summed over levels once: numpy sums a
+    (levels, 1) array pairwise and a wider one level by level, so summing
+    per block would make the bits depend on the block size.  Coordinates
+    come first, so |x - center|^2 adds them in order, as np.sum does along
+    a row of fewer than 8: below dimension 8 the bits are those of one
+    `bubble_eval` per level.
+    """
+    x = np.asarray(x, dtype=float)
+    lo = cfg.levels if half else 0
+    lam = cfg.level_scales[lo:, None]
+    lam_sq = cfg.level_scales_sq[lo:, None]
+    ctr = cfg.level_centers[lo:].T[:, :, None]
+    pts = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+    vals = np.empty((lam.shape[0], pts.shape[1]))
+    for s in range(0, pts.shape[1], _BLOCK):
+        d = pts[:, None, s:s + _BLOCK] - ctr
+        rho2 = np.sum(d * d, axis=0)
+        vals[:, s:s + _BLOCK] = (2.0 * lam / (lam_sq + rho2)) ** prm.gamma_s
+    out = vals.sum(axis=0).reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -222,12 +259,12 @@ class KernelIndex:
             raise ValueError("kernel mode must be >= 0")
 
 
-def _check_index(idx: KernelIndex, cfg: TowerConfig) -> Bubble:
+def _check_index(idx: KernelIndex, cfg: TowerConfig) -> tuple[float, np.ndarray]:
     if idx.tower != cfg.index:
         raise ValueError(f"index targets tower {idx.tower}, config is {cfg.index}")
     if idx.mode > cfg.dim:
         raise ValueError(f"mode {idx.mode} out of range for dimension {cfg.dim}")
-    return cfg.level_bubble(idx.level)
+    return cfg.level(idx.level)
 
 
 def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
@@ -239,23 +276,22 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
     dU/dlam = gamma_s*U*(rho^2-lam^2)/(lam*(lam^2+rho^2)).  Modes ell >= 1
     return -lam_j * dU/dx_ell = 2*gamma_s*lam_j*(x-x0)_ell*U/(lam^2+rho^2).
     """
-    b = _check_index(idx, cfg)
+    lam, ctr = _check_index(idx, cfg)
     x = np.asarray(x, dtype=float)
-    diff = x - b.center
+    diff = x - ctr
     rho2 = np.sum(diff**2, axis=-1)
-    u = (2.0 * b.lam / (b.lam**2 + rho2)) ** prm.gamma_s
+    u = (2.0 * lam / (lam**2 + rho2)) ** prm.gamma_s
     if idx.mode == 0:
-        du_dlam = prm.gamma_s * u * (rho2 - b.lam**2) / (b.lam * (b.lam**2 + rho2))
+        du_dlam = prm.gamma_s * u * (rho2 - lam**2) / (lam * (lam**2 + rho2))
         val = du_dlam * cfg.baseline * np.exp(-(1.0 + 2.0 * idx.level) * cfg.period)
     else:
-        val = (2.0 * prm.gamma_s * b.lam * diff[..., idx.mode - 1]
-               * u / (b.lam**2 + rho2))
+        val = (2.0 * prm.gamma_s * lam * diff[..., idx.mode - 1]
+               * u / (lam**2 + rho2))
     return float(val) if np.ndim(val) == 0 else val
 
 
 def cokernel_Zbar(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
                   prm: Params) -> float | np.ndarray:
     """Linearized-nonlinearity weight times the kernel of the same level."""
-    b = _check_index(idx, cfg)
-    u = bubble_eval(x, b, prm)
+    u = bubble_eval(x, Bubble(*_check_index(idx, cfg)), prm)
     return nonlin_prime(u, prm) * kernel_Z(x, idx, cfg, prm)

@@ -16,7 +16,7 @@ what makes v(0) the decaying quantity the sweeps fit.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 

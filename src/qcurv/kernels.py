@@ -11,7 +11,6 @@ and near-diagonal singularities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -19,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .params import Params, nonlin
+from .params import Params
 
 
 class QuadratureError(RuntimeError):

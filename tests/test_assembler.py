@@ -281,6 +281,18 @@ class TestBetaProjection:
                         * b.lam ** 2 / slope ** 2)
         assert vals == pytest.approx([vals[0]] * len(vals), rel=1e-6)
 
+    def test_unresolved_level_raises(self):
+        # tower 1 sits at 3*e1, where the double spacing is 6.7e-16; at
+        # L = 3.5 its levels 4..6 have scales 4.3e-15 and below, and there
+        # the pairing above came out 52.70, 673.6 and 673.7 instead of 52.64
+        u = assemble(bal.balance(pair(), np.ones(2), 3.5, IC, PRM), PRM)
+        for j in (4, 5, 6):
+            with pytest.raises(ValueError, match="resolved"):
+                beta_projection(u, KernelIndex(1, j, 0))
+        for idx in (KernelIndex(0, 0, 0), KernelIndex(1, 0, 0),
+                    KernelIndex(0, 6, 0)):
+            assert np.isfinite(beta_projection(u, idx))
+
     def test_leading_form_bracket_zero_at_balance(self, balanced_pair):
         # (B1) makes the printed bracket vanish: A2*cross == q_i
         u = balanced_pair

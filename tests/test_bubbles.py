@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from qcurv.params import derive_params
 from qcurv.bubbles import (
+    _BLOCK,
     Bubble,
     TowerConfig,
     KernelIndex,
@@ -245,3 +246,119 @@ def test_kernel_index_validation():
         kernel_Z(np.zeros(N), KernelIndex(0, 9, 0), cfg, PRM)
     with pytest.raises(ValueError):
         KernelIndex(0, -1, 0)
+
+
+# ─────────────────────────────────────────────────────────────────────────────
+# oracle: the per-level loop that tower_eval replaced, one Bubble per level
+
+
+def _oracle_level(cfg, j):
+    if j >= 0:
+        lam = (cfg.baseline * (1.0 + cfg.dilations[j])
+               * np.exp(-(1.0 + 2.0 * j) * cfg.period))
+        return Bubble(lam, cfg.center + cfg.shifts[j])
+    return Bubble(cfg.baseline * np.exp(-(1.0 + 2.0 * j) * cfg.period),
+                  cfg.center)
+
+
+def _oracle_tower(x, cfg, prm, half=True):
+    lo = 0 if half else -cfg.levels
+    vals = [bubble_eval(x, _oracle_level(cfg, j), prm)
+            for j in range(lo, cfg.levels + 1)]
+    out = np.sum(vals, axis=0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _deformed_tower(n):
+    # off-origin center, admissible dilations and shifts on all 6 levels
+    rng = np.random.default_rng(n)
+    kw = dict(index=1, center=3.0 * np.eye(n)[0], period=2.5, levels=6,
+              baseline=0.2067)
+    base = TowerConfig(**kw)
+    dil = 0.5 * np.exp(-0.5 * base.level_heights()) * rng.uniform(-1.0, 1.0, 7)
+    shf = rng.normal(size=(7, n))
+    shf *= (0.5 * base.scales() ** 2 / np.linalg.norm(shf, axis=1))[:, None]
+    return TowerConfig(**kw, dilations=dil, shifts=shf)
+
+
+def _points(cfg, count, seed):
+    # radii log-uniform from below the deepest scale to well outside the tower
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(count, cfg.dim))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = np.exp(rng.uniform(np.log(0.1 * cfg.scales()[-1]), np.log(10.0), count))
+    return cfg.center + r[:, None] * d
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_level_arrays_match_level_bubble(n):
+    cfg = _deformed_tower(n)
+    J = cfg.levels
+    assert cfg.level_scales.shape == (2 * J + 1,)
+    assert cfg.level_centers.shape == (2 * J + 1, n)
+    for j in range(-J, J + 1):
+        b, old = cfg.level_bubble(j), _oracle_level(cfg, j)
+        assert cfg.level_scales[j + J] == b.lam == old.lam
+        assert np.array_equal(cfg.level_centers[j + J], b.center)
+        assert np.array_equal(b.center, old.center)
+        assert cfg.level_scales_sq[j + J] == old.lam ** 2
+    assert np.array_equal(cfg.scales(), cfg.level_scales[J:])
+    with pytest.raises(ValueError):
+        cfg.level_bubble(J + 1)
+    with pytest.raises(ValueError):
+        cfg.level_bubble(-J - 1)
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
+@pytest.mark.parametrize("half", [True, False])
+def test_tower_eval_matches_per_level_oracle_bitwise(n, sigma, half):
+    # integer gamma_s: every operation is exactly rounded, so bit equality
+    # holds for single points, every block boundary and nested batches
+    prm = derive_params(n, sigma)
+    assert prm.gamma_s == 1.0
+    cfg = _deformed_tower(n)
+    for count in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        x = _points(cfg, count, seed=count)
+        got = tower_eval(x, cfg, prm, half=half)
+        assert got.shape == (count,)
+        assert np.array_equal(got, _oracle_tower(x, cfg, prm, half=half))
+        for xi in x[:50]:
+            one = tower_eval(xi, cfg, prm, half=half)
+            assert isinstance(one, float)
+            assert one == _oracle_tower(xi, cfg, prm, half=half)
+    x = _points(cfg, 24, seed=3).reshape(4, 6, n)
+    got = tower_eval(x, cfg, prm, half=half)
+    assert got.shape == (4, 6)
+    assert np.array_equal(got, _oracle_tower(x, cfg, prm, half=half))
+
+
+@pytest.mark.parametrize("n,sigma", [(3, 1.2), (9, 3.5)])
+@pytest.mark.parametrize("half", [True, False])
+def test_tower_eval_matches_oracle_within_ulps(n, sigma, half):
+    # at fractional gamma_s numpy's scalar pow (single points in the oracle)
+    # and its vectorized pow can differ by an ulp per level; from dimension
+    # 8 np.sum adds a row's coordinates pairwise, tower_eval in order
+    prm = derive_params(n, sigma)
+    cfg = _deformed_tower(n)
+    x = _points(cfg, _BLOCK + 1, seed=9)
+    np.testing.assert_array_max_ulp(tower_eval(x, cfg, prm, half=half),
+                                    _oracle_tower(x, cfg, prm, half=half), 4)
+    for xi in x[:200]:
+        np.testing.assert_array_max_ulp(tower_eval(xi, cfg, prm, half=half),
+                                        _oracle_tower(xi, cfg, prm, half=half), 4)
+
+
+def test_tower_eval_keeps_scalar_square_of_scales():
+    # numpy squares a float64 scalar with pow and an array by multiplication,
+    # which can differ by an ulp; the stored squares are the scalar ones
+    prm = derive_params(5, 1.5)
+    for k in range(1000):
+        cfg = TowerConfig(index=0, center=np.zeros(N), period=1.0, levels=6,
+                          baseline=0.2 + 1e-3 * k)
+        if np.any(cfg.level_scales ** 2 != cfg.level_scales_sq):
+            break
+    else:
+        pytest.skip("scalar and array squares agree on this platform")
+    x = _points(cfg, 2000, seed=1)
+    assert np.array_equal(tower_eval(x, cfg, prm, half=False),
+                          _oracle_tower(x, cfg, prm, half=False))

@@ -3,18 +3,24 @@
 import filecmp
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qcurv
 from qcurv import assembler, cli
 
 
 def run_cli(args):
+    # the child imports the qcurv this process imported, however it was found
+    src = os.path.dirname(os.path.dirname(qcurv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "qcurv.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def write_config(path, doc):
