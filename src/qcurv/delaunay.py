@@ -21,14 +21,13 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .params import Params
 from .bubbles import cyl_coefficient
-from .kernels import (cached_kappa, calibrate_cyl_kernel, periodized_lattice,
-                      riesz_kernel_cyl)
+from .kernels import (cached_kappa, calibrate_cyl_kernel, check_rules, gauss_panels,
+                      periodized_lattice, riesz_kernel_cyl)
 
 __all__ = [
     "CylSolution",
@@ -248,6 +247,31 @@ def sweep_csv(sweep: SweepResult) -> str:
     return buf.getvalue()
 
 
+def _branch_window(prm: Params, tol: float) -> float:
+    """Right end T of the cosine-transform window: the reduced kernel decays
+    like e^{-gamma_s t}, so the dropped tail is below tol relative to F(0)
+    once gamma_s T > ln(1/tol), plus a margin of five decay lengths."""
+    T = max(60.0, (np.log(1.0 / tol) + 5.0) / prm.gamma_s)
+    if T > 700.0:
+        raise ValueError(
+            f"branch-point window {T:.0f} exceeds 700, where cosh overflows "
+            f"(gamma_s = {prm.gamma_s:.3g} decays too slowly)")
+    return T
+
+
+def _kernel_cosine_rule(prm: Params, tol: float):
+    """(t, w * R(t)) of the 16- and the 8-point composite Gauss rules on the
+    window [0, T]: panels halve geometrically toward the t log t kink at
+    t = 0 and are at most 0.5 wide beyond t = 0.5.  One kernel call serves
+    both rules."""
+    T = _branch_window(prm, tol)
+    edges = np.concatenate([[0.0], 0.5 * 2.0 ** np.arange(-24.0, 0.0),
+                            np.linspace(0.5, T, int(np.ceil(2.0 * T)))])
+    (t16, w16), (t8, w8) = (gauss_panels(edges, order) for order in (16, 8))
+    R = riesz_kernel_cyl(np.concatenate([t16, t8]), prm, tol=tol)
+    return (t16, w16 * R[:len(t16)]), (t8, w8 * R[len(t16):])
+
+
 def bifurcation_half_period(prm: Params, tol: float = 1e-10,
                             w_max: float = 8.0) -> float:
     """Half-period where tower solutions split off the constant branch.
@@ -257,12 +281,20 @@ def bifurcation_half_period(prm: Params, tol: float = 1e-10,
     reduced kernel; the normalization constants cancel, so the threshold
     depends on (n, sigma) only.  Below the returned L the flat profile is
     the only positive even periodic solution.
+
+    F(w) = 2 int_0^T R(t) cos(w t) dt is a dot product on a fixed graded
+    rule (window T from ``_branch_window``).  F(0) and F at the root are
+    checked against the 8-point rule on the same panels; a gap above
+    tol * F(0) raises QuadratureError.
     """
+    (t, wR), (t8, wR8) = _kernel_cosine_rule(prm, tol)
+
     def ft(w: float) -> float:
-        val, _ = quad(lambda t: riesz_kernel_cyl(t, prm, tol=tol) * np.cos(w * t),
-                      0.0, 60.0, epsabs=1e-12, epsrel=1e-10, limit=400)
-        return 2.0 * val
+        return 2.0 * float(wR @ np.cos(w * t))
 
     f0 = ft(0.0)
     w_star = brentq(lambda w: ft(w) - f0 / prm.p, 1e-2, w_max, xtol=1e-9)
+    check_rules([f0, ft(w_star)],
+                [2.0 * float(wR8 @ np.cos(w * t8)) for w in (0.0, w_star)],
+                tol, "branch-point cosine transform")
     return float(np.pi / w_star)

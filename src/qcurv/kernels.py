@@ -151,6 +151,29 @@ def periodized_lattice(
 # ─────────────────────────────────────────────────────────────────────────────
 
 
+def gauss_panels(edges, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on the panels between
+    consecutive edges, flattened panel by panel."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx = 0.5 * (gx + 1.0)
+    gw = 0.5 * gw
+    edges = np.asarray(edges, dtype=float)
+    h = np.diff(edges)
+    return (edges[:-1, None] + h[:, None] * gx).ravel(), (h[:, None] * gw).ravel()
+
+
+def check_rules(fine, coarse, tol: float, what: str) -> None:
+    """Raise QuadratureError when a 16-point result and the 8-point result on
+    the same panels differ by more than tol times the 16-point magnitude."""
+    fine, coarse = np.asarray(fine, dtype=float), np.asarray(coarse, dtype=float)
+    gap = float(np.max(np.abs(fine - coarse)))
+    scale = float(np.max(np.abs(fine)))
+    if not (gap <= tol * scale):
+        raise QuadratureError(
+            f"{what}: 16- and 8-point rules differ by {gap:.3e} "
+            f"(> tol {tol:.1e} x {scale:.3e})")
+
+
 def _profile_convolution(t_grid: np.ndarray, prm: Params, tol: float, halfwidth: float = 45.0,
                          nodes_per_unit: int = 12) -> np.ndarray:
     """int R_cyl(t - tau) cosh(tau)^{-gamma_dual} dtau on a batch of t values.
@@ -161,23 +184,12 @@ def _profile_convolution(t_grid: np.ndarray, prm: Params, tol: float, halfwidth:
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     out = np.empty_like(t_grid)
-    # Gauss nodes on [0, 1]
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
+    # at least 8 panels per side, about nodes_per_unit nodes per unit length
+    n_panels = max(8, int(halfwidth * nodes_per_unit / 16) + 1)
     for i, t in enumerate(t_grid):
-        taus = []
-        wts = []
-        for a, b in ((t - halfwidth, t), (t, t + halfwidth)):
-            # panels of width ~1/nodes-per-unit factor handled by 16-pt Gauss
-            n_panels = max(8, int(abs(b - a) * nodes_per_unit / 16) + 1)
-            edges = np.linspace(a, b, n_panels + 1)
-            for k in range(n_panels):
-                h = edges[k + 1] - edges[k]
-                taus.append(edges[k] + h * gx)
-                wts.append(h * gw)
-        taus = np.concatenate(taus)
-        wts = np.concatenate(wts)
+        edges = np.concatenate([np.linspace(t - halfwidth, t, n_panels + 1),
+                                np.linspace(t, t + halfwidth, n_panels + 1)[1:]])
+        taus, wts = gauss_panels(edges)
         kern = riesz_kernel_cyl(taus - t, prm, tol=tol)
         out[i] = np.sum(wts * kern * np.cosh(taus) ** (-prm.gamma_dual))
     return out

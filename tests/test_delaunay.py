@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from qcurv import delaunay
 from qcurv.params import derive_params
 from qcurv.bubbles import cyl_coefficient
+from qcurv.kernels import QuadratureError, riesz_kernel_cyl
 from qcurv.delaunay import (
     CylSolution,
     NewtonError,
@@ -61,6 +64,40 @@ def test_flat_branch_detected_below_threshold():
     # and the flat value it would have reported is the closed-form height
     a = cyl_coefficient(PRM)
     assert 0.75 < a < 0.76
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
+def test_branch_transform_matches_nested_quad(n, sigma):
+    # oracle: the adaptive outer quad over scalar kernel calls on [0, 60]
+    prm = derive_params(n, sigma)
+    (t, wR), _ = delaunay._kernel_cosine_rule(prm, 1e-10)
+    for w in (0.0, 1.0, 2.0):
+        ref, _ = quad(lambda x: riesz_kernel_cyl(x, prm, tol=1e-10) * np.cos(w * x),
+                      0.0, 60.0, epsabs=1e-12, epsrel=1e-10, limit=400)
+        assert 2.0 * float(wR @ np.cos(w * t)) == pytest.approx(2.0 * ref, rel=1e-9)
+
+
+def test_branch_window_follows_kernel_decay(monkeypatch):
+    # gamma_s = 0.1: the kernel still holds e^-6 of its weight at t = 60,
+    # where a fixed window gave L* = 6.06146 instead of 6.04886
+    prm = derive_params(3, 1.4)
+    got = bifurcation_half_period(prm)
+    # the window would pass cosh's overflow at gamma_s = 0.01
+    with pytest.raises(ValueError, match="overflows"):
+        bifurcation_half_period(derive_params(3, 1.49))
+    monkeypatch.setattr(delaunay, "_branch_window", lambda prm, tol: 400.0)
+    wide = bifurcation_half_period(prm)
+    assert got == pytest.approx(wide, rel=1e-9)
+    assert got == pytest.approx(6.0488630, rel=1e-7)
+
+
+def test_branch_rule_self_check_raises(monkeypatch):
+    # ripples much shorter than a panel: the 16- and 8-point rules disagree
+    def rippled(t, prm, tol):
+        return riesz_kernel_cyl(t, prm, tol=tol) * (1.0 + 1e-3 * np.cos(200.0 * t))
+    monkeypatch.setattr(delaunay, "riesz_kernel_cyl", rippled)
+    with pytest.raises(QuadratureError, match="8-point"):
+        bifurcation_half_period(PRM)
 
 
 def test_preconditions():

@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.integrate import IntegrationWarning, dblquad
 
-from qcurv.params import derive_params, gamma_fn
+from qcurv.params import derive_params, gamma_fn, nonlin_prime
 from qcurv.bubbles import TowerConfig
+from qcurv.kernels import QuadratureError
 from qcurv import interactions as it
 
 PRM = derive_params(5, 1.5)
@@ -69,6 +72,51 @@ class TestConstants:
         assert data["A2"] == pytest.approx(ic.A2)
         assert data["method"] == "closed_integral"
         assert "est_error" in data
+
+
+def faraway_dblquad(l1, l3, d, mode, prm, tol=1e-10):
+    """Adaptive oracle for interaction_faraway: nested scalar quadrature of
+    the rescaled integrand over the same box."""
+    B = 120.0
+    g = prm.gamma_s
+
+    def integrand(s, y1):
+        y2 = y1 * y1 + s * s
+        u1 = (2.0 / (1.0 + y2)) ** g
+        fp = nonlin_prime(u1, prm) * l1 ** (-2.0 * prm.sigma)
+        rho2 = (l1 * y1 - d) ** 2 + (l1 * s) ** 2
+        u3 = (2.0 * l3 / (l3 * l3 + rho2)) ** g
+        if mode == 0:
+            dU = l1 ** (-g - 1.0) * g * u1 * (y2 - 1.0) / (1.0 + y2)
+        else:
+            dU = -2.0 * g * l1 ** (-g - 1.0) * y1 * u1 / (1.0 + y2)
+        return fp * u3 * dU * s ** (prm.n - 2)
+
+    with warnings.catch_warnings():
+        # slices far from both bubbles integrate tails near the roundoff floor
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = dblquad(integrand, -B, B, 0.0, B, epsabs=1e-13, epsrel=tol)
+    return prm.omega_equator * l1 ** prm.n * val
+
+
+class TestFarawayRule:
+    # the last case puts a sharp bubble 3 inside the box (center 10, scale
+    # 0.1 after rescaling), where the rule needs its second grading
+    @pytest.mark.parametrize("l1,l3,d", [(1e-2, 1e-2, 2.0), (0.05, 0.05, 2.0),
+                                         (0.05, 0.01, 2.0), (0.1, 0.01, 1.0)])
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_matches_dblquad(self, l1, l3, d, mode):
+        got = it.interaction_faraway(l1, l3, d, mode, PRM)
+        assert got == pytest.approx(faraway_dblquad(l1, l3, d, mode, PRM), rel=1e-9)
+
+    def test_self_check_raises(self, monkeypatch):
+        # ripples in f' far shorter than a panel: the 16- and 8-point rules
+        # disagree and the rule refuses to return either
+        def rippled(xi, prm):
+            return nonlin_prime(xi, prm) * (1.0 + 1e-3 * np.cos(2000.0 * xi))
+        monkeypatch.setattr(it, "nonlin_prime", rippled)
+        with pytest.raises(QuadratureError, match="8-point"):
+            it.interaction_faraway(1e-2, 1e-2, 2.0, 0, PRM)
 
 
 class TestOracleFit:

@@ -7,9 +7,11 @@ import pytest
 from qcurv.kernels import (
     Calibration,
     PeriodizedValue,
+    _profile_convolution,
     build_kernel_table,
     calibrate_cyl_kernel,
     decay_slope,
+    gauss_panels,
     periodize,
     periodized_lattice,
     riesz_kernel_cyl,
@@ -123,6 +125,47 @@ def test_calibration_fixed_point():
     # (q_ns/c_ns = 3 pi / 4 at (5, 1.5); cross-checked at sigma = 1 where the
     # bubble Laplacian constant n(n-2)/4 equals q_ns exactly)
     assert cal.kappa == pytest.approx(PRM.riesz_const * PRM.q_ns / PRM.c_ns, rel=1e-6)
+
+
+def test_gauss_panels_exact_on_polynomials():
+    # order k integrates degree 2k-1 exactly on every panel
+    edges = [0.0, 0.1, 0.5, 2.0, 3.0]
+    for order in (8, 16):
+        x, w = gauss_panels(edges, order)
+        assert x.shape == w.shape == (4 * order,)
+        assert np.all(np.diff(x) > 0)
+        assert w @ x ** (2 * order - 1) == pytest.approx(3.0 ** (2 * order) / (2 * order),
+                                                          rel=1e-13)
+
+
+def _profile_convolution_loop(t_grid, prm, tol, halfwidth=45.0, nodes_per_unit=12):
+    # the per-panel loop the shared panel helper replaced, kept as its oracle
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    out = np.empty(len(t_grid))
+    for i, t in enumerate(t_grid):
+        taus, wts = [], []
+        for a, b in ((t - halfwidth, t), (t, t + halfwidth)):
+            n_panels = max(8, int(abs(b - a) * nodes_per_unit / 16) + 1)
+            edges = np.linspace(a, b, n_panels + 1)
+            for k in range(n_panels):
+                h = edges[k + 1] - edges[k]
+                taus.append(edges[k] + h * gx)
+                wts.append(h * gw)
+        taus, wts = np.concatenate(taus), np.concatenate(wts)
+        kern = riesz_kernel_cyl(taus - t, prm, tol=tol)
+        out[i] = np.sum(wts * kern * np.cosh(taus) ** (-prm.gamma_dual))
+    return out
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
+def test_profile_convolution_bits_match_panel_loop(n, sigma):
+    # calibrate_cyl_kernel's offsets: kappa must not move by an ulp
+    prm = derive_params(n, sigma)
+    ts = np.array([0.0, 1.0, 2.0, 4.0])
+    got = _profile_convolution(ts, prm, 1e-9)
+    ref = _profile_convolution_loop(ts, prm, 1e-9)
+    assert [v.hex() for v in got] == [v.hex() for v in ref]
 
 
 def test_kernel_mass_flat_profile_identity():
