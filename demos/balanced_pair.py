@@ -8,7 +8,8 @@ than e^{-gamma L}; knock one multiplicity 20% off balance and a floor
 appears.  The weighted residual norm drops with L either way, but the
 projections are the sharp detector.
 
-Runs in about a minute; the two full-grid residual norms dominate.
+Runs in about 6 s on a 2-core Xeon; the two full-grid residual norms
+dominate.
 """
 
 import numpy as np
@@ -47,7 +48,7 @@ unb = BalancedConfig(sigma_set=ss, q=qq, R=cfg.R, a0_hat=cfg.a0_hat,
                      resid_B1=float("nan"), resid_B2=float("nan"))
 
 weight = WeightSpec(tau=0.5, kind="starstar")
-print("\nweighted residual norm on the full sample grid (takes ~40 s):")
+print("\nweighted residual norm on the full sample grid (takes a few seconds):")
 for name, config in (("balanced", cfg), ("q +20% off", unb)):
     u = assemble(config, prm)
     rep = residual(u, weight, tol=1e-7)

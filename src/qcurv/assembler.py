@@ -9,14 +9,26 @@ remainder - the outward (mirror) levels of the periodic profile are gone
 both in value and in mass, replaced by the other points' towers; far away
 only the decaying half-tower levels survive.
 
-Integrals run over a decomposition into unit balls (log-radial coordinates
-about each center, where the center singularity turns into exponential
-decay) and a smoothly-weighted far region (shells about the evaluation
-point, whose 2 sigma - 1 radial weight absorbs the kernel singularity).
-Angular integrals reduce exactly to two variables - polar angle and an
-in-plane cosine - whenever the marked points sit on one line and the
-perturbation shifts are axial; that covers every shipped diagnostic, and
-the same quadrature acts as a documented low-order approximation otherwise.
+Integrals run on the meridian half-plane of the singular line.  With the
+marked points on one line and every perturbation shift along it, u depends
+only on the axial coordinate z and the distance rho from the line, so the
+S^(n-2) orbit of each point integrates out: against the Riesz kernel in
+closed form (kernels.ring_kernel), otherwise as |S^(n-2)| rho^(n-2).
+Composite Gauss-Legendre panels cover the half-plane: log-polar about each
+center, weighted by the partition cutoff chi_i, and polar about the origin,
+weighted by 1 - sum chi_i.  The depth of the balls, the far radius and the
+panel sizes follow from the levels, the samples, gamma_s and tol.
+
+The dual map evaluates u^p once per call on that node set.  A sample's
+value is the node set's sum against its ring kernel, with the panels next
+to the sample taken out and integrated again on triangles from it, where u
+is evaluated afresh and the kernel's kink at the sample falls into the
+radial factor of the triangle.  Every value is also computed with the
+8-point rule on the same panels, and QuadratureError is raised when the two
+differ by more than tol times the value (for a projection, tol times the
+integrand's absolute mass).  Configurations outside the reduction, and
+sigma <= 1, where the ring kernel is unbounded on the diagonal, raise
+NotImplementedError.
 
 The projection of the residual on a cokernel direction never touches the
 inverse operator: pairing with f'(U) Z and moving the Riesz kernel onto the
@@ -34,14 +46,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi, roots_legendre
 
-from .params import Params, gamma_fn, nonlin, nonlin_prime
-from .kernels import cached_kappa, riesz_kernel_cyl
+from .params import Params, nonlin, nonlin_prime
+from .kernels import (cached_kappa, check_rules, gauss_panels, ring_kernel,
+                      riesz_kernel_cyl)
 from .bubbles import TowerConfig, KernelIndex, bubble_eval, kernel_Z, tower_eval
 from .balancing import BalancedConfig
 from .delaunay import CylSolution, solve_periodic, delaunay_to_rn
@@ -103,23 +116,6 @@ def _rhat(dt: np.ndarray, prm: Params) -> np.ndarray:
     out[inside] = sp(a[inside])
     return out
 
-
-@lru_cache(maxsize=8)
-def _omega_ring(n: int) -> float:
-    # |S^{n-3}|, the symmetry group orbit collapsed by the two-angle reduction
-    return float(2.0 * np.pi ** ((n - 2) / 2.0) / gamma_fn((n - 2) / 2.0))
-
-
-@lru_cache(maxsize=32)
-def _angular_nodes(n: int, kind: str, K: int):
-    if kind == "polar":           # integral against (1-z^2)^((n-3)/2)
-        return roots_jacobi(K, (n - 3) / 2.0, (n - 3) / 2.0)
-    if kind == "plane":           # integral against (1-c^2)^((n-4)/2)
-        return roots_jacobi(K, (n - 4) / 2.0, (n - 4) / 2.0)
-    if kind == "peak":            # Legendre nodes on [0, sqrt(2)] for w
-        x, w = roots_legendre(K)
-        return 0.5 * np.sqrt(2.0) * (x + 1.0), 0.5 * np.sqrt(2.0) * w
-    raise ValueError(kind)
 
 
 def _complete_frame(u_hat: np.ndarray, v_pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,113 +300,323 @@ def assemble_single(center: np.ndarray, R: float, L: float, prm: Params,
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# region quadrature: log-radial balls about the centers, shells elsewhere
+# meridian half-plane quadrature
 #
-# One ball driver and one shell driver serve the dual map and the
-# projections alike.  The angular rule, the kernel factor, the radial power
-# and the break points come in as data.
+# Within the reduction every integrand depends on y only through its axial
+# coordinate z and its distance rho from the singular line.  An integral over
+# R^n is then one over the half-plane rho > 0 against |S^(n-2)| rho^(n-2)
+# dz drho, and under the Riesz kernel the orbit factor |S^(n-2)| becomes
+# kernels.ring_kernel.  Tensor panels cover the half-plane: log-polar about
+# each center weighted by chi_i, polar about the origin weighted by
+# 1 - sum chi_i.  Every panel carries the 16-point Gauss-Legendre rule and,
+# for the self-check, the 8-point rule.
 
 # integration partition, wider than the assembly cutoff: the far region then
 # only sees the function at distance >= INT_ON from the marked points, where
-# its p-th power has no sharp features left for the shell quadrature to miss.
-# Enlarged balls may overlap; the far weight 1 - sum chi stays an exact
-# partition regardless (it just goes negative on the overlap).
+# its p-th power has no sharp features left.  Enlarged balls may overlap; the
+# far weight 1 - sum chi stays an exact partition regardless (it just goes
+# negative on the overlap).
 INT_ON, INT_OFF = 1.0, 2.0
 
-# log-radius where the ball integrals stop unless a deeper level needs more;
-# e^-36 is about the double-precision spacing of unit-size coordinates
-TAU_MAX = 36.0
+# points per evaluation block of an integrand or of the kernel
+_BLOCK = 2048
+_ORDERS = (16, 8)
+# panel sizes at tol 1e-7: log-radius across the cutoff annuli, above and
+# below the deepest sample, radius near the origin, log-radius beyond; the
+# number of angular panels where samples sit (or the other centers are
+# near), and deeper.  A tighter tol shrinks each size by (tol/1e-7)^(1/16),
+# the 8-point rule's order.
+_H_CUT, _H_BALL, _H_DEEP, _H_FAR, _H_LOG_FAR = 0.25, 0.5, 1.0, 0.25, 0.4
+_ANGLES_FINE, _ANGLES_COARSE = 6, 2
 
 
-def _far_weight(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    W = np.ones(pts.shape[:-1])
-    for c in centers:
-        W = W - cutoff(np.linalg.norm(pts - c, axis=-1), INT_ON, INT_OFF)
-    return W
+@dataclass(frozen=True)
+class _Line:
+    """The singular line: foot p0 nearest the origin, direction a and a unit
+    normal e; (z, rho) is the point p0 + z a + rho e.  e is a coordinate
+    axis where a and p0 vanish when there is one, so rho lands in its own
+    coordinate without rounding."""
+
+    p0: np.ndarray
+    a: np.ndarray
+    e: np.ndarray
+
+    @classmethod
+    def of(cls, u: ApproxSolution) -> "_Line":
+        a = u.axis
+        p0 = u.centers[0] - (u.centers[0] @ a) * a
+        free = np.flatnonzero((a == 0.0) & (p0 == 0.0))
+        e = (np.eye(a.size)[free[0]] if free.size
+             else _complete_frame(a, p0)[1])
+        return cls(p0, a, e)
+
+    def points(self, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        return self.p0 + z[:, None] * self.a + rho[:, None] * self.e
+
+    def coords(self, x: np.ndarray):
+        """(z, rho) of points (..., n)."""
+        rel = np.asarray(x, dtype=float) - self.p0
+        z = rel @ self.a
+        return z, np.linalg.norm(rel - z[..., None] * self.a, axis=-1)
 
 
-def _dirs(axis: np.ndarray, v_pref: np.ndarray, zs: np.ndarray,
-          Kc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angular rule: directions (Kz, Kc, n) at polar cosines zs about axis,
-    and the in-plane weights.  The in-plane cosine runs towards v_pref's part
-    orthogonal to axis; Kc = 1, or no such part, collapses it to one node,
-    exact for integrands symmetric about that plane."""
-    n = axis.shape[0]
-    v_hat, w_hat = _complete_frame(axis, v_pref)
-    if Kc == 1 or np.linalg.norm(v_hat) < 0.5:
-        # one node carrying int (1-c^2)^((n-4)/2) dc over [-1, 1]
-        cs = np.zeros(1)
-        cws = np.array([np.sqrt(np.pi) * gamma_fn((n - 2) / 2.0)
-                        / gamma_fn((n - 1) / 2.0)])
-    else:
-        cs, cws = _angular_nodes(n, "plane", Kc)
-    sin_pol = np.sqrt(np.clip(1.0 - zs ** 2, 0.0, None))
-    dirs = (zs[:, None, None] * axis
-            + sin_pol[:, None, None] * (cs[None, :, None] * v_hat
-            + np.sqrt(1.0 - cs ** 2)[None, :, None] * w_hat))
-    return dirs, cws
+def _on_line(fn, line: _Line, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """fn at the points (z, rho), in blocks."""
+    out = np.empty(z.size)
+    for s in range(0, z.size, _BLOCK):
+        out[s:s + _BLOCK] = fn(line.points(z[s:s + _BLOCK], rho[s:s + _BLOCK]))
+    return out
 
 
-def _ball(u: ApproxSolution, G, i: int, dirs: np.ndarray, zw: np.ndarray,
-          cw: np.ndarray, tol: float, epsabs: float, tau_hi: float = TAU_MAX,
-          peak: tuple[float, np.ndarray] | None = None,
-          breaks: tuple[float, ...] = ()) -> float:
-    """int over the ball about x_i of G(y) chi_i(y) [times the kernel], in
-    the log-radius tau = -ln|y - x_i| up to tau_hi.
+def _kernel_dot(wf, z, rho, zx: float, rx: float, prm: Params) -> float:
+    """sum of wf * ring_kernel(x; z, rho) over the nodes, in blocks."""
+    return sum(float(wf[s:s + _BLOCK] @ ring_kernel(
+        zx - z[s:s + _BLOCK], rx, rho[s:s + _BLOCK], prm))
+        for s in range(0, wf.size, _BLOCK))
 
-    peak = (rho, w) gives the Riesz kernel |x-y|^(2s-n) for an evaluation
-    point at distance rho along the polar axis of polar nodes 1 - w^2:
-    ((rho - s)^2 + 2 rho s w^2)^(-gamma_s); None means kernel 1.
+
+def _split(breaks, h: float) -> np.ndarray:
+    """Edges cutting each interval between consecutive breaks into equal
+    panels of at most h."""
+    out = [breaks[0]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        out.extend(np.linspace(a, b, max(1, int(np.ceil((b - a) / h))) + 1)[1:])
+    return np.array(out)
+
+
+class _Panels:
+    """Tensor panels in polar coordinates (q1, q2) about the point (zc, 0):
+    q1 = -ln s in a ball, q1 = s in the far region, q2 the angle from the
+    line.  Per rule (16 and 8 points) it keeps the radii s and the angles'
+    cosines and sines, which give the nodes, and one weight array wf:
+    quadrature weight x Jacobian x rho^(n-2) x partition weight x integrand,
+    the last two multiplied in by `fill`."""
+
+    def __init__(self, log: bool, zc: float, e1: np.ndarray, e2: np.ndarray,
+                 part, n: int):
+        self.log, self.zc, self.e1, self.e2 = log, zc, e1, e2
+        self.part, self.n = part, n
+        self.rules = []
+        for order in _ORDERS:
+            q1, w1 = gauss_panels(e1, order)
+            q2, w2 = gauss_panels(e2, order)
+            s = np.exp(-q1) if log else q1
+            sin = np.sin(q2)
+            # Jacobian x rho^(n-2) = (s^2 in a ball, else s) s^(n-2) sin^(n-2)
+            rows = w1 * (s * s if log else s) * s ** (n - 2)
+            self.rules.append((s, np.cos(q2), sin,
+                               np.outer(rows, w2 * sin ** (n - 2))))
+
+    def nodes(self, k: int, rows: slice, cols: slice = slice(None)):
+        """(z, rho) of rule k on a block of its rows and columns."""
+        s, cos, sin, _ = self.rules[k]
+        return (self.zc + s[rows, None] * cos[cols],
+                s[rows, None] * sin[cols])
+
+    def chunks(self, k: int) -> list[slice]:
+        """Row blocks of rule k of at most _BLOCK nodes each."""
+        s, cos = self.rules[k][:2]
+        step = max(1, _BLOCK // cos.size)
+        return [slice(a, a + step) for a in range(0, s.size, step)]
+
+    def map(self, q1, q2):
+        """(z, rho, Jacobian x rho^(n-2) x partition weight) at (q1, q2)."""
+        s = np.exp(-q1) if self.log else q1
+        z, rho = self.zc + s * np.cos(q2), s * np.sin(q2)
+        jac = s * s if self.log else s
+        return z, rho, jac * rho ** (self.n - 2) * self.part(z, rho)
+
+    def fill(self, fn, line: _Line) -> None:
+        """Multiply the weights by the partition weight and by fn, which is
+        evaluated once wherever the weight is not 0."""
+        for k, rule in enumerate(self.rules):
+            for r in self.chunks(k):
+                z, rho = self.nodes(k, r)
+                w = rule[3][r]
+                w *= self.part(z, rho)
+                live = w != 0.0
+                w[live] *= fn(line.points(z[live], rho[live]))
+
+    def near(self, z: float, rho: float):
+        """(q, panel ranges) about the point (z, rho): its own panel (both,
+        on an edge) and one more each way, all angles where the range reaches
+        the polar origin; None when the point lies outside."""
+        s = float(np.hypot(z - self.zc, rho))
+        if self.log and s == 0.0:
+            return None
+        q = (-np.log(s) if self.log else s, float(np.arctan2(rho, z - self.zc)))
+        rng = []
+        for edges, qk in zip((self.e1, self.e2), q):
+            if not edges[0] <= qk <= edges[-1]:
+                return None
+            i = min(int(np.searchsorted(edges, qk, side="right")) - 1,
+                    len(edges) - 2)
+            rng.append((max(i - 1, 0), min(i + 1, len(edges) - 2)))
+        if not self.log and rng[0][0] == 0:
+            rng[1] = (0, len(self.e2) - 2)
+        return q, rng
+
+    def patch(self, q, rng, order: int, t_edges: np.ndarray):
+        """Nodes (q1, q2) and weights over the panels in rng, by triangles
+        from q to each side (Duffy): the weights carry the radial factor t,
+        which takes up the kernel's kink at q."""
+        (i0, i1), (j0, j1) = rng
+        e1, e2 = self.e1[i0:i1 + 2], self.e2[j0:j1 + 2]
+        corners = np.array([(e1[0], e2[0]), (e1[-1], e2[0]),
+                            (e1[-1], e2[-1]), (e1[0], e2[-1])])
+        t, tw = gauss_panels(t_edges, order)
+        q0 = np.asarray(q)
+        q1s, q2s, ws = [], [], []
+        for k in range(4):
+            P, side = corners[k], corners[(k + 1) % 4] - corners[k]
+            det = abs((P - q0)[0] * side[1] - (P - q0)[1] * side[0])
+            if det == 0.0:          # q lies on this side
+                continue
+            along = (e1, e2)[k % 2]
+            s, sw = gauss_panels(np.sort(np.abs(along - P[k % 2])
+                                         / abs(side[k % 2])), order)
+            pts = q0 + t[:, None, None] * (P + s[:, None] * side - q0)
+            q1s.append(pts[..., 0].ravel())
+            q2s.append(pts[..., 1].ravel())
+            ws.append((det * (t * tw)[:, None] * sw[None, :]).ravel())
+        return np.concatenate(q1s), np.concatenate(q2s), np.concatenate(ws)
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    prm: Params
+    line: _Line
+    fn: Callable[[np.ndarray], np.ndarray]   # the integrand on points (k, n)
+    panels: tuple[_Panels, ...]
+
+
+def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
+              xs: np.ndarray) -> _Nodes:
+    """Panels over the half-plane, with fn evaluated on their nodes once.
+
+    Below the log-depth tau_ref the integrand's share falls like
+    e^(-gamma_s tau), so each ball runs in log-radius from -ln INT_OFF to
+    tau_hi = tau_ref + 2 ln(1/tol)/gamma_s, where the cut tail is near tol^2
+    of the whole: far below the rule error the check allows, also for the
+    projections, which are small differences of their integrand's mass.  A
+    center whose coordinates the normal direction shares stops its ball
+    earlier, at 16 double spacings of them, and raises ValueError when the
+    tail cut there could exceed tol.
+    The log-radius has breaks at the partition and assembly cutoff radii;
+    the angle takes the fine
+    panels down to 2 below the deepest point of xs inside it (where a
+    sample's kernel needs them) and the coarse ones deeper.  The far region
+    runs in radius to 0.5 past the balls, then in log-radius steps to
+    r_far = 2 R tol^(-1/n), R the larger of the balls' reach and the
+    farthest point of xs: past r_far the integrand and u^p K r^(n-1), which
+    decay like r^(-n-1), leave less than tol of either.
     """
-    prm = u.prm
-    n, g = prm.n, prm.gamma_s
-    center = u.centers[i]
-    tau_lo = -np.log(INT_OFF)
+    prm, line = u.prm, _Line.of(u)
+    zc = u.centers @ line.a
+    zx, rx = line.coords(np.reshape(xs, (-1, prm.n)))
+    h = min(1.0, (tol / 1e-7) ** (1.0 / 16.0))
+    tau_hi = tau_ref + 2.0 * np.log(1.0 / tol) / prm.gamma_s
+    fine, coarse = (np.linspace(0.0, np.pi, int(np.ceil(k / h)) + 1)
+                    for k in (_ANGLES_FINE, _ANGLES_COARSE))
+    cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(u.cut_off),
+                   -np.log(u.cut_on)})
+    panels = []
+    for z0, c in zip(zc, u.centers):
+        def chi(z, rho, z0=z0):
+            return cutoff(np.hypot(z - z0, rho), INT_ON, INT_OFF)
+        # where rho shares coordinates with the center, a node closer than
+        # 16 double spacings can round onto it, and u is singular there
+        floor = -np.log(16.0 * np.finfo(float).eps * np.linalg.norm(c)) \
+            if np.any(c[line.e != 0.0]) else np.inf
+        if floor < tau_ref + np.log(1.0 / tol) / prm.gamma_s:
+            raise ValueError(
+                f"the center at {np.linalg.norm(c):g} leaves log-depth "
+                f"{floor:.1f}, too shallow for tol={tol:g} below depth "
+                f"{tau_ref:.1f}: the integrand cannot be resolved")
+        d = np.hypot(zx - z0, rx)
+        inside = d[(d > 0) & (d < INT_OFF)]
+        tau_f = min(floor, max([cuts[-1]] + list(2.0 - np.log(inside))))
+        e_near = np.concatenate([_split(cuts, h * _H_CUT)[:-1],
+                                 _split([cuts[-1], tau_f], h * _H_BALL)])
+        deep = min(floor, max(tau_hi, tau_f + h * _H_DEEP))
+        panels.append(_Panels(True, z0, e_near, fine, chi, prm.n))
+        panels.append(_Panels(True, z0, _split([tau_f, deep], h * _H_DEEP),
+                              coarse, chi, prm.n))
 
-    def slice_val(tau):
-        s = np.exp(-tau)
-        chi = cutoff(s, INT_ON, INT_OFF)
-        if chi == 0.0:
-            return 0.0
-        pts = center[None, None, :] + s * dirs
-        vals = G(pts)
-        kern = 1.0
-        if peak is not None:
-            rho, w = peak
-            kern = (((rho - s) ** 2 + 2.0 * rho * s * w ** 2) ** (-g))[:, None]
-        inner = np.sum(zw[:, None] * kern * cw[None, :] * vals)
-        return float(_omega_ring(n) * chi * s ** n * inner)
+    def far(z, rho):
+        return 1.0 - sum(cutoff(np.hypot(z - c, rho), INT_ON, INT_OFF)
+                         for c in zc)
 
-    pts_arg = [b for b in breaks if tau_lo < b < tau_hi] or None
-    val, _ = quad(slice_val, tau_lo, tau_hi, epsabs=epsabs, epsrel=tol,
-                  limit=300, points=pts_arg)
-    return val
+    zo = float(np.mean(zc))
+    reach = float(np.max(np.abs(zc - zo))) + INT_OFF
+    r1 = reach + 0.5
+    r_far = 2.0 * max([reach] + list(np.hypot(zx - zo, rx))) \
+        * tol ** (-1.0 / prm.n)
+    e_far = np.concatenate([_split([0.0, r1], h * _H_FAR)[:-1],
+                            np.exp(_split([np.log(r1), np.log(r_far)],
+                                          h * _H_LOG_FAR))])
+    panels.append(_Panels(False, zo, e_far, fine, far, prm.n))
+    for p in panels:
+        p.fill(fn, line)
+    return _Nodes(prm=prm, line=line, fn=fn, panels=tuple(panels))
 
 
-def _shell(u: ApproxSolution, G, x0: np.ndarray, dirs: np.ndarray,
-           zw: np.ndarray, cw: np.ndarray, power: float, tol: float,
-           epsabs: float) -> float:
-    """int over the far region of G(y) (1 - sum chi_i(y)), in shells
-    |y - x0| = r with radial weight r^power, broken where a shell enters or
-    leaves a cutoff annulus."""
-    n = u.prm.n
+def _t_edges(prm: Params) -> np.ndarray:
+    """Radial panels of the patch triangles.  When its series terminates the
+    ring kernel is analytic in polar coordinates about its own point;
+    otherwise it carries d^(2 sigma - 2) there and the panels are graded."""
+    terminating = prm.sigma >= 1.5 and float(prm.sigma - 1.5).is_integer()
+    grade = [] if terminating else list(0.2 ** np.arange(6, 0, -1))
+    return np.array([0.0] + grade + [0.5, 1.0])
 
-    def shell(r):
-        pts = x0[None, None, :] + r * dirs
-        W = _far_weight(pts, u.centers)
-        if np.max(np.abs(W)) == 0.0:
-            return 0.0
-        vals = G(pts) * W
-        inner = np.sum(zw[:, None] * cw[None, :] * vals)
-        return float(_omega_ring(n) * r ** power * inner)
 
-    dists = [float(np.linalg.norm(x0 - c)) for c in u.centers]
-    breaks = sorted({b for d in dists
-                     for b in (d - INT_OFF, d - INT_ON, d + INT_ON,
-                               d + INT_OFF) if 0.0 < b < 80.0})
-    val, _ = quad(shell, 0.0, 80.0, epsabs=epsabs, epsrel=tol, limit=400,
-                  points=breaks or None)
-    return val
+def _dual_nodes(u: ApproxSolution, F, xs: np.ndarray, tol: float) -> _Nodes:
+    """Node set of the dual map at the points xs.  u^p s^n falls like
+    e^(-gamma_s tau) below the first level (the periodic profile keeps
+    adding levels under the tower's last one), and a sample at depth tau_x
+    sees that tail amplified by e^(gamma_s tau_x), so the depth reference
+    is the deeper of the two."""
+    xs = np.reshape(xs, (-1, u.prm.n))
+    d = np.min(np.linalg.norm(xs[:, None, :] - u.centers[None], axis=-1),
+               axis=1)
+    tau_ref = max([-np.log(cfg.level_scales[cfg.levels]) for cfg in u.towers]
+                  + list(-np.log(d[d > 0])))
+    return _node_set(u, F, tol, tau_ref, xs)
+
+
+def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float]:
+    """(16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy: the node set's
+    kernel sums with the panels about x taken out, plus those panels again
+    on triangles from x, where F is evaluated afresh."""
+    prm, line = nodes.prm, nodes.line
+    zx, rx = (float(v) for v in line.coords(x))
+    t_edges = _t_edges(prm)
+    out = [0.0, 0.0]
+    for p in nodes.panels:
+        hit = p.near(zx, rx)
+        for k, order in enumerate(_ORDERS):
+            wf = p.rules[k][3]
+            for r in p.chunks(k):
+                z, rho = p.nodes(k, r)
+                out[k] += float(np.sum(wf[r] * ring_kernel(zx - z, rx, rho,
+                                                           prm)))
+            if hit is None:
+                continue
+            (i0, i1), (j0, j1) = hit[1]
+            r = slice(i0 * order, (i1 + 1) * order)
+            c = slice(j0 * order, (j1 + 1) * order)
+            z, rho = p.nodes(k, r, c)
+            out[k] -= float(np.sum(wf[r, c] * ring_kernel(zx - z, rx, rho,
+                                                          prm)))
+            q1, q2, wq = p.patch(*hit, order, t_edges)
+            pz, prho, pw = p.map(q1, q2)
+            pw = pw * wq
+            live = pw != 0.0
+            if np.any(live):
+                pw[live] *= _on_line(nodes.fn, line, pz[live], prho[live])
+                out[k] += _kernel_dot(pw[live], pz[live], prho[live], zx, rx,
+                                      prm)
+    return out[0], out[1]
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -451,17 +657,26 @@ def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
     return float(prm.c_ns * kap * rho ** (-g) * val)
 
 
-def _require_line(u: ApproxSolution) -> None:
-    if not u.collinear():
+
+
+def _require_meridian(u: ApproxSolution, prm: Params) -> None:
+    """The quadrature runs on the meridian half-plane: u must depend on (z,
+    rho) alone, and the ring kernel must stay bounded on the diagonal."""
+    if not u.axisymmetric():
         raise NotImplementedError(
-            "deterministic quadrature requires marked points on one line; "
-            "rotate the configuration or use mc_probe")
+            "the meridian quadrature needs the marked points on one line and "
+            "every perturbation shift along it; use mc_probe")
+    if prm.sigma <= 1.0:
+        raise NotImplementedError(
+            f"the ring kernel is unbounded on the diagonal at sigma = "
+            f"{prm.sigma} <= 1")
 
 
 def require_reduction(u: ApproxSolution) -> None:
     """Raise NotImplementedError unless the projections' deterministic
-    reduction applies: marked points on one line along a coordinate axis."""
-    _require_line(u)
+    reduction applies: the meridian one, with the line along a coordinate
+    axis."""
+    _require_meridian(u, u.prm)
     if u.size > 1 and np.max(np.abs(u.axis)) < 1.0 - 1e-12:
         raise NotImplementedError(
             "projection quadrature needs the singular line along a "
@@ -469,47 +684,26 @@ def require_reduction(u: ApproxSolution) -> None:
 
 
 def _dual_integral(u: ApproxSolution, F, x: np.ndarray, tol: float) -> float:
-    """int |x-y|^(2s-n) F(y) dy: per ball a peak-resolving polar angle about
-    the direction of x, then shells about x, whose radial weight r^(2s-1)
-    absorbs the kernel singularity."""
-    n = u.prm.n
-    ws, wws = _angular_nodes(n, "peak", 32)
-    wmeas = 2.0 * wws * ws ** (n - 2) * (2.0 - ws ** 2) ** ((n - 3) / 2.0)
-    total = 0.0
-    for i, center in enumerate(u.centers):
-        rho = float(np.linalg.norm(x - center))
-        dirs, cws = _dirs((x - center) / rho, u.axis, 1.0 - ws ** 2, 12)
-        total += _ball(u, F, i, dirs, wmeas, cws, tol, 1e-14,
-                       peak=(rho, ws), breaks=(-np.log(rho),))
-    off = u.origin - x
-    D0 = float(np.linalg.norm(off))
-    reach = max(float(np.linalg.norm(c - u.origin)) for c in u.centers) \
-        + INT_OFF
-    if D0 > reach + 2.0:
-        # distant evaluation point: aim the polar axis at the configuration
-        # so its annuli land in the endpoint-clustered nodes
-        a, v_pref = off / D0, u.axis
-    else:
-        a, v_pref = u.axis, -off
-    # the marked-point annuli subtend a solid angle shrinking like 1/D, so
-    # the polar order grows with the distance (quantized for caching)
-    D = max(float(np.linalg.norm(x - c)) for c in u.centers)
-    Kz = int(min(512, 32 * max(1, int(np.ceil(8.0 * D / 32.0)))))
-    zs, zws = _angular_nodes(n, "polar", Kz)
-    dirs, cws = _dirs(a, v_pref, zs, 12)
-    return total + _shell(u, F, x, dirs, zws, cws, 2 * u.prm.sigma - 1, tol,
-                          1e-14)
+    """int |x-y|^(2s-n) F(y) dy on its own node set, checked against the
+    8-point rule."""
+    x = np.asarray(x, dtype=float)
+    fine, coarse = _dual_at(_dual_nodes(u, F, x, tol), x)
+    check_rules(fine, coarse, tol, "dual map")
+    return fine
 
 
 def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
                tol: float = 1e-8) -> float:
-    """(-Delta)^{-sigma} of f applied to the assembled function at x."""
+    """(-Delta)^{-sigma} of f applied to the assembled function at x.
+
+    A one-point assembly without perturbation goes through the radial
+    reduction; everything else through the meridian quadrature."""
     prm = u.prm if prm is None else prm
     x = np.asarray(x, dtype=float)
+    _require_meridian(u, prm)
     if u.is_radial:
         return dual_apply_radial(u, u.centers[0], x, prm, tol=tol,
                                  kappa=u.kappa)
-    _require_line(u)
 
     def F(pts):
         return u(pts) ** prm.p
@@ -565,34 +759,32 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
 
 
 def _plain_integral(u: ApproxSolution, G, lam: float, tol: float) -> float:
-    """int G dy over R^n, for integrands that decay like e^(-gamma_s |tau|)
-    in the log-distance tau from a bubble of scale lam: polar angle about the
-    line, the balls run until that tail is below tol."""
-    n = u.prm.n
-    a = u.axis
-    tau_hi = max(TAU_MAX, -np.log(lam) - np.log(tol) / u.prm.gamma_s)
-    zs, zws = _angular_nodes(n, "polar", 20)
-    # centers sit on the line, so the polar angle about the axis suffices
-    dirs, cws = _dirs(a, np.roll(a, 1), zs, 1)
-    total = sum(_ball(u, G, k, dirs, zws, cws, tol, 1e-15, tau_hi=tau_hi)
-                for k in range(u.size))
-    total += _shell(u, G, u.origin, dirs, zws, cws, n - 1, tol, 1e-15)
-    return float(total)
+    """int G dy over R^n on the meridian panels, for integrands that decay
+    like e^(-gamma_s |tau|) in the log-distance tau from a bubble of scale
+    lam.  A projection is a small difference of that integrand's mass
+    int |G|, so the 8-point rule must agree to tol times the mass."""
+    nodes = _node_set(u, G, tol, -np.log(lam), np.empty((0, u.prm.n)))
+    fine, coarse, mass = (u.prm.omega_equator * sum(
+        float(np.sum(op(p.rules[k][3]))) for p in nodes.panels)
+        for k, op in ((0, np.asarray), (1, np.asarray), (0, np.abs)))
+    check_rules(fine, coarse, tol, "projection", scale=mass)
+    return fine
 
 
 def beta_projection(u: ApproxSolution, idx: KernelIndex,
                     prm: Params | None = None, tol: float = 1e-9) -> float:
     """Projection of the residual on the (tower, level, mode) direction.
 
-    The quadrature nodes sit at absolute coordinates x_i + s*dir, which are
-    rounded to the double spacing delta = |x_i|*eps at the level's center
-    x_i, so inside the level's core (s ~ lam_j) every integrand value carries
+    The quadrature nodes sit at the absolute axial coordinate of x_i plus
+    s cos(theta), which is rounded to the double spacing delta = |x_i|*eps at
+    the level's center x_i, so inside the level's core (s ~ lam_j) every integrand value carries
     a relative error of about delta/lam_j.  A level with delta/lam_j > tol
     cannot be resolved to tol and raises ValueError.  On the balanced pair
     3 apart (n=5, sigma=1.5) the normalised pairing int f'(U_j) Z_j^2 of the
     tower at 3*e1 was off by 3e-4 to 0.07 times delta/lam_j over levels with
     delta/lam_j from 1e-7 to 0.7 (L = 2.5..3.5), and by 13x at
-    delta/lam_j = 169; a tower at the origin has delta = 0.
+    delta/lam_j = 169; a tower at the origin has delta = 0.  The value
+    passes the 16- vs 8-point check at tol or raises QuadratureError.
     """
     prm = u.prm if prm is None else prm
     require_reduction(u)
@@ -602,14 +794,8 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
     cfg = u.towers[i]
     if idx.level > cfg.levels or idx.mode > prm.n:
         raise ValueError("index outside the truncation")
-    if idx.mode >= 1:
-        axis_comp = abs(float(u.axis[idx.mode - 1]))
-        if axis_comp < 1e-12:
-            if u.axisymmetric():
-                return 0.0  # odd integrand across the symmetry plane
-            raise NotImplementedError(
-                "transverse modes of non-axisymmetric perturbations are "
-                "outside the deterministic reduction")
+    if idx.mode >= 1 and abs(float(u.axis[idx.mode - 1])) < 1e-12:
+        return 0.0  # odd integrand across the symmetry plane
     b = cfg.level_bubble(idx.level)
     spacing = float(np.linalg.norm(b.center)) * np.finfo(float).eps
     if spacing > tol * b.lam:
@@ -734,6 +920,7 @@ class ResidualReport:
     points: np.ndarray
     tags: tuple[str, ...]
     values: np.ndarray           # N_sigma(u) at the samples
+    err_est: np.ndarray          # 16- vs 8-point gap of each value, NaN if failed
     weighted_norm: float
     region_sup: dict
     mc_seed: int
@@ -748,6 +935,7 @@ class ResidualReport:
             "points": self.points.tolist(),
             "tags": list(self.tags),
             "values": self.values.tolist(),
+            "err_est": self.err_est.tolist(),
             "weighted_norm": self.weighted_norm,
             "region_sup": self.region_sup,
             "mc_seed": self.mc_seed,
@@ -760,17 +948,31 @@ def residual(u: ApproxSolution, weight: WeightSpec,
              samples: tuple[np.ndarray, list[str]] | None = None,
              tol: float = 1e-8, mc_seed: int = 20240817,
              mc_points: int = 0, mc_samples: int = 200_000) -> ResidualReport:
-    """N_sigma(u) = u - dual(u) over the sample grid, reported per region."""
+    """N_sigma(u) = u - dual(u) over the sample grid, reported per region.
+
+    One node set serves every sample, with u^p evaluated on it once; each
+    sample then adds its own kernel sums and patch (`_dual_at`).  A sample
+    whose 16- and 8-point dual values differ by more than tol times the
+    value is NaN, with the QuadratureError message in `errors`; `err_est`
+    holds the gap of every other sample.
+    """
     prm = u.prm
+    _require_meridian(u, prm)
     pts, tags = sample_grid(u) if samples is None else samples
-    vals = np.zeros(len(pts))
+    c = prm.c_ns * u.kappa
+    nodes = _dual_nodes(u, lambda y: u(y) ** prm.p, pts, tol)
+    vals = np.full(len(pts), np.nan)
+    err_est = np.full(len(pts), np.nan)
     errors = []
     for k, x in enumerate(pts):
         try:
-            vals[k] = float(u(x)) - dual_apply(u, x, prm, tol=tol)
+            fine, coarse = _dual_at(nodes, x)
+            check_rules(c * fine, c * coarse, tol, "dual map")
+            vals[k] = float(u(x)) - c * fine
         except Exception as exc:  # per-sample propagation
-            vals[k] = np.nan
             errors.append(f"sample {k}: {exc}")
+            continue
+        err_est[k] = c * abs(fine - coarse)
     region_sup: dict = {}
     for k, tag in enumerate(tags):
         if np.isnan(vals[k]):
@@ -795,6 +997,6 @@ def residual(u: ApproxSolution, weight: WeightSpec,
         else float(u.towers[0].period)
     return ResidualReport(L=L, weight_kind=weight.kind, tau=weight.tau,
                           points=pts, tags=tuple(tags), values=vals,
-                          weighted_norm=float(norm), region_sup=region_sup,
+                          err_est=err_est, weighted_norm=float(norm), region_sup=region_sup,
                           mc_seed=mc_seed, mc_checks=tuple(checks),
                           errors=tuple(errors))

@@ -6,7 +6,8 @@ Two reductions appear: a bounded one (exponent ``gamma_s``) driving the
 fixed-point equation, and a singular one (exponent ``gamma_dual``) used for
 dual-side estimates.  Both are computed by adaptive quadrature after an
 endpoint substitution ``1 - zeta = u^2`` that removes the surface-measure
-and near-diagonal singularities.
+and near-diagonal singularities.  The ring kernel, the Riesz kernel
+integrated over the orbit of a point about a line, has a closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad_vec
+from scipy.special import gamma, hyp2f1
 
 from .params import Params
 
@@ -88,6 +90,47 @@ def singular_kernel_cyl(t, prm: Params, tol: float = 1e-10, t_min: float = 1e-3)
     vals, _ = _reduced_integral(np.atleast_1d(arr), prm.gamma_dual, prm.n, tol)
     out = 2.0 ** (-prm.gamma_dual) * prm.omega_equator * vals
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
+    """Orbit integral of |x - y|^(2 sigma - n) over the S^(n-2) of points y
+    at axial offset dz from x and distance rho_p from a line, for x at
+    distance rho from it (arrays broadcast).
+
+    |S^(n-2)| ((A+S)/2)^(-gamma_s) 2F1(gamma_s, gamma_s+1-m/2; m/2; w) with
+    m = n-1, A = dz^2+rho^2+rho_p^2, S = sqrt(A^2 - (2 rho rho_p)^2) and
+    w = (2 rho rho_p/(A+S))^2: the Gegenbauer mean over the orbit after the
+    quadratic transformation A&S 15.3.19.  S is the product of the two
+    difference forms dz^2+(rho -+ rho_p)^2, so 1 - w = 2S/(A+S) keeps its
+    relative accuracy as y nears the orbit of x; for w > 1/2 the series runs
+    in that 1 - w through the connection formula A&S 15.3.6.  When
+    sigma - 3/2 is a whole number the series is a polynomial.  On the
+    diagonal the kernel is finite exactly when sigma > 1.
+    """
+    g, c = prm.gamma_s, 0.5 * (prm.n - 1)
+    b = g + 1.0 - c
+    dz2 = np.asarray(dz, dtype=float) ** 2
+    rho, rho_p = np.asarray(rho, dtype=float), np.asarray(rho_p, dtype=float)
+    lo = dz2 + (rho - rho_p) ** 2
+    hi = dz2 + (rho + rho_p) ** 2
+    S = np.sqrt(lo * hi)
+    AS = 0.5 * (lo + hi) + S
+    w = (2.0 * rho * rho_p / AS) ** 2
+    if b <= 0.0 and b == int(b):
+        F = np.ones_like(w)
+        for k in range(int(-b), 0, -1):   # Horner over the terminating series
+            F = 1.0 + (g + k - 1) * (b + k - 1) / ((c + k - 1) * k) * w * F
+    else:
+        F = np.array(hyp2f1(g, b, c, w))
+        e = c - g - b                     # 2 sigma - 2
+        near = w > 0.5
+        if e != int(e) and np.any(near):
+            om = 2.0 * S[near] / AS[near]
+            F[near] = (gamma(c) * gamma(e) / (gamma(c - g) * gamma(c - b))
+                       * hyp2f1(g, b, 1.0 - e, om)
+                       + gamma(c) * gamma(-e) / (gamma(g) * gamma(b))
+                       * om ** e * hyp2f1(c - g, c - b, 1.0 + e, om))
+    return prm.omega_equator * (0.5 * AS) ** (-g) * F
 
 
 def riesz_kernel_rn(x, y, prm: Params):
@@ -162,12 +205,15 @@ def gauss_panels(edges, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + h[:, None] * gx).ravel(), (h[:, None] * gw).ravel()
 
 
-def check_rules(fine, coarse, tol: float, what: str) -> None:
+def check_rules(fine, coarse, tol: float, what: str,
+                scale: float | None = None) -> None:
     """Raise QuadratureError when a 16-point result and the 8-point result on
-    the same panels differ by more than tol times the 16-point magnitude."""
+    the same panels differ by more than tol times the scale, by default the
+    16-point magnitude."""
     fine, coarse = np.asarray(fine, dtype=float), np.asarray(coarse, dtype=float)
     gap = float(np.max(np.abs(fine - coarse)))
-    scale = float(np.max(np.abs(fine)))
+    if scale is None:
+        scale = float(np.max(np.abs(fine)))
     if not (gap <= tol * scale):
         raise QuadratureError(
             f"{what}: 16- and 8-point rules differ by {gap:.3e} "

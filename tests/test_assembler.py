@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+import adaptive_quadrature as adaptive
 
 from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
@@ -16,7 +20,7 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn
-from qcurv.kernels import cached_kappa
+from qcurv.kernels import QuadratureError, cached_kappa
 from qcurv.params import nonlin_prime
 
 PRM = derive_params(5, 1.5)
@@ -40,6 +44,12 @@ def single():
 def balanced_pair():
     cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
     return assemble(cfg, PRM)
+
+
+@pytest.fixture(scope="module")
+def pair_35():
+    """The gate 8/9 pair at its largest period."""
+    return assemble(bal.balance(pair(), np.ones(2), 3.5, IC, PRM), PRM)
 
 
 class TestCutoff:
@@ -221,6 +231,22 @@ class TestDualApply:
                                                            1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
 
+    @pytest.mark.parametrize("n,sigma", [(6, 1.2), (7, 2.5)])
+    def test_general_path_matches_radial_other_orders(self, n, sigma):
+        # at (6, 1.2) the ring kernel's series does not terminate and its
+        # d^0.4 kink takes the graded patch panels; at (7, 2.5) it is linear
+        # in w.  Points on the line and off it.
+        prm = derive_params(n, sigma)
+        u = assemble_single(np.zeros(n), 0.7, 3.0, prm)
+        F = lambda p: u(p) ** prm.p
+        for r in (0.05, 0.35, 2.5):
+            x = np.zeros(n)
+            x[0] = r
+            rad = dual_apply(u, x, tol=1e-9)
+            for y in (x, np.roll(x, 1)):
+                gen = prm.c_ns * u.kappa * _dual_integral(u, F, y, 1e-7)
+                assert gen == pytest.approx(rad, rel=1e-7)
+
     def test_mc_probe_agrees(self, balanced_pair):
         u = balanced_pair
         x = u.centers[0] + 0.35 * E1
@@ -238,6 +264,84 @@ class TestDualApply:
         u = assemble(cfg, PRM)
         with pytest.raises(NotImplementedError, match="line"):
             dual_apply(u, 7.0 * E2)
+
+    def test_line_off_the_origin(self):
+        # the normal of this line shares coordinates with the centers, so
+        # the deepest ball nodes would round onto them; the balls stop
+        # above that, and the translated pair gives the same residuals
+        shift = np.array([0.0, 1.0, 0.5, 0.3, 0.2])
+        out = []
+        for t in (np.zeros(5), shift):
+            ss = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * E1]) + t)
+            u = assemble(bal.balance(ss, np.ones(2), 2.5, IC, PRM), PRM)
+            grid, tags = sample_grid(u)
+            sel = [0, 38, 64]
+            rep = residual(u, WeightSpec(tau=0.5), tol=1e-8,
+                           samples=(grid[sel], [tags[k] for k in sel]))
+            assert rep.errors == ()
+            out.append((rep.values, u(grid[sel])))
+        (v0, u0), (v1, _) = out
+        assert np.all(np.abs(v1 - v0) <= 1e-9 * np.abs(u0))
+        far = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * E1])
+                              + 1e6 * shift)
+        u = assemble(bal.balance(far, np.ones(2), 2.5, IC, PRM), PRM)
+        with pytest.raises(ValueError, match="cannot be resolved"):
+            dual_apply(u, u.centers[0] + 0.5 * E2)
+
+    def test_off_line_shifts_raise(self):
+        cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
+        a = np.zeros((7, 5))
+        a[0, 1] = 0.5           # level 0 of tower 0 shifted off the line
+        u = assemble(cfg, PRM, perturb=[(np.zeros(7), a),
+                                        (np.zeros(7), np.zeros((7, 5)))])
+        assert u.collinear() and not u.axisymmetric()
+        with pytest.raises(NotImplementedError, match="along it"):
+            dual_apply(u, 7.0 * E2)
+        with pytest.raises(NotImplementedError, match="along it"):
+            residual(u, WeightSpec(tau=0.5), samples=(np.array([7.0 * E2]),
+                                                      ["far"]))
+
+    def test_low_order_raises(self, balanced_pair):
+        low = derive_params(5, 1.0, allow_low_order=True)
+        u = dataclasses.replace(balanced_pair, prm=low)
+        with pytest.raises(NotImplementedError, match="unbounded"):
+            dual_apply(u, 7.0 * E2)
+        with pytest.raises(NotImplementedError, match="unbounded"):
+            residual(u, WeightSpec(tau=0.5), samples=(np.array([7.0 * E2]),
+                                                      ["far"]))
+
+
+class TestAdaptiveOracle:
+    """The meridian path against the adaptive quadrature it replaced."""
+
+    # grid samples of the L = 3.5 pair: near (0.02 on and off the line,
+    # 0.35 off it, 0.5 on it), transition (0.6 on and off the line, the
+    # midpoint 1.5 on it) and far (4.5 and 21.5 on the line, 50 off it).
+    # The adaptive path misses by up to 65 x tol x scale at 3 and 5 off the
+    # line (its angular rule there is fixed), so those two are left out.
+    SAMPLES = [0, 2, 14, 16, 37, 38, 48, 51, 59, 64]
+    TOL = 1e-9
+
+    def test_dual_map(self, pair_35):
+        u = pair_35
+        grid, tags = sample_grid(u)
+        pts = grid[self.SAMPLES]
+        assert tuple(pts[-1][:2]) == (1.5, 50.0)
+        rep = residual(u, WeightSpec(tau=0.5), tol=self.TOL,
+                       samples=(pts, [tags[k] for k in self.SAMPLES]))
+        assert rep.errors == ()
+        for x, val in zip(pts, rep.values):
+            uval = float(u(x))
+            ref = adaptive.dual_apply(u, x, self.TOL)
+            scale = max(abs(uval), abs(val))
+            assert abs(uval - val - ref) <= 100.0 * self.TOL * scale
+
+    def test_level0_projections(self, pair_35):
+        for tower in (0, 1):
+            idx = KernelIndex(tower, 0, 0)
+            ref = adaptive.beta_projection(pair_35, idx, self.TOL)
+            assert beta_projection(pair_35, idx, tol=self.TOL) == \
+                pytest.approx(ref, rel=100.0 * self.TOL)
 
 
 class TestBetaProjection:
@@ -292,6 +396,21 @@ class TestBetaProjection:
         for idx in (KernelIndex(0, 0, 0), KernelIndex(1, 0, 0),
                     KernelIndex(0, 6, 0)):
             assert np.isfinite(beta_projection(u, idx))
+
+    def test_hard_levels_check_or_raise(self, pair_35):
+        # the adaptive path warned (roundoff, tolerance not reached) on these
+        # at the default tol and returned a bare float; now the 16- and
+        # 8-point rules must agree, or QuadratureError says why not
+        passed = []
+        for idx in (KernelIndex(0, 4, 0), KernelIndex(0, 6, 0),
+                    KernelIndex(1, 1, 0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    passed.append(np.isfinite(beta_projection(pair_35, idx)))
+                except QuadratureError as exc:
+                    assert "8-point" in str(exc)
+        assert all(passed)
 
     def test_leading_form_bracket_zero_at_balance(self, balanced_pair):
         # (B1) makes the printed bracket vanish: A2*cross == q_i
@@ -388,6 +507,28 @@ class TestResidual:
         assert doc["L"] == pytest.approx(2.5)
         assert len(doc["values"]) == 3
         assert doc["weighted_norm"] == pytest.approx(rep.weighted_norm)
+
+    def test_err_est_within_tol_and_reruns_identical(self, pair_35):
+        u = pair_35
+        rep = residual(u, WeightSpec(tau=0.5), tol=1e-7)
+        assert rep.errors == ()
+        dual = np.array([float(u(x)) for x in rep.points]) - rep.values
+        assert np.all(rep.err_est <= 1e-7 * np.abs(dual))
+        assert np.all(rep.err_est > 0.0)
+        assert json.loads(rep.to_json())["err_est"] == rep.err_est.tolist()
+        again = residual(u, WeightSpec(tau=0.5), tol=1e-7)
+        assert again.to_json() == rep.to_json()
+
+    def test_failed_sample_is_nan(self, balanced_pair):
+        # u is singular at a marked point: that sample fails alone
+        u = balanced_pair
+        pts = np.array([u.centers[1], u.centers[0] + 0.7 * E1])
+        rep = residual(u, WeightSpec(tau=0.5), samples=(pts, ["near:1",
+                                                             "transition"]),
+                       tol=1e-7)
+        assert np.isnan(rep.values[0]) and np.isnan(rep.err_est[0])
+        assert np.isfinite(rep.values[1]) and np.isfinite(rep.err_est[1])
+        assert len(rep.errors) == 1 and rep.errors[0].startswith("sample 0")
 
     def test_grid_covers_regions_once(self, balanced_pair):
         pts, tags = sample_grid(balanced_pair)

@@ -227,7 +227,7 @@ class TestAssembleResidualCommand:
         def fail(*args, **kwargs):
             raise FloatingPointError("quadrature blew up")
 
-        monkeypatch.setattr(assembler, "dual_apply", fail)
+        monkeypatch.setattr(assembler, "_dual_at", fail)
         cfg = write_config(tmp_path / "c.json", BASE)
         out = tmp_path / "o"
         assert cli.main(["assemble_residual", "--config", cfg,

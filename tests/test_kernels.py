@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from qcurv.kernels import (
     Calibration,
@@ -14,6 +16,7 @@ from qcurv.kernels import (
     gauss_panels,
     periodize,
     periodized_lattice,
+    ring_kernel,
     riesz_kernel_cyl,
     riesz_kernel_rn,
     singular_kernel_cyl,
@@ -190,3 +193,75 @@ def test_kernel_table():
         build_kernel_table(PRM, "singular", np.linspace(0.0, 4.0, 9))
     with pytest.raises(ValueError):
         build_kernel_table(PRM, "nope", [1.0])
+
+
+# ─────────────────────────────────────────────────────────────────────────────
+# ring kernel: the Riesz kernel integrated over the S^(n-2) orbit about a line
+
+RING_PAIRS = [(5, 1.5), (7, 2.5), (3, 1.4), (6, 1.2), (9, 3.5), (4, 1.8)]
+# (dz, rho, rho'): generic, on the line (rho = 0 or rho' = 0), and down to
+# A - B = 1e-14 A (the last three: 1e-14, 1.25e-13 and 5e-15 of A)
+RING_POINTS = [(0.3, 1.0, 0.8), (2.0, 0.1, 3.0), (0.01, 2.0, 2.3),
+               (3.0, 1.0, 1.0), (1e-3, 1.0, 1.0), (0.0, 1.0, 1.01),
+               (0.5, 0.0, 1.0), (0.5, 0.7, 0.0),
+               (0.0, 1.0, 1.0 + 1.4142135623730951e-7), (5e-7, 1.0, 1.0),
+               (1e-7, 1.0, 1.0)]
+
+
+def _ring_mp(prm, dz, rho, rho_p):
+    # Gegenbauer mean over the orbit, |S^(n-2)| A^(-g) 2F1(g/2, (g+1)/2;
+    # m/2; (B/A)^2), at 40 digits from the exact double inputs: no quadratic
+    # transformation and no difference forms
+    mpmath.mp.dps = 40
+    g, m = mpmath.mpf(prm.gamma_s), mpmath.mpf(prm.n - 1)
+    dz, rho, rho_p = (mpmath.mpf(v) for v in (dz, rho, rho_p))
+    A = dz ** 2 + rho ** 2 + rho_p ** 2
+    B = 2 * rho * rho_p
+    omega = 2 * mpmath.pi ** (m / 2) / mpmath.gamma(m / 2)
+    return omega * A ** (-g) * mpmath.hyp2f1(g / 2, (g + 1) / 2, m / 2,
+                                             (B / A) ** 2)
+
+
+@pytest.mark.parametrize("n,sigma", RING_PAIRS)
+def test_ring_kernel_matches_mpmath(n, sigma):
+    prm = derive_params(n, sigma)
+    worst = naive_worst = 0.0
+    for dz, rho, rho_p in RING_POINTS:
+        ref = _ring_mp(prm, dz, rho, rho_p)
+        val = ring_kernel(dz, rho, rho_p, prm)
+        worst = max(worst, float(abs(val - ref) / ref))
+        # the same mean straight from (B/A)^2 in doubles
+        A, B = dz * dz + rho * rho + rho_p * rho_p, 2.0 * rho * rho_p
+        g, m = prm.gamma_s, n - 1
+        naive = prm.omega_equator * A ** (-g) * hyp2f1(
+            g / 2, (g + 1) / 2, m / 2, (B / A) ** 2)
+        naive_worst = max(naive_worst, float(abs(naive - ref) / ref))
+    assert worst < 1e-12
+    if (n, sigma) in ((5, 1.5), (3, 1.4), (6, 1.2)):
+        # near the diagonal the naive argument loses what this test demands
+        assert naive_worst > 1e-8
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (6, 1.2), (4, 1.8)])
+def test_ring_kernel_matches_orbit_quadrature(n, sigma):
+    # |S^(n-3)| int_0^pi (A - B cos phi)^(-gamma_s) sin^(n-3) phi dphi,
+    # adaptively, at points away from the diagonal
+    prm = derive_params(n, sigma)
+    k = n - 3
+    omega = 2.0 * math.pi ** ((k + 1) / 2) / math.gamma((k + 1) / 2)
+    for dz, rho, rho_p in [(0.3, 1.0, 0.8), (2.0, 0.1, 3.0), (0.05, 1.0, 1.1)]:
+        A, B = dz * dz + rho * rho + rho_p * rho_p, 2.0 * rho * rho_p
+        val, _ = quad(lambda phi: (A - B * math.cos(phi)) ** (-prm.gamma_s)
+                      * math.sin(phi) ** k, 0.0, math.pi, epsabs=0.0,
+                      epsrel=1e-13, limit=200)
+        assert ring_kernel(dz, rho, rho_p, prm) == pytest.approx(omega * val,
+                                                                 rel=1e-11)
+
+
+def test_ring_kernel_broadcasts():
+    prm = derive_params(6, 1.2)
+    rho_p = np.array([[0.5, 1.0 + 1e-9], [2.0, 0.0]])
+    vals = ring_kernel(0.1, 1.0, rho_p, prm)
+    assert vals.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        assert vals[idx] == ring_kernel(0.1, 1.0, float(rho_p[idx]), prm)
