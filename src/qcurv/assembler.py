@@ -45,12 +45,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .params import Params, nonlin, nonlin_prime
 from .kernels import (cached_kappa, check_rules, gauss_panels, ring_kernel,
@@ -79,7 +77,7 @@ __all__ = [
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# cutoff and cached kernel machinery
+# cutoff and frames
 
 
 def cutoff(s: np.ndarray, on: float = 0.5, off: float = 1.0) -> np.ndarray:
@@ -96,26 +94,6 @@ def cutoff(s: np.ndarray, on: float = 0.5, off: float = 1.0) -> np.ndarray:
         b = np.exp(-1.0 / (1.0 - zm))
     out[mid] = b / (a + b)
     return out if out.ndim else float(out)
-
-
-@lru_cache(maxsize=8)
-def _kernel_spline(prm: Params) -> CubicSpline:
-    # reduced kernel table; the derivative has a t*log(t) kink at 0, so the
-    # grid clusters there geometrically
-    ts = np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 300),
-                         np.arange(0.52, 60.0, 0.02)])
-    vals = riesz_kernel_cyl(ts, prm, tol=1e-11)
-    return CubicSpline(ts, vals)
-
-
-def _rhat(dt: np.ndarray, prm: Params) -> np.ndarray:
-    sp = _kernel_spline(prm)
-    a = np.abs(np.asarray(dt, dtype=float))
-    out = np.zeros_like(a)
-    inside = a < 60.0
-    out[inside] = sp(a[inside])
-    return out
-
 
 
 def _complete_frame(u_hat: np.ndarray, v_pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,12 +165,6 @@ class ApproxSolution:
             if np.max(np.abs(off)) > tol:
                 return False
         return True
-
-    @property
-    def is_radial(self) -> bool:
-        return (self.size == 1
-                and np.max(np.abs(self.towers[0].shifts)) == 0.0
-                and np.max(np.abs(self.towers[0].dilations)) == 0.0)
 
     def tower_sum(self, x: np.ndarray) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -486,6 +458,7 @@ class _Panels:
 class _Nodes:
     prm: Params
     line: _Line
+    centers: np.ndarray                      # the marked points (N, n)
     fn: Callable[[np.ndarray], np.ndarray]   # the integrand on points (k, n)
     panels: tuple[_Panels, ...]
 
@@ -558,7 +531,8 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
     panels.append(_Panels(False, zo, e_far, fine, far, prm.n))
     for p in panels:
         p.fill(fn, line)
-    return _Nodes(prm=prm, line=line, fn=fn, panels=tuple(panels))
+    return _Nodes(prm=prm, line=line, centers=u.centers, fn=fn,
+                  panels=tuple(panels))
 
 
 def _t_edges(prm: Params) -> np.ndarray:
@@ -587,8 +561,13 @@ def _dual_nodes(u: ApproxSolution, F, xs: np.ndarray, tol: float) -> _Nodes:
 def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float]:
     """(16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy: the node set's
     kernel sums with the panels about x taken out, plus those panels again
-    on triangles from x, where F is evaluated afresh."""
+    on triangles from x, where F is evaluated afresh.  At a marked point
+    u^p is not integrable against the kernel: ValueError."""
     prm, line = nodes.prm, nodes.line
+    at = np.flatnonzero(np.all(nodes.centers == x, axis=1))
+    if at.size:
+        raise ValueError(f"the dual map is infinite at marked point "
+                         f"{int(at[0])}")
     zx, rx = (float(v) for v in line.coords(x))
     t_edges = _t_edges(prm)
     out = [0.0, 0.0]
@@ -649,8 +628,7 @@ def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
     t = -np.log(rho)
 
     def f(tau):
-        return float((_rhat(np.atleast_1d(t - tau), prm)
-                      * v_in(tau) ** prm.p)[0])
+        return float(riesz_kernel_cyl(t - tau, prm) * v_in(tau)[0] ** prm.p)
 
     val, _ = quad(f, t - 45.0, t + 45.0, epsabs=1e-14, epsrel=tol,
                   limit=400, points=[t])
@@ -694,16 +672,11 @@ def _dual_integral(u: ApproxSolution, F, x: np.ndarray, tol: float) -> float:
 
 def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
                tol: float = 1e-8) -> float:
-    """(-Delta)^{-sigma} of f applied to the assembled function at x.
-
-    A one-point assembly without perturbation goes through the radial
-    reduction; everything else through the meridian quadrature."""
+    """(-Delta)^{-sigma} of f applied to the assembled function at x, by
+    the meridian quadrature; ValueError at a marked point."""
     prm = u.prm if prm is None else prm
     x = np.asarray(x, dtype=float)
     _require_meridian(u, prm)
-    if u.is_radial:
-        return dual_apply_radial(u, u.centers[0], x, prm, tol=tol,
-                                 kappa=u.kappa)
 
     def F(pts):
         return u(pts) ** prm.p
@@ -953,8 +926,9 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     One node set serves every sample, with u^p evaluated on it once; each
     sample then adds its own kernel sums and patch (`_dual_at`).  A sample
     whose 16- and 8-point dual values differ by more than tol times the
-    value is NaN, with the QuadratureError message in `errors`; `err_est`
-    holds the gap of every other sample.
+    value is NaN, with the QuadratureError message in `errors`, and so is a
+    sample at a marked point, with the ValueError's; `err_est` holds the gap
+    of every other sample.
     """
     prm = u.prm
     _require_meridian(u, prm)

@@ -156,7 +156,7 @@ def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
     grid = np.linspace(t_min, t_max, t_points)
     slopes = {}
     for kind in ("riesz", "singular"):
-        table = build_kernel_table(prm, kind, grid, tol=tol, t_min=t_min)
+        table = build_kernel_table(prm, kind, grid, t_min=t_min)
         out.write(f"kernel_{kind}.csv",
                   _csv(["t", "value", "est_error"], [list(r) for r in
                                                      table.rows()]))

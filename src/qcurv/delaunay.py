@@ -26,8 +26,8 @@ from scipy.optimize import brentq
 
 from .params import Params
 from .bubbles import cyl_coefficient
-from .kernels import (cached_kappa, calibrate_cyl_kernel, check_rules, gauss_panels,
-                      periodized_lattice, riesz_kernel_cyl)
+from .kernels import (cached_kappa, check_rules, gauss_panels, periodized_lattice,
+                      riesz_kernel_cyl)
 
 __all__ = [
     "CylSolution",
@@ -81,13 +81,13 @@ def _tower_profile(ts: np.ndarray, L: float, prm: Params, J: int) -> np.ndarray:
     return np.cosh(ts[..., None] - centers) ** (-prm.gamma_s) @ np.ones(len(centers))
 
 
-def _collocation_matrix(ts: np.ndarray, L: float, prm: Params, tol: float,
+def _collocation_matrix(ts: np.ndarray, L: float, prm: Params,
                         kappa: float) -> np.ndarray:
     """Folded product-trapezoid matrix A with (A w)_k ~ kappa*int R_per*(c w)."""
     m = len(ts) - 1
     h = L / m
     lattice = periodized_lattice(
-        lambda a: riesz_kernel_cyl(a, prm, tol=tol),
+        lambda a: riesz_kernel_cyl(a, prm),
         np.arange(2 * m + 1) * h, L, _periodization_order(L, prm))
     k = np.arange(m + 1)
     kk, qq = np.meshgrid(k, k, indexing="ij")
@@ -99,7 +99,7 @@ def _collocation_matrix(ts: np.ndarray, L: float, prm: Params, tol: float,
 
 def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
                    max_iter: int = 60, init_factor: float = 1.0,
-                   quad_tol: float = 1e-11, kappa: float | None = None) -> CylSolution:
+                   kappa: float | None = None) -> CylSolution:
     """Solve the periodic problem at half-period L on an M-point grid.
 
     The returned solution is even by construction (half-grid unknowns,
@@ -111,10 +111,10 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
     if M < 200:
         raise ValueError(f"grid too coarse: {M} < 200")
     if kappa is None:
-        kappa = calibrate_cyl_kernel(prm, tol=quad_tol).kappa
+        kappa = cached_kappa(prm)
     m = M // 2
     ts = np.linspace(0.0, L, m + 1)
-    A = _collocation_matrix(ts, L, prm, quad_tol, kappa)
+    A = _collocation_matrix(ts, L, prm, kappa)
     Jper = _periodization_order(L, prm)
     v = init_factor * _tower_profile(ts, L, prm, Jper + 1)
 
@@ -250,12 +250,14 @@ def sweep_csv(sweep: SweepResult) -> str:
 def _branch_window(prm: Params, tol: float) -> float:
     """Right end T of the cosine-transform window: the reduced kernel decays
     like e^{-gamma_s t}, so the dropped tail is below tol relative to F(0)
-    once gamma_s T > ln(1/tol), plus a margin of five decay lengths."""
+    once gamma_s T > ln(1/tol), plus a margin of five decay lengths.  The
+    cap T <= 700 bounds the fixed rule at 1400 half-unit panels (about 34k
+    kernel values); a gamma_s that needs more decays too slowly for it."""
     T = max(60.0, (np.log(1.0 / tol) + 5.0) / prm.gamma_s)
     if T > 700.0:
         raise ValueError(
-            f"branch-point window {T:.0f} exceeds 700, where cosh overflows "
-            f"(gamma_s = {prm.gamma_s:.3g} decays too slowly)")
+            f"branch-point window {T:.0f} exceeds 700, the cap of the fixed "
+            f"rule (gamma_s = {prm.gamma_s:.3g} decays too slowly)")
     return T
 
 
@@ -268,7 +270,7 @@ def _kernel_cosine_rule(prm: Params, tol: float):
     edges = np.concatenate([[0.0], 0.5 * 2.0 ** np.arange(-24.0, 0.0),
                             np.linspace(0.5, T, int(np.ceil(2.0 * T)))])
     (t16, w16), (t8, w8) = (gauss_panels(edges, order) for order in (16, 8))
-    R = riesz_kernel_cyl(np.concatenate([t16, t8]), prm, tol=tol)
+    R = riesz_kernel_cyl(np.concatenate([t16, t8]), prm)
     return (t16, w16 * R[:len(t16)]), (t8, w8 * R[len(t16):])
 
 

@@ -5,8 +5,9 @@ A1 weighs same-center translation coupling, A2 the dilation coupling between
 far-apart centers, A3 the translation coupling between far-apart centers.
 The printed integrals for A2/A3 diverge at infinity for sigma >= 1/2; the
 convergent variant replaces the weight exponent -(gamma_s+1) by
--(gamma_dual+1), and the result is certified against a direct quadrature of
-the two-bubble interaction integrals the constants are meant to summarize.
+-(gamma_dual+1), whose radial integrals are Beta functions, and the result
+is certified against a direct quadrature of the two-bubble interaction
+integrals the constants are meant to summarize.
 
 Rescaling that interaction integral to unit bubble scale shows the certified
 constants carry fixed conversion factors relative to the corrected bare
@@ -24,6 +25,7 @@ for the bubbles and nonlinearity this package uses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,40 +81,35 @@ def const_A1(prm: Params, tol: float = 1e-10) -> float:
     return float(out)
 
 
-def _a2_bare(prm: Params, tol: float) -> float:
+def _radial_moment(a: float, prm: Params) -> float:
+    """int_0^inf r^(a-1) (1+r^2)^(-(gamma_dual+1)) dr
+    = B(a/2, gamma_dual+1-a/2)/2, a Beta function."""
+    gd = prm.gamma_dual + 1.0
+    return 0.5 * math.gamma(0.5 * a) * math.gamma(gd - 0.5 * a) / math.gamma(gd)
+
+
+def const_A2(prm: Params) -> float:
     # corrected weight: (1+r^2)^(-(gamma_dual+1)); the printed gamma_s variant
-    # has a divergent r^(2*sigma-1) tail
-    def f(r: float) -> float:
-        return (r * r - 1.0) * (1 + r * r) ** (-(prm.gamma_dual + 1.0)) * r ** (prm.n - 1)
-    val, err = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=tol, limit=300)
-    if err > 100 * tol * abs(val):
-        raise RuntimeError(f"A2 quadrature failed to converge (err {err:.2e})")
-    return 0.5 * (prm.n + 2 * prm.sigma) * prm.omega_sphere * float(val)
+    # has a divergent r^(2*sigma-1) tail.  The radial integral of (r^2 - 1)
+    # is I(n+2) - I(n) = (gamma_s/sigma) I(n) by Gamma(x+1) = x Gamma(x),
+    # taken without the cancellation
+    bare = (0.5 * (prm.n + 2 * prm.sigma) * prm.omega_sphere
+            * prm.gamma_s / prm.sigma * _radial_moment(prm.n, prm))
+    return float(prm.c_ns * 2.0 ** prm.n * bare)
 
 
-def _a3_bare(prm: Params, tol: float) -> float:
-    def f(r: float) -> float:
-        return (1 + r * r) ** (-(prm.gamma_dual + 1.0)) * r ** (prm.n + 1)
-    val, err = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=tol, limit=300)
-    if err > 100 * tol * abs(val):
-        raise RuntimeError(f"A3 quadrature failed to converge (err {err:.2e})")
-    return -((prm.n - 2 * prm.sigma) ** 2 / prm.n) * prm.omega_sphere * float(val)
-
-
-def const_A2(prm: Params, tol: float = 1e-10) -> float:
-    return float(prm.c_ns * 2.0 ** prm.n * _a2_bare(prm, tol))
-
-
-def const_A3(prm: Params, tol: float = 1e-10) -> float:
-    return float(prm.c_ns * prm.p * 2.0 ** prm.n * _a3_bare(prm, tol))
+def const_A3(prm: Params) -> float:
+    bare = (-((prm.n - 2 * prm.sigma) ** 2 / prm.n) * prm.omega_sphere
+            * _radial_moment(prm.n + 2, prm))
+    return float(prm.c_ns * prm.p * 2.0 ** prm.n * bare)
 
 
 def interaction_constants(prm: Params, tol: float = 1e-10) -> InteractionConstants:
-    """All three constants by convergent radial quadrature."""
+    """A1 by convergent radial quadrature, A2 and A3 in closed form."""
     return InteractionConstants(
         A1=const_A1(prm, tol),
-        A2=const_A2(prm, tol),
-        A3=const_A3(prm, tol),
+        A2=const_A2(prm),
+        A3=const_A3(prm),
         method="closed_integral",
         est_error=tol,
     )

@@ -4,10 +4,9 @@ The inverse operator acts on radial densities through a one-dimensional
 convolution kernel obtained by integrating the Riesz kernel over spheres.
 Two reductions appear: a bounded one (exponent ``gamma_s``) driving the
 fixed-point equation, and a singular one (exponent ``gamma_dual``) used for
-dual-side estimates.  Both are computed by adaptive quadrature after an
-endpoint substitution ``1 - zeta = u^2`` that removes the surface-measure
-and near-diagonal singularities.  The ring kernel, the Riesz kernel
-integrated over the orbit of a point about a line, has a closed form.
+dual-side estimates.  Both have a closed form in the Gauss hypergeometric
+function of e^(-2|t|), as has the ring kernel, the Riesz kernel integrated
+over the orbit of a point about a line.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 from scipy.special import gamma, hyp2f1
 
 from .params import Params
@@ -31,65 +29,77 @@ class QuadratureError(RuntimeError):
 # Reduced sphere integrals
 # ─────────────────────────────────────────────────────────────────────────────
 
+# relative error bound of the reduced kernels where their values are normal
+# doubles: rounding g|t| in e^(-g|t|) costs up to (g|t| <= 708) x eps/2, and
+# the hypergeometric factor about 1e-14 (tests/test_kernels.py enforces it)
+KERNEL_REL_ERR = 1e-13
 
-def _reduced_integral(ts: np.ndarray, g: float, n: int, tol: float) -> tuple[np.ndarray, float]:
-    """Vectorized I(t) = int_{-1}^{1} (1-zeta^2)^{(n-3)/2} (cosh t - zeta)^{-g} dzeta.
 
-    Split at zeta = 0 and substitute zeta = 1 - u^2 (resp. zeta = -1 + u^2)
-    so both endpoint weights become the regular factor u^{n-2}.
-    Returns (values, error_estimate).
+def _hyp2f1(a: float, b: float, c: float, w: np.ndarray,
+            om: np.ndarray) -> np.ndarray:
+    """2F1(a, b; c; w) for arrays w, given om = 1 - w to full relative
+    accuracy.  When b is a whole number <= 0 the series is a polynomial,
+    summed by Horner; otherwise, for w > 1/2 and c - a - b not a whole
+    number, it runs in om through the connection formula A&S 15.3.6."""
+    if b <= 0.0 and b == int(b):
+        F = np.ones_like(w)
+        for k in range(int(-b), 0, -1):   # Horner over the terminating series
+            F = 1.0 + (a + k - 1) * (b + k - 1) / ((c + k - 1) * k) * w * F
+        return F
+    F = np.array(hyp2f1(a, b, c, w))
+    e = c - a - b
+    near = w > 0.5
+    if e != int(e) and np.any(near):
+        o = om[near]
+        F[near] = (gamma(c) * gamma(e) / (gamma(c - a) * gamma(c - b))
+                   * hyp2f1(a, b, 1.0 - e, o)
+                   + gamma(c) * gamma(-e) / (gamma(a) * gamma(b))
+                   * o ** e * hyp2f1(c - a, c - b, 1.0 + e, o))
+    return F
+
+
+def _reduced_kernel(t, g: float, prm: Params):
+    """2^(-g) |S^(n-2)| int (1-zeta^2)^((n-3)/2) (cosh t - zeta)^(-g) dzeta
+    at offsets t (scalar or array), in closed form.
+
+    The integral is |S^(n-1)| times the Gegenbauer mean of (A - zeta)^(-g)
+    at A = cosh t; with A + sinh|t| = e^|t| the quadratic transformation
+    A&S 15.3.19 (as in ring_kernel, with m = n) gives
+    |S^(n-1)| e^(-g|t|) 2F1(g, g+1-n/2; n/2; w), w = e^(-2|t|).  When
+    n - 1 - 2g < 0 the series diverges at w = 1 and Euler's transformation
+    takes out the factor (1-w)^(n-1-2g).  1 - w = -expm1(-2|t|) keeps its
+    relative accuracy as t -> 0, and no cosh is formed.
     """
-    ts = np.abs(np.asarray(ts, dtype=float))
-    ch = np.cosh(ts)
-    half = 0.5 * (n - 3)
-
-    def upper(u: float) -> np.ndarray:
-        # zeta in [0, 1]: near-diagonal factor cosh t - 1 + u^2
-        w = 2.0 * u ** (n - 2) * (2.0 - u * u) ** half
-        return w * (ch - 1.0 + u * u) ** (-g)
-
-    def lower(u: float) -> np.ndarray:
-        # zeta in [-1, 0]: factor cosh t + 1 - u^2 >= 1, never singular
-        w = 2.0 * u ** (n - 2) * (2.0 - u * u) ** half
-        return w * (ch + 1.0 - u * u) ** (-g)
-
-    vals = np.zeros_like(ch)
-    err = 0.0
-    for piece in (upper, lower):
-        v, e = quad_vec(piece, 0.0, 1.0, epsabs=1e-300, epsrel=tol, norm="max", limit=400)
-        vals = vals + v
-        err += e
-    scale = float(np.max(np.abs(vals))) if vals.size else 1.0
-    if not np.all(np.isfinite(vals)) or (scale > 0 and err > 50.0 * tol * scale and err > 1e-13):
-        raise QuadratureError(
-            f"reduced sphere integral did not converge: err={err:.3e}, tol={tol:.1e}"
-        )
-    return vals, err
+    arr = np.asarray(t, dtype=float)
+    a = np.abs(np.atleast_1d(arr))
+    w, om = np.exp(-2.0 * a), -np.expm1(-2.0 * a)
+    n, c = prm.n, 0.5 * prm.n
+    e = n - 1.0 - 2.0 * g
+    if e >= 0.0:
+        F = _hyp2f1(g, g + 1.0 - c, c, w, om)
+    else:
+        F = om ** e * _hyp2f1(c - g, n - 1.0 - g, c, w, om)
+    out = prm.omega_sphere * np.exp(-g * a) * F
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def riesz_kernel_cyl(t, prm: Params, tol: float = 1e-10):
+def riesz_kernel_cyl(t, prm: Params):
     """Bounded cylindrical kernel at axial offset t (scalar or array).
 
     2^{-gamma_s} |S^{n-2}| int (1-zeta^2)^{(n-3)/2} (cosh t - zeta)^{-gamma_s} dzeta.
     Even in t, strictly positive, decays like e^{-gamma_s |t|}.
     """
-    arr = np.asarray(t, dtype=float)
-    vals, _ = _reduced_integral(np.atleast_1d(arr), prm.gamma_s, prm.n, tol)
-    out = 2.0 ** (-prm.gamma_s) * prm.omega_equator * vals
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _reduced_kernel(t, prm.gamma_s, prm)
 
 
-def singular_kernel_cyl(t, prm: Params, tol: float = 1e-10, t_min: float = 1e-3):
+def singular_kernel_cyl(t, prm: Params, t_min: float = 1e-3):
     """Singular cylindrical kernel (exponent gamma_dual); blows up at t = 0.
 
     Offsets with |t| < t_min are rejected rather than extrapolated.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) < t_min):
+    if np.any(np.abs(np.asarray(t, dtype=float)) < t_min):
         raise ValueError(f"singular kernel needs |t| >= t_min = {t_min}")
-    vals, _ = _reduced_integral(np.atleast_1d(arr), prm.gamma_dual, prm.n, tol)
-    out = 2.0 ** (-prm.gamma_dual) * prm.omega_equator * vals
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _reduced_kernel(t, prm.gamma_dual, prm)
 
 
 def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
@@ -108,70 +118,19 @@ def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
     diagonal the kernel is finite exactly when sigma > 1.
     """
     g, c = prm.gamma_s, 0.5 * (prm.n - 1)
-    b = g + 1.0 - c
     dz2 = np.asarray(dz, dtype=float) ** 2
     rho, rho_p = np.asarray(rho, dtype=float), np.asarray(rho_p, dtype=float)
     lo = dz2 + (rho - rho_p) ** 2
     hi = dz2 + (rho + rho_p) ** 2
     S = np.sqrt(lo * hi)
     AS = 0.5 * (lo + hi) + S
-    w = (2.0 * rho * rho_p / AS) ** 2
-    if b <= 0.0 and b == int(b):
-        F = np.ones_like(w)
-        for k in range(int(-b), 0, -1):   # Horner over the terminating series
-            F = 1.0 + (g + k - 1) * (b + k - 1) / ((c + k - 1) * k) * w * F
-    else:
-        F = np.array(hyp2f1(g, b, c, w))
-        e = c - g - b                     # 2 sigma - 2
-        near = w > 0.5
-        if e != int(e) and np.any(near):
-            om = 2.0 * S[near] / AS[near]
-            F[near] = (gamma(c) * gamma(e) / (gamma(c - g) * gamma(c - b))
-                       * hyp2f1(g, b, 1.0 - e, om)
-                       + gamma(c) * gamma(-e) / (gamma(g) * gamma(b))
-                       * om ** e * hyp2f1(c - g, c - b, 1.0 + e, om))
+    F = _hyp2f1(g, g + 1.0 - c, c, (2.0 * rho * rho_p / AS) ** 2, 2.0 * S / AS)
     return prm.omega_equator * (0.5 * AS) ** (-g) * F
-
-
-def riesz_kernel_rn(x, y, prm: Params):
-    """Riesz kernel riesz_const * |x-y|^{2 sigma - n} on R^n (rows = points)."""
-    dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = np.linalg.norm(np.atleast_2d(dx), axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("Riesz kernel is singular on the diagonal x = y")
-    out = prm.riesz_const * r ** (2.0 * prm.sigma - prm.n)
-    return float(out[0]) if np.asarray(x).ndim == 1 and np.asarray(y).ndim == 1 else out
 
 
 # ─────────────────────────────────────────────────────────────────────────────
 # Periodization
 # ─────────────────────────────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class PeriodizedValue:
-    value: float
-    tail_bound: float
-
-
-def periodize(kernel: Callable[[float], float], t: float, L: float, J: int) -> PeriodizedValue:
-    """Sum kernel(t - 2jL) over |j| <= J with a geometric tail bound.
-
-    The bound uses the measured decay of the last retained shifts: with
-    r = term_{J+1}/term_J < 1 the dropped tail is below term_{J+1}/(1-r).
-    """
-    if L <= 0.0 or J < 0:
-        raise ValueError("periodize needs L > 0 and J >= 0")
-    total = 0.0
-    for j in range(-J, J + 1):
-        total += kernel(t - 2.0 * j * L)
-    term_j = abs(kernel(t - 2.0 * J * L)) + abs(kernel(t + 2.0 * J * L))
-    term_next = abs(kernel(t - 2.0 * (J + 1) * L)) + abs(kernel(t + 2.0 * (J + 1) * L))
-    if term_j > 0.0 and term_next < term_j:
-        tail = term_next / (1.0 - term_next / term_j)
-    else:
-        tail = float("inf") if term_next > 0.0 else 0.0
-    return PeriodizedValue(value=total, tail_bound=tail)
 
 
 def periodized_lattice(
@@ -180,13 +139,10 @@ def periodized_lattice(
     L: float,
     J: int,
 ) -> np.ndarray:
-    """Vectorized periodization on a batch of offsets (no tail report)."""
+    """Sum of kernel_vals(t - 2jL) over |j| <= J for each offset t in ts."""
     ts = np.asarray(ts, dtype=float)
     shifts = 2.0 * L * np.arange(-J, J + 1)
-    args = ts[:, None] - shifts[None, :]
-    flat, inv = np.unique(np.abs(args.ravel()), return_inverse=True)
-    vals = kernel_vals(flat)
-    return vals[inv].reshape(args.shape).sum(axis=1)
+    return kernel_vals(ts[:, None] - shifts[None, :]).sum(axis=1)
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -220,7 +176,7 @@ def check_rules(fine, coarse, tol: float, what: str,
             f"(> tol {tol:.1e} x {scale:.3e})")
 
 
-def _profile_convolution(t_grid: np.ndarray, prm: Params, tol: float, halfwidth: float = 45.0,
+def _profile_convolution(t_grid: np.ndarray, prm: Params, halfwidth: float = 45.0,
                          nodes_per_unit: int = 12) -> np.ndarray:
     """int R_cyl(t - tau) cosh(tau)^{-gamma_dual} dtau on a batch of t values.
 
@@ -236,7 +192,7 @@ def _profile_convolution(t_grid: np.ndarray, prm: Params, tol: float, halfwidth:
         edges = np.concatenate([np.linspace(t - halfwidth, t, n_panels + 1),
                                 np.linspace(t, t + halfwidth, n_panels + 1)[1:]])
         taus, wts = gauss_panels(edges)
-        kern = riesz_kernel_cyl(taus - t, prm, tol=tol)
+        kern = riesz_kernel_cyl(taus - t, prm)
         out[i] = np.sum(wts * kern * np.cosh(taus) ** (-prm.gamma_dual))
     return out
 
@@ -252,7 +208,7 @@ class Calibration:
     check_offsets: tuple[float, ...]
 
 
-def calibrate_cyl_kernel(prm: Params, tol: float = 1e-9,
+def calibrate_cyl_kernel(prm: Params,
                          check_offsets: Sequence[float] = (1.0, 2.0, 4.0)) -> Calibration:
     """Fit kappa at t = 0 and verify the fixed point at the check offsets.
 
@@ -264,7 +220,7 @@ def calibrate_cyl_kernel(prm: Params, tol: float = 1e-9,
     that product to quadrature accuracy cross-checks both constants at once.
     """
     ts = np.concatenate([[0.0], np.asarray(check_offsets, dtype=float)])
-    conv = _profile_convolution(ts, prm, tol)
+    conv = _profile_convolution(ts, prm)
     v_exact = np.cosh(ts) ** (-prm.gamma_s)
     kappa = float(v_exact[0] / (prm.c_ns * conv[0]))
     resid = np.abs(kappa * prm.c_ns * conv[1:] - v_exact[1:]) / v_exact[1:]
@@ -298,21 +254,18 @@ class CylKernelTable:
             yield float(ti), float(vi), float(ei)
 
 
-def build_kernel_table(prm: Params, kind: str, t_grid, tol: float = 1e-10,
+def build_kernel_table(prm: Params, kind: str, t_grid,
                        t_min: float = 1e-3) -> CylKernelTable:
+    """Kernel values on t_grid; est_error is KERNEL_REL_ERR times |value|."""
     t_grid = np.asarray(t_grid, dtype=float)
     if kind == "riesz":
-        vals, err = _reduced_integral(t_grid, prm.gamma_s, prm.n, tol)
-        vals = 2.0 ** (-prm.gamma_s) * prm.omega_equator * vals
+        vals = riesz_kernel_cyl(t_grid, prm)
     elif kind == "singular":
-        if np.any(np.abs(t_grid) < t_min):
-            raise ValueError("singular kernel table needs |t| >= t_min")
-        vals, err = _reduced_integral(t_grid, prm.gamma_dual, prm.n, tol)
-        vals = 2.0 ** (-prm.gamma_dual) * prm.omega_equator * vals
+        vals = singular_kernel_cyl(t_grid, prm, t_min=t_min)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    est = np.full_like(vals, err)
-    return CylKernelTable(kind=kind, t=t_grid, value=vals, est_error=est)
+    return CylKernelTable(kind=kind, t=t_grid, value=vals,
+                          est_error=KERNEL_REL_ERR * np.abs(vals))
 
 
 def decay_slope(ts, values) -> float:

@@ -16,11 +16,11 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              beta_projection, cutoff, dual_apply,
                              dual_apply_radial, mc_probe, residual,
                              sample_grid, weighted_fn_norm, _dual_integral,
-                             _plain_integral, _rhat)
+                             _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn
-from qcurv.kernels import QuadratureError, cached_kappa
+from qcurv.kernels import QuadratureError, cached_kappa, riesz_kernel_cyl
 from qcurv.params import nonlin_prime
 
 PRM = derive_params(5, 1.5)
@@ -177,8 +177,7 @@ class TestDualApply:
     def test_flat_cylinder_fixed_point(self, single):
         # coefficient from the kernel-mass identity, checked against the
         # closed form (c/q)^{1/(p-1)}
-        mass, _ = quad(lambda t: float(_rhat(np.array([t]), PRM)[0]),
-                       -45, 45, limit=400)
+        mass, _ = quad(lambda t: riesz_kernel_cyl(t, PRM), -45, 45, limit=400)
         a = (PRM.c_ns * cached_kappa(PRM) * mass) ** (-1.0 / (PRM.p - 1))
         assert a == pytest.approx((PRM.c_ns / PRM.q_ns) ** (1 / (PRM.p - 1)),
                                   rel=1e-6)
@@ -226,7 +225,8 @@ class TestDualApply:
         F = lambda p: single(p) ** PRM.p
         for r in (0.35, 2.5):
             x = r * E1
-            rad = dual_apply(single, x, tol=1e-9)
+            rad = dual_apply_radial(single, single.centers[0], x, PRM,
+                                    tol=1e-9, kappa=single.kappa)
             gen = PRM.c_ns * single.kappa * _dual_integral(single, F, x,
                                                            1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
@@ -242,10 +242,27 @@ class TestDualApply:
         for r in (0.05, 0.35, 2.5):
             x = np.zeros(n)
             x[0] = r
-            rad = dual_apply(u, x, tol=1e-9)
+            rad = dual_apply_radial(u, u.centers[0], x, prm, tol=1e-9,
+                                    kappa=u.kappa)
             for y in (x, np.roll(x, 1)):
                 gen = prm.c_ns * u.kappa * _dual_integral(u, F, y, 1e-7)
                 assert gen == pytest.approx(rad, rel=1e-7)
+
+    def test_single_point_matches_radial(self, single):
+        # a one-point assembly takes the meridian path like any other
+        for r in (0.02, 0.35, 2.5, 20.0):
+            x = r * E1
+            rad = dual_apply_radial(single, single.centers[0], x, PRM,
+                                    tol=1e-9, kappa=single.kappa)
+            assert dual_apply(single, x, tol=1e-9) == pytest.approx(
+                rad, rel=1e-8)
+
+    def test_marked_point_raises(self, single, balanced_pair):
+        # u^p is not integrable against the kernel at a marked point
+        with pytest.raises(ValueError, match="marked point 0"):
+            dual_apply(single, single.centers[0])
+        with pytest.raises(ValueError, match="marked point 1"):
+            dual_apply(balanced_pair, balanced_pair.centers[1], tol=1e-7)
 
     def test_mc_probe_agrees(self, balanced_pair):
         u = balanced_pair
@@ -520,7 +537,7 @@ class TestResidual:
         assert again.to_json() == rep.to_json()
 
     def test_failed_sample_is_nan(self, balanced_pair):
-        # u is singular at a marked point: that sample fails alone
+        # the dual map is infinite at a marked point: that sample fails alone
         u = balanced_pair
         pts = np.array([u.centers[1], u.centers[0] + 0.7 * E1])
         rep = residual(u, WeightSpec(tau=0.5), samples=(pts, ["near:1",
@@ -528,7 +545,8 @@ class TestResidual:
                        tol=1e-7)
         assert np.isnan(rep.values[0]) and np.isnan(rep.err_est[0])
         assert np.isfinite(rep.values[1]) and np.isfinite(rep.err_est[1])
-        assert len(rep.errors) == 1 and rep.errors[0].startswith("sample 0")
+        assert rep.errors == ("sample 0: the dual map is infinite at marked "
+                              "point 1",)
 
     def test_grid_covers_regions_once(self, balanced_pair):
         pts, tags = sample_grid(balanced_pair)

@@ -99,9 +99,9 @@ def test_cyl_coefficient_matches_kernel_mass():
     from scipy.integrate import quad
     from qcurv.kernels import riesz_kernel_cyl, calibrate_cyl_kernel
 
-    mass, _ = quad(lambda t: riesz_kernel_cyl(t, PRM, tol=1e-11), 0.0, 60.0,
+    mass, _ = quad(lambda t: riesz_kernel_cyl(t, PRM), 0.0, 60.0,
                    epsabs=1e-12, epsrel=1e-11, limit=200)
-    kappa = calibrate_cyl_kernel(PRM, tol=1e-10).kappa
+    kappa = calibrate_cyl_kernel(PRM).kappa
     a_mass = (1.0 / (PRM.c_ns * kappa * 2.0 * mass)) ** (1.0 / (PRM.p - 1.0))
     assert cyl_coefficient(PRM) == pytest.approx(a_mass, rel=1e-5)
 

@@ -72,7 +72,7 @@ def test_branch_transform_matches_nested_quad(n, sigma):
     prm = derive_params(n, sigma)
     (t, wR), _ = delaunay._kernel_cosine_rule(prm, 1e-10)
     for w in (0.0, 1.0, 2.0):
-        ref, _ = quad(lambda x: riesz_kernel_cyl(x, prm, tol=1e-10) * np.cos(w * x),
+        ref, _ = quad(lambda x: riesz_kernel_cyl(x, prm) * np.cos(w * x),
                       0.0, 60.0, epsabs=1e-12, epsrel=1e-10, limit=400)
         assert 2.0 * float(wR @ np.cos(w * t)) == pytest.approx(2.0 * ref, rel=1e-9)
 
@@ -82,8 +82,8 @@ def test_branch_window_follows_kernel_decay(monkeypatch):
     # where a fixed window gave L* = 6.06146 instead of 6.04886
     prm = derive_params(3, 1.4)
     got = bifurcation_half_period(prm)
-    # the window would pass cosh's overflow at gamma_s = 0.01
-    with pytest.raises(ValueError, match="overflows"):
+    # gamma_s = 0.01 would need a window past the fixed rule's cap
+    with pytest.raises(ValueError, match="exceeds 700"):
         bifurcation_half_period(derive_params(3, 1.49))
     monkeypatch.setattr(delaunay, "_branch_window", lambda prm, tol: 400.0)
     wide = bifurcation_half_period(prm)
@@ -93,8 +93,8 @@ def test_branch_window_follows_kernel_decay(monkeypatch):
 
 def test_branch_rule_self_check_raises(monkeypatch):
     # ripples much shorter than a panel: the 16- and 8-point rules disagree
-    def rippled(t, prm, tol):
-        return riesz_kernel_cyl(t, prm, tol=tol) * (1.0 + 1e-3 * np.cos(200.0 * t))
+    def rippled(t, prm):
+        return riesz_kernel_cyl(t, prm) * (1.0 + 1e-3 * np.cos(200.0 * t))
     monkeypatch.setattr(delaunay, "riesz_kernel_cyl", rippled)
     with pytest.raises(QuadratureError, match="8-point"):
         bifurcation_half_period(PRM)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from mpmath import mp
-from scipy.integrate import IntegrationWarning, dblquad
+from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from qcurv.params import derive_params, gamma_fn, nonlin_prime
 from qcurv.bubbles import TowerConfig
@@ -20,7 +20,32 @@ def closed_W(prm):
             / gamma_fn(prm.n / 2 + prm.sigma) / 2.0)
 
 
+def a2_a3_quad(prm, tol=1e-12):
+    """The bare A2/A3 by adaptive radial quadrature: the oracle of their
+    Beta-function forms."""
+    def moment(shift):
+        val, err = quad(lambda r: (r * r - shift) * r ** (prm.n - 1)
+                        * (1 + r * r) ** (-(prm.gamma_dual + 1.0)),
+                        0.0, np.inf, epsabs=0.0, epsrel=tol, limit=300)
+        assert err <= 100 * tol * abs(val)
+        return val
+    a2 = 0.5 * (prm.n + 2 * prm.sigma) * prm.omega_sphere * moment(1.0)
+    a3 = (-((prm.n - 2 * prm.sigma) ** 2 / prm.n) * prm.omega_sphere
+          * moment(0.0))
+    return a2, a3
+
+
 class TestConstants:
+    @pytest.mark.parametrize("n,s", [(5, 1.5), (7, 2.5), (3, 1.4), (4, 1.8),
+                                     (9, 3.5), (6, 1.2)])
+    def test_a2_a3_match_radial_quadrature(self, n, s):
+        prm = derive_params(n, s)
+        a2, a3 = a2_a3_quad(prm)
+        assert it.const_A2(prm) == pytest.approx(prm.c_ns * 2.0 ** n * a2,
+                                                 rel=1e-12)
+        assert it.const_A3(prm) == pytest.approx(
+            prm.c_ns * prm.p * 2.0 ** n * a3, rel=1e-12)
+
     def test_a2_a3_beta_closed_forms(self):
         # the corrected integrals reduce to Beta functions:
         # bare A2 = gamma_s * W, bare A3 = -W (n-2s)^2/(n+2s)

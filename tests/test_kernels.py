@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -7,18 +9,16 @@ from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from qcurv.kernels import (
+    KERNEL_REL_ERR,
     Calibration,
-    PeriodizedValue,
     _profile_convolution,
     build_kernel_table,
     calibrate_cyl_kernel,
     decay_slope,
     gauss_panels,
-    periodize,
     periodized_lattice,
     ring_kernel,
     riesz_kernel_cyl,
-    riesz_kernel_rn,
     singular_kernel_cyl,
 )
 from qcurv.params import derive_params
@@ -70,8 +70,35 @@ def test_singular_guard_and_blowup():
     assert singular_kernel_cyl(1e-3, PRM) > singular_kernel_cyl(1e-2, PRM) > singular_kernel_cyl(0.1, PRM)
 
 
+@dataclass(frozen=True)
+class PeriodizedValue:
+    value: float
+    tail_bound: float
+
+
+def periodize(kernel: Callable[[float], float], t: float, L: float, J: int) -> PeriodizedValue:
+    """Sum kernel(t - 2jL) over |j| <= J with a geometric tail bound: the
+    scalar oracle of periodized_lattice.
+
+    The bound uses the measured decay of the last retained shifts: with
+    r = term_{J+1}/term_J < 1 the dropped tail is below term_{J+1}/(1-r).
+    """
+    if L <= 0.0 or J < 0:
+        raise ValueError("periodize needs L > 0 and J >= 0")
+    total = 0.0
+    for j in range(-J, J + 1):
+        total += kernel(t - 2.0 * j * L)
+    term_j = abs(kernel(t - 2.0 * J * L)) + abs(kernel(t + 2.0 * J * L))
+    term_next = abs(kernel(t - 2.0 * (J + 1) * L)) + abs(kernel(t + 2.0 * (J + 1) * L))
+    if term_j > 0.0 and term_next < term_j:
+        tail = term_next / (1.0 - term_next / term_j)
+    else:
+        tail = float("inf") if term_next > 0.0 else 0.0
+    return PeriodizedValue(value=total, tail_bound=tail)
+
+
 def test_periodize_tail_and_symmetry():
-    kern = lambda t: riesz_kernel_cyl(t, PRM, tol=1e-11)
+    kern = lambda t: riesz_kernel_cyl(t, PRM)
     L, J = 2.0, 2
     a = periodize(kern, 0.7, L, J)
     assert isinstance(a, PeriodizedValue)
@@ -90,34 +117,23 @@ def test_periodize_tail_and_symmetry():
 
 
 def test_periodize_tail_shrinks_with_L():
-    kern = lambda t: riesz_kernel_cyl(t, PRM, tol=1e-10)
+    kern = lambda t: riesz_kernel_cyl(t, PRM)
     t1 = periodize(kern, 0.3, 2.0, 6).tail_bound
     t2 = periodize(kern, 0.3, 4.0, 6).tail_bound
     assert t2 < t1
 
 
 def test_periodized_lattice_matches_scalar():
-    kern_vec = lambda ts: riesz_kernel_cyl(ts, PRM, tol=1e-11)
-    kern = lambda t: riesz_kernel_cyl(t, PRM, tol=1e-11)
+    kern_vec = lambda ts: riesz_kernel_cyl(ts, PRM)
+    kern = lambda t: riesz_kernel_cyl(t, PRM)
     ts = np.array([0.0, 0.4, 1.3, 2.0])
     lat = periodized_lattice(kern_vec, ts, 2.0, 6)
     for i, t in enumerate(ts):
         assert lat[i] == pytest.approx(periodize(kern, float(t), 2.0, 6).value, rel=1e-12)
 
 
-def test_rn_kernel_homogeneity():
-    x = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    y = np.zeros(5)
-    v1 = riesz_kernel_rn(x, y, PRM)
-    v2 = riesz_kernel_rn(3.0 * x, y, PRM)
-    assert v2 == pytest.approx(v1 * 3.0 ** (2 * PRM.sigma - PRM.n), rel=1e-12)
-    assert v1 == pytest.approx(PRM.riesz_const, rel=1e-12)
-    with pytest.raises(ValueError):
-        riesz_kernel_rn(x, x, PRM)
-
-
 def test_calibration_fixed_point():
-    cal = calibrate_cyl_kernel(PRM, tol=1e-10)
+    cal = calibrate_cyl_kernel(PRM)
     assert isinstance(cal, Calibration)
     assert cal.kappa > 0
     # the exact cosh-profile bubble is reproduced away from the fit offset
@@ -141,7 +157,7 @@ def test_gauss_panels_exact_on_polynomials():
                                                           rel=1e-13)
 
 
-def _profile_convolution_loop(t_grid, prm, tol, halfwidth=45.0, nodes_per_unit=12):
+def _profile_convolution_loop(t_grid, prm, halfwidth=45.0, nodes_per_unit=12):
     # the per-panel loop the shared panel helper replaced, kept as its oracle
     gx, gw = np.polynomial.legendre.leggauss(16)
     gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
@@ -156,7 +172,7 @@ def _profile_convolution_loop(t_grid, prm, tol, halfwidth=45.0, nodes_per_unit=1
                 taus.append(edges[k] + h * gx)
                 wts.append(h * gw)
         taus, wts = np.concatenate(taus), np.concatenate(wts)
-        kern = riesz_kernel_cyl(taus - t, prm, tol=tol)
+        kern = riesz_kernel_cyl(taus - t, prm)
         out[i] = np.sum(wts * kern * np.cosh(taus) ** (-prm.gamma_dual))
     return out
 
@@ -166,8 +182,8 @@ def test_profile_convolution_bits_match_panel_loop(n, sigma):
     # calibrate_cyl_kernel's offsets: kappa must not move by an ulp
     prm = derive_params(n, sigma)
     ts = np.array([0.0, 1.0, 2.0, 4.0])
-    got = _profile_convolution(ts, prm, 1e-9)
-    ref = _profile_convolution_loop(ts, prm, 1e-9)
+    got = _profile_convolution(ts, prm)
+    ref = _profile_convolution_loop(ts, prm)
     assert [v.hex() for v in got] == [v.hex() for v in ref]
 
 
@@ -178,7 +194,7 @@ def test_kernel_mass_flat_profile_identity():
     # normalization; independent of the calibration fit above
     from scipy.integrate import quad
 
-    mass, est = quad(lambda t: riesz_kernel_cyl(t, PRM, tol=1e-11), 0.0, 60.0,
+    mass, est = quad(lambda t: riesz_kernel_cyl(t, PRM), 0.0, 60.0,
                      epsabs=1e-12, epsrel=1e-11, limit=200)
     total = 2.0 * mass  # even kernel
     assert est < 1e-8
@@ -186,13 +202,88 @@ def test_kernel_mass_flat_profile_identity():
 
 
 def test_kernel_table():
-    tab = build_kernel_table(PRM, "riesz", np.linspace(0.0, 4.0, 9), tol=1e-10)
+    tab = build_kernel_table(PRM, "riesz", np.linspace(0.0, 4.0, 9))
     assert np.all(np.isfinite(tab.value)) and np.all(tab.value > 0)
     assert np.all(tab.est_error < 1e-6)
+    assert np.array_equal(tab.est_error, KERNEL_REL_ERR * tab.value)
     with pytest.raises(ValueError):
         build_kernel_table(PRM, "singular", np.linspace(0.0, 4.0, 9))
     with pytest.raises(ValueError):
         build_kernel_table(PRM, "nope", [1.0])
+
+
+# ─────────────────────────────────────────────────────────────────────────────
+# closed forms of the reduced kernels against 40-digit mpmath
+
+KERNEL_PAIRS = [(5, 1.5), (7, 2.5), (3, 1.4), (4, 1.8), (9, 3.5), (6, 1.2)]
+# t = 0 (bounded kernel only), toward the singular kernel's t_min = 1e-3,
+# and out to where both underflow
+KERNEL_TS = np.concatenate([[0.0, 1e-8, 1e-6, 1e-4],
+                            np.geomspace(1e-3, 800.0, 45)])
+
+
+def _kernel_mp_hyp2f1(t, g, n):
+    # |S^(n-1)| e^(-g|t|) 2F1(g, g+1-n/2; n/2; e^(-2|t|)) at 40 digits from
+    # the exact double t, with no Euler transformation
+    mpmath.mp.dps = 40
+    t, g, n = abs(mpmath.mpf(t)), mpmath.mpf(g), mpmath.mpf(n)
+    omega = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+    return omega * mpmath.exp(-g * t) * mpmath.hyp2f1(g, g + 1 - n / 2, n / 2,
+                                                      mpmath.exp(-2 * t))
+
+
+def _kernel_mp_quad(t, g, n):
+    # the defining sphere integral 2^(-g) |S^(n-2)| int_{-1}^{1}
+    # (1-zeta^2)^((n-3)/2) (cosh t - zeta)^(-g) dzeta, with breakpoints that
+    # resolve the near-diagonal scale cosh t - 1 = 2 sinh^2(t/2)
+    mpmath.mp.dps = 40
+    t, g, n = mpmath.mpf(t), mpmath.mpf(g), mpmath.mpf(n)
+    ch, d = mpmath.cosh(t), 2 * mpmath.sinh(t / 2) ** 2
+    pts = [mpmath.mpf(1)]
+    k = 0
+    while 1 - d * 10 ** k > -1:
+        pts.append(1 - d * 10 ** k)
+        k += 1
+    pts.append(mpmath.mpf(-1))
+    val = mpmath.quad(lambda z: (1 - z * z) ** ((n - 3) / 2) * (ch - z) ** (-g),
+                      pts[::-1])
+    omega = 2 * mpmath.pi ** ((n - 1) / 2) / mpmath.gamma((n - 1) / 2)
+    return 2 ** (-g) * omega * val
+
+
+@pytest.mark.parametrize("n,sigma", KERNEL_PAIRS)
+def test_closed_forms_within_est_error_of_mpmath(n, sigma):
+    prm = derive_params(n, sigma)
+    tiny = np.finfo(float).tiny
+    for kind, g, ts in (("riesz", prm.gamma_s, KERNEL_TS),
+                        ("singular", prm.gamma_dual, KERNEL_TS[4:])):
+        tab = build_kernel_table(prm, kind, ts)
+        for t, val, err in tab.rows():
+            ref = float(_kernel_mp_hyp2f1(t, g, n))
+            if ref >= tiny:
+                assert abs(val - ref) <= err, (kind, t, val, ref)
+            else:   # past the normal doubles only an absolute bound holds
+                assert abs(val - ref) <= tiny, (kind, t, val, ref)
+
+
+@pytest.mark.parametrize("n,sigma", KERNEL_PAIRS)
+def test_hypergeometric_form_is_the_sphere_integral(n, sigma):
+    # certifies the identity behind the closed form, where the diagonal is
+    # nearest (t = t_min) and at t = 1
+    prm = derive_params(n, sigma)
+    for g in (prm.gamma_s, prm.gamma_dual):
+        for t in (1e-3, 1.0):
+            quad_v, hyp_v = _kernel_mp_quad(t, g, n), _kernel_mp_hyp2f1(t, g, n)
+            assert abs(quad_v / hyp_v - 1) < 1e-20
+
+
+@pytest.mark.parametrize("n,sigma", KERNEL_PAIRS)
+def test_singular_kernel_accurate_at_t_min(n, sigma):
+    # forming cosh t - 1 in doubles costs eps / (t^2/2) relative here, which
+    # the exponent gamma_dual amplifies to 6e-10 .. 1e-9
+    prm = derive_params(n, sigma)
+    ref = float(_kernel_mp_hyp2f1(1e-3, prm.gamma_dual, n))
+    assert singular_kernel_cyl(1e-3, prm) == pytest.approx(ref, rel=1e-13)
 
 
 # ─────────────────────────────────────────────────────────────────────────────
