@@ -90,11 +90,12 @@ def _collocation_matrix(ts: np.ndarray, L: float, prm: Params,
         lambda a: riesz_kernel_cyl(a, prm),
         np.arange(2 * m + 1) * h, L, _periodization_order(L, prm))
     k = np.arange(m + 1)
-    kk, qq = np.meshgrid(k, k, indexing="ij")
-    W = lattice[np.abs(kk - qq)] + lattice[kk + qq]
+    W = lattice[np.abs(k[:, None] - k)]
+    W += lattice[k[:, None] + k]
     W[:, 0] = lattice[k]            # tau = 0 contributes once
     W[:, m] = lattice[np.abs(k - m)]  # tau = L pairs with tau = -L by periodicity
-    return prm.c_ns * kappa * h * W
+    W *= prm.c_ns * kappa * h
+    return W
 
 
 def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
@@ -127,7 +128,8 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
     while norm > tol:
         if it >= max_iter:
             raise NewtonError("iteration budget exhausted", norm, it)
-        Jac = np.eye(m + 1) - A * (prm.p * v ** (prm.p - 1.0))[None, :]
+        Jac = A * -(prm.p * v ** (prm.p - 1.0))
+        Jac.flat[::m + 2] += 1.0
         step = np.linalg.solve(Jac, -F)
         alpha = 1.0
         for _ in range(50):

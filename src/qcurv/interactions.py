@@ -318,10 +318,15 @@ def _zt_factor(r2: np.ndarray, lam: float, prm: Params) -> np.ndarray:
 def gram_cokernels(cfg: TowerConfig, prm: Params, tol: float = 1e-9) -> np.ndarray:
     """Pairings of the variation modes of one tower, as printed: modes >= 1
     pair cokernel with cokernel, mode 0 pairs cokernel with kernel.
+    Requires the standard common-center configuration.
 
-    Cross-mode blocks vanish by the angular average (Kronecker structure);
-    the translation diagonal carries the 1/n moment of |x|^2.  Requires the
-    standard common-center configuration.
+    Cross-mode blocks vanish by the angular average and are exactly 0; the
+    translation block (with the 1/n moment of |x|^2) repeats on each mode's
+    diagonal.  Each block is one matrix product of the levels' profiles on
+    Gauss-Legendre panels of width 1/2 in t = -ln|x| over [t_0 - 30,
+    t_J + 30].  tol bounds every entry's error relative to its absolute mass
+    (the integral of |integrand|): the 8-point rule on the same panels must
+    agree that well, otherwise QuadratureError is raised.
     """
     if cfg.levels > 6:
         raise ValueError("Gram truncation limited to 6 levels")
@@ -329,42 +334,28 @@ def gram_cokernels(cfg: TowerConfig, prm: Params, tol: float = 1e-9) -> np.ndarr
         raise ValueError("Gram matrix is defined at the common-center configuration")
     n = prm.n
     heights = cfg.level_heights()
-    lams = cfg.scales()
-    slopes = cfg.baseline * np.exp(-heights)
-    idx = gram_indices(cfg)
-    dim = len(idx)
-    G = np.zeros((dim, dim))
-
-    def pair_quad(f, tj, tk):
-        lo, hi = min(tj, tk) - 30.0, max(tj, tk) + 30.0
-        val, _ = quad(f, lo, hi, epsabs=1e-15, epsrel=tol, limit=500,
-                      points=[tj, tk, 0.5 * (tj + tk)])
-        return val
-
-    def u_at(r2, lam):
-        return (2.0 * lam / (lam * lam + r2)) ** prm.gamma_s
-
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            j, k = ia.level, ib.level
-            lj, lk = lams[j], lams[k]
-            tj, tk = heights[j], heights[k]
-            if ia.mode == 0 and ib.mode == 0:
-                def f(t, lj=lj, lk=lk, j=j, k=k):
-                    r2 = np.exp(-2.0 * t)
-                    zbar = (nonlin_prime(u_at(r2, lj), prm)
-                            * _z0_radial(r2, lj, slopes[j], prm))
-                    z = _z0_radial(r2, lk, slopes[k], prm)
-                    return zbar * z * np.exp(-n * t)
-                G[a, b] = prm.omega_sphere * pair_quad(f, tj, tk)
-            elif ia.mode >= 1 and ib.mode >= 1:
-                if ia.mode != ib.mode:
-                    continue  # angular average of x_l x_m vanishes for l != m
-                def f(t, lj=lj, lk=lk):
-                    r2 = np.exp(-2.0 * t)
-                    zbar_j = nonlin_prime(u_at(r2, lj), prm) * _zt_factor(r2, lj, prm)
-                    zbar_k = nonlin_prime(u_at(r2, lk), prm) * _zt_factor(r2, lk, prm)
-                    return r2 * zbar_j * zbar_k * np.exp(-n * t)
-                G[a, b] = prm.omega_sphere / n * pair_quad(f, tj, tk)
-            # mixed dilation/translation blocks vanish by odd symmetry
+    lams = cfg.scales()[:, None]
+    slopes = cfg.baseline * np.exp(-heights)[:, None]
+    lo, hi = heights[0] - 30.0, heights[-1] + 30.0
+    edges = np.linspace(lo, hi, int(np.ceil(2.0 * (hi - lo))) + 1)
+    vals, mass = [], None
+    for order in (16, 8):
+        t, w = gauss_panels(edges, order)
+        r2 = np.exp(-2.0 * t)
+        wj = w * np.exp(-n * t)
+        fp = nonlin_prime((2.0 * lams / (lams * lams + r2)) ** prm.gamma_s, prm)
+        z0 = _z0_radial(r2, lams, slopes, prm)
+        zt = fp * _zt_factor(r2, lams, prm)
+        # (weighted left profiles, right profiles, factor) per block
+        blocks = ((fp * z0 * wj, z0, prm.omega_sphere),
+                  (zt * r2 * wj, zt, prm.omega_sphere / n))
+        vals.append(np.stack([c * (a @ b.T) for a, b, c in blocks]))
+        if mass is None:
+            mass = np.stack([c * (np.abs(a) @ np.abs(b).T) for a, b, c in blocks])
+    check_rules(vals[0] / mass, vals[1] / mass, tol, "gram_cokernels", scale=1.0)
+    m = cfg.dim + 1  # row a = level * m + mode, as in gram_indices
+    G = np.zeros((m * (cfg.levels + 1),) * 2)
+    G[0::m, 0::m] = vals[0][0]
+    for mode in range(1, m):
+        G[mode::m, mode::m] = vals[0][1]
     return G

@@ -150,12 +150,19 @@ def periodized_lattice(
 # ─────────────────────────────────────────────────────────────────────────────
 
 
+@lru_cache(maxsize=None)
+def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], read-only (shared)."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
 def gauss_panels(edges, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on the panels between
     consecutive edges, flattened panel by panel."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
+    gx, gw = _unit_rule(order)
     edges = np.asarray(edges, dtype=float)
     h = np.diff(edges)
     return (edges[:-1, None] + h[:, None] * gx).ravel(), (h[:, None] * gw).ravel()

@@ -283,3 +283,93 @@ class TestGram:
             cfg = TowerConfig(index=0, center=np.zeros(5), period=2.0,
                               levels=2, shifts=shifts)
             it.gram_cokernels(cfg, PRM)
+
+
+def _gram_integrand(cfg, prm, j, k, mode):
+    """Integrand in t = -ln|x| and prefactor of the (level j, level k) entry
+    of the dilation (mode 0) or translation (mode >= 1) block."""
+    heights, lams = cfg.level_heights(), cfg.scales()
+    slopes = cfg.baseline * np.exp(-heights)
+    lj, lk, n = lams[j], lams[k], prm.n
+
+    def u_at(r2, lam):
+        return (2.0 * lam / (lam * lam + r2)) ** prm.gamma_s
+
+    if mode == 0:
+        def f(t):
+            r2 = np.exp(-2.0 * t)
+            zbar = (nonlin_prime(u_at(r2, lj), prm)
+                    * it._z0_radial(r2, lj, slopes[j], prm))
+            return zbar * it._z0_radial(r2, lk, slopes[k], prm) * np.exp(-n * t)
+        return f, prm.omega_sphere
+
+    def f(t):
+        r2 = np.exp(-2.0 * t)
+        zbar_j = nonlin_prime(u_at(r2, lj), prm) * it._zt_factor(r2, lj, prm)
+        zbar_k = nonlin_prime(u_at(r2, lk), prm) * it._zt_factor(r2, lk, prm)
+        return r2 * zbar_j * zbar_k * np.exp(-n * t)
+    return f, prm.omega_sphere / n
+
+
+def gram_quad(cfg, prm, tol=1e-9):
+    """The per-entry adaptive quadrature gram_cokernels used before its
+    fixed rule, kept as the oracle: one quad per nonzero entry, on
+    [min(t_j, t_k) - 30, max(t_j, t_k) + 30] with breakpoints at the levels.
+    Its epsabs of 1e-15 leaves entries near that size inaccurate."""
+    heights = cfg.level_heights()
+    idx = it.gram_indices(cfg)
+    G = np.zeros((len(idx), len(idx)))
+    for a, ia in enumerate(idx):
+        for b, ib in enumerate(idx):
+            if (ia.mode == 0) != (ib.mode == 0) or (ia.mode and ia.mode != ib.mode):
+                continue  # odd symmetry and the angular average vanish these
+            tj, tk = heights[ia.level], heights[ib.level]
+            f, c = _gram_integrand(cfg, prm, ia.level, ib.level, ia.mode)
+            val, _ = quad(f, min(tj, tk) - 30.0, max(tj, tk) + 30.0,
+                          epsabs=1e-15, epsrel=tol, limit=500,
+                          points=[tj, tk, 0.5 * (tj + tk)])
+            G[a, b] = c * val
+    return G
+
+
+def gram_entry_panelled(cfg, prm, j, k, mode):
+    """One entry by adaptive quad on every unit panel of the fixed rule's
+    window, with no absolute floor: accurate to about 1e-13 of its own
+    size however small it is."""
+    heights = cfg.level_heights()
+    edges = np.arange(heights[0] - 30.0, heights[-1] + 30.5, 1.0)
+    f, c = _gram_integrand(cfg, prm, j, k, mode)
+    with warnings.catch_warnings():
+        # roundoff warnings on panels whose share of the sum is negligible
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return c * sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+
+
+class TestGramFixedRule:
+    @pytest.mark.parametrize("n,s", [(5, 1.5), (7, 2.5)])
+    def test_matches_per_entry_quad(self, n, s):
+        prm = derive_params(n, s)
+        cfg = TowerConfig(index=0, center=np.zeros(n), period=2.0, levels=4)
+        G, ref = it.gram_cokernels(cfg, prm), gram_quad(cfg, prm)
+        assert np.array_equal(G == 0.0, ref == 0.0)
+        big = np.abs(ref) >= 1e-10 * np.max(np.abs(ref))
+        assert np.all(np.abs(G - ref)[big] <= 1e-11 * np.abs(ref[big]))
+
+    def test_tiny_entries_match_panelled_quad(self):
+        # entries down to 1e-51 of the largest one; the per-entry quad's
+        # epsabs gave (level 0, level 6, mode 1) = 1.97350e-14 for 1.97292e-14
+        cfg = TowerConfig(index=0, center=np.zeros(5), period=2.0, levels=6)
+        G = it.gram_cokernels(cfg, PRM)
+        m = PRM.n + 1
+        for mode in (0, 1):
+            block = G[mode::m, mode::m]
+            for j in range(cfg.levels + 1):
+                for k in range(cfg.levels + 1):
+                    ref = gram_entry_panelled(cfg, PRM, j, k, mode)
+                    assert block[j, k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_rule_gap_above_tol_raises(self):
+        cfg = TowerConfig(index=0, center=np.zeros(5), period=2.0, levels=4)
+        with pytest.raises(QuadratureError, match="gram_cokernels"):
+            it.gram_cokernels(cfg, PRM, tol=1e-14)

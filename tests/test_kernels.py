@@ -12,6 +12,7 @@ from qcurv.kernels import (
     KERNEL_REL_ERR,
     Calibration,
     _profile_convolution,
+    _unit_rule,
     build_kernel_table,
     calibrate_cyl_kernel,
     decay_slope,
@@ -155,6 +156,25 @@ def test_gauss_panels_exact_on_polynomials():
         assert np.all(np.diff(x) > 0)
         assert w @ x ** (2 * order - 1) == pytest.approx(3.0 ** (2 * order) / (2 * order),
                                                           rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_gauss_panels_cached_rule_is_bit_identical_and_read_only(order):
+    # the uncached formula: leggauss scaled to [0, 1], then onto each panel
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    edges = np.array([-3.0, -2.5, 0.0, 1e-3, 7.25])
+    h = np.diff(edges)
+    for _ in range(2):  # a second call reads the same cached rule
+        x, w = gauss_panels(edges, order)
+        assert np.array_equal(x, (edges[:-1, None] + h[:, None] * gx).ravel())
+        assert np.array_equal(w, (h[:, None] * gw).ravel())
+    ux, uw = _unit_rule(order)
+    assert np.array_equal(ux, gx) and np.array_equal(uw, gw)
+    assert not ux.flags.writeable and not uw.flags.writeable
+    with pytest.raises(ValueError):
+        ux[0] = 0.0
+    assert x.flags.writeable  # callers own the panel arrays
 
 
 def _profile_convolution_loop(t_grid, prm, halfwidth=45.0, nodes_per_unit=12):
