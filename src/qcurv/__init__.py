@@ -4,9 +4,9 @@ The package is organized bottom-up:
 
 - ``params``       derived exponents and normalizing constants
 - ``kernels``      cylindrical reduction of the Riesz kernel, periodization, calibration
-- ``bubbles``      bubble profiles, Emden-Fowler transforms, towers, (co)kernel modes
+- ``bubbles``      bubble profiles, towers, kernel modes
 - ``delaunay``     periodic cylinder solutions, neck diagnostics
-- ``interactions`` interaction constants and integrals, cokernel Gram matrices
+- ``interactions`` interaction constants, the interaction function, cokernel Gram matrices
 - ``balancing``    force-balance equations for multi-point configurations
 - ``toda``         upper-banded interaction operators and their explicit inverses
 - ``assembler``    glued approximate solutions, dual-operator application, residuals

@@ -60,10 +60,7 @@ from .delaunay import CylSolution, solve_periodic, delaunay_to_rn
 __all__ = [
     "ApproxSolution",
     "WeightSpec",
-    "ResidualReport",
     "assemble",
-    "assemble_single",
-    "cutoff",
     "dual_apply",
     "dual_apply_radial",
     "residual",
@@ -166,13 +163,6 @@ class ApproxSolution:
                 return False
         return True
 
-    def tower_sum(self, x: np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for cfg in self.towers:
-            out = out + tower_eval(x, cfg, self.prm, half=True)
-        return float(out) if out.ndim == 0 else out
-
     def correction(self, x: np.ndarray, i: int) -> float | np.ndarray:
         """phi_i: exact periodic profile about x_i minus its two-sided tower.
 
@@ -250,25 +240,6 @@ def assemble(balanced: BalancedConfig, prm: Params,
                           base_towers=base, cyls=cyls,
                           baselines=np.asarray(balanced.R, dtype=float),
                           balanced=balanced, kappa=kappa)
-
-
-def assemble_single(center: np.ndarray, R: float, L: float, prm: Params,
-                    levels: int = 6, M: int = 400,
-                    solver_tol: float = 1e-10,
-                    perturb: list[tuple[np.ndarray, np.ndarray]] | None = None,
-                    tau: float = 0.5) -> ApproxSolution:
-    """One-point assembly (the pipeline null test); no balancing involved."""
-    center = np.asarray(center, dtype=float)
-    kappa = cached_kappa(prm)
-    cyl = solve_periodic(L, prm, M=M, tol=solver_tol, kappa=kappa)
-    a0 = np.zeros((1, center.shape[0]))
-    towers, base = _build_towers(center[None, :], np.array([float(R)]),
-                                 np.array([float(L)]), a0, perturb, prm,
-                                 levels, tau)
-    return ApproxSolution(prm=prm, centers=center[None, :], towers=towers,
-                          base_towers=base, cyls=(cyl,),
-                          baselines=np.array([float(R)]), balanced=None,
-                          kappa=kappa)
 
 
 # ─────────────────────────────────────────────────────────────────────────────

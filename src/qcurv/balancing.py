@@ -20,21 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import Params, derive_params
+from .params import Params
 from .interactions import InteractionConstants
 
 __all__ = [
     "SingularSet",
     "BalancedConfig",
     "BalanceError",
-    "JacobianReport",
-    "solve_B1",
-    "solve_B2",
-    "residual_B1",
     "balance_jacobian",
     "periods_from_q",
     "balance",
-    "config_from_json",
     "balanced_to_json",
 ]
 
@@ -266,14 +261,6 @@ def balance(sigma_set: SingularSet, q: np.ndarray, L: float,
         a0 - solve_B2(sigma_set, q, R, constants, prm))))
     return BalancedConfig(sigma_set=sigma_set, q=q, R=R, a0_hat=a0,
                           L=float(L), L_i=L_i, resid_B1=r1, resid_B2=r2)
-
-
-def config_from_json(doc: str | dict) -> tuple[Params, SingularSet, np.ndarray, float]:
-    data = json.loads(doc) if isinstance(doc, str) else doc
-    prm = derive_params(int(data["n"]), float(data["sigma"]))
-    sigma_set = SingularSet(points=np.asarray(data["points"], dtype=float))
-    q = np.asarray(data["q"], dtype=float)
-    return prm, sigma_set, q, float(data["L"])
 
 
 def balanced_to_json(cfg: BalancedConfig, prm: Params) -> str:

@@ -1,10 +1,11 @@
 """Bubbles, bubble towers, and their variation kernels.
 
-The building blocks are the radial profiles (2*lam / (lam^2 + |x-x0|^2))^gamma_s
-together with their images under the logarithmic change of variables that turns
-dilation into translation.  A tower stacks geometrically shrinking copies at a
-common center; the variation kernels are the analytic derivatives of one tower
-level with respect to its dilation perturbation and its center.
+The building blocks are the radial profiles (2*lam / (lam^2 + |x-x0|^2))^gamma_s.
+In log coordinates t = -ln|x - x0|, where e^(-gamma_s t) u(e^(-t)) turns the
+unit bubble into cosh(t)^(-gamma_s), dilation acts as translation.  A tower
+stacks geometrically shrinking copies at a common center; the variation
+kernels are the analytic derivatives of one tower level with respect to its
+dilation perturbation and its center.
 
 Everything here is pure evaluation over frozen configurations.
 """
@@ -12,24 +13,19 @@ Everything here is pure evaluation over frozen configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .params import Params, nonlin_prime
+from .params import Params
 
 __all__ = [
     "Bubble",
     "TowerConfig",
     "KernelIndex",
     "bubble_eval",
-    "ef_forward",
-    "ef_inverse",
     "tower_eval",
     "kernel_Z",
-    "cokernel_Zbar",
     "cyl_coefficient",
-    "flat_profile",
 ]
 
 
@@ -57,33 +53,6 @@ def bubble_eval(x: np.ndarray, b: Bubble, prm: Params) -> float | np.ndarray:
     return float(val) if np.ndim(val) == 0 else val
 
 
-# ─────────────────────────────────────────────────────────────────────────────
-# log coordinates
-
-
-def ef_forward(u: Callable[[float], float], t: float | np.ndarray,
-               prm: Params) -> float | np.ndarray:
-    """Profile in log coordinates: exp(-gamma_s*t) * u(exp(-t)).
-
-    `u` is a radial evaluator taking the radius.  A bubble with scale lam at
-    the origin becomes cosh(t + ln(lam))^(-gamma_s); dilation acts by shifting
-    t, which is what makes towers periodic objects in this picture.
-    """
-    t = np.asarray(t, dtype=float)
-    val = np.exp(-prm.gamma_s * t) * u(np.exp(-t))
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def ef_inverse(v: Callable[[float], float], x: np.ndarray | float,
-               prm: Params) -> float:
-    """Undo ef_forward: |x|^(-gamma_s) * v(-ln|x|).  Rejects x = 0."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.sqrt(np.sum(x * x))) if x.ndim == 1 else float(abs(x))
-    if r == 0.0:
-        raise ValueError("log coordinates degenerate at the origin")
-    return r ** (-prm.gamma_s) * v(-np.log(r))
-
-
 def cyl_coefficient(prm: Params) -> float:
     """Height of the exact flat profile a*|x|^(-gamma_s).
 
@@ -94,16 +63,6 @@ def cyl_coefficient(prm: Params) -> float:
     this closed form against the kernel-mass route in log coordinates.
     """
     return float((prm.c_ns / prm.q_ns) ** (1.0 / (prm.p - 1.0)))
-
-
-def flat_profile(x: np.ndarray, prm: Params) -> float | np.ndarray:
-    """The exact singular solution a_ns * |x|^(-gamma_s)."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    if np.any(r2 == 0.0):
-        raise ValueError("flat profile is singular at the origin")
-    val = cyl_coefficient(prm) * r2 ** (-0.5 * prm.gamma_s)
-    return float(val) if np.ndim(val) == 0 else val
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -259,14 +218,6 @@ class KernelIndex:
             raise ValueError("kernel mode must be >= 0")
 
 
-def _check_index(idx: KernelIndex, cfg: TowerConfig) -> tuple[float, np.ndarray]:
-    if idx.tower != cfg.index:
-        raise ValueError(f"index targets tower {idx.tower}, config is {cfg.index}")
-    if idx.mode > cfg.dim:
-        raise ValueError(f"mode {idx.mode} out of range for dimension {cfg.dim}")
-    return cfg.level(idx.level)
-
-
 def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
              prm: Params) -> float | np.ndarray:
     """Analytic derivative of one tower level at the current configuration.
@@ -276,7 +227,11 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
     dU/dlam = gamma_s*U*(rho^2-lam^2)/(lam*(lam^2+rho^2)).  Modes ell >= 1
     return -lam_j * dU/dx_ell = 2*gamma_s*lam_j*(x-x0)_ell*U/(lam^2+rho^2).
     """
-    lam, ctr = _check_index(idx, cfg)
+    if idx.tower != cfg.index:
+        raise ValueError(f"index targets tower {idx.tower}, config is {cfg.index}")
+    if idx.mode > cfg.dim:
+        raise ValueError(f"mode {idx.mode} out of range for dimension {cfg.dim}")
+    lam, ctr = cfg.level(idx.level)
     x = np.asarray(x, dtype=float)
     diff = x - ctr
     rho2 = np.sum(diff**2, axis=-1)
@@ -288,10 +243,3 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
         val = (2.0 * prm.gamma_s * lam * diff[..., idx.mode - 1]
                * u / (lam**2 + rho2))
     return float(val) if np.ndim(val) == 0 else val
-
-
-def cokernel_Zbar(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
-                  prm: Params) -> float | np.ndarray:
-    """Linearized-nonlinearity weight times the kernel of the same level."""
-    u = bubble_eval(x, Bubble(*_check_index(idx, cfg)), prm)
-    return nonlin_prime(u, prm) * kernel_Z(x, idx, cfg, prm)

@@ -32,8 +32,6 @@ from .kernels import (cached_kappa, check_rules, gauss_panels, periodized_lattic
 __all__ = [
     "CylSolution",
     "NewtonError",
-    "SweepRow",
-    "SweepResult",
     "solve_periodic",
     "delaunay_to_rn",
     "neck_sweep",

@@ -6,10 +6,10 @@ far-apart centers, A3 the translation coupling between far-apart centers.
 The printed integrals for A2/A3 diverge at infinity for sigma >= 1/2; the
 convergent variant replaces the weight exponent -(gamma_s+1) by
 -(gamma_dual+1), whose radial integrals are Beta functions, and the result
-is certified against a direct quadrature of the two-bubble interaction
-integrals the constants are meant to summarize.
+is checked against a direct quadrature of the two-bubble interaction
+integrals the constants are meant to summarize (oracle_fit_constants).
 
-Rescaling that interaction integral to unit bubble scale shows the certified
+Rescaling that interaction integral to unit bubble scale shows the
 constants carry fixed conversion factors relative to the corrected bare
 integrals: c_ns * 2^n for the dilation mode (a p-factor cancels against
 2*gamma_s/(n+2*sigma)) and c_ns * p * 2^n for the translation mode.  The
@@ -29,23 +29,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import Params, nonlin_prime
 from .bubbles import TowerConfig, KernelIndex
-from .kernels import check_rules, gauss_panels
+from .kernels import QuadratureError, check_rules, gauss_panels
 
 __all__ = [
     "InteractionConstants",
-    "const_A1",
     "const_A2",
-    "const_A3",
     "interaction_constants",
     "oracle_fit_constants",
-    "certify_constants",
     "psi",
-    "interaction_lambda",
-    "interaction_faraway",
     "gram_cokernels",
     "gram_indices",
     "constants_payload",
@@ -67,18 +61,34 @@ class InteractionConstants:
                 f"got ({self.A1}, {self.A2}, {self.A3})")
 
 
+def _one_signed_integral(f, lo: float, hi: float, prm: Params, tol: float,
+                         what: str) -> float:
+    """int_lo^hi f dt for an f of one sign, whose features are 1/n wide, on
+    16-point panels of width min(1/2, 2.5/n); the 8-point rule must agree
+    to tol times the value, here the absolute mass, or QuadratureError."""
+    h = min(0.5, 2.5 / prm.n)
+    edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / h)) + 1)
+    fine, coarse = (w @ f(t) for t, w in (gauss_panels(edges, order)
+                                          for order in (16, 8)))
+    check_rules(fine, coarse, tol, what)
+    return float(fine)
+
+
 def const_A1(prm: Params, tol: float = 1e-10) -> float:
     """((n+2s)(n-2s)/n) * int (|x|^(2g)(1+|x|^2)^(g')+1)^(-1) dx, convergent
-    as printed (the integrand decays like |x|^(-2n))."""
-    def f(r: float) -> float:
-        return r ** (prm.n - 1) / (r ** (2 * prm.gamma_s)
-                                   * (1 + r * r) ** prm.gamma_dual + 1.0)
-    val, err = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=tol, limit=300)
-    pref = (prm.n + 2 * prm.sigma) * (prm.n - 2 * prm.sigma) / prm.n
-    out = pref * prm.omega_sphere * val
-    if err > 100 * tol * abs(val):
-        raise RuntimeError(f"A1 quadrature failed to converge (err {err:.2e})")
-    return float(out)
+    as printed.  In t = ln r the radial integrand is below e^(-n|t|) and
+    integrates to at least e^(-n)/(2^g' + 1) over [-1, 0], so the window
+    |t| <= X leaves tails under tol times the value."""
+    n, g, gd = prm.n, prm.gamma_s, prm.gamma_dual
+    X = 1.0 + np.log(2.0 * (2.0 ** gd + 1.0) / (n * tol)) / n
+
+    def f(t: np.ndarray) -> np.ndarray:
+        r = np.exp(t)
+        return r ** n / (r ** (2 * g) * (1 + r * r) ** gd + 1.0)
+
+    pref = (n + 2 * prm.sigma) * (n - 2 * prm.sigma) / n
+    return pref * prm.omega_sphere * _one_signed_integral(f, -X, X, prm, tol,
+                                                          "A1")
 
 
 def _radial_moment(a: float, prm: Params) -> float:
@@ -105,7 +115,7 @@ def const_A3(prm: Params) -> float:
 
 
 def interaction_constants(prm: Params, tol: float = 1e-10) -> InteractionConstants:
-    """A1 by convergent radial quadrature, A2 and A3 in closed form."""
+    """A1 by a fixed radial rule, A2 and A3 in closed form."""
     return InteractionConstants(
         A1=const_A1(prm, tol),
         A2=const_A2(prm),
@@ -123,32 +133,6 @@ def _dlam_bubble(r2: np.ndarray, lam: float, prm: Params) -> np.ndarray:
     """d/d lam of (2 lam/(lam^2+r^2))^g at squared radius r2."""
     u = (2.0 * lam / (lam * lam + r2)) ** prm.gamma_s
     return prm.gamma_s * u * (r2 - lam * lam) / (lam * (lam * lam + r2))
-
-
-def interaction_lambda(l1: float, l2: float, prm: Params,
-                       tol: float = 1e-9) -> float:
-    """int f'(U_1) U_2 d_lam1 U_1 dx for two concentric bubbles.
-
-    Radial, evaluated in log coordinates where the integrand is a fixed
-    shape: the value equals omega_sphere / lam1 times the two-scale
-    interaction function at |ln(l2/l1)|, signed by ln(l2/l1).
-    """
-    if l1 <= 0 or l2 <= 0:
-        raise ValueError("scales must be positive")
-
-    def f(t: float) -> float:
-        r2 = np.exp(-2.0 * t)
-        u1 = (2.0 * l1 / (l1 * l1 + r2)) ** prm.gamma_s
-        u2 = (2.0 * l2 / (l2 * l2 + r2)) ** prm.gamma_s
-        return (nonlin_prime(u1, prm) * u2 * _dlam_bubble(r2, l1, prm)
-                * np.exp(-prm.n * t))
-
-    t1, t2 = -np.log(l1), -np.log(l2)
-    lo = min(t1, t2) - 40.0
-    hi = max(t1, t2) + 40.0
-    val, err = quad(f, lo, hi, epsabs=1e-14, epsrel=tol, limit=400,
-                    points=[t1, t2, 0.5 * (t1 + t2)] if hi - lo < 1e3 else None)
-    return float(prm.omega_sphere * val)
 
 
 def _graded_edges(lo: float, hi: float, centers) -> np.ndarray:
@@ -243,21 +227,6 @@ def oracle_fit_constants(prm: Params, tol: float = 1e-8,
     )
 
 
-def certify_constants(prm: Params, tol: float = 1e-8,
-                      gate: float = 0.02) -> tuple[InteractionConstants, InteractionConstants]:
-    """Closed integrals against the oracle fit; disagreement is an error."""
-    closed = interaction_constants(prm)
-    fitted = oracle_fit_constants(prm, tol)
-    rel2 = abs(fitted.A2 - closed.A2) / closed.A2
-    rel3 = abs(fitted.A3 - closed.A3) / abs(closed.A3)
-    if max(rel2, rel3) > gate:
-        raise RuntimeError(
-            f"interaction constants disagree beyond {gate:.0%}: "
-            f"A2 {closed.A2:.6g} vs {fitted.A2:.6g} ({rel2:.2%}), "
-            f"A3 {closed.A3:.6g} vs {fitted.A3:.6g} ({rel3:.2%})")
-    return closed, fitted
-
-
 def constants_payload(ic: InteractionConstants, prm: Params) -> str:
     return json.dumps({
         "n": prm.n, "sigma": prm.sigma,
@@ -273,24 +242,35 @@ def constants_payload(ic: InteractionConstants, prm: Params) -> str:
 def psi(ell: float, prm: Params, tol: float = 1e-10) -> float:
     """int f'(v(t)) v(t+ell) v'(t) dt for the even profile v = cosh^(-g).
 
-    Written as an integral over t >= 0 of the antisymmetrized integrand, so
-    psi(0) vanishes identically instead of relying on cancellation.  Positive
-    for ell >~ 2 and asymptotically proportional to e^(-g*ell).
+    Written over t >= 0 with the antisymmetrized integrand, so psi(0)
+    vanishes identically; that integrand has one sign, so psi > 0.  Its
+    factor e^(-g ell) is taken out in closed form.  The rest is below
+    2^n e^(-2 sigma t), and past t = ell below 2^n e^(2 g ell - n t)
+    min(1, 2 g ell): the window ends where the nearer bound leaves a tail
+    of tol times a small factor, and QuadratureError is raised when that
+    tail is not below tol times the value or the 8-point rule disagrees.
     """
     if ell < 0:
         raise ValueError("the offset must be nonnegative")
-    if ell == 0.0:
-        return 0.0
-    g, gd = prm.gamma_s, prm.gamma_dual
-    pref = -prm.c_ns * prm.p * prm.gamma_s
+    g, n, two_s = prm.gamma_s, prm.n, 2.0 * prm.sigma
+    budget = np.log(2.0 ** n / tol)
+    near, far = ell + 2.0 + budget / n, 2.0 + budget / two_s
+    # the nearer end, with its tail bound over tol
+    T, tail = ((near, np.exp(-two_s * ell - 2.0 * n)
+                * min(1.0, 2.0 * g * ell) / n)
+               if near < far else (far, np.exp(-2.0 * two_s) / two_s))
 
-    def f(t: float) -> float:
-        bracket = (np.cosh(t + ell) ** (-g) - np.cosh(t - ell) ** (-g))
-        return np.tanh(t) * np.cosh(t) ** (-gd) * bracket
+    def f(t: np.ndarray) -> np.ndarray:
+        # e^(g ell) 2^(-g) (cosh(t-ell)^(-g) - cosh(t+ell)^(-g))
+        bracket = ((np.exp(-t) + np.exp(t - 2.0 * ell)) ** (-g)
+                   - (np.exp(t) + np.exp(-t - 2.0 * ell)) ** (-g))
+        return np.tanh(t) * np.cosh(t) ** (-prm.gamma_dual) * bracket
 
-    val, err = quad(f, 0.0, 60.0 + ell, epsabs=1e-13, epsrel=tol, limit=400,
-                    points=[ell])
-    return float(pref * val)
+    val = _one_signed_integral(f, 0.0, T, prm, tol, "psi")
+    if not tail <= val:
+        raise QuadratureError(f"psi({ell}): the tail beyond t = {T:.3g} may "
+                              f"exceed tol {tol:.1e} x the value")
+    return float(prm.c_ns * prm.p * g * 2.0 ** g * np.exp(-g * ell) * val)
 
 
 # ─────────────────────────────────────────────────────────────────────────────

@@ -43,30 +43,22 @@ class Params:
 
     gamma_s      (n - 2 sigma)/2, decay rate of the singular profile
     gamma_dual   (n + 2 sigma)/2, decay rate of the dual-side density
-    m, s         integer and fractional parts of sigma (s in [0, 1))
     p            critical power (n + 2 sigma)/(n - 2 sigma)
-    crit_exp     Sobolev-type exponent 2n/(n - 2 sigma)
     c_ns         normalizing constant of the nonlinearity,
                  2^{2 sigma} Gamma((n+2 sigma)/4)^2 / Gamma((n-2 sigma)/4)^2
     q_ns         curvature normalization Gamma((n+2 sigma)/2)/Gamma((n-2 sigma)/2)
     riesz_const  constant of the inverse-operator kernel,
                  Gamma(gamma_s) / (4^sigma pi^{n/2} Gamma(sigma))
-    kappa_ns     constant of the order-s singular integral kernel (uses the
-                 fractional part s; identically 0 at integer sigma)
     """
 
     n: int
     sigma: float
-    m: int
-    s: float
     gamma_s: float
     gamma_dual: float
     p: float
-    crit_exp: float
     c_ns: float
     q_ns: float
     riesz_const: float
-    kappa_ns: float
 
     @property
     def omega_sphere(self) -> float:
@@ -99,33 +91,22 @@ def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params
             "pass allow_low_order=True for cross-check use"
         )
 
-    m = int(math.floor(sigma))
-    s = sigma - m
     gamma_s = 0.5 * (n - 2.0 * sigma)
     gamma_dual = 0.5 * (n + 2.0 * sigma)
     p = (n + 2.0 * sigma) / (n - 2.0 * sigma)
-    crit_exp = 2.0 * n / (n - 2.0 * sigma)
     c_ns = 4.0**sigma * (gamma_fn(0.25 * (n + 2.0 * sigma)) / gamma_fn(0.25 * (n - 2.0 * sigma))) ** 2
     q_ns = gamma_fn(gamma_dual) / gamma_fn(gamma_s)
     riesz_const = gamma_fn(gamma_s) / (4.0**sigma * math.pi ** (n / 2.0) * gamma_fn(sigma))
-    if s == 0.0:
-        kappa_ns = 0.0
-    else:
-        kappa_ns = math.pi ** (-n / 2.0) * 4.0**s * s * gamma_fn(n / 2.0 + s) / gamma_fn(1.0 - s)
 
     return Params(
         n=n,
         sigma=sigma,
-        m=m,
-        s=s,
         gamma_s=gamma_s,
         gamma_dual=gamma_dual,
         p=p,
-        crit_exp=crit_exp,
         c_ns=c_ns,
         q_ns=q_ns,
         riesz_const=riesz_const,
-        kappa_ns=kappa_ns,
     )
 
 

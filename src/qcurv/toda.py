@@ -9,61 +9,26 @@ forward summation with geometric partial sums
 
     x_j = -sum_{k>=j} g_{k-j+1} b_k,   g_m = (1 - c^m)/(1 - c)  (g_m = m at c=1),
 
-evaluated here by two backward scans instead of a dense factorization; the
+evaluated here by one backward scan instead of a dense factorization; the
 dense solve of the truncation is kept as a test oracle.  Levels at index K
 and beyond are treated as zero, consistent with the decaying sequence class.
+Sequences are (K,) scalar levels or (K, n) vector levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "WeightedSeq",
     "TodaOperator",
     "apply",
     "invert",
-    "weighted_norm",
     "amplification",
-    "dense_matrix",
 ]
 
 KINDS = ("translation", "dilation")
-
-
-@dataclass(frozen=True)
-class WeightedSeq:
-    entries: np.ndarray  # (K,) scalar levels or (K, n) vector levels
-    tau: float
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim not in (1, 2) or e.shape[0] == 0:
-            raise ValueError("entries must be a (K,) or (K, n) array")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entries must be finite")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def K(self) -> int:
-        return self.entries.shape[0]
-
-    @cached_property
-    def norm(self) -> float:
-        return weighted_norm(self.entries, self.tau)
-
-
-def weighted_norm(entries: np.ndarray, tau: float) -> float:
-    """max_j e^{(2j+1) tau} |b_j|, with the sup norm inside vector levels."""
-    e = np.asarray(entries, dtype=float)
-    mags = np.abs(e) if e.ndim == 1 else np.max(np.abs(e), axis=-1)
-    j = np.arange(e.shape[0])
-    return float(np.max(np.exp((2 * j + 1) * tau) * mags))
 
 
 @dataclass(frozen=True)
@@ -90,68 +55,53 @@ class TodaOperator:
         return float(np.exp(-2.0 * self.period))
 
     def weights(self) -> np.ndarray:
-        """g_1..g_K of the explicit inverse."""
+        """g_1..g_K of the explicit inverse; expm1 keeps them accurate as
+        the period goes to 0, where 1 - c cancels."""
         m = np.arange(1, self.K + 1, dtype=float)
         if self.kind == "dilation":
             return m
-        c = self.c
-        return (1.0 - c ** m) / (1.0 - c)
+        return np.expm1(-2.0 * self.period * m) / np.expm1(-2.0 * self.period)
 
 
-def _entries(b: WeightedSeq | np.ndarray) -> np.ndarray:
-    return b.entries if isinstance(b, WeightedSeq) else np.asarray(b, float)
+def _check_dim(op: TodaOperator, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] != op.K:
+        raise ValueError(f"sequence has {x.shape[0]} levels, operator {op.K}")
+    return x
 
 
-def _check_dim(op: TodaOperator, e: np.ndarray) -> None:
-    if e.shape[0] != op.K:
-        raise ValueError(f"sequence has {e.shape[0]} levels, operator {op.K}")
-
-
-def apply(op: TodaOperator, b: WeightedSeq | np.ndarray) -> WeightedSeq | np.ndarray:
+def apply(op: TodaOperator, b: np.ndarray) -> np.ndarray:
     """Banded product; references past the truncation read as zero."""
-    x = _entries(b)
-    _check_dim(op, x)
+    x = _check_dim(op, b)
     c = op.c
     out = -x.copy()
     out[:-1] += (1.0 + c) * x[1:]
     out[:-2] -= c * x[2:]
-    if isinstance(b, WeightedSeq):
-        return WeightedSeq(entries=out, tau=b.tau)
     return out
 
 
-def invert(op: TodaOperator, b: WeightedSeq | np.ndarray,
-           tau: float | None = None) -> WeightedSeq | np.ndarray:
+def invert(op: TodaOperator, b: np.ndarray) -> np.ndarray:
     """Solves the truncated system exactly by the forward summation.
 
-    Split g_{k-j+1} = (1 - c^{k-j+1})/(1-c): the plain part is a reversed
-    cumulative sum, the geometric part a backward discounted scan, so the
-    whole inverse costs two passes.  At c = 1 the weights are integers and
-    the second pass carries the (k+1)-moment instead.
+    With plain_j = sum_{k>=j} b_k, the sums d_j = sum_{k>=j} g_{k-j+1} b_k
+    obey d_j = plain_j + c d_{j+1}, so one backward scan gives x = -d for
+    both kinds.  Nothing is divided by 1 - c, so the scan keeps full
+    relative accuracy as the period goes to 0.
     """
-    x = _entries(b)
-    _check_dim(op, x)
+    x = _check_dim(op, b)
     c = op.c
-    if op.kind == "dilation":
-        plain = np.flip(np.cumsum(np.flip(x, 0), axis=0), 0)
-        j = np.arange(op.K, dtype=float).reshape((-1,) + (1,) * (x.ndim - 1))
-        moment = np.flip(np.cumsum(np.flip((j + 1.0) * x, 0), axis=0), 0)
-        out = -(moment - j * plain)
-    else:
-        plain = np.flip(np.cumsum(np.flip(x, 0), axis=0), 0)
-        disc = np.empty_like(x)
-        acc = np.zeros(x.shape[1:])
-        for k in range(op.K - 1, -1, -1):
-            acc = x[k] + c * acc
-            disc[k] = acc
-        out = -(plain - c * disc) / (1.0 - c)
-    if isinstance(b, WeightedSeq):
-        return WeightedSeq(entries=out, tau=b.tau if tau is None else tau)
-    return out
+    plain = np.flip(np.cumsum(np.flip(x, 0), axis=0), 0)
+    d = np.empty_like(x)
+    acc = np.zeros(x.shape[1:])
+    for k in range(op.K - 1, -1, -1):
+        acc = plain[k] + c * acc
+        d[k] = acc
+    return -d
 
 
 def amplification(op: TodaOperator, tau: float) -> float:
-    """Worst-case gain of invert on the tau-weighted unit ball.
+    """Worst-case gain of invert on the tau-weighted unit ball, where the
+    norm of b is max_j e^{(2j+1) tau} |b_j|.
 
     The aligned sequence b_k = -e^{-(2k+1) tau} attains it at level 0:
     sum_m g_m e^{-2(m-1) tau}.
@@ -160,13 +110,3 @@ def amplification(op: TodaOperator, tau: float) -> float:
         raise ValueError("tau must be positive")
     m = np.arange(1, op.K + 1, dtype=float)
     return float(np.sum(op.weights() * np.exp(-2.0 * (m - 1.0) * tau)))
-
-
-def dense_matrix(op: TodaOperator) -> np.ndarray:
-    T = -np.eye(op.K)
-    c = op.c
-    idx = np.arange(op.K - 1)
-    T[idx, idx + 1] = 1.0 + c
-    idx = np.arange(op.K - 2)
-    T[idx, idx + 2] = -c
-    return T

@@ -12,14 +12,13 @@ from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
 from qcurv import balancing as bal
 from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
-                             assemble_single, beta_leading_form,
-                             beta_projection, cutoff, dual_apply,
-                             dual_apply_radial, mc_probe, residual,
-                             sample_grid, weighted_fn_norm, _dual_integral,
-                             _plain_integral)
+                             beta_leading_form, beta_projection, cutoff,
+                             dual_apply, dual_apply_radial, mc_probe,
+                             residual, sample_grid, weighted_fn_norm,
+                             _build_towers, _dual_integral, _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
-from qcurv.delaunay import delaunay_to_rn
+from qcurv.delaunay import delaunay_to_rn, solve_periodic
 from qcurv.kernels import QuadratureError, cached_kappa, riesz_kernel_cyl
 from qcurv.params import nonlin_prime
 
@@ -27,6 +26,20 @@ PRM = derive_params(5, 1.5)
 IC = interaction_constants(PRM)
 E1 = np.array([1.0, 0, 0, 0, 0])
 E2 = np.array([0.0, 1.0, 0, 0, 0])
+
+
+def assemble_single(center, R, L, prm, levels=6, M=400):
+    """One-point assembly, with no balancing: the pipeline null test."""
+    center = np.asarray(center, dtype=float)[None, :]
+    kappa = cached_kappa(prm)
+    towers, base = _build_towers(center, np.array([R]), np.array([L]),
+                                 np.zeros_like(center), None, prm, levels,
+                                 0.5)
+    return ApproxSolution(prm=prm, centers=center, towers=towers,
+                          base_towers=base,
+                          cyls=(solve_periodic(L, prm, M=M, kappa=kappa),),
+                          baselines=np.array([float(R)]), balanced=None,
+                          kappa=kappa)
 
 
 def pair(d=3.0):
@@ -120,7 +133,7 @@ class TestAssemble:
         u = balanced_pair
         for x in (0.2 * E1, 0.7 * E1, u.centers[1] + 0.4 * E2, 1.6 * E1,
                   9.0 * E2):
-            raw = u.tower_sum(x)
+            raw = sum(tower_eval(x, cfg, PRM) for cfg in u.towers)
             for i in range(u.size):
                 s = float(np.linalg.norm(x - u.centers[i]))
                 chi = float(cutoff(np.array([s]), u.cut_on, u.cut_off)[0])

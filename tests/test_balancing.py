@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
-from qcurv import balancing as bal
+from qcurv import balancing as bal, cli
 
 PRM = derive_params(5, 1.5)
 IC = interaction_constants(PRM)
@@ -210,8 +212,10 @@ class TestConfigIO:
         cfg = bal.balance(ss, q, 4.0, IC, PRM)
         assert cfg.resid_B1 <= 1e-12
         assert cfg.resid_B2 == 0.0
-        doc = bal.balanced_to_json(cfg, PRM)
-        prm2, ss2, q2, L2 = bal.config_from_json(doc)
+        # balanced.json reads back as a run configuration
+        doc = json.loads(bal.balanced_to_json(cfg, PRM))
+        prm2 = cli._params(doc)
+        ss2, q2, L2 = cli._config_geometry(doc)
         assert prm2.n == 5 and L2 == 4.0
         assert q2 == pytest.approx(cfg.q)
         assert ss2.points == pytest.approx(ss.points)

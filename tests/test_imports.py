@@ -1,8 +1,10 @@
-"""Every import in the package is used.
+"""Every import in the package is used, and every export has a reader.
 
-An AST scan of src/qcurv: a name bound by an import statement must be
-read somewhere in its module, or be listed in the module's __all__.
-``from __future__`` imports are exempt.
+Two AST scans of src/qcurv.  A name bound by an import statement must be
+read somewhere in its module, or be listed in the module's __all__
+(``from __future__`` imports are exempt).  A name in a module's __all__
+must be read by another module of the package, by bench/, by demos/ or by
+the acceptance gates: the unit tests alone do not keep a public name alive.
 """
 
 import ast
@@ -10,7 +12,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qcurv"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qcurv"
+# public names the README documents as the API, kept without another reader
+README_API = {"assembler.dual_apply", "assembler.mc_probe"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +51,76 @@ def test_scan_flags_an_unused_import():
            "import numpy as np\nfrom math import pi, tau\n"
            "__all__ = ['tau']\nx = pi\n")
     assert unused_imports(src) == ["line 2: np"]
+
+
+def exported(source: str) -> list[str]:
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def package_reads(source: str) -> set[str]:
+    """"module.name" for each qcurv name the source reads: imported by name
+    from a module (absolutely or relatively), or read as an attribute of a
+    module it imported."""
+    tree = ast.parse(source)
+    modules, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if not node.level:
+                if mod.split(".")[0] != "qcurv":
+                    continue
+                mod = mod.partition(".")[2]
+            for alias in node.names:
+                if mod:
+                    out.add(f"{mod}.{alias.name}")
+                else:   # from qcurv import toda as t
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qcurv" and len(parts) == 2 and alias.asname:
+                    modules[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.add(f"{modules[node.value.id]}.{node.attr}")
+    return out
+
+
+def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Names in a package module's __all__ that no other package module and
+    no reader source reads.  `package` maps module names to sources."""
+    outside = set().union(*map(package_reads, readers))
+    reads = {mod: package_reads(source) for mod, source in package.items()}
+    unread = []
+    for mod, source in sorted(package.items()):
+        seen = outside.union(*(r for other, r in reads.items() if other != mod))
+        unread += [f"{mod}.{name}" for name in exported(source)
+                   if f"{mod}.{name}" not in seen]
+    return unread
+
+
+def test_every_export_has_a_reader():
+    # the package's own __all__ re-exports params names
+    package = {p.stem: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    readers = [p.read_text(encoding="utf-8") for p in
+               sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"]]
+    unread = unread_exports(package, readers)
+    assert [name for name in unread if name not in README_API] == []
+
+
+def test_scan_flags_an_unread_export():
+    package = {"a": "__all__ = ['f', 'g', 'h', 'k']\ndef f(): g()\n",
+               "b": "from .a import f\n",
+               "c": "from . import a as m\nm.k\n"}
+    readers = ["from qcurv import a\nfrom qcurv.c import x\nx.h\n"]
+    # g is read only inside its own module, h only as an attribute of
+    # something that is not a package module
+    assert unread_exports(package, readers) == ["a.g", "a.h"]

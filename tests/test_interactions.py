@@ -67,17 +67,19 @@ class TestConstants:
                                                      rel=1e-10)
 
     def test_a1_against_mpmath(self):
+        # (3, 1.4) has the slowest tails, (20, 1.5) the narrowest peak
         mp.dps = 30
-        n, s = PRM.n, PRM.sigma
-        g, gd = PRM.gamma_s, PRM.gamma_dual
+        for n, s in ((5, 1.5), (7, 2.5), (3, 1.4), (6, 1.2), (20, 1.5)):
+            prm = derive_params(n, s)
+            g, gd = prm.gamma_s, prm.gamma_dual
 
-        def f(r):
-            return r ** (n - 1) / (r ** (2 * g) * (1 + r * r) ** gd + 1)
+            def f(r):
+                return r ** (n - 1) / (r ** (2 * g) * (1 + r * r) ** gd + 1)
 
-        ref = float(mp.quad(f, [0, 1, 10, mp.inf]))
-        pref = (n + 2 * s) * (n - 2 * s) / n
-        assert it.const_A1(PRM) == pytest.approx(
-            pref * PRM.omega_sphere * ref, rel=1e-9)
+            ref = float(mp.quad(f, [0, 1, 10, mp.inf]))
+            pref = (n + 2 * s) * (n - 2 * s) / n
+            assert it.const_A1(prm) == pytest.approx(
+                pref * prm.omega_sphere * ref, rel=1e-10)
 
     def test_signs(self):
         for (n, s) in ((5, 1.5), (7, 1.5), (7, 2.5)):
@@ -97,6 +99,43 @@ class TestConstants:
         assert data["A2"] == pytest.approx(ic.A2)
         assert data["method"] == "closed_integral"
         assert "est_error" in data
+
+
+def interaction_lambda(l1, l2, prm, tol=1e-9):
+    """int f'(U_1) U_2 d_lam1 U_1 dx for two concentric bubbles, by
+    adaptive quadrature in log coordinates: the oracle of psi.  It equals
+    omega_sphere / lam1 times the two-scale interaction function at
+    |ln(l2/l1)|, signed by ln(l2/l1)."""
+    if l1 <= 0 or l2 <= 0:
+        raise ValueError("scales must be positive")
+
+    def f(t):
+        r2 = np.exp(-2.0 * t)
+        u1 = (2.0 * l1 / (l1 * l1 + r2)) ** prm.gamma_s
+        u2 = (2.0 * l2 / (l2 * l2 + r2)) ** prm.gamma_s
+        return (nonlin_prime(u1, prm) * u2 * it._dlam_bubble(r2, l1, prm)
+                * np.exp(-prm.n * t))
+
+    t1, t2 = -np.log(l1), -np.log(l2)
+    lo = min(t1, t2) - 40.0
+    hi = max(t1, t2) + 40.0
+    val, _ = quad(f, lo, hi, epsabs=1e-14, epsrel=tol, limit=400,
+                  points=[t1, t2, 0.5 * (t1 + t2)])
+    return float(prm.omega_sphere * val)
+
+
+def psi_quad(ell, prm):
+    """psi's integral by adaptive quadrature on unit panels, with no
+    absolute floor."""
+    g = prm.gamma_s
+
+    def f(t):
+        return (np.tanh(t) * np.cosh(t) ** (-prm.gamma_dual)
+                * (np.cosh(t + ell) ** (-g) - np.cosh(t - ell) ** (-g)))
+
+    total = sum(quad(f, a, a + 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a in range(int(60 + ell)))
+    return -prm.c_ns * prm.p * g * total
 
 
 def faraway_dblquad(l1, l3, d, mode, prm, tol=1e-10):
@@ -146,7 +185,8 @@ class TestFarawayRule:
 
 class TestOracleFit:
     def test_certification_gate(self):
-        closed, fitted = it.certify_constants(PRM)
+        closed = it.interaction_constants(PRM)
+        fitted = it.oracle_fit_constants(PRM)
         assert fitted.method == "oracle_fit"
         assert abs(fitted.A2 - closed.A2) / closed.A2 < 0.02
         assert abs(fitted.A3 - closed.A3) / abs(closed.A3) < 0.02
@@ -198,29 +238,39 @@ class TestPsi:
         with pytest.raises(ValueError):
             it.psi(-1.0, PRM)
 
+    @pytest.mark.parametrize("n,s", [(5, 1.5), (7, 2.5), (3, 1.4), (9, 3.5),
+                                     (6, 1.2), (20, 1.5)])
+    def test_matches_quadrature_without_floor(self, n, s):
+        # psi(35) at (5, 1.5) is 5e-15: an absolute error floor near 1e-13
+        # would swamp it
+        prm = derive_params(n, s)
+        for ell in (1e-3, 0.25, 1.0, 3.0, 8.0, 20.0, 30.0, 35.0):
+            assert it.psi(ell, prm) == pytest.approx(psi_quad(ell, prm),
+                                                     rel=1e-9, abs=0.0)
+
 
 class TestInteractionLambda:
     def test_matches_psi_identity(self):
         # the concentric integral collapses to the two-scale function; the
         # prefactor carries the sphere area from the angular integration
-        val = it.interaction_lambda(1.0, np.exp(-8.0), PRM)
+        val = interaction_lambda(1.0, np.exp(-8.0), PRM)
         pred = -PRM.omega_sphere * it.psi(8.0, PRM)
         assert val == pytest.approx(pred, rel=1e-9)
 
     def test_sign_flips_with_scale_order(self):
         small = np.exp(-8.0)
-        assert it.interaction_lambda(1.0, small, PRM) < 0
-        assert it.interaction_lambda(small, 1.0, PRM) > 0
+        assert interaction_lambda(1.0, small, PRM) < 0
+        assert interaction_lambda(small, 1.0, PRM) > 0
 
     def test_joint_rescaling(self):
         # I(s l1, s l2) = I(l1, l2) / s
-        base = it.interaction_lambda(1.0, 0.2, PRM)
-        scaled = it.interaction_lambda(3.0, 0.6, PRM)
+        base = interaction_lambda(1.0, 0.2, PRM)
+        scaled = interaction_lambda(3.0, 0.6, PRM)
         assert scaled == pytest.approx(base / 3.0, rel=1e-9)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            it.interaction_lambda(0.0, 1.0, PRM)
+            interaction_lambda(0.0, 1.0, PRM)
 
 
 @pytest.fixture(scope="module")

@@ -37,10 +37,7 @@ def test_derived_values_at_5_15():
     prm = derive_params(5, 1.5)
     assert prm.gamma_s == pytest.approx(1.0, abs=0)
     assert prm.gamma_dual == pytest.approx(4.0, abs=0)
-    assert prm.m == 1
-    assert prm.s == pytest.approx(0.5)
     assert prm.p == pytest.approx(4.0)
-    assert prm.crit_exp == pytest.approx(5.0)
     # 2^3 Gamma(2)^2 / Gamma(1/2)^2 = 8 / pi
     assert prm.c_ns == pytest.approx(8.0 / math.pi, rel=1e-13)
     # Riesz constant: Gamma(1) / (4^1.5 pi^2.5 Gamma(1.5)) = 1/(4 pi^3)
@@ -59,17 +56,6 @@ def test_q_ns_against_mpmath():
         prm = derive_params(n, sigma)
         ref = float(mpmath.gamma((n + 2 * sigma) / 2) / mpmath.gamma((n - 2 * sigma) / 2))
         assert prm.q_ns == pytest.approx(ref, rel=1e-12)
-
-
-def test_kappa_low_order_field():
-    # order-s singular kernel constant, fractional part only
-    mpmath.mp.dps = 30
-    prm = derive_params(5, 1.5)
-    s = 0.5
-    ref = float(mpmath.pi ** (-2.5) * 4**s * s * mpmath.gamma(2.5 + s) / mpmath.gamma(1 - s))
-    assert prm.kappa_ns == pytest.approx(ref, rel=1e-12)
-    # integer order: the constant degenerates to zero
-    assert derive_params(7, 2.0).kappa_ns == 0.0
 
 
 def test_validation():
