@@ -17,7 +17,11 @@ closed form (kernels.ring_kernel), otherwise as |S^(n-2)| rho^(n-2).
 Composite Gauss-Legendre panels cover the half-plane: log-polar about each
 center, weighted by the partition cutoff chi_i, and polar about the origin,
 weighted by 1 - sum chi_i.  The depth of the balls, the far radius and the
-panel sizes follow from the levels, the samples, gamma_s and tol.
+panel sizes follow from the levels, the samples, gamma_s and tol.  The
+integrands take the half-plane's points (z, rho) and evaluate u there as
+`ApproxSolution.meridian()`, the same function with its centers projected
+onto the line, so no n-D point is built and the values do not depend on
+where the line sits.
 
 The dual map evaluates u^p once per call on that node set.  A sample's
 value is the node set's sum against its ring kernel, with the panels next
@@ -43,6 +47,7 @@ including it also cancels the dominant quadrature error near the center.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -178,6 +183,33 @@ class ApproxSolution:
             self.cyls[i], (x - self.centers[i]) / R, self.prm)
         return prof - tower_eval(x, self.base_towers[i], self.prm, half=False)
 
+    def meridian(self) -> "ApproxSolution":
+        """The same function on the meridian half-plane, called on points
+        (k, 2) of (z, rho): z along the singular line from its foot, rho the
+        distance from the line.  Every center and level center sits at
+        rho = 0 exactly; the scales, profiles and cutoffs are unchanged.
+        Outside the reduction, where shifts leave the line, this would be a
+        different function: NotImplementedError."""
+        if not self.axisymmetric():
+            raise NotImplementedError(
+                "the meridian quadrature needs the marked points on one line "
+                "and every perturbation shift along it; use mc_probe")
+        line = _Line.of(self)
+
+        def axial(z):
+            return np.column_stack((z, np.zeros_like(z)))
+
+        def project(cfg, c):
+            return dataclasses.replace(cfg, center=c,
+                                       shifts=axial(cfg.shifts @ line.a))
+
+        centers = axial((self.centers - line.p0) @ line.a)
+        return dataclasses.replace(
+            self, centers=centers,
+            towers=tuple(project(t, c) for t, c in zip(self.towers, centers)),
+            base_towers=tuple(project(t, c)
+                              for t, c in zip(self.base_towers, centers)))
+
     def __call__(self, x: np.ndarray) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -303,11 +335,12 @@ class _Line:
         return z, np.linalg.norm(rel - z[..., None] * self.a, axis=-1)
 
 
-def _on_line(fn, line: _Line, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _on_line(fn, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """fn at the points (z, rho), in blocks."""
     out = np.empty(z.size)
     for s in range(0, z.size, _BLOCK):
-        out[s:s + _BLOCK] = fn(line.points(z[s:s + _BLOCK], rho[s:s + _BLOCK]))
+        out[s:s + _BLOCK] = fn(np.column_stack((z[s:s + _BLOCK],
+                                                rho[s:s + _BLOCK])))
     return out
 
 
@@ -369,16 +402,20 @@ class _Panels:
         jac = s * s if self.log else s
         return z, rho, jac * rho ** (self.n - 2) * self.part(z, rho)
 
-    def fill(self, fn, line: _Line) -> None:
+    def fill(self, fn) -> int:
         """Multiply the weights by the partition weight and by fn, which is
-        evaluated once wherever the weight is not 0."""
+        evaluated once wherever the weight is not 0; the number of those
+        nodes."""
+        count = 0
         for k, rule in enumerate(self.rules):
             for r in self.chunks(k):
                 z, rho = self.nodes(k, r)
                 w = rule[3][r]
                 w *= self.part(z, rho)
                 live = w != 0.0
-                w[live] *= fn(line.points(z[live], rho[live]))
+                w[live] *= fn(np.column_stack((z[live], rho[live])))
+                count += int(np.count_nonzero(live))
+        return count
 
     def near(self, z: float, rho: float):
         """(q, panel ranges) about the point (z, rho): its own panel (both,
@@ -430,8 +467,9 @@ class _Nodes:
     prm: Params
     line: _Line
     centers: np.ndarray                      # the marked points (N, n)
-    fn: Callable[[np.ndarray], np.ndarray]   # the integrand on points (k, n)
+    fn: Callable[[np.ndarray], np.ndarray]   # the integrand on (z, rho) (k, 2)
     panels: tuple[_Panels, ...]
+    evals: int                               # nodes fn was evaluated on
 
 
 def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
@@ -442,21 +480,18 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
     e^(-gamma_s tau), so each ball runs in log-radius from -ln INT_OFF to
     tau_hi = tau_ref + 2 ln(1/tol)/gamma_s, where the cut tail is near tol^2
     of the whole: far below the rule error the check allows, also for the
-    projections, which are small differences of their integrand's mass.  A
-    center whose coordinates the normal direction shares stops its ball
-    earlier, at 16 double spacings of them, and raises ValueError when the
-    tail cut there could exceed tol.
+    projections, which are small differences of their integrand's mass.
     The log-radius has breaks at the partition and assembly cutoff radii;
-    the angle takes the fine
-    panels down to 2 below the deepest point of xs inside it (where a
-    sample's kernel needs them) and the coarse ones deeper.  The far region
-    runs in radius to 0.5 past the balls, then in log-radius steps to
-    r_far = 2 R tol^(-1/n), R the larger of the balls' reach and the
-    farthest point of xs: past r_far the integrand and u^p K r^(n-1), which
-    decay like r^(-n-1), leave less than tol of either.
+    the angle takes the fine panels down to 2 below the deepest point of xs
+    inside it (where a sample's kernel needs them) and the coarse ones
+    deeper.  The far region runs in radius to 0.5 past the balls, then in
+    log-radius steps to r_far = 2 R tol^(-1/n), R the larger of the balls'
+    reach and the farthest point of xs: past r_far the integrand and
+    u^p K r^(n-1), which decay like r^(-n-1), leave less than tol of either.
+    fn takes points (k, 2) of (z, rho), z measured from the line's foot.
     """
     prm, line = u.prm, _Line.of(u)
-    zc = u.centers @ line.a
+    zc = (u.centers - line.p0) @ line.a
     zx, rx = line.coords(np.reshape(xs, (-1, prm.n)))
     h = min(1.0, (tol / 1e-7) ** (1.0 / 16.0))
     tau_hi = tau_ref + 2.0 * np.log(1.0 / tol) / prm.gamma_s
@@ -465,24 +500,15 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
     cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(u.cut_off),
                    -np.log(u.cut_on)})
     panels = []
-    for z0, c in zip(zc, u.centers):
+    for z0 in zc:
         def chi(z, rho, z0=z0):
             return cutoff(np.hypot(z - z0, rho), INT_ON, INT_OFF)
-        # where rho shares coordinates with the center, a node closer than
-        # 16 double spacings can round onto it, and u is singular there
-        floor = -np.log(16.0 * np.finfo(float).eps * np.linalg.norm(c)) \
-            if np.any(c[line.e != 0.0]) else np.inf
-        if floor < tau_ref + np.log(1.0 / tol) / prm.gamma_s:
-            raise ValueError(
-                f"the center at {np.linalg.norm(c):g} leaves log-depth "
-                f"{floor:.1f}, too shallow for tol={tol:g} below depth "
-                f"{tau_ref:.1f}: the integrand cannot be resolved")
         d = np.hypot(zx - z0, rx)
         inside = d[(d > 0) & (d < INT_OFF)]
-        tau_f = min(floor, max([cuts[-1]] + list(2.0 - np.log(inside))))
+        tau_f = max([cuts[-1]] + list(2.0 - np.log(inside)))
         e_near = np.concatenate([_split(cuts, h * _H_CUT)[:-1],
                                  _split([cuts[-1], tau_f], h * _H_BALL)])
-        deep = min(floor, max(tau_hi, tau_f + h * _H_DEEP))
+        deep = max(tau_hi, tau_f + h * _H_DEEP)
         panels.append(_Panels(True, z0, e_near, fine, chi, prm.n))
         panels.append(_Panels(True, z0, _split([tau_f, deep], h * _H_DEEP),
                               coarse, chi, prm.n))
@@ -500,10 +526,9 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
                             np.exp(_split([np.log(r1), np.log(r_far)],
                                           h * _H_LOG_FAR))])
     panels.append(_Panels(False, zo, e_far, fine, far, prm.n))
-    for p in panels:
-        p.fill(fn, line)
+    evals = sum(p.fill(fn) for p in panels)
     return _Nodes(prm=prm, line=line, centers=u.centers, fn=fn,
-                  panels=tuple(panels))
+                  panels=tuple(panels), evals=evals)
 
 
 def _t_edges(prm: Params) -> np.ndarray:
@@ -529,11 +554,12 @@ def _dual_nodes(u: ApproxSolution, F, xs: np.ndarray, tol: float) -> _Nodes:
     return _node_set(u, F, tol, tau_ref, xs)
 
 
-def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float]:
+def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float, int]:
     """(16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy: the node set's
     kernel sums with the panels about x taken out, plus those panels again
-    on triangles from x, where F is evaluated afresh.  At a marked point
-    u^p is not integrable against the kernel: ValueError."""
+    on triangles from x, where F is evaluated afresh; and the number of
+    those patch nodes.  At a marked point u^p is not integrable against the
+    kernel: ValueError."""
     prm, line = nodes.prm, nodes.line
     at = np.flatnonzero(np.all(nodes.centers == x, axis=1))
     if at.size:
@@ -542,6 +568,7 @@ def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float]:
     zx, rx = (float(v) for v in line.coords(x))
     t_edges = _t_edges(prm)
     out = [0.0, 0.0]
+    evals = 0
     for p in nodes.panels:
         hit = p.near(zx, rx)
         for k, order in enumerate(_ORDERS):
@@ -563,10 +590,11 @@ def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float]:
             pw = pw * wq
             live = pw != 0.0
             if np.any(live):
-                pw[live] *= _on_line(nodes.fn, line, pz[live], prho[live])
+                pw[live] *= _on_line(nodes.fn, pz[live], prho[live])
                 out[k] += _kernel_dot(pw[live], pz[live], prho[live], zx, rx,
                                       prm)
-    return out[0], out[1]
+                evals += int(np.count_nonzero(live))
+    return out[0], out[1], evals
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -608,17 +636,16 @@ def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
 
 
 
-def _require_meridian(u: ApproxSolution, prm: Params) -> None:
+def _require_meridian(u: ApproxSolution, prm: Params) -> ApproxSolution:
     """The quadrature runs on the meridian half-plane: u must depend on (z,
-    rho) alone, and the ring kernel must stay bounded on the diagonal."""
-    if not u.axisymmetric():
-        raise NotImplementedError(
-            "the meridian quadrature needs the marked points on one line and "
-            "every perturbation shift along it; use mc_probe")
+    rho) alone, and the ring kernel must stay bounded on the diagonal.
+    Returns u.meridian()."""
+    um = u.meridian()
     if prm.sigma <= 1.0:
         raise NotImplementedError(
             f"the ring kernel is unbounded on the diagonal at sigma = "
             f"{prm.sigma} <= 1")
+    return um
 
 
 def require_reduction(u: ApproxSolution) -> None:
@@ -636,7 +663,7 @@ def _dual_integral(u: ApproxSolution, F, x: np.ndarray, tol: float) -> float:
     """int |x-y|^(2s-n) F(y) dy on its own node set, checked against the
     8-point rule."""
     x = np.asarray(x, dtype=float)
-    fine, coarse = _dual_at(_dual_nodes(u, F, x, tol), x)
+    fine, coarse, _ = _dual_at(_dual_nodes(u, F, x, tol), x)
     check_rules(fine, coarse, tol, "dual map")
     return fine
 
@@ -647,10 +674,10 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
     the meridian quadrature; ValueError at a marked point."""
     prm = u.prm if prm is None else prm
     x = np.asarray(x, dtype=float)
-    _require_meridian(u, prm)
+    um = _require_meridian(u, prm)
 
-    def F(pts):
-        return u(pts) ** prm.p
+    def F(zr):
+        return um(zr) ** prm.p
 
     return float(prm.c_ns * u.kappa * _dual_integral(u, F, x, tol))
 
@@ -748,9 +775,12 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
             f"tol={tol:g}: the double spacing at its center is "
             f"{spacing / b.lam:.3g} of its scale")
 
-    def G(pts):
+    line, um = _Line.of(u), u.meridian()
+
+    def G(zr):
+        pts = line.points(zr[:, 0], zr[:, 1])
         U = bubble_eval(pts, b, prm)
-        uv = u(pts)
+        uv = um(zr)
         core = (nonlin_prime(U, prm) * uv - nonlin(uv, prm)
                 - (prm.p - 1.0) * nonlin(U, prm))
         return core * kernel_Z(pts, idx, cfg, prm)
@@ -865,6 +895,7 @@ class ResidualReport:
     tags: tuple[str, ...]
     values: np.ndarray           # N_sigma(u) at the samples
     err_est: np.ndarray          # 16- vs 8-point gap of each value, NaN if failed
+    nodes: int                   # integrand evaluations of the call
     weighted_norm: float
     region_sup: dict
     mc_seed: int
@@ -880,6 +911,7 @@ class ResidualReport:
             "tags": list(self.tags),
             "values": self.values.tolist(),
             "err_est": self.err_est.tolist(),
+            "nodes": self.nodes,
             "weighted_norm": self.weighted_norm,
             "region_sup": self.region_sup,
             "mc_seed": self.mc_seed,
@@ -895,23 +927,26 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     """N_sigma(u) = u - dual(u) over the sample grid, reported per region.
 
     One node set serves every sample, with u^p evaluated on it once; each
-    sample then adds its own kernel sums and patch (`_dual_at`).  A sample
+    sample then adds its own kernel sums and patch (`_dual_at`).  `nodes`
+    counts the evaluations of u^p: the node set's and every patch's.  A sample
     whose 16- and 8-point dual values differ by more than tol times the
     value is NaN, with the QuadratureError message in `errors`, and so is a
     sample at a marked point, with the ValueError's; `err_est` holds the gap
     of every other sample.
     """
     prm = u.prm
-    _require_meridian(u, prm)
+    um = _require_meridian(u, prm)
     pts, tags = sample_grid(u) if samples is None else samples
     c = prm.c_ns * u.kappa
-    nodes = _dual_nodes(u, lambda y: u(y) ** prm.p, pts, tol)
+    nodes = _dual_nodes(u, lambda zr: um(zr) ** prm.p, pts, tol)
+    evals = nodes.evals
     vals = np.full(len(pts), np.nan)
     err_est = np.full(len(pts), np.nan)
     errors = []
     for k, x in enumerate(pts):
         try:
-            fine, coarse = _dual_at(nodes, x)
+            fine, coarse, patch = _dual_at(nodes, x)
+            evals += patch
             check_rules(c * fine, c * coarse, tol, "dual map")
             vals[k] = float(u(x)) - c * fine
         except Exception as exc:  # per-sample propagation
@@ -942,6 +977,7 @@ def residual(u: ApproxSolution, weight: WeightSpec,
         else float(u.towers[0].period)
     return ResidualReport(L=L, weight_kind=weight.kind, tau=weight.tau,
                           points=pts, tags=tuple(tags), values=vals,
-                          err_est=err_est, weighted_norm=float(norm), region_sup=region_sup,
+                          err_est=err_est, nodes=evals,
+                          weighted_norm=float(norm), region_sup=region_sup,
                           mc_seed=mc_seed, mc_checks=tuple(checks),
                           errors=tuple(errors))

@@ -168,7 +168,7 @@ class TowerConfig:
         return Bubble(*self.level(j))
 
 
-# points per broadcast block: the (n, levels, block) temporaries stay a few MB
+# points per block: the (levels, block) work arrays stay in cache
 _BLOCK = 4096
 
 
@@ -176,25 +176,34 @@ def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
                half: bool = True) -> float | np.ndarray:
     """Sum the tower's bubbles at x; half=False also adds levels -J..-1.
 
-    The levels are broadcast against blocks of points into one
-    (levels, points) array, summed over levels once: numpy sums a
+    Per block of points, |x - center|^2 of every level is built in place in
+    a (levels, block) slice of the output, one coordinate at a time, in
+    coordinate order, as np.sum adds a row of fewer than 8: below dimension
+    8 the bits are those of one `bubble_eval` per level.  The levels are
+    summed once, over the whole (levels, points) array: numpy sums a
     (levels, 1) array pairwise and a wider one level by level, so summing
-    per block would make the bits depend on the block size.  Coordinates
-    come first, so |x - center|^2 adds them in order, as np.sum does along
-    a row of fewer than 8: below dimension 8 the bits are those of one
-    `bubble_eval` per level.
+    per block would make the bits depend on the block size.
     """
     x = np.asarray(x, dtype=float)
     lo = cfg.levels if half else 0
-    lam = cfg.level_scales[lo:, None]
+    lam2 = 2.0 * cfg.level_scales[lo:, None]
     lam_sq = cfg.level_scales_sq[lo:, None]
     ctr = cfg.level_centers[lo:].T[:, :, None]
     pts = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
-    vals = np.empty((lam.shape[0], pts.shape[1]))
+    vals = np.empty((lam2.shape[0], pts.shape[1]))
+    diff = np.empty((lam2.shape[0], min(_BLOCK, pts.shape[1])))
     for s in range(0, pts.shape[1], _BLOCK):
-        d = pts[:, None, s:s + _BLOCK] - ctr
-        rho2 = np.sum(d * d, axis=0)
-        vals[:, s:s + _BLOCK] = (2.0 * lam / (lam_sq + rho2)) ** prm.gamma_s
+        v = vals[:, s:s + _BLOCK]
+        d = diff[:, :v.shape[1]]
+        np.subtract(pts[0, s:s + _BLOCK], ctr[0], out=v)
+        v *= v
+        for xk, ck in zip(pts[1:, s:s + _BLOCK], ctr[1:]):
+            np.subtract(xk, ck, out=d)
+            d *= d
+            v += d
+        v += lam_sq
+        np.divide(lam2, v, out=v)
+        v **= prm.gamma_s
     out = vals.sum(axis=0).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 

@@ -15,7 +15,8 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              beta_leading_form, beta_projection, cutoff,
                              dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
-                             _build_towers, _dual_integral, _plain_integral)
+                             _Line, _build_towers, _dual_integral,
+                             _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn, solve_periodic
@@ -40,6 +41,13 @@ def assemble_single(center, R, L, prm, levels=6, M=400):
                           cyls=(solve_periodic(L, prm, M=M, kappa=kappa),),
                           baselines=np.array([float(R)]), balanced=None,
                           kappa=kappa)
+
+
+def on_line(u, F):
+    """F, an integrand on points (k, n), on the (z, rho) points of u's
+    meridian half-plane: the quadrature's integrand before the reduction."""
+    line = _Line.of(u)
+    return lambda zr: F(line.points(zr[:, 0], zr[:, 1]))
 
 
 def pair(d=3.0):
@@ -235,7 +243,7 @@ class TestDualApply:
         assert b > a
 
     def test_general_path_matches_radial(self, single):
-        F = lambda p: single(p) ** PRM.p
+        F = on_line(single, lambda p: single(p) ** PRM.p)
         for r in (0.35, 2.5):
             x = r * E1
             rad = dual_apply_radial(single, single.centers[0], x, PRM,
@@ -251,7 +259,7 @@ class TestDualApply:
         # in w.  Points on the line and off it.
         prm = derive_params(n, sigma)
         u = assemble_single(np.zeros(n), 0.7, 3.0, prm)
-        F = lambda p: u(p) ** prm.p
+        F = on_line(u, lambda p: u(p) ** prm.p)
         for r in (0.05, 0.35, 2.5):
             x = np.zeros(n)
             x[0] = r
@@ -296,9 +304,9 @@ class TestDualApply:
             dual_apply(u, 7.0 * E2)
 
     def test_line_off_the_origin(self):
-        # the normal of this line shares coordinates with the centers, so
-        # the deepest ball nodes would round onto them; the balls stop
-        # above that, and the translated pair gives the same residuals
+        # the normal of this line shares coordinates with the centers; the
+        # quadrature runs in the line's own frame, so the translated pair
+        # gives the same residuals, and so does one translated by 1e6
         shift = np.array([0.0, 1.0, 0.5, 0.3, 0.2])
         out = []
         for t in (np.zeros(5), shift):
@@ -312,11 +320,33 @@ class TestDualApply:
             out.append((rep.values, u(grid[sel])))
         (v0, u0), (v1, _) = out
         assert np.all(np.abs(v1 - v0) <= 1e-9 * np.abs(u0))
-        far = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * E1])
-                              + 1e6 * shift)
-        u = assemble(bal.balance(far, np.ones(2), 2.5, IC, PRM), PRM)
-        with pytest.raises(ValueError, match="cannot be resolved"):
-            dual_apply(u, u.centers[0] + 0.5 * E2)
+        duals = []
+        for t in (np.zeros(5), 1e6 * shift):
+            ss = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * E1]) + t)
+            u = assemble(bal.balance(ss, np.ones(2), 2.5, IC, PRM), PRM)
+            x = u.centers[0] + 0.5 * E2
+            duals.append(dual_apply(u, x))
+        assert abs(duals[1] - duals[0]) <= 1e-9 * abs(float(u(x)))
+
+    def test_meridian_is_translation_invariant(self):
+        # translated off the origin, the pair's function in the frame of its
+        # line is the untranslated pair's, bit for bit; evaluated at the
+        # translated n-D points it is off by rounding
+        rng = np.random.default_rng(5)
+        us = []
+        for t in (np.zeros(5), np.array([0.0, 1.0, 0.5, 0.3, 0.2])):
+            ss = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * E1]) + t)
+            us.append(assemble(bal.balance(ss, np.ones(2), 2.5, IC, PRM), PRM))
+        s = np.exp(rng.uniform(-12.0, 3.0, 20_000))
+        theta = rng.uniform(0.0, np.pi, s.size)
+        zr = np.column_stack((3.0 * rng.integers(0, 2, s.size)
+                              + s * np.cos(theta), s * np.sin(theta)))
+        ref = us[0](_Line.of(us[0]).points(zr[:, 0], zr[:, 1]))
+        assert np.array_equal(us[1].meridian()(zr), ref)
+        assert np.array_equal(us[0].meridian()(zr), ref)
+        moved = us[1](_Line.of(us[1]).points(zr[:, 0], zr[:, 1]))
+        assert not np.array_equal(moved, ref)
+        assert np.allclose(moved, ref, rtol=1e-9, atol=0.0)
 
     def test_off_line_shifts_raise(self):
         cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
@@ -325,6 +355,8 @@ class TestDualApply:
         u = assemble(cfg, PRM, perturb=[(np.zeros(7), a),
                                         (np.zeros(7), np.zeros((7, 5)))])
         assert u.collinear() and not u.axisymmetric()
+        with pytest.raises(NotImplementedError, match="along it"):
+            u.meridian()
         with pytest.raises(NotImplementedError, match="along it"):
             dual_apply(u, 7.0 * E2)
         with pytest.raises(NotImplementedError, match="along it"):
@@ -411,7 +443,7 @@ class TestBetaProjection:
                 U = bubble_eval(pts, b, PRM)
                 return nonlin_prime(U, PRM) * kernel_Z(pts, idx, cfg, PRM) ** 2
 
-            vals.append(_plain_integral(u, G, b.lam, 1e-9)
+            vals.append(_plain_integral(u, on_line(u, G), b.lam, 1e-9)
                         * b.lam ** 2 / slope ** 2)
         assert vals == pytest.approx([vals[0]] * len(vals), rel=1e-6)
 
@@ -537,6 +569,7 @@ class TestResidual:
         assert doc["L"] == pytest.approx(2.5)
         assert len(doc["values"]) == 3
         assert doc["weighted_norm"] == pytest.approx(rep.weighted_norm)
+        assert doc["nodes"] == rep.nodes > 0
 
     def test_err_est_within_tol_and_reruns_identical(self, pair_35):
         u = pair_35
@@ -548,6 +581,30 @@ class TestResidual:
         assert json.loads(rep.to_json())["err_est"] == rep.err_est.tolist()
         again = residual(u, WeightSpec(tau=0.5), tol=1e-7)
         assert again.to_json() == rep.to_json()
+
+    def test_meridian_matches_nd_integrand(self, pair_35, monkeypatch):
+        # the quadrature evaluates u in the line's frame; with u evaluated at
+        # the n-D points of the half-plane instead, every residual value,
+        # err_est and level-0 beta is the same, bit for bit (the line is e1
+        # through the origin, so the n-D nodes are (z, rho, 0, 0, 0))
+        u = pair_35
+
+        def run():
+            grid, tags = sample_grid(u)
+            rep = residual(u, WeightSpec(tau=0.5), tol=1e-7,
+                           samples=(grid[::4], tags[::4]))
+            return rep, [beta_projection(u, KernelIndex(t, 0, 0), tol=1e-7)
+                         for t in (0, 1)]
+
+        rep, betas = run()
+        monkeypatch.setattr(ApproxSolution, "meridian",
+                            lambda self: on_line(self, self))
+        rep_nd, betas_nd = run()
+        assert rep.errors == ()
+        assert rep.values.tolist() == rep_nd.values.tolist()
+        assert rep.err_est.tolist() == rep_nd.err_est.tolist()
+        assert rep.nodes == rep_nd.nodes
+        assert betas == betas_nd
 
     def test_failed_sample_is_nan(self, balanced_pair):
         # the dual map is infinite at a marked point: that sample fails alone
