@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,14 @@ class Params:
     q_ns: float
     riesz_const: float
 
-    @property
+    # cached_property stores into the instance __dict__, which the frozen
+    # dataclass allows; ==, hash and replace see only the fields
+    @cached_property
     def omega_sphere(self) -> float:
         """Surface measure of the unit sphere S^{n-1} in R^n."""
         return 2.0 * math.pi ** (self.n / 2.0) / gamma_fn(self.n / 2.0)
 
-    @property
+    @cached_property
     def omega_equator(self) -> float:
         """Surface measure of S^{n-2} (the sphere in R^{n-1})."""
         return 2.0 * math.pi ** ((self.n - 1) / 2.0) / gamma_fn((self.n - 1) / 2.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +16,8 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              beta_leading_form, beta_projection, cutoff,
                              dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
-                             _Line, _build_towers, _dual_integral,
-                             _plain_integral)
+                             _Line, _MC_BLOCK, _build_towers,
+                             _dual_integral, _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn, solve_periodic
@@ -48,6 +49,45 @@ def on_line(u, F):
     meridian half-plane: the quadrature's integrand before the reduction."""
     line = _Line.of(u)
     return lambda zr: F(line.points(zr[:, 0], zr[:, 1]))
+
+
+def mc_probe_oracle(u, x, prm, n_samples, seed):
+    """`mc_probe` with every draw's point and temporary held at once: the
+    all-at-once form the blocked probe must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    n, g = prm.n, prm.gamma_s
+    N = u.size
+    comp = rng.integers(0, N + 1, size=n_samples)
+    dirs = rng.standard_normal((n_samples, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ys = np.empty((n_samples, n))
+    dens = np.zeros(n_samples)
+    for k in range(N):
+        m = comp == k
+        taus = rng.exponential(1.0 / g, size=int(np.sum(m)))
+        s = np.exp(-taus)
+        ys[m] = u.centers[k] + s[:, None] * dirs[m]
+    m = comp == N
+    r = (1.0 - rng.random(int(np.sum(m)))) ** (-1.0 / (2 * prm.sigma))
+    ys[m] = x + r[:, None] * dirs[m]
+    # mixture density at each draw
+    for k in range(N):
+        s = np.linalg.norm(ys - u.centers[k], axis=1)
+        inside = s <= 1.0
+        dens[inside] += (g * s[inside] ** (g - n)
+                         / prm.omega_sphere) / (N + 1)
+    rr = np.linalg.norm(ys - x, axis=1)
+    far = rr >= 1.0
+    dens[far] += (2 * prm.sigma * rr[far] ** (-2 * prm.sigma - n + 1)
+                  / prm.omega_sphere) / (N + 1)
+    good = dens > 0.0
+    vals = np.zeros(n_samples)
+    kern = rr[good] ** (2 * prm.sigma - n)
+    vals[good] = kern * u(ys[good]) ** prm.p / dens[good]
+    est = prm.c_ns * u.kappa * float(np.mean(vals))
+    err = prm.c_ns * u.kappa * float(np.std(vals) / np.sqrt(n_samples))
+    return est, err
 
 
 def pair(d=3.0):
@@ -373,6 +413,69 @@ class TestDualApply:
                                                       ["far"]))
 
 
+
+class TestMCProbe:
+    @pytest.fixture(scope="class")
+    def triangle(self):
+        """The equilateral triangle of side 3, off any one line."""
+        pts = np.zeros((3, 5))
+        pts[1, 0] = 3.0
+        pts[2, :2] = 1.5, 1.5 * np.sqrt(3.0)
+        return assemble(bal.balance(bal.SingularSet(points=pts), np.ones(3),
+                                    3.0, IC, PRM), PRM)
+
+    @pytest.mark.parametrize("k,seed", [(0, 1), (20, 2), (40, 3), (45, 4),
+                                        (60, 5), (40, 6)])
+    def test_matches_oracle_on_grid(self, balanced_pair, k, seed):
+        # 50k draws: four blocks of 12.5k
+        x = sample_grid(balanced_pair)[0][k]
+        assert mc_probe(balanced_pair, x, PRM, 50_000, seed) == \
+            mc_probe_oracle(balanced_pair, x, PRM, 50_000, seed)
+
+    @pytest.mark.parametrize("n_samples", [2, 1000, _MC_BLOCK, _MC_BLOCK + 1,
+                                           _MC_BLOCK + 5])
+    def test_matches_oracle_at_block_edges(self, balanced_pair, n_samples):
+        x = balanced_pair.centers[0] + 0.35 * E1
+        assert mc_probe(balanced_pair, x, PRM, n_samples, 9) == \
+            mc_probe_oracle(balanced_pair, x, PRM, n_samples, 9)
+
+    def test_matches_oracle_off_the_line(self, triangle):
+        x = triangle.centers.mean(axis=0) + 0.7 * np.eye(5)[2]
+        assert mc_probe(triangle, x, PRM, 40_000, 3) == \
+            mc_probe_oracle(triangle, x, PRM, 40_000, 3)
+
+    def test_memory_per_draw(self, balanced_pair):
+        # a label, a radius and a value per draw, points one block at a
+        # time; holding every draw's point and temporaries takes about 60 MB
+        x = balanced_pair.centers[0] + 0.35 * E1
+        mc_probe(balanced_pair, x, PRM, 1000, 1)
+        tracemalloc.start()
+        try:
+            mc_probe(balanced_pair, x, PRM, 200_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 200_000 + 8e6
+
+    def test_marked_point_raises(self, balanced_pair):
+        # a finite mean of an infinite-mean variable is no estimate
+        with pytest.raises(ValueError, match="marked point 1"):
+            mc_probe(balanced_pair, balanced_pair.centers[1], PRM, 1000, 1)
+
+    @pytest.mark.parametrize("n_samples", [-3, 0, 1])
+    def test_too_few_draws_raise(self, balanced_pair, n_samples):
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            mc_probe(balanced_pair, balanced_pair.origin, PRM, n_samples, 1)
+
+    def test_residual_probes_only_finite_samples(self, balanced_pair):
+        # the sample at the marked point is NaN, so it is never probed
+        u = balanced_pair
+        pts = np.array([u.centers[1], u.centers[0] + 0.7 * E1])
+        rep = residual(u, WeightSpec(tau=0.5),
+                       samples=(pts, ["near:1", "transition"]), tol=1e-7,
+                       mc_points=2, mc_samples=1000)
+        assert [c["sample"] for c in rep.mc_checks] == [1]
+
 class TestAdaptiveOracle:
     """The meridian path against the adaptive quadrature it replaced."""
 
@@ -539,6 +642,25 @@ class TestWeightedNorm:
         b = weighted_fn_norm(pts, 3.0 * vals, tags, spec,
                              balanced_pair.centers, PRM)
         assert b == pytest.approx(3.0 * a, rel=1e-12)
+
+    def test_far_weight_is_translation_invariant(self):
+        # far radii run from the marked points' centroid, where sample_grid
+        # puts the far samples; from the coordinate origin the same four
+        # values read 0.0372, 0.0397 and 25.4
+        shift = np.array([0.0, 1.0, 0.5, 0.3, 0.2])
+        norms = []
+        for f in (0.0, 1.0, 100.0):
+            pts = np.zeros((2, 5))
+            pts[1, 0] = 3.0
+            u = assemble(bal.balance(bal.SingularSet(points=pts + f * shift),
+                                     np.ones(2), 2.5, IC, PRM), PRM)
+            grid, tags = sample_grid(u)
+            far = [k for k, t in enumerate(tags) if t == "far"][:4]
+            rep = residual(u, WeightSpec(tau=0.5), tol=1e-7,
+                           samples=(grid[far], ["far"] * 4))
+            assert rep.errors == ()
+            norms.append(rep.weighted_norm)
+        assert norms == pytest.approx([norms[0]] * 3, rel=1e-12)
 
     def test_star_starstar_differ_by_table(self):
         pts = np.array([[0.25, 0, 0, 0, 0]])

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 
+from qcurv import params
 from qcurv.params import derive_params, gamma_fn, nonlin, nonlin_prime
 
 
@@ -83,3 +86,25 @@ def test_sphere_measures():
     # |S^4| = 8 pi^2 / 3, |S^3| = 2 pi^2
     assert prm.omega_sphere == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-13)
     assert prm.omega_equator == pytest.approx(2.0 * math.pi**2, rel=1e-13)
+
+
+def test_sphere_measures_cached_once(monkeypatch):
+    # each measure is one gamma_fn call per instance, bit-equal to the formula
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return math.gamma(z)
+
+    prm, fresh = derive_params(6, 1.2), derive_params(6, 1.2)
+    monkeypatch.setattr(params, "gamma_fn", counted)
+    for _ in range(3):
+        assert prm.omega_sphere == 2.0 * math.pi ** 3.0 / math.gamma(3.0)
+        assert prm.omega_equator == 2.0 * math.pi ** 2.5 / math.gamma(2.5)
+    assert calls == [3.0, 2.5]
+    # the cache is no field: ==, hash, replace and pickle see the same Params
+    assert fresh == prm and hash(fresh) == hash(prm)
+    assert dataclasses.replace(prm) == prm
+    back = pickle.loads(pickle.dumps(prm))
+    assert back == prm and back.omega_sphere == prm.omega_sphere
+    assert len(calls) == 2
