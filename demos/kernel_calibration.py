@@ -1,9 +1,11 @@
-"""Calibrate the log-radial kernels and watch the bubble sit still.
+"""Check the log-radial kernel's constant and watch the bubble sit still.
 
 The dual form of the equation turns the fractional operator into a
-convolution against two radial kernels.  Calibration pins the single free
-constant so that the standard bubble is a fixed point of the dual map;
-everything downstream (towers, residuals, projections) rides on this.
+convolution against two radial kernels.  Its constant has a closed form,
+c_ns kappa = riesz_const q_ns, because the bubble family solves the equation
+with the curvature constant q_ns; with it the standard bubble is a fixed
+point of the dual map, and everything downstream (towers, residuals,
+projections) rides on this.
 """
 
 import numpy as np
@@ -20,8 +22,8 @@ print(f"parameters: n={prm.n}, sigma={prm.sigma}, "
       f"power p={prm.p}")
 
 cal = calibrate_cyl_kernel(prm)
-print(f"\ncalibrated kernel constant: {cal.kappa:.12g} "
-      f"(fixed-point defect {cal.fixed_point_err:.2e})")
+print(f"\nkernel constant in closed form: kappa = riesz_const q_ns / c_ns = "
+      f"{cal.kappa:.12g} (fixed-point defect {cal.fixed_point_err:.2e})")
 
 bub = Bubble(center=np.zeros(prm.n), lam=1.0)
 fn = lambda pts: bubble_eval(pts, bub, prm)

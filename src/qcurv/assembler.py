@@ -54,11 +54,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import Params, nonlin, nonlin_prime
-from .kernels import (cached_kappa, check_rules, gauss_panels, ring_kernel,
-                      riesz_kernel_cyl)
+from .kernels import (check_rules, gauss_panels, log_radial_convolution,
+                      ring_kernel, riesz_kernel_cyl)
 from .bubbles import TowerConfig, KernelIndex, bubble_eval, kernel_Z, tower_eval
 from .balancing import BalancedConfig
 from .delaunay import CylSolution, solve_periodic, delaunay_to_rn
@@ -130,7 +129,6 @@ class ApproxSolution:
     cyls: tuple[CylSolution, ...]
     baselines: np.ndarray            # R^i
     balanced: BalancedConfig | None
-    kappa: float
     cut_on: float = 0.5
     cut_off: float = 1.0
 
@@ -259,20 +257,18 @@ def assemble(balanced: BalancedConfig, prm: Params,
              levels: int = 6, M: int = 400, solver_tol: float = 1e-10,
              tau: float = 0.5) -> ApproxSolution:
     centers = balanced.sigma_set.points
-    kappa = cached_kappa(prm)
     sols = {}
     for L in balanced.L_i:
         key = round(float(L), 12)
         if key not in sols:
-            sols[key] = solve_periodic(L, prm, M=M, tol=solver_tol,
-                                       kappa=kappa)
+            sols[key] = solve_periodic(L, prm, M=M, tol=solver_tol)
     cyls = tuple(sols[round(float(L), 12)] for L in balanced.L_i)
     towers, base = _build_towers(centers, balanced.R, balanced.L_i,
                                  balanced.a0_hat, perturb, prm, levels, tau)
     return ApproxSolution(prm=prm, centers=centers, towers=towers,
                           base_towers=base, cyls=cyls,
                           baselines=np.asarray(balanced.R, dtype=float),
-                          balanced=balanced, kappa=kappa)
+                          balanced=balanced)
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -612,36 +608,32 @@ def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float, int]:
 def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
                       tol: float = 1e-9, kappa: float | None = None) -> float:
     """Riesz image of f(u) for u radial about one center: the angular
-    integral collapses onto the reduced cylindrical kernel."""
+    integral collapses onto the reduced cylindrical kernel, convolved in
+    tau = -ln|y - center| by kernels.log_radial_convolution (at x = center
+    with its far form |S^(n-1)| e^(gamma_s tau)).  kappa defaults to the
+    closed form.  ValueError at a marked point of an ApproxSolution."""
     center = np.asarray(center, dtype=float)
     x = np.asarray(x, dtype=float)
-    kap = cached_kappa(prm) if kappa is None else kappa
+    if isinstance(u_fn, ApproxSolution):
+        _require_unmarked(u_fn.centers, x)
+    c = prm.dual_const if kappa is None else prm.c_ns * kappa
     g = prm.gamma_s
-    ray = np.zeros_like(center)
-    ray[0] = 1.0
+    ray = np.eye(center.size)[0]
 
-    def v_in(taus):
-        taus = np.atleast_1d(taus)
-        pts = center[None, :] + np.exp(-taus)[:, None] * ray[None, :]
-        return np.exp(-g * taus) * np.asarray(u_fn(pts))
+    def up(taus):
+        pts = center + np.exp(-taus)[:, None] * ray
+        return (np.exp(-g * taus) * np.asarray(u_fn(pts))) ** prm.p
 
     rho = float(np.linalg.norm(x - center))
     if rho == 0.0:
-        def f0(tau):
-            return float((np.exp(g * tau) * v_in(tau) ** prm.p)[0])
-        val, _ = quad(f0, -45.0, 45.0, epsabs=1e-14, epsrel=tol, limit=300)
-        return float(prm.c_ns * kap * prm.omega_sphere * val)
-
-    t = -np.log(rho)
-
-    def f(tau):
-        return float(riesz_kernel_cyl(t - tau, prm) * v_in(tau)[0] ** prm.p)
-
-    val, _ = quad(f, t - 45.0, t + 45.0, epsabs=1e-14, epsrel=tol,
-                  limit=400, points=[t])
-    return float(prm.c_ns * kap * rho ** (-g) * val)
-
-
+        # a u bounded at the center leaves e^(-2 sigma tau) inward
+        val = log_radial_convolution(
+            lambda s: prm.omega_sphere * np.exp(-g * s), up, 0.0,
+            min(g, 2.0 * prm.sigma), tol, "radial dual map")
+        return float(c * val)
+    val = log_radial_convolution(lambda s: riesz_kernel_cyl(s, prm), up,
+                                 -np.log(rho), g, tol, "radial dual map")
+    return float(c * rho ** (-g) * val)
 
 
 def _require_meridian(u: ApproxSolution, prm: Params) -> ApproxSolution:
@@ -687,7 +679,7 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
     def F(zr):
         return um(zr) ** prm.p
 
-    return float(prm.c_ns * u.kappa * _dual_integral(u, F, x, tol))
+    return float(prm.dual_const * _dual_integral(u, F, x, tol))
 
 
 def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
@@ -745,8 +737,8 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
         good = dens > 0.0
         kern = rr[good] ** (2 * prm.sigma - n)
         vals[b][good] = kern * u(ys[good]) ** prm.p / dens[good]
-    est = prm.c_ns * u.kappa * float(np.mean(vals))
-    err = prm.c_ns * u.kappa * float(np.std(vals) / np.sqrt(n_samples))
+    est = prm.dual_const * float(np.mean(vals))
+    err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
     return est, err
 
 
@@ -968,7 +960,7 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     prm = u.prm
     um = _require_meridian(u, prm)
     pts, tags = sample_grid(u) if samples is None else samples
-    c = prm.c_ns * u.kappa
+    c = prm.dual_const
     nodes = _dual_nodes(u, lambda zr: um(zr) ** prm.p, pts, tol)
     evals = nodes.evals
     vals = np.full(len(pts), np.nan)

@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from .params import derive_params
-from .kernels import (QuadratureError, build_kernel_table, cached_kappa,
-                      decay_slope)
+from .kernels import QuadratureError, build_kernel_table, decay_slope
 from .delaunay import NewtonError, neck_sweep, sweep_csv
 from .interactions import (InteractionConstants, constants_payload,
                            interaction_constants, oracle_fit_constants, psi)
@@ -126,7 +125,7 @@ def _manifest(out: OutDir, command: str, config_doc: dict, prm,
         "tol": tol,
         "constants": {"A1": ic.A1, "A2": ic.A2, "A3": ic.A3,
                       "method": ic.method,
-                      "kappa": cached_kappa(prm)},
+                      "kappa": prm.dual_const / prm.c_ns},
         "outputs": sorted(out.files),
     }
     out.write("manifest.json", json.dumps(doc, indent=2, sort_keys=True))

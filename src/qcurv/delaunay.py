@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .params import Params
 from .bubbles import cyl_coefficient
-from .kernels import (cached_kappa, check_rules, gauss_panels, periodized_lattice,
+from .kernels import (check_rules, gauss_panels, graded_edges, periodized_lattice,
                       riesz_kernel_cyl)
 
 __all__ = [
@@ -60,7 +60,6 @@ class CylSolution:
     neck: float
     residual_norm: float
     n_iter: int
-    kappa: float
 
     @cached_property
     def spline(self) -> CubicSpline:
@@ -79,8 +78,7 @@ def _tower_profile(ts: np.ndarray, L: float, prm: Params, J: int) -> np.ndarray:
     return np.cosh(ts[..., None] - centers) ** (-prm.gamma_s) @ np.ones(len(centers))
 
 
-def _collocation_matrix(ts: np.ndarray, L: float, prm: Params,
-                        kappa: float) -> np.ndarray:
+def _collocation_matrix(ts: np.ndarray, L: float, prm: Params) -> np.ndarray:
     """Folded product-trapezoid matrix A with (A w)_k ~ kappa*int R_per*(c w)."""
     m = len(ts) - 1
     h = L / m
@@ -92,13 +90,12 @@ def _collocation_matrix(ts: np.ndarray, L: float, prm: Params,
     W += lattice[k[:, None] + k]
     W[:, 0] = lattice[k]            # tau = 0 contributes once
     W[:, m] = lattice[np.abs(k - m)]  # tau = L pairs with tau = -L by periodicity
-    W *= prm.c_ns * kappa * h
+    W *= prm.dual_const * h
     return W
 
 
 def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
-                   max_iter: int = 60, init_factor: float = 1.0,
-                   kappa: float | None = None) -> CylSolution:
+                   max_iter: int = 60, init_factor: float = 1.0) -> CylSolution:
     """Solve the periodic problem at half-period L on an M-point grid.
 
     The returned solution is even by construction (half-grid unknowns,
@@ -109,11 +106,9 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
         raise ValueError(f"half-period too small: {L} < 1.5")
     if M < 200:
         raise ValueError(f"grid too coarse: {M} < 200")
-    if kappa is None:
-        kappa = cached_kappa(prm)
     m = M // 2
     ts = np.linspace(0.0, L, m + 1)
-    A = _collocation_matrix(ts, L, prm, kappa)
+    A = _collocation_matrix(ts, L, prm)
     Jper = _periodization_order(L, prm)
     v = init_factor * _tower_profile(ts, L, prm, Jper + 1)
 
@@ -166,7 +161,6 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
         neck=float(v[0]),
         residual_norm=norm,
         n_iter=it,
-        kappa=float(kappa),
     )
 
 
@@ -218,11 +212,10 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
         raise ValueError("need at least three half-periods for a slope fit")
     if any(b <= a for a, b in zip(L_arr, L_arr[1:])):
         raise ValueError("half-periods must be strictly increasing")
-    kappa = cached_kappa(prm)
     rows = []
     for L in L_arr:
         try:
-            sol = solve_periodic(L, prm, M=M, tol=tol, kappa=kappa)
+            sol = solve_periodic(L, prm, M=M, tol=tol)
             rows.append(SweepRow(L, sol.neck, float(np.max(np.abs(sol.psi))),
                                  sol.residual_norm, sol.n_iter))
         except (NewtonError, ValueError) as exc:
@@ -267,9 +260,8 @@ def _kernel_cosine_rule(prm: Params, tol: float):
     t = 0 and are at most 0.5 wide beyond t = 0.5.  One kernel call serves
     both rules."""
     T = _branch_window(prm, tol)
-    edges = np.concatenate([[0.0], 0.5 * 2.0 ** np.arange(-24.0, 0.0),
-                            np.linspace(0.5, T, int(np.ceil(2.0 * T)))])
-    (t16, w16), (t8, w8) = (gauss_panels(edges, order) for order in (16, 8))
+    (t16, w16), (t8, w8) = (gauss_panels(graded_edges(T, 0.5), order)
+                            for order in (16, 8))
     R = riesz_kernel_cyl(np.concatenate([t16, t8]), prm)
     return (t16, w16 * R[:len(t16)]), (t8, w8 * R[len(t16):])
 

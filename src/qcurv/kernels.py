@@ -1,4 +1,4 @@
-"""Cylindrical reduction of the Riesz kernel and its calibration.
+"""Cylindrical reduction of the Riesz kernel and the convolution with it.
 
 The inverse operator acts on radial densities through a one-dimensional
 convolution kernel obtained by integrating the Riesz kernel over spheres.
@@ -7,6 +7,9 @@ fixed-point equation, and a singular one (exponent ``gamma_dual``) used for
 dual-side estimates.  Both have a closed form in the Gauss hypergeometric
 function of e^(-2|t|), as has the ring kernel, the Riesz kernel integrated
 over the orbit of a point about a line.
+
+The convolution's multiplier is the closed form c_ns kappa = riesz_const q_ns
+(``Params.dual_const``), and no fit.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def periodized_lattice(
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Calibration against the exact bubble profile
+# Fixed-panel quadrature, log-radial convolution and the calibration check
 # ─────────────────────────────────────────────────────────────────────────────
 
 
@@ -183,32 +186,44 @@ def check_rules(fine, coarse, tol: float, what: str,
             f"(> tol {tol:.1e} x {scale:.3e})")
 
 
-def _profile_convolution(t_grid: np.ndarray, prm: Params, halfwidth: float = 45.0,
-                         nodes_per_unit: int = 12) -> np.ndarray:
-    """int R_cyl(t - tau) cosh(tau)^{-gamma_dual} dtau on a batch of t values.
+def graded_edges(T: float, width: float) -> np.ndarray:
+    """Panel edges on [0, T], halving 24 times toward a kink at 0 from
+    width, and at most width wide beyond it."""
+    return np.concatenate([[0.0], width * 2.0 ** np.arange(-24.0, 0.0),
+                           np.linspace(width, T, int(np.ceil(T / width)))])
 
-    Composite Gauss-Legendre panels split at tau = t (the kernel has a weak
-    kink on the diagonal).  The integrand decays like e^{-gamma_dual |tau|},
-    so a fixed halfwidth suffices for ~1e-12 absolute truncation error.
-    """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    out = np.empty_like(t_grid)
-    # at least 8 panels per side, about nodes_per_unit nodes per unit length
-    n_panels = max(8, int(halfwidth * nodes_per_unit / 16) + 1)
-    for i, t in enumerate(t_grid):
-        edges = np.concatenate([np.linspace(t - halfwidth, t, n_panels + 1),
-                                np.linspace(t, t + halfwidth, n_panels + 1)[1:]])
-        taus, wts = gauss_panels(edges)
-        kern = riesz_kernel_cyl(taus - t, prm)
-        out[i] = np.sum(wts * kern * np.cosh(taus) ** (-prm.gamma_dual))
-    return out
+
+def log_radial_convolution(kernel: Callable, g: Callable, t: float,
+                           rate: float, tol: float, what: str) -> float:
+    """int kernel(t - tau) g(tau) dtau, the integrand decaying like
+    e^(-rate |t - tau|): 16-point rule on t -+ W, W = (ln(1/tol) + 5)/rate
+    (ValueError over 700), graded_edges panels 0.25 wide (at 0.5 the 8-point
+    rule misses a glued u's cutoffs by 1.5e-9) about the kink at tau = t.
+    QuadratureError when the 8-point rule's gap or the tail, the integrand
+    at the window ends over rate (a g growing outward), exceeds tol times
+    the value."""
+    W = (np.log(1.0 / tol) + 5.0) / rate
+    if W > 700.0:
+        raise ValueError(f"{what}: window {W:.0f} exceeds 700")
+    half = graded_edges(W, 0.25)
+    edges = np.concatenate([t - half[:0:-1], t + half])
+    (x16, w16), (x8, w8) = (gauss_panels(edges, order) for order in (16, 8))
+    taus = np.concatenate([x16, x8, [t - W, t + W]])
+    h = kernel(t - taus) * g(taus)
+    fine = float(w16 @ h[:len(x16)])
+    check_rules(fine, float(w8 @ h[len(x16):-2]), tol, what)
+    tail = float(np.sum(np.abs(h[-2:]))) / rate
+    if not (tail <= tol * abs(fine)):
+        raise QuadratureError(f"{what}: tail {tail:.3e} beyond t -+ {W:.3g} "
+                              f"(> tol {tol:.1e} x {abs(fine):.3e})")
+    return fine
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Multiplier kappa making the reduced kernel exactly the one the
-    fixed-point equation uses: the exact single-bubble cylinder profile
-    cosh^{-gamma_s} must be a fixed point of v -> kappa * K_cyl * (f o v)."""
+    """Multiplier kappa of the reduced kernel in the fixed-point equation
+    v -> kappa * K_cyl * (f o v), and how closely the exact single-bubble
+    cylinder profile cosh^{-gamma_s} satisfies it."""
 
     kappa: float
     fixed_point_err: float  # max relative error at the check offsets
@@ -217,31 +232,25 @@ class Calibration:
 
 def calibrate_cyl_kernel(prm: Params,
                          check_offsets: Sequence[float] = (1.0, 2.0, 4.0)) -> Calibration:
-    """Fit kappa at t = 0 and verify the fixed point at the check offsets.
+    """kappa in closed form, and the bubble profile's fixed-point defect
+    at the check offsets.
 
-    cosh(t)^{-gamma_s p} = cosh(t)^{-gamma_dual}, so the convolution needs no
-    knowledge of the bubble beyond its profile.  The nonlinearity constant is
-    tuned to the flat cylinder profile |x|^{-gamma_s}, while the bubble family
-    solves the equation with the curvature constant q_ns, so the fitted kappa
-    equals riesz_const * q_ns / c_ns rather than riesz_const alone.  Hitting
-    that product to quadrature accuracy cross-checks both constants at once.
+    c_ns kappa = riesz_const q_ns (Params.dual_const).  As cosh^{-gamma_s p}
+    = cosh^{-gamma_dual}, the check convolves the kernel with the latter by
+    log_radial_convolution at tol 1e-13, which cross-checks both constants.
     """
-    ts = np.concatenate([[0.0], np.asarray(check_offsets, dtype=float)])
-    conv = _profile_convolution(ts, prm)
+    ts = np.asarray(check_offsets, dtype=float)
+    conv = np.array([log_radial_convolution(
+        lambda s: riesz_kernel_cyl(s, prm),
+        lambda tau: np.cosh(tau) ** (-prm.gamma_dual),
+        t, prm.gamma_s, 1e-13, "calibration") for t in ts])
     v_exact = np.cosh(ts) ** (-prm.gamma_s)
-    kappa = float(v_exact[0] / (prm.c_ns * conv[0]))
-    resid = np.abs(kappa * prm.c_ns * conv[1:] - v_exact[1:]) / v_exact[1:]
+    resid = np.abs(prm.dual_const * conv - v_exact) / v_exact
     return Calibration(
-        kappa=kappa,
+        kappa=prm.dual_const / prm.c_ns,
         fixed_point_err=float(resid.max()),
         check_offsets=tuple(float(t) for t in check_offsets),
     )
-
-
-@lru_cache(maxsize=8)
-def cached_kappa(prm: Params) -> float:
-    """kappa of calibrate_cyl_kernel at its defaults, once per (n, sigma)."""
-    return calibrate_cyl_kernel(prm).kappa
 
 
 # ─────────────────────────────────────────────────────────────────────────────

@@ -73,6 +73,12 @@ class Params:
         """Surface measure of S^{n-2} (the sphere in R^{n-1})."""
         return 2.0 * math.pi ** ((self.n - 1) / 2.0) / gamma_fn((self.n - 1) / 2.0)
 
+    @cached_property
+    def dual_const(self) -> float:
+        """c_ns kappa = riesz_const q_ns, the factor of the dual map: the
+        bubbles solve the equation with q_ns where f carries c_ns."""
+        return self.riesz_const * self.q_ns
+
 
 def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params:
     """Validate (n, sigma) and derive the attached constants.

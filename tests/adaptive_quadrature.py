@@ -7,7 +7,9 @@ region in shells about the evaluation point, whose radial weight r^(2s-1)
 absorbs the kernel singularity; the angles about the line come from Gauss-
 Jacobi rules.  Each sample evaluates u afresh on its own points, so this is
 slow (about a second per sample at tol 1e-7) but shares nothing with the
-meridian path beyond `cutoff` and the partition radii.
+meridian path beyond `cutoff` and the partition radii.  `dual_apply_radial`
+is the one-dimensional map for functions radial about one center, on
+`quad` as the library ran it before its fixed panels.
 """
 
 from functools import lru_cache
@@ -19,6 +21,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from qcurv.assembler import (INT_OFF, INT_ON, ApproxSolution, _complete_frame,
                              cutoff)
 from qcurv.bubbles import bubble_eval, kernel_Z
+from qcurv.kernels import riesz_kernel_cyl
 from qcurv.params import gamma_fn, nonlin, nonlin_prime
 
 
@@ -188,8 +191,41 @@ def plain_integral(u: ApproxSolution, G, lam: float, tol: float) -> float:
 def dual_apply(u, x, tol):
     """The dual map at x on the adaptive path."""
     prm = u.prm
-    return float(prm.c_ns * u.kappa * dual_integral(
+    return float(prm.dual_const * dual_integral(
         u, lambda pts: u(pts) ** prm.p, np.asarray(x, dtype=float), tol))
+
+
+def dual_apply_radial(u_fn, center, x, prm, tol):
+    """The radial dual map as `assembler.dual_apply_radial` computed it
+    before it moved onto fixed panels: scipy `quad` on the window +-45 about
+    t = -ln|x - center| (about 0 at the center), with the closed-form
+    constant."""
+    center = np.asarray(center, dtype=float)
+    x = np.asarray(x, dtype=float)
+    g = prm.gamma_s
+    ray = np.zeros_like(center)
+    ray[0] = 1.0
+
+    def v_in(taus):
+        taus = np.atleast_1d(taus)
+        pts = center[None, :] + np.exp(-taus)[:, None] * ray[None, :]
+        return np.exp(-g * taus) * np.asarray(u_fn(pts))
+
+    rho = float(np.linalg.norm(x - center))
+    if rho == 0.0:
+        def f0(tau):
+            return float((np.exp(g * tau) * v_in(tau) ** prm.p)[0])
+        val, _ = quad(f0, -45.0, 45.0, epsabs=1e-14, epsrel=tol, limit=300)
+        return float(prm.dual_const * prm.omega_sphere * val)
+
+    t = -np.log(rho)
+
+    def f(tau):
+        return float(riesz_kernel_cyl(t - tau, prm) * v_in(tau)[0] ** prm.p)
+
+    val, _ = quad(f, t - 45.0, t + 45.0, epsabs=1e-14, epsrel=tol,
+                  limit=400, points=[t])
+    return float(prm.dual_const * rho ** (-g) * val)
 
 
 def beta_projection(u, idx, tol):

@@ -21,7 +21,7 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn, solve_periodic
-from qcurv.kernels import QuadratureError, cached_kappa, riesz_kernel_cyl
+from qcurv.kernels import QuadratureError, riesz_kernel_cyl
 from qcurv.params import nonlin_prime
 
 PRM = derive_params(5, 1.5)
@@ -33,15 +33,13 @@ E2 = np.array([0.0, 1.0, 0, 0, 0])
 def assemble_single(center, R, L, prm, levels=6, M=400):
     """One-point assembly, with no balancing: the pipeline null test."""
     center = np.asarray(center, dtype=float)[None, :]
-    kappa = cached_kappa(prm)
     towers, base = _build_towers(center, np.array([R]), np.array([L]),
                                  np.zeros_like(center), None, prm, levels,
                                  0.5)
     return ApproxSolution(prm=prm, centers=center, towers=towers,
                           base_towers=base,
-                          cyls=(solve_periodic(L, prm, M=M, kappa=kappa),),
-                          baselines=np.array([float(R)]), balanced=None,
-                          kappa=kappa)
+                          cyls=(solve_periodic(L, prm, M=M),),
+                          baselines=np.array([float(R)]), balanced=None)
 
 
 def on_line(u, F):
@@ -85,8 +83,8 @@ def mc_probe_oracle(u, x, prm, n_samples, seed):
     vals = np.zeros(n_samples)
     kern = rr[good] ** (2 * prm.sigma - n)
     vals[good] = kern * u(ys[good]) ** prm.p / dens[good]
-    est = prm.c_ns * u.kappa * float(np.mean(vals))
-    err = prm.c_ns * u.kappa * float(np.std(vals) / np.sqrt(n_samples))
+    est = prm.dual_const * float(np.mean(vals))
+    err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
     return est, err
 
 
@@ -226,26 +224,24 @@ class TestAssemble:
 
 
 class TestDualApply:
-    def test_bubble_fixed_point(self, single):
+    def test_bubble_fixed_point(self):
         bub = Bubble(center=np.zeros(5), lam=1.0)
         fn = lambda pts: bubble_eval(pts, bub, PRM)
         for r in (0.0, 1.0, 3.0):
             x = r * E1
-            img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-10,
-                                    kappa=single.kappa)
+            img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-10)
             assert img == pytest.approx(float(fn(x[None, :])[0]), rel=1e-3)
 
-    def test_flat_cylinder_fixed_point(self, single):
+    def test_flat_cylinder_fixed_point(self):
         # coefficient from the kernel-mass identity, checked against the
         # closed form (c/q)^{1/(p-1)}
         mass, _ = quad(lambda t: riesz_kernel_cyl(t, PRM), -45, 45, limit=400)
-        a = (PRM.c_ns * cached_kappa(PRM) * mass) ** (-1.0 / (PRM.p - 1))
+        a = (PRM.dual_const * mass) ** (-1.0 / (PRM.p - 1))
         assert a == pytest.approx((PRM.c_ns / PRM.q_ns) ** (1 / (PRM.p - 1)),
                                   rel=1e-6)
         fn = lambda pts: a * np.linalg.norm(pts, axis=-1) ** (-PRM.gamma_s)
         x = 0.7 * E1
-        img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-10,
-                                kappa=single.kappa)
+        img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-10)
         assert img == pytest.approx(float(fn(x[None, :])[0]), rel=1e-3)
 
     def test_delaunay_null(self, single):
@@ -263,8 +259,7 @@ class TestDualApply:
                        (1.0, "transition"), (3.0, "transition")):
             x = r * E1
             uval = float(fn(x[None, :])[0])
-            img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-9,
-                                    kappa=single.kappa)
+            img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-9)
             pts.append(x)
             vals.append(uval - img)
             tags.append(tag)
@@ -273,13 +268,13 @@ class TestDualApply:
                                 np.zeros((1, 5)), PRM)
         assert norm <= 1e-2  # 10x a 1e-3 evaluation budget, with margin
 
-    def test_monotone_in_u(self, single):
+    def test_monotone_in_u(self):
         bub = Bubble(center=np.zeros(5), lam=1.0)
         lo = lambda pts: bubble_eval(pts, bub, PRM)
         hi = lambda pts: 1.2 * bubble_eval(pts, bub, PRM)
         x = 0.5 * E1
-        a = dual_apply_radial(lo, np.zeros(5), x, PRM, kappa=single.kappa)
-        b = dual_apply_radial(hi, np.zeros(5), x, PRM, kappa=single.kappa)
+        a = dual_apply_radial(lo, np.zeros(5), x, PRM)
+        b = dual_apply_radial(hi, np.zeros(5), x, PRM)
         assert b > a
 
     def test_general_path_matches_radial(self, single):
@@ -287,9 +282,8 @@ class TestDualApply:
         for r in (0.35, 2.5):
             x = r * E1
             rad = dual_apply_radial(single, single.centers[0], x, PRM,
-                                    tol=1e-9, kappa=single.kappa)
-            gen = PRM.c_ns * single.kappa * _dual_integral(single, F, x,
-                                                           1e-7)
+                                    tol=1e-9)
+            gen = PRM.dual_const * _dual_integral(single, F, x, 1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
 
     @pytest.mark.parametrize("n,sigma", [(6, 1.2), (7, 2.5)])
@@ -303,10 +297,9 @@ class TestDualApply:
         for r in (0.05, 0.35, 2.5):
             x = np.zeros(n)
             x[0] = r
-            rad = dual_apply_radial(u, u.centers[0], x, prm, tol=1e-9,
-                                    kappa=u.kappa)
+            rad = dual_apply_radial(u, u.centers[0], x, prm, tol=1e-9)
             for y in (x, np.roll(x, 1)):
-                gen = prm.c_ns * u.kappa * _dual_integral(u, F, y, 1e-7)
+                gen = prm.dual_const * _dual_integral(u, F, y, 1e-7)
                 assert gen == pytest.approx(rad, rel=1e-7)
 
     def test_single_point_matches_radial(self, single):
@@ -314,9 +307,55 @@ class TestDualApply:
         for r in (0.02, 0.35, 2.5, 20.0):
             x = r * E1
             rad = dual_apply_radial(single, single.centers[0], x, PRM,
-                                    tol=1e-9, kappa=single.kappa)
+                                    tol=1e-9)
             assert dual_apply(single, x, tol=1e-9) == pytest.approx(
                 rad, rel=1e-8)
+
+    @pytest.mark.parametrize("case", ["bubble", "flat", "delaunay", "single",
+                                      "single-6-1.2", "single-7-2.5"])
+    def test_radial_matches_quad_oracle(self, single, case):
+        # the radii and tolerances of the radial tests above and of gate 1,
+        # against the map on scipy quad that the fixed panels replaced
+        prm, center, tol = PRM, np.zeros(5), 1e-9
+        if case == "bubble":
+            bub = Bubble(center=center, lam=1.0)
+            fn = lambda pts: bubble_eval(pts, bub, PRM)
+            radii, tol = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0,
+                          8.0), 1e-10
+        elif case == "flat":
+            a = (PRM.c_ns / PRM.q_ns) ** (1 / (PRM.p - 1))
+            fn = lambda pts: a * np.linalg.norm(pts, axis=-1) ** (-PRM.gamma_s)
+            radii, tol = (0.7,), 1e-10
+        elif case == "delaunay":
+            cyl, R = single.cyls[0], single.baselines[0]
+            fn = lambda pts: (R ** (-PRM.gamma_s)
+                              * delaunay_to_rn(cyl, pts / R, PRM))
+            radii = (0.02, 0.1, 0.5, 1.0, 3.0)
+        elif case == "single":
+            fn, radii = single, (0.02, 0.35, 2.5, 20.0)
+        else:
+            n, sigma = case.split("-")[1:]
+            prm = derive_params(int(n), float(sigma))
+            center = np.zeros(prm.n)
+            fn, radii = assemble_single(center, 0.7, 3.0, prm), (0.05, 0.35,
+                                                                 2.5)
+        for r in radii:
+            x = np.zeros(prm.n)
+            x[0] = r
+            ref = adaptive.dual_apply_radial(fn, center, x, prm, tol)
+            got = dual_apply_radial(fn, center, x, prm, tol=tol)
+            assert got == pytest.approx(ref, rel=tol)
+
+    def test_radial_refuses_marked_point(self, single):
+        # the window +-45 made the divergent integral finite: 1.1336e19
+        with pytest.raises(ValueError, match="marked point 0"):
+            dual_apply_radial(single, single.centers[0], single.centers[0],
+                              PRM, tol=1e-9)
+        # a u growing like |x|^-gamma_s at its center fails the tail check
+        a = (PRM.c_ns / PRM.q_ns) ** (1 / (PRM.p - 1))
+        flat = lambda pts: a * np.linalg.norm(pts, axis=-1) ** (-PRM.gamma_s)
+        with pytest.raises(QuadratureError, match="tail"):
+            dual_apply_radial(flat, np.zeros(5), np.zeros(5), PRM, tol=1e-9)
 
     def test_marked_point_raises(self, single, balanced_pair):
         # u^p is not integrable against the kernel at a marked point

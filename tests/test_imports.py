@@ -1,10 +1,13 @@
-"""Every import in the package is used, and every export has a reader.
+"""Every import in the package is used, every export has a reader, and
+nothing in the package integrates with scipy.integrate.
 
-Two AST scans of src/qcurv.  A name bound by an import statement must be
+Three AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
 the acceptance gates: the unit tests alone do not keep a public name alive.
+No module imports or reads scipy.integrate: the package has one quadrature
+layer, the fixed panels of kernels.gauss_panels.
 """
 
 import ast
@@ -124,3 +127,41 @@ def test_scan_flags_an_unread_export():
     # g is read only inside its own module, h only as an attribute of
     # something that is not a package module
     assert unread_exports(package, readers) == ["a.g", "a.h"]
+
+
+def scipy_integrate_uses(source: str) -> list[int]:
+    """Lines that import scipy.integrate, a name from it, or read it as
+    scipy.integrate."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+            if node.module == "scipy":
+                names += [f"scipy.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "integrate"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            names = ["scipy.integrate"]
+        else:
+            continue
+        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+               for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_integrate(path):
+    # one quadrature layer: the package integrates on kernels.gauss_panels
+    assert scipy_integrate_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_scipy_integrate():
+    src = ("import scipy.integrate\nfrom scipy.integrate import quad\n"
+           "from scipy import integrate as si\nfrom scipy import special\n"
+           "import scipy\nscipy.integrate.quad\n"
+           "from scipy.integrate._quadpack_py import quad\n"
+           "import scipy.interpolate\n")
+    assert scipy_integrate_uses(src) == [1, 2, 3, 6, 7]

@@ -10,13 +10,14 @@ from scipy.special import hyp2f1
 
 from qcurv.kernels import (
     KERNEL_REL_ERR,
+    QuadratureError,
     Calibration,
-    _profile_convolution,
     _unit_rule,
     build_kernel_table,
     calibrate_cyl_kernel,
     decay_slope,
     gauss_panels,
+    log_radial_convolution,
     periodized_lattice,
     ring_kernel,
     riesz_kernel_cyl,
@@ -177,8 +178,9 @@ def test_gauss_panels_cached_rule_is_bit_identical_and_read_only(order):
     assert x.flags.writeable  # callers own the panel arrays
 
 
-def _profile_convolution_loop(t_grid, prm, halfwidth=45.0, nodes_per_unit=12):
-    # the per-panel loop the shared panel helper replaced, kept as its oracle
+def _profile_convolution_loop(t_grid, prm, halfwidth, nodes_per_unit):
+    # int R(t - tau) cosh(tau)^-gamma_dual dtau on uniform 16-point panels
+    # split at tau = t: the rule the fitted kappa ran on, at (45, 12)
     gx, gw = np.polynomial.legendre.leggauss(16)
     gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
     out = np.empty(len(t_grid))
@@ -197,14 +199,42 @@ def _profile_convolution_loop(t_grid, prm, halfwidth=45.0, nodes_per_unit=12):
     return out
 
 
-@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
-def test_profile_convolution_bits_match_panel_loop(n, sigma):
-    # calibrate_cyl_kernel's offsets: kappa must not move by an ulp
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (6, 1.2), (3, 1.4), (4, 1.8),
+                                     (7, 2.5), (9, 3.5)])
+def test_closed_form_kappa_is_the_fixed_point(n, sigma):
+    # no fit: c_ns kappa = riesz_const q_ns.  The fit at t = 0 on the
+    # uniform (45, 12) rule missed it by its own defect, up to 1.8e-6
+    prm = derive_params(n, sigma)
+    cal = calibrate_cyl_kernel(prm)
+    assert cal.kappa == prm.riesz_const * prm.q_ns / prm.c_ns
+    assert cal.fixed_point_err <= 1e-12
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (3, 1.4), (7, 2.5)])
+def test_closed_form_kappa_on_refined_uniform_rule(n, sigma):
+    # the fit's uniform rule, refined from (45, 12) to (60, 768), shares no
+    # panel with the graded rule and converges on the closed form (at
+    # (6, 1.2) the kernel's |t|^1.4 kink leaves it 8.4e-11 short)
     prm = derive_params(n, sigma)
     ts = np.array([0.0, 1.0, 2.0, 4.0])
-    got = _profile_convolution(ts, prm)
-    ref = _profile_convolution_loop(ts, prm)
-    assert [v.hex() for v in got] == [v.hex() for v in ref]
+    conv = _profile_convolution_loop(ts, prm, 60.0, 768)
+    kappa = calibrate_cyl_kernel(prm).kappa
+    v = np.cosh(ts) ** (-prm.gamma_s)
+    assert np.max(np.abs(prm.c_ns * kappa * conv / v - 1.0)) <= 1e-12
+
+
+def test_log_radial_convolution_refuses_long_windows_and_tails():
+    kern = lambda s: riesz_kernel_cyl(s, PRM)
+    # (ln(1e9) + 5)/0.01 = 2572 > 700
+    with pytest.raises(ValueError, match="exceeds 700"):
+        log_radial_convolution(kern, np.ones_like, 0.0, 0.01, 1e-9, "slow")
+    # e^(0.9 |tau|) against e^(-|t - tau|) converges, but not inside t -+ 26
+    with pytest.raises(QuadratureError, match="tail"):
+        log_radial_convolution(kern, lambda tau: np.exp(0.9 * np.abs(tau)),
+                               0.0, 1.0, 1e-9, "growing")
+    # the mass identity below, on the fixed panels
+    mass = log_radial_convolution(kern, np.ones_like, 0.0, 1.0, 1e-12, "mass")
+    assert PRM.riesz_const * mass == pytest.approx(1.0 / PRM.c_ns, rel=1e-12)
 
 
 def test_kernel_mass_flat_profile_identity():
