@@ -18,10 +18,12 @@ Composite Gauss-Legendre panels cover the half-plane: log-polar about each
 center, weighted by the partition cutoff chi_i, and polar about the origin,
 weighted by 1 - sum chi_i.  The depth of the balls, the far radius and the
 panel sizes follow from the levels, the samples, gamma_s and tol.  The
-integrands take the half-plane's points (z, rho) and evaluate u there as
+node set evaluates u at the half-plane's points (z, rho) as
 `ApproxSolution.meridian()`, the same function with its centers projected
 onto the line, so no n-D point is built and the values do not depend on
-where the line sits.
+where the line sits; the integrands take the points and u's values there.
+In the ball about x_i the partition weight and chi_i phi_i are radial:
+they are evaluated once per radius of the rule, at the exact radius.
 
 The dual map evaluates u^p once per call on that node set.  A sample's
 value is the node set's sum against its ring kernel, with the panels next
@@ -60,7 +62,8 @@ from .kernels import (check_rules, gauss_panels, log_radial_convolution,
                       ring_kernel, riesz_kernel_cyl)
 from .bubbles import TowerConfig, KernelIndex, bubble_eval, kernel_Z, tower_eval
 from .balancing import BalancedConfig
-from .delaunay import CylSolution, solve_periodic, delaunay_to_rn
+from .delaunay import (CylSolution, delaunay_to_rn, radial_profile,
+                       solve_periodic)
 
 __all__ = [
     "ApproxSolution",
@@ -174,13 +177,32 @@ class ApproxSolution:
         phi_i is the genuinely small periodic remainder: keeping those
         levels in the subtraction is what makes the glued function lose the
         outward bubbles entirely instead of keeping their near-field values
-        while the cutoff discards their mass.
+        while the cutoff discards their mass.  This is the definition on
+        points; u itself evaluates phi_i from the distance to x_i (`_term`).
         """
         x = np.asarray(x, dtype=float)
         R = self.baselines[i]
         prof = R ** (-self.prm.gamma_s) * delaunay_to_rn(
             self.cyls[i], (x - self.centers[i]) / R, self.prm)
         return prof - tower_eval(x, self.base_towers[i], self.prm, half=False)
+
+    def _term(self, i: int, s: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """chi_i phi_i at the distances s from x_i (s2 their squares), 0
+        from cut_off on.  The periodic profile and the undeformed base tower
+        are both radial about x_i.  The tower's levels are summed in
+        `tower_eval`'s order, so given the squared distances `tower_eval`
+        builds, the tower part has its bits.  ValueError at s = 0."""
+        out = np.zeros(s.shape)
+        live = s < self.cut_off
+        s, s2 = s[live], s2[live]
+        g, R, cfg = self.prm.gamma_s, self.baselines[i], self.base_towers[i]
+        tower = s2 + cfg.level_scales_sq[:, None]
+        np.divide(2.0 * cfg.level_scales[:, None], tower, out=tower)
+        tower **= g
+        phi = R ** (-g) * radial_profile(self.cyls[i], s / R, self.prm)
+        phi -= tower.sum(axis=0)
+        out[live] = cutoff(s, self.cut_on, self.cut_off) * phi
+        return out
 
     def meridian(self) -> "ApproxSolution":
         """The same function on the meridian half-plane, called on points
@@ -210,19 +232,31 @@ class ApproxSolution:
                               for t, c in zip(self.base_towers, centers)))
 
     def __call__(self, x: np.ndarray) -> float | np.ndarray:
+        """u at one point (d,) or a batch (..., d); ValueError at a marked
+        point."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x.reshape(-1, x.shape[-1])
+        out = self._glued(x.reshape(-1, x.shape[-1]))
+        return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
+
+    def _glued(self, pts: np.ndarray, own=None) -> np.ndarray:
+        """u at the points (k, d): the half towers, then center by center
+        chi_i phi_i, taken only at points inside cut_off.  own = (i, values)
+        puts the given values in place of center i's term."""
         out = np.zeros(pts.shape[0])
         for cfg in self.towers:
             out += tower_eval(pts, cfg, self.prm, half=True)
-        for i in range(self.size):
-            s = np.linalg.norm(pts - self.centers[i], axis=-1)
-            chi = cutoff(s, self.cut_on, self.cut_off)
-            live = chi > 0.0
-            if np.any(live):
-                out[live] += chi[live] * self.correction(pts[live], i)
-        return float(out[0]) if single else out.reshape(x.shape[:-1])
+        for i, c in enumerate(self.centers):
+            if own is not None and own[0] == i:
+                out += own[1]
+                continue
+            s2 = (pts[:, 0] - c[0]) ** 2
+            for k in range(1, c.size):
+                s2 += (pts[:, k] - c[k]) ** 2
+            live = np.flatnonzero(s2 < self.cut_off ** 2)
+            if live.size:
+                s2 = s2[live]
+                out[live] += self._term(i, np.sqrt(s2), s2)
+        return out
 
 
 def _build_towers(centers, baselines, periods, a0_hat, perturb, prm,
@@ -334,12 +368,13 @@ class _Line:
         return z, np.linalg.norm(rel - z[..., None] * self.a, axis=-1)
 
 
-def _on_line(fn, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """fn at the points (z, rho), in blocks."""
+def _on_line(um: ApproxSolution, fn, z: np.ndarray,
+             rho: np.ndarray) -> np.ndarray:
+    """fn at the points (z, rho) and u's values there, in blocks."""
     out = np.empty(z.size)
     for s in range(0, z.size, _BLOCK):
-        out[s:s + _BLOCK] = fn(np.column_stack((z[s:s + _BLOCK],
-                                                rho[s:s + _BLOCK])))
+        zr = np.column_stack((z[s:s + _BLOCK], rho[s:s + _BLOCK]))
+        out[s:s + _BLOCK] = fn(zr, um(zr))
     return out
 
 
@@ -361,24 +396,26 @@ def _split(breaks, h: float) -> np.ndarray:
 
 class _Panels:
     """Tensor panels in polar coordinates (q1, q2) about the point (zc, 0):
-    q1 = -ln s in a ball, q1 = s in the far region, q2 the angle from the
-    line.  Per rule (16 and 8 points) it keeps the radii s and the angles'
-    cosines and sines, which give the nodes, and one weight array wf:
-    quadrature weight x Jacobian x rho^(n-2) x partition weight x integrand,
-    the last two multiplied in by `fill`."""
+    q1 = -ln s in the ball about center `own`, q1 = s in the far region
+    (own None), q2 the angle from the line.  The partition weight is
+    chi(s) = cutoff(s, INT_ON, INT_OFF) in a ball and part(z, rho) in the
+    far region.  Per rule (16 and 8 points) it keeps the radii s and the
+    angles' cosines and sines, which give the nodes, and one weight array
+    wf: quadrature weight x Jacobian x rho^(n-2) x partition weight x
+    integrand, the last two multiplied in by `fill`."""
 
-    def __init__(self, log: bool, zc: float, e1: np.ndarray, e2: np.ndarray,
-                 part, n: int):
-        self.log, self.zc, self.e1, self.e2 = log, zc, e1, e2
-        self.part, self.n = part, n
+    def __init__(self, zc: float, e1: np.ndarray, e2: np.ndarray, n: int,
+                 own: int | None = None, part=None):
+        self.log, self.zc, self.e1, self.e2 = own is not None, zc, e1, e2
+        self.own, self.part, self.n = own, part, n
         self.rules = []
         for order in _ORDERS:
             q1, w1 = gauss_panels(e1, order)
             q2, w2 = gauss_panels(e2, order)
-            s = np.exp(-q1) if log else q1
+            s = np.exp(-q1) if self.log else q1
             sin = np.sin(q2)
             # Jacobian x rho^(n-2) = (s^2 in a ball, else s) s^(n-2) sin^(n-2)
-            rows = w1 * (s * s if log else s) * s ** (n - 2)
+            rows = w1 * (s * s if self.log else s) * s ** (n - 2)
             self.rules.append((s, np.cos(q2), sin,
                                np.outer(rows, w2 * sin ** (n - 2))))
 
@@ -399,20 +436,33 @@ class _Panels:
         s = np.exp(-q1) if self.log else q1
         z, rho = self.zc + s * np.cos(q2), s * np.sin(q2)
         jac = s * s if self.log else s
-        return z, rho, jac * rho ** (self.n - 2) * self.part(z, rho)
+        part = cutoff(s, INT_ON, INT_OFF) if self.log else self.part(z, rho)
+        return z, rho, jac * rho ** (self.n - 2) * part
 
-    def fill(self, fn) -> int:
-        """Multiply the weights by the partition weight and by fn, which is
-        evaluated once wherever the weight is not 0; the number of those
-        nodes."""
+    def fill(self, um: ApproxSolution, fn) -> int:
+        """Multiply the weights by the partition weight and by fn(zr, u),
+        evaluated once at each node (z, rho) where the weight is not 0, with
+        u = um there; the number of those nodes.  In a ball the partition
+        weight and the own center's term chi_i phi_i depend on the radius
+        alone: both are taken once per radius of the rule, at its exact s,
+        and only the half towers and the other centers' terms are evaluated
+        node by node.  The far region evaluates u pointwise."""
         count = 0
-        for k, rule in enumerate(self.rules):
+        for k, (s, _, _, wf) in enumerate(self.rules):
+            if self.log:
+                wf *= cutoff(s, INT_ON, INT_OFF)[:, None]
+                own = np.broadcast_to(um._term(self.own, s, s * s)[:, None],
+                                      wf.shape)
             for r in self.chunks(k):
                 z, rho = self.nodes(k, r)
-                w = rule[3][r]
-                w *= self.part(z, rho)
+                w = wf[r]
+                if not self.log:
+                    w *= self.part(z, rho)
                 live = w != 0.0
-                w[live] *= fn(np.column_stack((z[live], rho[live])))
+                zr = np.column_stack((z[live], rho[live]))
+                uv = (um._glued(zr, (self.own, own[r][live])) if self.log
+                      else um(zr))
+                w[live] *= fn(zr, uv)
                 count += int(np.count_nonzero(live))
         return count
 
@@ -466,14 +516,17 @@ class _Nodes:
     prm: Params
     line: _Line
     centers: np.ndarray                      # the marked points (N, n)
-    fn: Callable[[np.ndarray], np.ndarray]   # the integrand on (z, rho) (k, 2)
+    um: ApproxSolution                       # u on (z, rho): u.meridian()
+    # the integrand at points (k, 2) of (z, rho), given u's values there
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     panels: tuple[_Panels, ...]
     evals: int                               # nodes fn was evaluated on
 
 
-def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
-              xs: np.ndarray) -> _Nodes:
-    """Panels over the half-plane, with fn evaluated on their nodes once.
+def _node_set(u: ApproxSolution, um: ApproxSolution, fn, tol: float,
+              tau_ref: float, xs: np.ndarray) -> _Nodes:
+    """Panels over the half-plane, with fn(zr, u) evaluated on their nodes
+    once, u from um = u.meridian(): see `_Panels.fill`.
 
     Below the log-depth tau_ref the integrand's share falls like
     e^(-gamma_s tau), so each ball runs in log-radius from -ln INT_OFF to
@@ -487,7 +540,10 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
     log-radius steps to r_far = 2 R tol^(-1/n), R the larger of the balls'
     reach and the farthest point of xs: past r_far the integrand and
     u^p K r^(n-1), which decay like r^(-n-1), leave less than tol of either.
-    fn takes points (k, 2) of (z, rho), z measured from the line's foot.
+    fn takes points (k, 2) of (z, rho), z measured from the line's foot,
+    and u's values there.  A ball's radial part is evaluated in the frame of
+    its center, at the exact radius; the towers, and so u's other terms,
+    are evaluated at the absolute z.
     """
     prm, line = u.prm, _Line.of(u)
     zc = (u.centers - line.p0) @ line.a
@@ -499,18 +555,16 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
     cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(u.cut_off),
                    -np.log(u.cut_on)})
     panels = []
-    for z0 in zc:
-        def chi(z, rho, z0=z0):
-            return cutoff(np.hypot(z - z0, rho), INT_ON, INT_OFF)
+    for i, z0 in enumerate(zc):
         d = np.hypot(zx - z0, rx)
         inside = d[(d > 0) & (d < INT_OFF)]
         tau_f = max([cuts[-1]] + list(2.0 - np.log(inside)))
         e_near = np.concatenate([_split(cuts, h * _H_CUT)[:-1],
                                  _split([cuts[-1], tau_f], h * _H_BALL)])
         deep = max(tau_hi, tau_f + h * _H_DEEP)
-        panels.append(_Panels(True, z0, e_near, fine, chi, prm.n))
-        panels.append(_Panels(True, z0, _split([tau_f, deep], h * _H_DEEP),
-                              coarse, chi, prm.n))
+        panels.append(_Panels(z0, e_near, fine, prm.n, own=i))
+        panels.append(_Panels(z0, _split([tau_f, deep], h * _H_DEEP), coarse,
+                              prm.n, own=i))
 
     def far(z, rho):
         return 1.0 - sum(cutoff(np.hypot(z - c, rho), INT_ON, INT_OFF)
@@ -524,9 +578,9 @@ def _node_set(u: ApproxSolution, fn, tol: float, tau_ref: float,
     e_far = np.concatenate([_split([0.0, r1], h * _H_FAR)[:-1],
                             np.exp(_split([np.log(r1), np.log(r_far)],
                                           h * _H_LOG_FAR))])
-    panels.append(_Panels(False, zo, e_far, fine, far, prm.n))
-    evals = sum(p.fill(fn) for p in panels)
-    return _Nodes(prm=prm, line=line, centers=u.centers, fn=fn,
+    panels.append(_Panels(zo, e_far, fine, prm.n, part=far))
+    evals = sum(p.fill(um, fn) for p in panels)
+    return _Nodes(prm=prm, line=line, centers=u.centers, um=um, fn=fn,
                   panels=tuple(panels), evals=evals)
 
 
@@ -539,7 +593,8 @@ def _t_edges(prm: Params) -> np.ndarray:
     return np.array([0.0] + grade + [0.5, 1.0])
 
 
-def _dual_nodes(u: ApproxSolution, F, xs: np.ndarray, tol: float) -> _Nodes:
+def _dual_nodes(u: ApproxSolution, um: ApproxSolution, F, xs: np.ndarray,
+                tol: float) -> _Nodes:
     """Node set of the dual map at the points xs.  u^p s^n falls like
     e^(-gamma_s tau) below the first level (the periodic profile keeps
     adding levels under the tower's last one), and a sample at depth tau_x
@@ -550,7 +605,7 @@ def _dual_nodes(u: ApproxSolution, F, xs: np.ndarray, tol: float) -> _Nodes:
                axis=1)
     tau_ref = max([-np.log(cfg.level_scales[cfg.levels]) for cfg in u.towers]
                   + list(-np.log(d[d > 0])))
-    return _node_set(u, F, tol, tau_ref, xs)
+    return _node_set(u, um, F, tol, tau_ref, xs)
 
 
 def _require_unmarked(centers: np.ndarray, x: np.ndarray) -> None:
@@ -594,7 +649,8 @@ def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float, int]:
             pw = pw * wq
             live = pw != 0.0
             if np.any(live):
-                pw[live] *= _on_line(nodes.fn, pz[live], prho[live])
+                pw[live] *= _on_line(nodes.um, nodes.fn, pz[live],
+                                     prho[live])
                 out[k] += _kernel_dot(pw[live], pz[live], prho[live], zx, rx,
                                       prm)
                 evals += int(np.count_nonzero(live))
@@ -659,11 +715,12 @@ def require_reduction(u: ApproxSolution) -> None:
             "coordinate axis")
 
 
-def _dual_integral(u: ApproxSolution, F, x: np.ndarray, tol: float) -> float:
+def _dual_integral(u: ApproxSolution, um: ApproxSolution, F, x: np.ndarray,
+                   tol: float) -> float:
     """int |x-y|^(2s-n) F(y) dy on its own node set, checked against the
-    8-point rule."""
+    8-point rule; F takes (z, rho) points and u's values there."""
     x = np.asarray(x, dtype=float)
-    fine, coarse, _ = _dual_at(_dual_nodes(u, F, x, tol), x)
+    fine, coarse, _ = _dual_at(_dual_nodes(u, um, F, x, tol), x)
     check_rules(fine, coarse, tol, "dual map")
     return fine
 
@@ -676,10 +733,10 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
     x = np.asarray(x, dtype=float)
     um = _require_meridian(u, prm)
 
-    def F(zr):
-        return um(zr) ** prm.p
+    def F(zr, uv):
+        return uv ** prm.p
 
-    return float(prm.dual_const * _dual_integral(u, F, x, tol))
+    return float(prm.dual_const * _dual_integral(u, um, F, x, tol))
 
 
 def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
@@ -746,63 +803,81 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
 # cokernel projections
 
 
-def _plain_integral(u: ApproxSolution, G, lam: float, tol: float) -> float:
-    """int G dy over R^n on the meridian panels, for integrands that decay
-    like e^(-gamma_s |tau|) in the log-distance tau from a bubble of scale
-    lam.  A projection is a small difference of that integrand's mass
-    int |G|, so the 8-point rule must agree to tol times the mass."""
-    nodes = _node_set(u, G, tol, -np.log(lam), np.empty((0, u.prm.n)))
+class Estimate(float):
+    """A quadrature value that carries its error estimate `err_est`, the
+    gap between the 16- and 8-point rules, and `mass`, the integral of its
+    integrand's absolute value."""
+
+    def __new__(cls, value: float, err_est: float, mass: float):
+        out = super().__new__(cls, value)
+        out.err_est, out.mass = err_est, mass
+        return out
+
+
+def _plain_integral(u: ApproxSolution, um: ApproxSolution, G, lam: float,
+                    tol: float) -> Estimate:
+    """int G dy over R^n on the meridian panels, for integrands G(zr, u)
+    that decay like e^(-gamma_s |tau|) in the log-distance tau from a bubble
+    of scale lam.  A projection is a small difference of that integrand's
+    mass int |G|, so the 8-point rule must agree to tol times the mass."""
+    nodes = _node_set(u, um, G, tol, -np.log(lam), np.empty((0, u.prm.n)))
     fine, coarse, mass = (u.prm.omega_equator * sum(
         float(np.sum(op(p.rules[k][3]))) for p in nodes.panels)
         for k, op in ((0, np.asarray), (1, np.asarray), (0, np.abs)))
     check_rules(fine, coarse, tol, "projection", scale=mass)
-    return fine
+    return Estimate(fine, abs(fine - coarse), mass)
 
 
 def beta_projection(u: ApproxSolution, idx: KernelIndex,
-                    prm: Params | None = None, tol: float = 1e-9) -> float:
-    """Projection of the residual on the (tower, level, mode) direction.
+                    prm: Params | None = None, tol: float = 1e-9) -> Estimate:
+    """Projection of the residual on the (tower, level, mode) direction, as
+    an `Estimate`: a float with its err_est and its integrand's mass.
 
-    The quadrature nodes sit at the absolute axial coordinate of x_i plus
-    s cos(theta), which is rounded to the double spacing delta = |x_i|*eps at
-    the level's center x_i, so inside the level's core (s ~ lam_j) every integrand value carries
-    a relative error of about delta/lam_j.  A level with delta/lam_j > tol
-    cannot be resolved to tol and raises ValueError.  On the balanced pair
-    3 apart (n=5, sigma=1.5) the normalised pairing int f'(U_j) Z_j^2 of the
-    tower at 3*e1 was off by 3e-4 to 0.07 times delta/lam_j over levels with
-    delta/lam_j from 1e-7 to 0.7 (L = 2.5..3.5), and by 13x at
-    delta/lam_j = 169; a tower at the origin has delta = 0.  The value
-    passes the 16- vs 8-point check at tol or raises QuadratureError.
+    The integrand runs on the meridian half-plane, with the level's bubble
+    and kernel taken from the meridian tower (a translation mode along the
+    line is the axial one, with the sign of the line's direction).  The
+    quadrature nodes sit at the axial coordinate z_c + s cos(theta) in the
+    line's frame, which is rounded to the double spacing delta = |z_c|*eps
+    at the level center's axial coordinate z_c, so inside the level's core
+    (s ~ lam_j) every integrand value carries a relative error of about
+    delta/lam_j.  A level with delta/lam_j > tol cannot be resolved to tol
+    and raises ValueError.  On the balanced pair 3 apart (n=5, sigma=1.5)
+    the normalised pairing int f'(U_j) Z_j^2 of the tower at z_c = 3 was
+    off by 3e-4 to 0.07 times delta/lam_j over levels with delta/lam_j from
+    1e-7 to 0.7 (L = 2.5..3.5), and by 13x at delta/lam_j = 169; a tower at
+    the line's foot has delta = 0.  The value passes the 16- vs 8-point
+    check at tol or raises QuadratureError.  A translation mode across the
+    line gives 0 exactly, by symmetry, with err_est and mass 0: nothing is
+    integrated.
     """
     prm = u.prm if prm is None else prm
     require_reduction(u)
     i = idx.tower
     if not (0 <= i < u.size):
         raise ValueError(f"tower {i} out of range")
-    cfg = u.towers[i]
-    if idx.level > cfg.levels or idx.mode > prm.n:
+    if idx.level > u.towers[i].levels or idx.mode > prm.n:
         raise ValueError("index outside the truncation")
     if idx.mode >= 1 and abs(float(u.axis[idx.mode - 1])) < 1e-12:
-        return 0.0  # odd integrand across the symmetry plane
+        return Estimate(0.0, 0.0, 0.0)  # odd integrand across the line
+    um = u.meridian()
+    cfg = um.towers[i]
     b = cfg.level_bubble(idx.level)
-    spacing = float(np.linalg.norm(b.center)) * np.finfo(float).eps
+    spacing = abs(float(b.center[0])) * np.finfo(float).eps
     if spacing > tol * b.lam:
         raise ValueError(
             f"level {idx.level} of tower {i} cannot be resolved to "
             f"tol={tol:g}: the double spacing at its center is "
             f"{spacing / b.lam:.3g} of its scale")
+    axial = dataclasses.replace(idx, mode=min(idx.mode, 1))
+    sign = float(np.sign(u.axis[idx.mode - 1])) if idx.mode else 1.0
 
-    line, um = _Line.of(u), u.meridian()
-
-    def G(zr):
-        pts = line.points(zr[:, 0], zr[:, 1])
-        U = bubble_eval(pts, b, prm)
-        uv = um(zr)
+    def G(zr, uv):
+        U = bubble_eval(zr, b, prm)
         core = (nonlin_prime(U, prm) * uv - nonlin(uv, prm)
                 - (prm.p - 1.0) * nonlin(U, prm))
-        return core * kernel_Z(pts, idx, cfg, prm)
+        return core * (sign * kernel_Z(zr, axial, cfg, prm))
 
-    return _plain_integral(u, G, b.lam, tol)
+    return _plain_integral(u, um, G, b.lam, tol)
 
 
 def beta_leading_form(u: ApproxSolution, i: int) -> float:
@@ -953,15 +1028,15 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     of every other sample.
 
     mc_points > 0 adds `mc_probe` checks at that many samples picked among
-    the finite ones, each of mc_samples draws: about 0.9 us and 24 bytes
-    per draw, so the default 200k draws take about 0.2 s and 10 MB per
-    point, on top of the quadrature.
+    the finite ones, each of mc_samples draws: about 0.8 us and 24 bytes
+    per draw, so the default 200k draws take about 0.17 s and 10 MB per
+    point, on top of the quadrature (2-core Intel Xeon, numpy 2.4).
     """
     prm = u.prm
     um = _require_meridian(u, prm)
     pts, tags = sample_grid(u) if samples is None else samples
     c = prm.dual_const
-    nodes = _dual_nodes(u, lambda zr: um(zr) ** prm.p, pts, tol)
+    nodes = _dual_nodes(u, um, lambda zr, uv: uv ** prm.p, pts, tol)
     evals = nodes.evals
     vals = np.full(len(pts), np.nan)
     err_est = np.full(len(pts), np.nan)

@@ -101,10 +101,14 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 class OutDir:
+    """The output directory, the files written to it, and the deterministic
+    facts a command leaves for the manifest."""
+
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.files: list[str] = []
+        self.facts: dict = {}
 
     def write(self, name: str, data: str) -> None:
         _write_atomic(os.path.join(self.root, name), data)
@@ -127,6 +131,7 @@ def _manifest(out: OutDir, command: str, config_doc: dict, prm,
                       "method": ic.method,
                       "kappa": prm.dual_const / prm.c_ns},
         "outputs": sorted(out.files),
+        **out.facts,
     }
     out.write("manifest.json", json.dumps(doc, indent=2, sort_keys=True))
 
@@ -255,6 +260,20 @@ def _write_report(out: OutDir, name: str, rep) -> None:
                               f"({'; '.join(rep.errors[:1])})")
 
 
+def _solver_facts(u) -> dict:
+    """Newton iterations and residual of each periodic profile u solved,
+    one per period, and the balancing residuals B1/B2 where they are finite
+    (a configuration built with given multiplicities carries NaN)."""
+    facts = {"profiles": [{"L": c.L, "n_iter": c.n_iter,
+                           "residual_norm": c.residual_norm}
+                          for c in {c.L: c for c in u.cyls}.values()]}
+    for key in ("resid_B1", "resid_B2"):
+        val = getattr(u.balanced, key)
+        if np.isfinite(val):
+            facts[key] = val
+    return facts
+
+
 def cmd_assemble_residual(doc: dict, out: OutDir,
                           tol: float) -> InteractionConstants:
     prm = _params(doc)
@@ -280,12 +299,16 @@ def cmd_assemble_residual(doc: dict, out: OutDir,
     qtol = max(tol, 1e-7)
 
     def level0_betas(v, **tag):
-        return [{"tower": i, "level": 0, "mode": 0,
-                 "beta": beta_projection(v, KernelIndex(i, 0, 0), tol=qtol),
-                 "leading_form": beta_leading_form(v, i), **tag}
-                for i in range(ss.size)]
+        out = []
+        for i in range(ss.size):
+            beta = beta_projection(v, KernelIndex(i, 0, 0), tol=qtol)
+            out.append({"tower": i, "level": 0, "mode": 0, "beta": beta,
+                        "err_est": beta.err_est, "mass": beta.mass,
+                        "leading_form": beta_leading_form(v, i), **tag})
+        return out
 
     u = assemble(cfg, prm)
+    out.facts["solver"] = solver = {"balanced": _solver_facts(u)}
     require_reduction(u)
     rep = residual(u, weight, samples=_samples(u, regions), tol=qtol,
                    mc_seed=seed, mc_points=mc_points)
@@ -298,6 +321,7 @@ def cmd_assemble_residual(doc: dict, out: OutDir,
                              L=cfg.L, L_i=periods_from_q(qc, cfg.L, prm),
                              resid_B1=float("nan"), resid_B2=float("nan"))
         u2 = assemble(unb, prm)
+        solver["compare"] = _solver_facts(u2)
         rep2 = residual(u2, weight, samples=_samples(u2, regions), tol=qtol,
                         mc_seed=seed)
         _write_report(out, "residual_report_compare.json", rep2)

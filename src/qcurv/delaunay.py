@@ -34,6 +34,7 @@ __all__ = [
     "NewtonError",
     "solve_periodic",
     "delaunay_to_rn",
+    "radial_profile",
     "neck_sweep",
     "sweep_csv",
     "bifurcation_half_period",
@@ -164,19 +165,23 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
     )
 
 
-def delaunay_to_rn(sol: CylSolution, x, prm: Params):
-    """Map the periodic profile back to the punctured space.
-
-    u(x) = |x|^{-gamma_s} v(-ln|x| mod 2L); exactly self-similar under
-    x -> e^{-2L} x by construction.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x * x, axis=-1))
+def radial_profile(sol: CylSolution, r, prm: Params):
+    """The periodic profile at radii r > 0: r^{-gamma_s} v(-ln r mod 2L),
+    exactly self-similar under r -> e^{-2L} r by construction.  ValueError
+    at r = 0, where it is singular."""
+    r = np.asarray(r, dtype=float)
     if np.any(r == 0.0):
         raise ValueError("the profile is singular at the origin")
     t = -np.log(r)
     tr = np.mod(t + sol.L, 2.0 * sol.L) - sol.L
-    val = r ** (-prm.gamma_s) * sol.spline(tr)
+    return r ** (-prm.gamma_s) * sol.spline(tr)
+
+
+def delaunay_to_rn(sol: CylSolution, x, prm: Params):
+    """Map the periodic profile back to the punctured space:
+    u(x) = `radial_profile` at |x|."""
+    x = np.asarray(x, dtype=float)
+    val = radial_profile(sol, np.sqrt(np.sum(x * x, axis=-1)), prm)
     return float(val) if np.ndim(val) == 0 else val
 
 

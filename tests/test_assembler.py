@@ -17,7 +17,7 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
                              _Line, _MC_BLOCK, _build_towers,
-                             _dual_integral, _plain_integral)
+                             _dual_integral, _node_set, _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn, solve_periodic
@@ -44,9 +44,10 @@ def assemble_single(center, R, L, prm, levels=6, M=400):
 
 def on_line(u, F):
     """F, an integrand on points (k, n), on the (z, rho) points of u's
-    meridian half-plane: the quadrature's integrand before the reduction."""
+    meridian half-plane: the quadrature's integrand before the reduction.
+    It takes the node set's u values and leaves them unused."""
     line = _Line.of(u)
-    return lambda zr: F(line.points(zr[:, 0], zr[:, 1]))
+    return lambda zr, uv: F(line.points(zr[:, 0], zr[:, 1]))
 
 
 def mc_probe_oracle(u, x, prm, n_samples, seed):
@@ -187,6 +188,13 @@ class TestAssemble:
                     raw += chi * float(u.correction(x[None, :], i)[0])
             assert float(u(x)) == pytest.approx(raw, rel=1e-12, abs=1e-14)
 
+    def test_marked_point_raises(self, single, balanced_pair):
+        # u is singular at its marked points
+        with pytest.raises(ValueError, match="singular"):
+            single(single.centers[0])
+        with pytest.raises(ValueError, match="singular"):
+            balanced_pair(np.vstack([E2, balanced_pair.centers[1]]))
+
     def test_blowup_rate(self, balanced_pair):
         # leading tower behavior dist^{-gamma_s} near each marked point
         u = balanced_pair
@@ -283,7 +291,8 @@ class TestDualApply:
             x = r * E1
             rad = dual_apply_radial(single, single.centers[0], x, PRM,
                                     tol=1e-9)
-            gen = PRM.dual_const * _dual_integral(single, F, x, 1e-7)
+            gen = PRM.dual_const * _dual_integral(single, single.meridian(),
+                                                  F, x, 1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
 
     @pytest.mark.parametrize("n,sigma", [(6, 1.2), (7, 2.5)])
@@ -299,7 +308,8 @@ class TestDualApply:
             x[0] = r
             rad = dual_apply_radial(u, u.centers[0], x, prm, tol=1e-9)
             for y in (x, np.roll(x, 1)):
-                gen = prm.dual_const * _dual_integral(u, F, y, 1e-7)
+                gen = prm.dual_const * _dual_integral(u, u.meridian(), F, y,
+                                                      1e-7)
                 assert gen == pytest.approx(rad, rel=1e-7)
 
     def test_single_point_matches_radial(self, single):
@@ -553,7 +563,9 @@ class TestBetaProjection:
         for tower in (0, 1):
             for mode in (2, 3, 4):
                 idx = KernelIndex(tower=tower, level=0, mode=mode)
-                assert beta_projection(balanced_pair, idx) == 0.0
+                beta = beta_projection(balanced_pair, idx)
+                # exact by symmetry: nothing is integrated
+                assert (beta, beta.err_est, beta.mass) == (0.0, 0.0, 0.0)
 
     def test_mirror_symmetry(self, balanced_pair):
         b0 = beta_projection(balanced_pair, KernelIndex(0, 0, 0), tol=1e-8)
@@ -585,7 +597,8 @@ class TestBetaProjection:
                 U = bubble_eval(pts, b, PRM)
                 return nonlin_prime(U, PRM) * kernel_Z(pts, idx, cfg, PRM) ** 2
 
-            vals.append(_plain_integral(u, on_line(u, G), b.lam, 1e-9)
+            vals.append(_plain_integral(u, u.meridian(), on_line(u, G),
+                                        b.lam, 1e-9)
                         * b.lam ** 2 / slope ** 2)
         assert vals == pytest.approx([vals[0]] * len(vals), rel=1e-6)
 
@@ -600,6 +613,22 @@ class TestBetaProjection:
         for idx in (KernelIndex(0, 0, 0), KernelIndex(1, 0, 0),
                     KernelIndex(0, 6, 0)):
             assert np.isfinite(beta_projection(u, idx))
+
+    def test_projection_is_translation_invariant(self):
+        # the projections run on (z, rho) and judge a level by the double
+        # spacing at its axial coordinate in the line's frame: on lines
+        # whose foot is tower 0 they are the pair's at the origin bit for
+        # bit.  Judged at |center| in R^n, levels 1-3 were refused on the
+        # line through 1e3 e2, and on the other line level 3 was refused and
+        # level 2 moved by 1.1e-9
+        idxs = [KernelIndex(0, j, 0) for j in range(4)] + [KernelIndex(1, 0,
+                                                                       0)]
+        out = []
+        for t in (np.zeros(5), 1e3 * E2, np.array([0.0, 1.0, 0.5, 0.3, 0.2])):
+            ss = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * E1]) + t)
+            u = assemble(bal.balance(ss, np.ones(2), 2.5, IC, PRM), PRM)
+            out.append([beta_projection(u, idx, tol=1e-9) for idx in idxs])
+        assert out[1] == out[0] and out[2] == out[0]
 
     def test_hard_levels_check_or_raise(self, pair_35):
         # the adaptive path warned (roundoff, tolerance not reached) on these
@@ -744,11 +773,18 @@ class TestResidual:
         assert again.to_json() == rep.to_json()
 
     def test_meridian_matches_nd_integrand(self, pair_35, monkeypatch):
-        # the quadrature evaluates u in the line's frame; with u evaluated at
-        # the n-D points of the half-plane instead, every residual value,
-        # err_est and level-0 beta is the same, bit for bit (the line is e1
-        # through the origin, so the n-D nodes are (z, rho, 0, 0, 0))
+        # the node set evaluates u in the line's frame and takes each ball's
+        # radial part once per radius; the oracle evaluates u pointwise at
+        # the n-D points of the half-plane, (z, rho, 0, 0, 0) on this line
+        # (e1 through the origin).  With u pointwise in the frame at every
+        # node the residual values, err_est and level-0 betas are the
+        # oracle's bit for bit.  With the radial part the values agree to
+        # 4.3e-14 relative, err_est to 1.4e-15 |dual value| and the origin
+        # tower's beta to 1.4e-15; the beta of the tower at 3 e1 moves by
+        # 7.0e-13, where pointwise u loses digits to the rounding of z near 3
         u = pair_35
+        line = _Line.of(u)
+        glued = ApproxSolution._glued
 
         def run():
             grid, tags = sample_grid(u)
@@ -757,15 +793,65 @@ class TestResidual:
             return rep, [beta_projection(u, KernelIndex(t, 0, 0), tol=1e-7)
                          for t in (0, 1)]
 
+        def pointwise(self, pts, own=None):
+            return glued(self, pts)
+
+        def nd(self, pts, own=None):
+            # a (z, rho) point of the meridian function goes to its n-D point
+            if pts.shape[1] == 2:
+                return glued(u, line.points(pts[:, 0], pts[:, 1]))
+            return glued(self, pts)
+
         rep, betas = run()
-        monkeypatch.setattr(ApproxSolution, "meridian",
-                            lambda self: on_line(self, self))
+        monkeypatch.setattr(ApproxSolution, "_glued", pointwise)
+        rep_pt, betas_pt = run()
+        monkeypatch.setattr(ApproxSolution, "_glued", nd)
         rep_nd, betas_nd = run()
         assert rep.errors == ()
-        assert rep.values.tolist() == rep_nd.values.tolist()
-        assert rep.err_est.tolist() == rep_nd.err_est.tolist()
-        assert rep.nodes == rep_nd.nodes
-        assert betas == betas_nd
+        assert rep_pt.values.tolist() == rep_nd.values.tolist()
+        assert rep_pt.err_est.tolist() == rep_nd.err_est.tolist()
+        assert betas_pt == betas_nd
+        assert rep.nodes == rep_pt.nodes == rep_nd.nodes
+        dual = np.array([float(u(x)) for x in rep.points]) - rep.values
+        rel = np.abs(rep.values - rep_nd.values) / np.abs(rep_nd.values)
+        err = np.abs(rep.err_est - rep_nd.err_est) / np.abs(dual)
+        brel = [abs(a - b) / abs(b) for a, b in zip(betas, betas_nd)]
+        assert rel.max() <= 5e-14
+        assert err.max() <= 2e-15
+        assert brel[0] <= 2e-15 and brel[1] <= 1e-12
+
+    def test_ball_panels_match_pointwise_u(self, balanced_pair):
+        # the fill takes chi_i phi_i once per radius of a ball, at the exact
+        # radius.  About the tower at the origin u agrees with pointwise u to
+        # 4.3e-15 relative (one ulp of the radius moves -ln s mod 2L in the
+        # profile by up to 3e-15).  The tower at 3 e1 shares the origin
+        # tower's profile, R and base tower, so its radial part is the same
+        # bit for bit; pointwise u there rounds z near 3 and at s = 1e-12
+        # is off by 8.9e-6
+        u = balanced_pair
+        um = u.meridian()
+        nodes = _node_set(u, um, lambda zr, uv: uv, 1e-7, 20.0,
+                          np.empty((0, 5)))
+        seen = []
+
+        def grab(zr, uv):
+            seen.append((zr, uv))
+            return uv
+
+        for p in nodes.panels:
+            if p.own == 0:
+                p.fill(um, grab)
+        zr = np.concatenate([a for a, _ in seen])
+        uv = np.concatenate([b for _, b in seen])
+        assert zr.shape[0] == 44_704
+        assert np.max(np.abs(uv - um(zr)) / uv) <= 5e-15
+        s = nodes.panels[0].rules[0][0]
+        assert np.array_equal(um._term(1, s, s * s), um._term(0, s, s * s))
+        theta = np.linspace(0.1, 3.0, 7)
+        s = np.full(theta.size, 1e-12)
+        zr = np.column_stack((3.0 + s * np.cos(theta), s * np.sin(theta)))
+        ball = um._glued(zr, (1, um._term(1, s, s * s)))
+        assert np.max(np.abs(um(zr) - ball) / ball) > 1e-6
 
     def test_failed_sample_is_nan(self, balanced_pair):
         # the dual map is infinite at a marked point: that sample fails alone

@@ -209,6 +209,23 @@ class TestAssembleResidualCommand:
         rep = json.loads((out / "residual_report.json").read_text())
         assert rep["weight_kind"] == "starstar"
         assert rep["errors"] == []
+        # each projection carries its 16/8 gap within tol (1e-7) x its mass
+        for e in betas["entries"]:
+            assert 0.0 < e["err_est"] <= 1e-7 * e["mass"]
+        # solver facts: finite ones only, so the control has no B1/B2
+        solver = manifest(out)["solver"]
+        assert set(solver["balanced"]) == {"profiles", "resid_B1",
+                                           "resid_B2"}
+        assert set(solver["compare"]) == {"profiles"}
+        assert [p["L"] for p in solver["balanced"]["profiles"]] == [2.5]
+        assert len(solver["compare"]["profiles"]) == 2
+        for facts in solver.values():
+            for p in facts["profiles"]:
+                assert p["n_iter"] >= 1 and p["residual_norm"] <= 1e-10
+        again = tmp_path / "again"
+        assert cli.main(["assemble_residual", "--config", cfg,
+                         "--out", str(again)]) == 0
+        assert_same_tree(out, again)
 
     def test_rerun_with_mc_check_bit_identical(self, tmp_path):
         doc = {**BASE, "residual": {"regions": ["transition"],
