@@ -84,7 +84,8 @@ class TowerConfig:
     in row j + levels of `level_scales` and `level_centers`; every level
     evaluation reads them there.  `level_scales_sq` holds each scale squared
     by the scalar power a single `Bubble` uses, which can differ from the
-    array square by an ulp.
+    array square by an ulp.  `level_shared` marks the coordinates on which
+    all those level centers agree.
     """
 
     index: int
@@ -99,6 +100,7 @@ class TowerConfig:
     level_scales: np.ndarray = field(init=False, repr=False, compare=False)
     level_scales_sq: np.ndarray = field(init=False, repr=False, compare=False)
     level_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    level_shared: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center",
@@ -137,6 +139,8 @@ class TowerConfig:
                            np.array([lam**2 for lam in lams]))
         object.__setattr__(self, "level_centers", self.center + np.concatenate(
             [np.zeros((J, n)), shf]))
+        object.__setattr__(self, "level_shared", np.all(
+            self.level_centers == self.level_centers[0], axis=0))
         lam = self.scales()
         if np.any(lam <= 0):
             raise ValueError("deformed scales must stay positive")
@@ -179,25 +183,31 @@ def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
     Per block of points, |x - center|^2 of every level is built in place in
     a (levels, block) slice of the output, one coordinate at a time, in
     coordinate order, as np.sum adds a row of fewer than 8: below dimension
-    8 the bits are those of one `bubble_eval` per level.  The levels are
-    summed once, over the whole (levels, points) array: numpy sums a
-    (levels, 1) array pairwise and a wider one level by level, so summing
-    per block would make the bits depend on the block size.
+    8 the bits are those of one `bubble_eval` per level.  A coordinate on
+    which all the tower's level centers agree (`level_shared`: rho on the
+    meridian half-plane, where every center sits at rho = 0; e2..en of n-D
+    points when the shifts lie along e1) has its square taken once per
+    block and added to every level row, in the same order, so the bits do
+    not change.  The levels are summed once, over the whole (levels,
+    points) array: numpy sums a (levels, 1) array pairwise and a wider one
+    level by level, so summing per block would make the bits depend on the
+    block size.
     """
     x = np.asarray(x, dtype=float)
     lo = cfg.levels if half else 0
     lam2 = 2.0 * cfg.level_scales[lo:, None]
     lam_sq = cfg.level_scales_sq[lo:, None]
-    ctr = cfg.level_centers[lo:].T[:, :, None]
+    ctr = [c[:1] if shared else c for c, shared in
+           zip(cfg.level_centers[lo:].T[:, :, None], cfg.level_shared)]
     pts = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
     vals = np.empty((lam2.shape[0], pts.shape[1]))
     diff = np.empty((lam2.shape[0], min(_BLOCK, pts.shape[1])))
     for s in range(0, pts.shape[1], _BLOCK):
         v = vals[:, s:s + _BLOCK]
-        d = diff[:, :v.shape[1]]
         np.subtract(pts[0, s:s + _BLOCK], ctr[0], out=v)
         v *= v
         for xk, ck in zip(pts[1:, s:s + _BLOCK], ctr[1:]):
+            d = diff[:ck.shape[0], :v.shape[1]]
             np.subtract(xk, ck, out=d)
             d *= d
             v += d

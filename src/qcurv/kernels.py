@@ -127,6 +127,8 @@ def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
     hi = dz2 + (rho + rho_p) ** 2
     S = np.sqrt(lo * hi)
     AS = 0.5 * (lo + hi) + S
+    if g + 1.0 - c == 0.0:  # the series is the constant 1
+        return prm.omega_equator * (0.5 * AS) ** (-g)
     F = _hyp2f1(g, g + 1.0 - c, c, (2.0 * rho * rho_p / AS) ** 2, 2.0 * S / AS)
     return prm.omega_equator * (0.5 * AS) ** (-g) * F
 

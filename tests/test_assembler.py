@@ -11,7 +11,7 @@ import adaptive_quadrature as adaptive
 
 from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
-from qcurv import balancing as bal
+from qcurv import assembler, balancing as bal
 from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              beta_leading_form, beta_projection, cutoff,
                              dual_apply, dual_apply_radial, mc_probe,
@@ -819,6 +819,30 @@ class TestResidual:
         assert rel.max() <= 5e-14
         assert err.max() <= 2e-15
         assert brel[0] <= 2e-15 and brel[1] <= 1e-12
+
+    def test_block_size_is_only_performance(self, pair_35, monkeypatch):
+        # _BLOCK sets the row chunks of the node sets and kernel sums and the
+        # blocks of the patches: another size moves only the order in which
+        # the kernel sums add up, and none of the node set's values
+        u = pair_35
+        grid, tags = sample_grid(u)
+
+        def run():
+            rep = residual(u, WeightSpec(tau=0.5), tol=1e-7,
+                           samples=(grid[::4], tags[::4]))
+            return rep, [beta_projection(u, KernelIndex(t, 0, 0), tol=1e-7)
+                         for t in (0, 1)]
+
+        rep, betas = run()
+        for size in (2048, 1 << 30):
+            monkeypatch.setattr(assembler, "_BLOCK", size)
+            other, other_betas = run()
+            assert other.errors == ()
+            assert other.nodes == rep.nodes
+            np.testing.assert_allclose(other.values, rep.values, rtol=1e-13,
+                                       atol=0.0)
+            assert [(float(b), b.err_est, b.mass) for b in other_betas] == \
+                [(float(b), b.err_est, b.mass) for b in betas]
 
     def test_ball_panels_match_pointwise_u(self, balanced_pair):
         # the fill takes chi_i phi_i once per radius of a ball, at the exact

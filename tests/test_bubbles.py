@@ -327,6 +327,40 @@ def test_tower_eval_matches_oracle_within_ulps(n, sigma, half):
                                         _oracle_tower(xi, cfg, prm, half=half), 4)
 
 
+def _axial_tower(n, dim):
+    # _deformed_tower's dilations with its shifts' norms laid along e1, in
+    # dim coordinates: dim = 2 is the meridian (z, rho) frame
+    cfg = _deformed_tower(n)
+    shf = np.zeros((cfg.levels + 1, dim))
+    shf[:, 0] = np.linalg.norm(cfg.shifts, axis=1) * np.sign(
+        cfg.shifts[:, 0])
+    return TowerConfig(index=1, center=3.0 * np.eye(dim)[0],
+                       period=cfg.period, levels=cfg.levels,
+                       baseline=cfg.baseline, dilations=cfg.dilations,
+                       shifts=shf)
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
+@pytest.mark.parametrize("dim", ["meridian", "n-D"])
+@pytest.mark.parametrize("half", [True, False])
+def test_tower_eval_axial_shifts_match_oracle_bitwise(n, sigma, dim, half):
+    # with the shifts along e1 every level center has the same e2..en, so
+    # those coordinates are squared once per block and shared by the levels
+    prm = derive_params(n, sigma)
+    cfg = _axial_tower(n, 2 if dim == "meridian" else n)
+    assert len(set(cfg.level_centers[:, 0])) > 1
+    assert np.all(cfg.level_centers[:, 1:] == 0.0)
+    for count in (1, 5, _BLOCK + 1, 2 * _BLOCK + 3):
+        x = _points(cfg, count, seed=count)
+        if dim == "meridian":
+            x[:, 1] = np.abs(x[:, 1])
+        assert np.array_equal(tower_eval(x, cfg, prm, half=half),
+                              _oracle_tower(x, cfg, prm, half=half))
+        for xi in x[:20]:
+            assert (tower_eval(xi, cfg, prm, half=half)
+                    == _oracle_tower(xi, cfg, prm, half=half))
+
+
 def test_tower_eval_keeps_scalar_square_of_scales():
     # numpy squares a float64 scalar with pow and an array by multiplication,
     # which can differ by an ulp; the stored squares are the scalar ones

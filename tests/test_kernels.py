@@ -12,6 +12,7 @@ from qcurv.kernels import (
     KERNEL_REL_ERR,
     QuadratureError,
     Calibration,
+    _hyp2f1,
     _unit_rule,
     build_kernel_table,
     calibrate_cyl_kernel,
@@ -406,3 +407,27 @@ def test_ring_kernel_broadcasts():
     assert vals.shape == (2, 2)
     for idx in np.ndindex(2, 2):
         assert vals[idx] == ring_kernel(0.1, 1.0, float(rho_p[idx]), prm)
+
+
+def test_ring_kernel_constant_series_shortcut_is_bitwise():
+    # at (5, 1.5) the series parameter gamma_s + 1 - (n-1)/2 is 0, so 2F1 is
+    # the constant 1 and ring_kernel skips building its argument; the value
+    # must be the general expression's to the bit
+    prm = derive_params(5, 1.5)
+    g, c = prm.gamma_s, 0.5 * (prm.n - 1)
+    assert g + 1.0 - c == 0.0
+    rng = np.random.default_rng(4)
+    dz = np.concatenate([[0.0, 1e-7, 0.5], rng.normal(size=200)])
+    rho = np.concatenate([[1.0, 1.0, 0.0], rng.uniform(0.0, 3.0, 200)])
+    rho_p = np.concatenate([[1.0 + 1e-7, 1.0, 1.0],
+                            rng.uniform(0.0, 3.0, 200)])
+    lo = dz ** 2 + (rho - rho_p) ** 2
+    hi = dz ** 2 + (rho + rho_p) ** 2
+    S = np.sqrt(lo * hi)
+    AS = 0.5 * (lo + hi) + S
+    general = prm.omega_equator * (0.5 * AS) ** (-g) * _hyp2f1(
+        g, g + 1.0 - c, c, (2.0 * rho * rho_p / AS) ** 2, 2.0 * S / AS)
+    assert np.array_equal(ring_kernel(dz, rho, rho_p, prm), general)
+    for k in range(5):
+        assert ring_kernel(float(dz[k]), float(rho[k]), float(rho_p[k]),
+                           prm) == general[k]
