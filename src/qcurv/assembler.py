@@ -60,7 +60,8 @@ import numpy as np
 from .params import Params, nonlin, nonlin_prime
 from .kernels import (check_rules, gauss_panels, log_radial_convolution,
                       ring_kernel, riesz_kernel_cyl)
-from .bubbles import TowerConfig, KernelIndex, bubble_eval, kernel_Z, tower_eval
+from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
+                      kernel_Z, tower_eval)
 from .balancing import BalancedConfig
 from .delaunay import (CylSolution, delaunay_to_rn, radial_profile,
                        solve_periodic)
@@ -249,9 +250,7 @@ class ApproxSolution:
             if own is not None and own[0] == i:
                 out += own[1]
                 continue
-            s2 = (pts[:, 0] - c[0]) ** 2
-            for k in range(1, c.size):
-                s2 += (pts[:, k] - c[k]) ** 2
+            s2 = _sq_dist(pts, c)
             live = np.flatnonzero(s2 < self.cut_off ** 2)
             if live.size:
                 s2 = s2[live]
@@ -376,7 +375,7 @@ def _on_line(um: ApproxSolution, fn, z: np.ndarray,
     """fn at the points (z, rho) and u's values there, in blocks."""
     out = np.empty(z.size)
     for s in range(0, z.size, _BLOCK):
-        zr = np.column_stack((z[s:s + _BLOCK], rho[s:s + _BLOCK]))
+        zr = np.stack((z[s:s + _BLOCK], rho[s:s + _BLOCK])).T
         out[s:s + _BLOCK] = fn(zr, um(zr))
     return out
 
@@ -402,15 +401,16 @@ class _Panels:
     q1 = -ln s in the ball about center `own`, q1 = s in the far region
     (own None), q2 the angle from the line.  The partition weight is
     chi(s) = cutoff(s, INT_ON, INT_OFF) in a ball and part(z, rho) in the
-    far region.  Per rule (16 and 8 points) it keeps the radii s and the
-    angles' cosines and sines, which give the nodes, and one weight array
-    wf: quadrature weight x Jacobian x rho^(n-2) x partition weight x
-    integrand, the last two multiplied in by `fill`."""
+    far region, where it is exactly 1 at radii beyond `reach`.  Per rule
+    (16 and 8 points) it keeps the radii s and the angles' cosines and
+    sines, which give the nodes, and one weight array wf: quadrature weight
+    x Jacobian x rho^(n-2) x partition weight x integrand, the last two
+    multiplied in by `fill`."""
 
     def __init__(self, zc: float, e1: np.ndarray, e2: np.ndarray, n: int,
-                 own: int | None = None, part=None):
+                 own: int | None = None, part=None, reach: float = np.inf):
         self.log, self.zc, self.e1, self.e2 = own is not None, zc, e1, e2
-        self.own, self.part, self.n = own, part, n
+        self.own, self.part, self.n, self.reach = own, part, n, reach
         self.rules = []
         for order in _ORDERS:
             q1, w1 = gauss_panels(e1, order)
@@ -449,7 +449,8 @@ class _Panels:
         weight and the own center's term chi_i phi_i depend on the radius
         alone: both are taken once per radius of the rule, at its exact s,
         and only the half towers and the other centers' terms are evaluated
-        node by node.  The far region evaluates u pointwise."""
+        node by node.  The far region evaluates u pointwise, and its
+        partition weight only on the rows (radii, ascending) within reach."""
         count = 0
         for k, (s, _, _, wf) in enumerate(self.rules):
             if self.log:
@@ -460,9 +461,10 @@ class _Panels:
                 z, rho = self.nodes(k, r)
                 w = wf[r]
                 if not self.log:
-                    w *= self.part(z, rho)
+                    m = int(np.searchsorted(s[r], self.reach, side="right"))
+                    w[:m] *= self.part(z[:m], rho[:m])
                 live = w != 0.0
-                zr = np.column_stack((z[live], rho[live]))
+                zr = np.stack((z[live], rho[live])).T
                 uv = (um._glued(zr, (self.own, own[r][live])) if self.log
                       else um(zr))
                 w[live] *= fn(zr, uv)
@@ -575,13 +577,16 @@ def _node_set(u: ApproxSolution, um: ApproxSolution, fn, tol: float,
 
     zo = float(np.mean(zc))
     reach = float(np.max(np.abs(zc - zo))) + INT_OFF
+    # a node beyond reach is INT_OFF or more from every center, where the far
+    # weight is exactly 1; the margin covers the rounding of its coordinates
+    edge = reach + 16.0 * np.finfo(float).eps * (abs(zo) + reach)
     r1 = reach + 0.5
     r_far = 2.0 * max([reach] + list(np.hypot(zx - zo, rx))) \
         * tol ** (-1.0 / prm.n)
     e_far = np.concatenate([_split([0.0, r1], h * _H_FAR)[:-1],
                             np.exp(_split([np.log(r1), np.log(r_far)],
                                           h * _H_LOG_FAR))])
-    panels.append(_Panels(zo, e_far, fine, prm.n, part=far))
+    panels.append(_Panels(zo, e_far, fine, prm.n, part=far, reach=edge))
     evals = sum(p.fill(um, fn) for p in panels)
     return _Nodes(prm=prm, line=line, centers=u.centers, um=um, fn=fn,
                   panels=tuple(panels), evals=evals)
@@ -707,15 +712,21 @@ def _require_meridian(u: ApproxSolution, prm: Params) -> ApproxSolution:
     return um
 
 
-def require_reduction(u: ApproxSolution) -> None:
-    """Raise NotImplementedError unless the projections' deterministic
-    reduction applies: the meridian one, with the line along a coordinate
-    axis."""
-    _require_meridian(u, u.prm)
+def _require_projection(u: ApproxSolution) -> ApproxSolution:
+    """`require_reduction`, returning u.meridian()."""
+    um = _require_meridian(u, u.prm)
     if u.size > 1 and np.max(np.abs(u.axis)) < 1.0 - 1e-12:
         raise NotImplementedError(
             "projection quadrature needs the singular line along a "
             "coordinate axis")
+    return um
+
+
+def require_reduction(u: ApproxSolution) -> None:
+    """Raise NotImplementedError unless the projections' deterministic
+    reduction applies: the meridian one, with the line along a coordinate
+    axis."""
+    _require_projection(u)
 
 
 def _dual_integral(u: ApproxSolution, um: ApproxSolution, F, x: np.ndarray,
@@ -740,15 +751,6 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
         return uv ** prm.p
 
     return float(prm.dual_const * _dual_integral(u, um, F, x, tol))
-
-
-def _row_norms(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|a_i - c| of the rows of a (k, n), the squared differences added in
-    coordinate order, as np.linalg.norm adds a row of fewer than 8."""
-    out = (a[:, 0] - c[0]) ** 2
-    for k in range(1, a.shape[1]):
-        out += (a[:, k] - c[k]) ** 2
-    return np.sqrt(out, out=out)
 
 
 def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
@@ -790,16 +792,16 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
     vals = np.zeros(n_samples)
     for b in blocks:
         dirs = normals.standard_normal((b.stop - b.start, n))
-        dirs /= _row_norms(dirs, np.zeros(n))[:, None]
+        dirs /= np.sqrt(_sq_dist(dirs, np.zeros(n)))[:, None]
         ys = anchors[comp[b]] + radius[b, None] * dirs
         # mixture density at each draw
         dens = np.zeros(len(ys))
         for k in range(N):
-            s = _row_norms(ys, u.centers[k])
+            s = np.sqrt(_sq_dist(ys, u.centers[k]))
             inside = s <= 1.0
             dens[inside] += (g * s[inside] ** (g - n)
                              / prm.omega_sphere) / (N + 1)
-        rr = _row_norms(ys, x)
+        rr = np.sqrt(_sq_dist(ys, x))
         far = rr >= 1.0
         dens[far] += (2 * prm.sigma * rr[far] ** (-2 * prm.sigma - n + 1)
                       / prm.omega_sphere) / (N + 1)
@@ -863,7 +865,7 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
     integrated.
     """
     prm = u.prm if prm is None else prm
-    require_reduction(u)
+    um = _require_projection(u)
     i = idx.tower
     if not (0 <= i < u.size):
         raise ValueError(f"tower {i} out of range")
@@ -871,7 +873,6 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
         raise ValueError("index outside the truncation")
     if idx.mode >= 1 and abs(float(u.axis[idx.mode - 1])) < 1e-12:
         return Estimate(0.0, 0.0, 0.0)  # odd integrand across the line
-    um = u.meridian()
     cfg = um.towers[i]
     b = cfg.level_bubble(idx.level)
     spacing = abs(float(b.center[0])) * np.finfo(float).eps

@@ -45,10 +45,25 @@ class Bubble:
             raise ValueError("bubble center must be a single point")
 
 
+def _sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|x - c|^2 over the last axis of x, one point (n,) or a batch (..., n):
+    the squared differences added in coordinate order.  Below dimension 8
+    the sums have the bits of np.sum(..., axis=-1) and of the sums under
+    np.linalg.norm's root; from dimension 8 those add pairwise.  Column by
+    column it builds no (..., n) temporaries, and reads each column of a
+    batch stored by column contiguously."""
+    d = x[..., 0] - c[0]
+    out = d * d
+    for k in range(1, x.shape[-1]):
+        d = x[..., k] - c[k]
+        out += d * d
+    return out
+
+
 def bubble_eval(x: np.ndarray, b: Bubble, prm: Params) -> float | np.ndarray:
     """Evaluate the bubble at one point (n,) or a batch (..., n)."""
     x = np.asarray(x, dtype=float)
-    rho2 = np.sum((x - b.center) ** 2, axis=-1)
+    rho2 = _sq_dist(x, b.center)
     val = (2.0 * b.lam / (b.lam**2 + rho2)) ** prm.gamma_s
     return float(val) if np.ndim(val) == 0 else val
 
@@ -182,16 +197,18 @@ def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
 
     Per block of points, |x - center|^2 of every level is built in place in
     a (levels, block) slice of the output, one coordinate at a time, in
-    coordinate order, as np.sum adds a row of fewer than 8: below dimension
-    8 the bits are those of one `bubble_eval` per level.  A coordinate on
-    which all the tower's level centers agree (`level_shared`: rho on the
-    meridian half-plane, where every center sits at rho = 0; e2..en of n-D
-    points when the shifts lie along e1) has its square taken once per
-    block and added to every level row, in the same order, so the bits do
-    not change.  The levels are summed once, over the whole (levels,
-    points) array: numpy sums a (levels, 1) array pairwise and a wider one
-    level by level, so summing per block would make the bits depend on the
-    block size.
+    coordinate order, as `bubble_eval` builds it: in every dimension the
+    squared distances are those of one `bubble_eval` per level.  The points
+    are read by column, so a batch stored by column, as the meridian node
+    sets store theirs, is used without a copy.  At gamma_s = 1 the power is
+    skipped: x**1 is x.  A coordinate on which all the tower's level centers
+    agree (`level_shared`: rho on the meridian half-plane, where every
+    center sits at rho = 0; e2..en of n-D points when the shifts lie along
+    e1) has its square taken once per block and added to every level row,
+    in the same order, so the bits do not change.  The levels are summed
+    once, over the whole (levels, points) array: numpy sums a (levels, 1)
+    array pairwise and a wider one level by level, so summing per block
+    would make the bits depend on the block size.
     """
     x = np.asarray(x, dtype=float)
     lo = cfg.levels if half else 0
@@ -213,7 +230,8 @@ def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
             v += d
         v += lam_sq
         np.divide(lam2, v, out=v)
-        v **= prm.gamma_s
+        if prm.gamma_s != 1.0:
+            v **= prm.gamma_s
     out = vals.sum(axis=0).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
@@ -252,13 +270,13 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
         raise ValueError(f"mode {idx.mode} out of range for dimension {cfg.dim}")
     lam, ctr = cfg.level(idx.level)
     x = np.asarray(x, dtype=float)
-    diff = x - ctr
-    rho2 = np.sum(diff**2, axis=-1)
+    rho2 = _sq_dist(x, ctr)
     u = (2.0 * lam / (lam**2 + rho2)) ** prm.gamma_s
     if idx.mode == 0:
         du_dlam = prm.gamma_s * u * (rho2 - lam**2) / (lam * (lam**2 + rho2))
         val = du_dlam * cfg.baseline * np.exp(-(1.0 + 2.0 * idx.level) * cfg.period)
     else:
-        val = (2.0 * prm.gamma_s * lam * diff[..., idx.mode - 1]
+        val = (2.0 * prm.gamma_s * lam * (x[..., idx.mode - 1]
+                                          - ctr[idx.mode - 1])
                * u / (lam**2 + rho2))
     return float(val) if np.ndim(val) == 0 else val

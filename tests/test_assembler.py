@@ -16,8 +16,9 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              beta_leading_form, beta_projection, cutoff,
                              dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
-                             _Line, _MC_BLOCK, _build_towers,
-                             _dual_integral, _node_set, _plain_integral)
+                             _Line, _MC_BLOCK, _Panels, _build_towers,
+                             _dual_integral, _node_set, _on_line,
+                             _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import delaunay_to_rn, solve_periodic
@@ -572,6 +573,19 @@ class TestBetaProjection:
         b1 = beta_projection(balanced_pair, KernelIndex(1, 0, 0), tol=1e-8)
         assert b0 == pytest.approx(b1, rel=1e-4)
 
+    def test_one_meridian_per_projection(self, balanced_pair, monkeypatch):
+        # the reduction check hands over the meridian function it builds
+        calls = []
+        meridian = ApproxSolution.meridian
+
+        def counted(self):
+            calls.append(self)
+            return meridian(self)
+
+        monkeypatch.setattr(ApproxSolution, "meridian", counted)
+        beta_projection(balanced_pair, KernelIndex(0, 0, 0), tol=1e-6)
+        assert len(calls) == 1
+
     def test_index_validation(self, balanced_pair):
         with pytest.raises(ValueError):
             beta_projection(balanced_pair, KernelIndex(5, 0, 0))
@@ -876,6 +890,45 @@ class TestResidual:
         zr = np.column_stack((3.0 + s * np.cos(theta), s * np.sin(theta)))
         ball = um._glued(zr, (1, um._term(1, s, s * s)))
         assert np.max(np.abs(um(zr) - ball) / ball) > 1e-6
+
+    def test_integrand_points_stored_by_column(self, balanced_pair):
+        # the node sets and the patches hand u and the integrand their
+        # (z, rho) points stored by column: each coordinate reads contiguously
+        u = balanced_pair
+        um = u.meridian()
+        seen = []
+
+        def grab(zr, uv):
+            seen.append(zr)
+            return uv
+
+        _node_set(u, um, grab, 1e-6, 20.0, np.empty((0, 5)))
+        fills = len(seen)
+        theta = np.linspace(0.1, 3.0, 50)
+        _on_line(um, grab, 3.0 + 0.3 * np.cos(theta), 0.3 * np.sin(theta))
+        assert 0 < fills < len(seen)
+        assert all(zr.shape[1] == 2 and zr.flags.f_contiguous for zr in seen)
+        assert all(zr.shape[0] > 1 for zr in seen)
+
+    def test_far_weight_only_within_reach(self, pair_35):
+        # beyond the balls' reach every far node is INT_OFF or more from
+        # both centers, where the far weight is exactly 1: taken only on the
+        # rows within reach, the filled weights are the full evaluation's
+        u = pair_35
+        um = u.meridian()
+        nodes = _node_set(u, um, lambda zr, uv: uv, 1e-7, 20.0,
+                          np.empty((0, 5)))
+        far = nodes.panels[-1]
+        full = _Panels(far.zc, far.e1, far.e2, PRM.n, part=far.part)
+        assert full.reach == np.inf
+        full.fill(um, lambda zr, uv: uv)
+        s = far.rules[0][0]
+        beyond = int(np.count_nonzero(s > far.reach))
+        assert 0 < beyond < s.size
+        assert np.all(far.part(*far.nodes(0, slice(s.size - beyond, None)))
+                      == 1.0)
+        for k in range(2):
+            assert np.array_equal(far.rules[k][3], full.rules[k][3])
 
     def test_failed_sample_is_nan(self, balanced_pair):
         # the dual map is infinite at a marked point: that sample fails alone

@@ -5,6 +5,7 @@ from dataclasses import replace
 from qcurv.params import derive_params
 from qcurv.bubbles import (
     _BLOCK,
+    _sq_dist,
     Bubble,
     TowerConfig,
     KernelIndex,
@@ -288,11 +289,28 @@ def test_level_arrays_match_level_bubble(n):
         cfg.level_bubble(-J - 1)
 
 
-@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_sq_dist_matches_sum_of_squares_bitwise(n):
+    # below dimension 8 np.sum adds a row in coordinate order, as _sq_dist
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=n)
+    x = 3.0 * rng.normal(size=(1000, n))
+    want = np.sum((x - c) ** 2, axis=-1)
+    for batch in (x, np.asfortranarray(x)):
+        assert np.array_equal(_sq_dist(batch, c), want)
+    nested = x.reshape(10, 100, n)
+    assert np.array_equal(_sq_dist(nested, c),
+                          np.sum((nested - c) ** 2, axis=-1))
+    for xi, w in zip(x[:100], want):
+        assert _sq_dist(xi, c) == np.sum((xi - c) ** 2) == w
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5), (9, 3.5)])
 @pytest.mark.parametrize("half", [True, False])
 def test_tower_eval_matches_per_level_oracle_bitwise(n, sigma, half):
     # integer gamma_s: every operation is exactly rounded, so bit equality
-    # holds for single points, every block boundary and nested batches
+    # holds for single points, every block boundary and nested batches; at
+    # n = 9 both add the squared differences in coordinate order
     prm = derive_params(n, sigma)
     assert prm.gamma_s == 1.0
     cfg = _deformed_tower(n)
@@ -315,8 +333,8 @@ def test_tower_eval_matches_per_level_oracle_bitwise(n, sigma, half):
 @pytest.mark.parametrize("half", [True, False])
 def test_tower_eval_matches_oracle_within_ulps(n, sigma, half):
     # at fractional gamma_s numpy's scalar pow (single points in the oracle)
-    # and its vectorized pow can differ by an ulp per level; from dimension
-    # 8 np.sum adds a row's coordinates pairwise, tower_eval in order
+    # and its vectorized pow can differ by an ulp per level; the squared
+    # distances are the same bits, added in coordinate order by both
     prm = derive_params(n, sigma)
     cfg = _deformed_tower(n)
     x = _points(cfg, _BLOCK + 1, seed=9)
