@@ -63,8 +63,7 @@ from .kernels import (check_rules, gauss_panels, log_radial_convolution,
 from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
                       kernel_Z, tower_eval)
 from .balancing import BalancedConfig
-from .delaunay import (CylSolution, delaunay_to_rn, radial_profile,
-                       solve_periodic)
+from .delaunay import CylSolution, radial_profile, solve_periodic
 
 __all__ = [
     "ApproxSolution",
@@ -75,7 +74,6 @@ __all__ = [
     "residual",
     "beta_projection",
     "beta_leading_form",
-    "require_reduction",
     "weighted_fn_norm",
     "sample_grid",
     "mc_probe",
@@ -171,28 +169,13 @@ class ApproxSolution:
                 return False
         return True
 
-    def correction(self, x: np.ndarray, i: int) -> float | np.ndarray:
-        """phi_i: exact periodic profile about x_i minus its two-sided tower.
-
-        The subtraction includes the outward (negative-level) bubbles, so
-        phi_i is the genuinely small periodic remainder: keeping those
-        levels in the subtraction is what makes the glued function lose the
-        outward bubbles entirely instead of keeping their near-field values
-        while the cutoff discards their mass.  This is the definition on
-        points; u itself evaluates phi_i from the distance to x_i (`_term`).
-        """
-        x = np.asarray(x, dtype=float)
-        R = self.baselines[i]
-        prof = R ** (-self.prm.gamma_s) * delaunay_to_rn(
-            self.cyls[i], (x - self.centers[i]) / R, self.prm)
-        return prof - tower_eval(x, self.base_towers[i], self.prm, half=False)
-
     def _term(self, i: int, s: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """chi_i phi_i at the distances s from x_i (s2 their squares), 0
-        from cut_off on.  The periodic profile and the undeformed base tower
-        are both radial about x_i.  The tower's levels are summed in
-        `tower_eval`'s order, so given the squared distances `tower_eval`
-        builds, the tower part has its bits.  ValueError at s = 0."""
+        from cut_off on; phi_i is the periodic profile about x_i minus its
+        two-sided base tower (outward levels included), both radial about
+        x_i.  The tower's levels are summed in `tower_eval`'s order, so
+        given the squared distances `tower_eval` builds, the tower part has
+        its bits.  ValueError at s = 0."""
         out = np.zeros(s.shape)
         live = s < self.cut_off
         s, s2 = s[live], s2[live]
@@ -360,9 +343,6 @@ class _Line:
              else _complete_frame(a, p0)[1])
         return cls(p0, a, e)
 
-    def points(self, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        return self.p0 + z[:, None] * self.a + rho[:, None] * self.e
-
     def coords(self, x: np.ndarray):
         """(z, rho) of points (..., n)."""
         rel = np.asarray(x, dtype=float) - self.p0
@@ -370,21 +350,17 @@ class _Line:
         return z, np.linalg.norm(rel - z[..., None] * self.a, axis=-1)
 
 
-def _on_line(um: ApproxSolution, fn, z: np.ndarray,
-             rho: np.ndarray) -> np.ndarray:
-    """fn at the points (z, rho) and u's values there, in blocks."""
-    out = np.empty(z.size)
+def _patch_sum(um: ApproxSolution, fn, w: np.ndarray, z: np.ndarray,
+               rho: np.ndarray, zx: float, rx: float) -> float:
+    """sum of w * fn(zr, u) * ring_kernel(x; z, rho) over the points (z, rho)
+    with u = um there, block by block."""
+    total = 0.0
     for s in range(0, z.size, _BLOCK):
-        zr = np.stack((z[s:s + _BLOCK], rho[s:s + _BLOCK])).T
-        out[s:s + _BLOCK] = fn(zr, um(zr))
-    return out
-
-
-def _kernel_dot(wf, z, rho, zx: float, rx: float, prm: Params) -> float:
-    """sum of wf * ring_kernel(x; z, rho) over the nodes, in blocks."""
-    return sum(float(wf[s:s + _BLOCK] @ ring_kernel(
-        zx - z[s:s + _BLOCK], rx, rho[s:s + _BLOCK], prm))
-        for s in range(0, wf.size, _BLOCK))
+        b = slice(s, s + _BLOCK)
+        zr = np.stack((z[b], rho[b])).T
+        total += float((w[b] * fn(zr, um(zr)))
+                       @ ring_kernel(zx - z[b], rx, rho[b], um.prm))
+    return total
 
 
 def _split(breaks, h: float) -> np.ndarray:
@@ -462,7 +438,8 @@ class _Panels:
                 w = wf[r]
                 if not self.log:
                     m = int(np.searchsorted(s[r], self.reach, side="right"))
-                    w[:m] *= self.part(z[:m], rho[:m])
+                    if m:
+                        w[:m] *= self.part(z[:m], rho[:m])
                 live = w != 0.0
                 zr = np.stack((z[live], rho[live])).T
                 uv = (um._glued(zr, (self.own, own[r][live])) if self.log
@@ -518,9 +495,6 @@ class _Panels:
 
 @dataclass(frozen=True)
 class _Nodes:
-    prm: Params
-    line: _Line
-    centers: np.ndarray                      # the marked points (N, n)
     um: ApproxSolution                       # u on (z, rho): u.meridian()
     # the integrand at points (k, 2) of (z, rho), given u's values there
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -528,10 +502,11 @@ class _Nodes:
     evals: int                               # nodes fn was evaluated on
 
 
-def _node_set(u: ApproxSolution, um: ApproxSolution, fn, tol: float,
-              tau_ref: float, xs: np.ndarray) -> _Nodes:
+def _node_set(um: ApproxSolution, fn, tol: float, tau_ref: float,
+              zx: np.ndarray, rx: np.ndarray) -> _Nodes:
     """Panels over the half-plane, with fn(zr, u) evaluated on their nodes
-    once, u from um = u.meridian(): see `_Panels.fill`.
+    once, u from um = u.meridian(): see `_Panels.fill`.  (zx, rx) are the
+    samples' points in the half-plane, none for a projection.
 
     Below the log-depth tau_ref the integrand's share falls like
     e^(-gamma_s tau), so each ball runs in log-radius from -ln INT_OFF to
@@ -539,26 +514,25 @@ def _node_set(u: ApproxSolution, um: ApproxSolution, fn, tol: float,
     of the whole: far below the rule error the check allows, also for the
     projections, which are small differences of their integrand's mass.
     The log-radius has breaks at the partition and assembly cutoff radii;
-    the angle takes the fine panels down to 2 below the deepest point of xs
+    the angle takes the fine panels down to 2 below the deepest sample
     inside it (where a sample's kernel needs them) and the coarse ones
     deeper.  The far region runs in radius to 0.5 past the balls, then in
     log-radius steps to r_far = 2 R tol^(-1/n), R the larger of the balls'
-    reach and the farthest point of xs: past r_far the integrand and
+    reach and the farthest sample: past r_far the integrand and
     u^p K r^(n-1), which decay like r^(-n-1), leave less than tol of either.
     fn takes points (k, 2) of (z, rho), z measured from the line's foot,
-    and u's values there.  A ball's radial part is evaluated in the frame of
-    its center, at the exact radius; the towers, and so u's other terms,
-    are evaluated at the absolute z.
+    and u's values there; the centers sit at (um.centers[:, 0], 0).  A
+    ball's radial part is evaluated in the frame of its center, at the
+    exact radius; the towers, and so u's other terms, are evaluated at the
+    absolute z.
     """
-    prm, line = u.prm, _Line.of(u)
-    zc = (u.centers - line.p0) @ line.a
-    zx, rx = line.coords(np.reshape(xs, (-1, prm.n)))
+    prm, zc = um.prm, um.centers[:, 0]
     h = min(1.0, (tol / 1e-7) ** (1.0 / 16.0))
     tau_hi = tau_ref + 2.0 * np.log(1.0 / tol) / prm.gamma_s
     fine, coarse = (np.linspace(0.0, np.pi, int(np.ceil(k / h)) + 1)
                     for k in (_ANGLES_FINE, _ANGLES_COARSE))
-    cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(u.cut_off),
-                   -np.log(u.cut_on)})
+    cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(um.cut_off),
+                   -np.log(um.cut_on)})
     panels = []
     for i, z0 in enumerate(zc):
         d = np.hypot(zx - z0, rx)
@@ -588,8 +562,7 @@ def _node_set(u: ApproxSolution, um: ApproxSolution, fn, tol: float,
                                           h * _H_LOG_FAR))])
     panels.append(_Panels(zo, e_far, fine, prm.n, part=far, reach=edge))
     evals = sum(p.fill(um, fn) for p in panels)
-    return _Nodes(prm=prm, line=line, centers=u.centers, um=um, fn=fn,
-                  panels=tuple(panels), evals=evals)
+    return _Nodes(um=um, fn=fn, panels=tuple(panels), evals=evals)
 
 
 def _t_edges(prm: Params) -> np.ndarray:
@@ -601,19 +574,17 @@ def _t_edges(prm: Params) -> np.ndarray:
     return np.array([0.0] + grade + [0.5, 1.0])
 
 
-def _dual_nodes(u: ApproxSolution, um: ApproxSolution, F, xs: np.ndarray,
+def _dual_nodes(um: ApproxSolution, F, zx: np.ndarray, rx: np.ndarray,
                 tol: float) -> _Nodes:
-    """Node set of the dual map at the points xs.  u^p s^n falls like
+    """Node set of the dual map at the samples (zx, rx).  u^p s^n falls like
     e^(-gamma_s tau) below the first level (the periodic profile keeps
     adding levels under the tower's last one), and a sample at depth tau_x
     sees that tail amplified by e^(gamma_s tau_x), so the depth reference
     is the deeper of the two."""
-    xs = np.reshape(xs, (-1, u.prm.n))
-    d = np.min(np.linalg.norm(xs[:, None, :] - u.centers[None], axis=-1),
-               axis=1)
-    tau_ref = max([-np.log(cfg.level_scales[cfg.levels]) for cfg in u.towers]
+    d = np.min(np.hypot(zx[:, None] - um.centers[:, 0], rx[:, None]), axis=1)
+    tau_ref = max([-np.log(cfg.level_scales[cfg.levels]) for cfg in um.towers]
                   + list(-np.log(d[d > 0])))
-    return _node_set(u, um, F, tol, tau_ref, xs)
+    return _node_set(um, F, tol, tau_ref, zx, rx)
 
 
 def _require_unmarked(centers: np.ndarray, x: np.ndarray) -> None:
@@ -624,15 +595,15 @@ def _require_unmarked(centers: np.ndarray, x: np.ndarray) -> None:
                          f"{int(at[0])}")
 
 
-def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float, int]:
-    """(16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy: the node set's
-    kernel sums with the panels about x taken out, plus those panels again
-    on triangles from x, where F is evaluated afresh; and the number of
-    those patch nodes.  At a marked point u^p is not integrable against the
-    kernel: ValueError."""
-    prm, line = nodes.prm, nodes.line
-    _require_unmarked(nodes.centers, x)
-    zx, rx = (float(v) for v in line.coords(x))
+def _dual_at(nodes: _Nodes, zx: float, rx: float) -> tuple[float, float, int]:
+    """(16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy at the point
+    x = (zx, rx) of the half-plane: the node set's kernel sums with the
+    panels about x taken out, plus those panels again on triangles from x,
+    where F is evaluated afresh; and the number of those patch nodes.  x is
+    no marked point: there u^p is not integrable against the kernel, and
+    the callers refuse it."""
+    zx, rx = float(zx), float(rx)
+    prm = nodes.um.prm
     t_edges = _t_edges(prm)
     out = [0.0, 0.0]
     evals = 0
@@ -656,12 +627,9 @@ def _dual_at(nodes: _Nodes, x: np.ndarray) -> tuple[float, float, int]:
             pz, prho, pw = p.map(q1, q2)
             pw = pw * wq
             live = pw != 0.0
-            if np.any(live):
-                pw[live] *= _on_line(nodes.um, nodes.fn, pz[live],
-                                     prho[live])
-                out[k] += _kernel_dot(pw[live], pz[live], prho[live], zx, rx,
-                                      prm)
-                evals += int(np.count_nonzero(live))
+            out[k] += _patch_sum(nodes.um, nodes.fn, pw[live], pz[live],
+                                 prho[live], zx, rx)
+            evals += int(np.count_nonzero(live))
     return out[0], out[1], evals
 
 
@@ -700,60 +668,40 @@ def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
     return float(c * rho ** (-g) * val)
 
 
-def _require_meridian(u: ApproxSolution, prm: Params) -> ApproxSolution:
-    """The quadrature runs on the meridian half-plane: u must depend on (z,
-    rho) alone, and the ring kernel must stay bounded on the diagonal.
-    Returns u.meridian()."""
+def _meridian(u: ApproxSolution) -> tuple[ApproxSolution, _Line]:
+    """(u.meridian(), the line's frame): the quadrature runs on the meridian
+    half-plane, where u must depend on (z, rho) alone and the ring kernel
+    must stay bounded on the diagonal."""
     um = u.meridian()
-    if prm.sigma <= 1.0:
+    if u.prm.sigma <= 1.0:
         raise NotImplementedError(
             f"the ring kernel is unbounded on the diagonal at sigma = "
-            f"{prm.sigma} <= 1")
-    return um
+            f"{u.prm.sigma} <= 1")
+    return um, _Line.of(u)
 
 
-def _require_projection(u: ApproxSolution) -> ApproxSolution:
-    """`require_reduction`, returning u.meridian()."""
-    um = _require_meridian(u, u.prm)
-    if u.size > 1 and np.max(np.abs(u.axis)) < 1.0 - 1e-12:
-        raise NotImplementedError(
-            "projection quadrature needs the singular line along a "
-            "coordinate axis")
-    return um
-
-
-def require_reduction(u: ApproxSolution) -> None:
-    """Raise NotImplementedError unless the projections' deterministic
-    reduction applies: the meridian one, with the line along a coordinate
-    axis."""
-    _require_projection(u)
-
-
-def _dual_integral(u: ApproxSolution, um: ApproxSolution, F, x: np.ndarray,
+def _dual_integral(um: ApproxSolution, F, zx: float, rx: float,
                    tol: float) -> float:
-    """int |x-y|^(2s-n) F(y) dy on its own node set, checked against the
-    8-point rule; F takes (z, rho) points and u's values there."""
-    x = np.asarray(x, dtype=float)
-    fine, coarse, _ = _dual_at(_dual_nodes(u, um, F, x, tol), x)
+    """int |x-y|^(2s-n) F(y) dy at x = (zx, rx) on its own node set, checked
+    against the 8-point rule; F takes (z, rho) points and u's values there."""
+    nodes = _dual_nodes(um, F, np.atleast_1d(zx), np.atleast_1d(rx), tol)
+    fine, coarse, _ = _dual_at(nodes, zx, rx)
     check_rules(fine, coarse, tol, "dual map")
     return fine
 
 
-def dual_apply(u: ApproxSolution, x: np.ndarray, prm: Params | None = None,
-               tol: float = 1e-8) -> float:
+def dual_apply(u: ApproxSolution, x: np.ndarray, tol: float = 1e-8) -> float:
     """(-Delta)^{-sigma} of f applied to the assembled function at x, by
     the meridian quadrature; ValueError at a marked point."""
-    prm = u.prm if prm is None else prm
     x = np.asarray(x, dtype=float)
-    um = _require_meridian(u, prm)
+    um, line = _meridian(u)
+    _require_unmarked(u.centers, x)
+    p = u.prm.p
+    return float(u.prm.dual_const * _dual_integral(
+        um, lambda zr, uv: uv ** p, *line.coords(x), tol))
 
-    def F(zr, uv):
-        return uv ** prm.p
 
-    return float(prm.dual_const * _dual_integral(u, um, F, x, tol))
-
-
-def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
+def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
              seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of the dual operator at x (quadrature guard):
     (estimate, standard error) from n_samples >= 2 draws, on n-D points.
@@ -773,8 +721,8 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, prm: Params, n_samples: int,
     x = np.asarray(x, dtype=float)
     _require_unmarked(u.centers, x)
     rng = np.random.default_rng(seed)
+    prm, N = u.prm, u.size
     n, g = prm.n, prm.gamma_s
-    N = u.size
     comp = rng.integers(0, N + 1, size=n_samples)
     normals = copy.deepcopy(rng)
     nb = -(-n_samples // _MC_BLOCK)
@@ -828,14 +776,13 @@ class Estimate(float):
         return out
 
 
-def _plain_integral(u: ApproxSolution, um: ApproxSolution, G, lam: float,
-                    tol: float) -> Estimate:
+def _plain_integral(um: ApproxSolution, G, lam: float, tol: float) -> Estimate:
     """int G dy over R^n on the meridian panels, for integrands G(zr, u)
     that decay like e^(-gamma_s |tau|) in the log-distance tau from a bubble
     of scale lam.  A projection is a small difference of that integrand's
     mass int |G|, so the 8-point rule must agree to tol times the mass."""
-    nodes = _node_set(u, um, G, tol, -np.log(lam), np.empty((0, u.prm.n)))
-    fine, coarse, mass = (u.prm.omega_equator * sum(
+    nodes = _node_set(um, G, tol, -np.log(lam), np.empty(0), np.empty(0))
+    fine, coarse, mass = (um.prm.omega_equator * sum(
         float(np.sum(op(p.rules[k][3]))) for p in nodes.panels)
         for k, op in ((0, np.asarray), (1, np.asarray), (0, np.abs)))
     check_rules(fine, coarse, tol, "projection", scale=mass)
@@ -843,13 +790,16 @@ def _plain_integral(u: ApproxSolution, um: ApproxSolution, G, lam: float,
 
 
 def beta_projection(u: ApproxSolution, idx: KernelIndex,
-                    prm: Params | None = None, tol: float = 1e-9) -> Estimate:
+                    tol: float = 1e-9) -> Estimate:
     """Projection of the residual on the (tower, level, mode) direction, as
     an `Estimate`: a float with its err_est and its integrand's mass.
 
     The integrand runs on the meridian half-plane, with the level's bubble
-    and kernel taken from the meridian tower (a translation mode along the
-    line is the axial one, with the sign of the line's direction).  The
+    and kernel taken from the meridian tower.  Translation mode l is a_l
+    times the axial mode, a the line's unit direction: the part of the
+    kernel direction across the line is odd on each S^(n-2) orbit and
+    integrates to 0.  A zero component a_l gives 0 exactly, with err_est
+    and mass 0: nothing is integrated.  The
     quadrature nodes sit at the axial coordinate z_c + s cos(theta) in the
     line's frame, which is rounded to the double spacing delta = |z_c|*eps
     at the level center's axial coordinate z_c, so inside the level's core
@@ -860,18 +810,17 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
     off by 3e-4 to 0.07 times delta/lam_j over levels with delta/lam_j from
     1e-7 to 0.7 (L = 2.5..3.5), and by 13x at delta/lam_j = 169; a tower at
     the line's foot has delta = 0.  The value passes the 16- vs 8-point
-    check at tol or raises QuadratureError.  A translation mode across the
-    line gives 0 exactly, by symmetry, with err_est and mass 0: nothing is
-    integrated.
+    check at tol or raises QuadratureError.
     """
-    prm = u.prm if prm is None else prm
-    um = _require_projection(u)
+    prm = u.prm
+    um, _ = _meridian(u)
     i = idx.tower
     if not (0 <= i < u.size):
         raise ValueError(f"tower {i} out of range")
     if idx.level > u.towers[i].levels or idx.mode > prm.n:
         raise ValueError("index outside the truncation")
-    if idx.mode >= 1 and abs(float(u.axis[idx.mode - 1])) < 1e-12:
+    a_l = float(u.axis[idx.mode - 1]) if idx.mode else 1.0
+    if a_l == 0.0:
         return Estimate(0.0, 0.0, 0.0)  # odd integrand across the line
     cfg = um.towers[i]
     b = cfg.level_bubble(idx.level)
@@ -882,15 +831,14 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
             f"tol={tol:g}: the double spacing at its center is "
             f"{spacing / b.lam:.3g} of its scale")
     axial = dataclasses.replace(idx, mode=min(idx.mode, 1))
-    sign = float(np.sign(u.axis[idx.mode - 1])) if idx.mode else 1.0
 
     def G(zr, uv):
         U = bubble_eval(zr, b, prm)
         core = (nonlin_prime(U, prm) * uv - nonlin(uv, prm)
                 - (prm.p - 1.0) * nonlin(U, prm))
-        return core * (sign * kernel_Z(zr, axial, cfg, prm))
+        return core * (a_l * kernel_Z(zr, axial, cfg, prm))
 
-    return _plain_integral(u, um, G, b.lam, tol)
+    return _plain_integral(um, G, b.lam, tol)
 
 
 def beta_leading_form(u: ApproxSolution, i: int) -> float:
@@ -1046,12 +994,13 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     point, on top of the quadrature (2-core Intel Xeon, numpy 2.4).
     """
     prm = u.prm
-    um = _require_meridian(u, prm)
+    um, line = _meridian(u)
     pts, tags = sample_grid(u) if samples is None else samples
+    zx, rx = line.coords(pts)
     c = prm.dual_const
-    nodes = _dual_nodes(u, um, lambda zr, uv: uv ** prm.p, pts, tol)
+    nodes = _dual_nodes(um, lambda zr, uv: uv ** prm.p, zx, rx, tol)
     evals = nodes.evals
-    # u once on the unmarked samples; a marked one fails in _dual_at
+    # u once on the unmarked samples; a marked one fails below
     free = ~np.any(np.all(pts[:, None, :] == u.centers, axis=-1), axis=1)
     uv = np.full(len(pts), np.nan)
     uv[free] = u(pts[free])
@@ -1060,7 +1009,8 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     errors = []
     for k, x in enumerate(pts):
         try:
-            fine, coarse, patch = _dual_at(nodes, x)
+            _require_unmarked(u.centers, x)
+            fine, coarse, patch = _dual_at(nodes, zx[k], rx[k])
             evals += patch
             check_rules(c * fine, c * coarse, tol, "dual map")
             vals[k] = uv[k] - c * fine
@@ -1084,7 +1034,7 @@ def residual(u: ApproxSolution, weight: WeightSpec,
                                                        int(np.sum(ok))),
                           replace=False)
         for k in pick:
-            est, err = mc_probe(u, pts[k], prm, mc_samples, mc_seed + int(k))
+            est, err = mc_probe(u, pts[k], mc_samples, mc_seed + int(k))
             det = float(uv[k] - vals[k])  # the deterministic dual value
             checks.append({"sample": int(k), "mc": est, "det": det,
                            "mc_stderr": err})

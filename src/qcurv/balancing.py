@@ -145,18 +145,38 @@ def solve_B1(sigma_set: SingularSet, q: np.ndarray,
                        f"(residual {norm:.3e}); " + stall)
 
 
-def solve_B2(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
-             constants: InteractionConstants, prm: Params) -> np.ndarray:
-    """Explicit leading center offsets, one n-vector per marked point."""
-    N = sigma_set.size
-    q = _check_q(q, N)
-    R = np.asarray(R, dtype=float)
+def _offset_terms(sigma_set: SingularSet,
+                  prm: Params) -> tuple[np.ndarray, np.ndarray]:
+    """|x_{i'} - x_i|^(-2g-2) with zero diagonal, and diff[i, i'] =
+    x_{i'} - x_i."""
     pts = sigma_set.points
     d = sigma_set.distances.copy()
     np.fill_diagonal(d, 1.0)
-    diff = pts[None, :, :] - pts[:, None, :]       # diff[i, i'] = x_{i'} - x_i
     coef = d ** (-2.0 * prm.gamma_s - 2.0)
     np.fill_diagonal(coef, 0.0)
+    return coef, pts[None, :, :] - pts[:, None, :]
+
+
+def residual_B2(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
+                a0: np.ndarray, constants: InteractionConstants,
+                prm: Params) -> np.ndarray:
+    """The second condition in implicit form, one n-vector per point:
+    A1 q_i a0_i + A3 sum_{i'} q_{i'} (R^i R^{i'})^g |x_{i'} - x_i|^(-2g-2)
+    (x_{i'} - x_i)."""
+    q = _check_q(q, sigma_set.size)
+    coef, diff = _offset_terms(sigma_set, prm)
+    rg = np.asarray(R, dtype=float) ** prm.gamma_s
+    pull = np.einsum("ij,ijk->ik", coef * rg[:, None] * (q * rg)[None, :],
+                     diff)
+    return constants.A1 * q[:, None] * np.asarray(a0) + constants.A3 * pull
+
+
+def solve_B2(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
+             constants: InteractionConstants, prm: Params) -> np.ndarray:
+    """Explicit leading center offsets, one n-vector per marked point."""
+    q = _check_q(q, sigma_set.size)
+    R = np.asarray(R, dtype=float)
+    coef, diff = _offset_terms(sigma_set, prm)
     rg = R ** prm.gamma_s
     weights = coef * (q[None, :] / q[:, None]) * (rg[:, None] * rg[None, :])
     return -(constants.A3 / constants.A1) * np.einsum("ij,ijk->ik",
@@ -258,7 +278,7 @@ def balance(sigma_set: SingularSet, q: np.ndarray, L: float,
     L_i = periods_from_q(q, L, prm)
     r1 = float(np.max(np.abs(residual_B1(sigma_set, q, R, constants, prm))))
     r2 = float(np.max(np.abs(
-        a0 - solve_B2(sigma_set, q, R, constants, prm))))
+        residual_B2(sigma_set, q, R, a0, constants, prm))))
     return BalancedConfig(sigma_set=sigma_set, q=q, R=R, a0_hat=a0,
                           L=float(L), L_i=L_i, resid_B1=r1, resid_B2=r2)
 

@@ -26,8 +26,7 @@ from .interactions import (InteractionConstants, constants_payload,
 from .balancing import (BalanceError, BalancedConfig, SingularSet, balance,
                         balanced_to_json, periods_from_q)
 from .assembler import (WeightSpec, assemble, beta_leading_form,
-                        beta_projection, require_reduction, residual,
-                        sample_grid)
+                        beta_projection, residual, sample_grid)
 from .bubbles import KernelIndex
 from . import toda as toda_mod
 
@@ -309,7 +308,6 @@ def cmd_assemble_residual(doc: dict, out: OutDir,
 
     u = assemble(cfg, prm)
     out.facts["solver"] = solver = {"balanced": _solver_facts(u)}
-    require_reduction(u)
     rep = residual(u, weight, samples=_samples(u, regions), tol=qtol,
                    mc_seed=seed, mc_points=mc_points)
     _write_report(out, "residual_report.json", rep)

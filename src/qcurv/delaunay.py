@@ -33,7 +33,6 @@ __all__ = [
     "CylSolution",
     "NewtonError",
     "solve_periodic",
-    "delaunay_to_rn",
     "radial_profile",
     "neck_sweep",
     "sweep_csv",

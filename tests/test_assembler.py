@@ -17,7 +17,7 @@ from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
                              dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
                              _Line, _MC_BLOCK, _Panels, _build_towers,
-                             _dual_integral, _node_set, _on_line,
+                             _dual_integral, _node_set, _patch_sum,
                              _plain_integral)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
@@ -43,12 +43,29 @@ def assemble_single(center, R, L, prm, levels=6, M=400):
                           baselines=np.array([float(R)]), balanced=None)
 
 
+def correction(u, x, i):
+    """phi_i at the points x (k, n): the exact periodic profile about x_i
+    minus its two-sided tower.  The subtraction includes the outward
+    (negative-level) bubbles, so phi_i is the genuinely small periodic
+    remainder and the glued function loses those bubbles in value and in
+    mass alike.  u itself evaluates phi_i from the distance to x_i."""
+    R = u.baselines[i]
+    prof = R ** (-u.prm.gamma_s) * delaunay_to_rn(
+        u.cyls[i], (x - u.centers[i]) / R, u.prm)
+    return prof - tower_eval(x, u.base_towers[i], u.prm, half=False)
+
+
+def line_points(line, zr):
+    """The n-D points p0 + z a + rho e of the (z, rho) points zr (k, 2)."""
+    return line.p0 + zr[:, :1] * line.a + zr[:, 1:] * line.e
+
+
 def on_line(u, F):
     """F, an integrand on points (k, n), on the (z, rho) points of u's
     meridian half-plane: the quadrature's integrand before the reduction.
     It takes the node set's u values and leaves them unused."""
     line = _Line.of(u)
-    return lambda zr, uv: F(line.points(zr[:, 0], zr[:, 1]))
+    return lambda zr, uv: F(line_points(line, zr))
 
 
 def mc_probe_oracle(u, x, prm, n_samples, seed):
@@ -186,7 +203,7 @@ class TestAssemble:
                 s = float(np.linalg.norm(x - u.centers[i]))
                 chi = float(cutoff(np.array([s]), u.cut_on, u.cut_off)[0])
                 if chi > 0.0:
-                    raw += chi * float(u.correction(x[None, :], i)[0])
+                    raw += chi * float(correction(u, x[None, :], i)[0])
             assert float(u(x)) == pytest.approx(raw, rel=1e-12, abs=1e-14)
 
     def test_marked_point_raises(self, single, balanced_pair):
@@ -292,8 +309,8 @@ class TestDualApply:
             x = r * E1
             rad = dual_apply_radial(single, single.centers[0], x, PRM,
                                     tol=1e-9)
-            gen = PRM.dual_const * _dual_integral(single, single.meridian(),
-                                                  F, x, 1e-7)
+            gen = PRM.dual_const * _dual_integral(
+                single.meridian(), F, *_Line.of(single).coords(x), 1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
 
     @pytest.mark.parametrize("n,sigma", [(6, 1.2), (7, 2.5)])
@@ -309,8 +326,8 @@ class TestDualApply:
             x[0] = r
             rad = dual_apply_radial(u, u.centers[0], x, prm, tol=1e-9)
             for y in (x, np.roll(x, 1)):
-                gen = prm.dual_const * _dual_integral(u, u.meridian(), F, y,
-                                                      1e-7)
+                gen = prm.dual_const * _dual_integral(
+                    u.meridian(), F, *_Line.of(u).coords(y), 1e-7)
                 assert gen == pytest.approx(rad, rel=1e-7)
 
     def test_single_point_matches_radial(self, single):
@@ -379,7 +396,7 @@ class TestDualApply:
         u = balanced_pair
         x = u.centers[0] + 0.35 * E1
         det = dual_apply(u, x, tol=1e-7)
-        est, err = mc_probe(u, x, PRM, 200_000, seed=11)
+        est, err = mc_probe(u, x, 200_000, seed=11)
         assert abs(est - det) <= max(0.05 * abs(det), 4.0 * err)
 
     def test_requires_collinear(self):
@@ -431,10 +448,10 @@ class TestDualApply:
         theta = rng.uniform(0.0, np.pi, s.size)
         zr = np.column_stack((3.0 * rng.integers(0, 2, s.size)
                               + s * np.cos(theta), s * np.sin(theta)))
-        ref = us[0](_Line.of(us[0]).points(zr[:, 0], zr[:, 1]))
+        ref = us[0](line_points(_Line.of(us[0]), zr))
         assert np.array_equal(us[1].meridian()(zr), ref)
         assert np.array_equal(us[0].meridian()(zr), ref)
-        moved = us[1](_Line.of(us[1]).points(zr[:, 0], zr[:, 1]))
+        moved = us[1](line_points(_Line.of(us[1]), zr))
         assert not np.array_equal(moved, ref)
         assert np.allclose(moved, ref, rtol=1e-9, atol=0.0)
 
@@ -479,29 +496,29 @@ class TestMCProbe:
     def test_matches_oracle_on_grid(self, balanced_pair, k, seed):
         # 50k draws: four blocks of 12.5k
         x = sample_grid(balanced_pair)[0][k]
-        assert mc_probe(balanced_pair, x, PRM, 50_000, seed) == \
+        assert mc_probe(balanced_pair, x, 50_000, seed) == \
             mc_probe_oracle(balanced_pair, x, PRM, 50_000, seed)
 
     @pytest.mark.parametrize("n_samples", [2, 1000, _MC_BLOCK, _MC_BLOCK + 1,
                                            _MC_BLOCK + 5])
     def test_matches_oracle_at_block_edges(self, balanced_pair, n_samples):
         x = balanced_pair.centers[0] + 0.35 * E1
-        assert mc_probe(balanced_pair, x, PRM, n_samples, 9) == \
+        assert mc_probe(balanced_pair, x, n_samples, 9) == \
             mc_probe_oracle(balanced_pair, x, PRM, n_samples, 9)
 
     def test_matches_oracle_off_the_line(self, triangle):
         x = triangle.centers.mean(axis=0) + 0.7 * np.eye(5)[2]
-        assert mc_probe(triangle, x, PRM, 40_000, 3) == \
+        assert mc_probe(triangle, x, 40_000, 3) == \
             mc_probe_oracle(triangle, x, PRM, 40_000, 3)
 
     def test_memory_per_draw(self, balanced_pair):
         # a label, a radius and a value per draw, points one block at a
         # time; holding every draw's point and temporaries takes about 60 MB
         x = balanced_pair.centers[0] + 0.35 * E1
-        mc_probe(balanced_pair, x, PRM, 1000, 1)
+        mc_probe(balanced_pair, x, 1000, 1)
         tracemalloc.start()
         try:
-            mc_probe(balanced_pair, x, PRM, 200_000, 1)
+            mc_probe(balanced_pair, x, 200_000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,12 +527,12 @@ class TestMCProbe:
     def test_marked_point_raises(self, balanced_pair):
         # a finite mean of an infinite-mean variable is no estimate
         with pytest.raises(ValueError, match="marked point 1"):
-            mc_probe(balanced_pair, balanced_pair.centers[1], PRM, 1000, 1)
+            mc_probe(balanced_pair, balanced_pair.centers[1], 1000, 1)
 
     @pytest.mark.parametrize("n_samples", [-3, 0, 1])
     def test_too_few_draws_raise(self, balanced_pair, n_samples):
         with pytest.raises(ValueError, match="n_samples >= 2"):
-            mc_probe(balanced_pair, balanced_pair.origin, PRM, n_samples, 1)
+            mc_probe(balanced_pair, balanced_pair.origin, n_samples, 1)
 
     def test_residual_probes_only_finite_samples(self, balanced_pair):
         # the sample at the marked point is NaN, so it is never probed
@@ -611,8 +628,8 @@ class TestBetaProjection:
                 U = bubble_eval(pts, b, PRM)
                 return nonlin_prime(U, PRM) * kernel_Z(pts, idx, cfg, PRM) ** 2
 
-            vals.append(_plain_integral(u, u.meridian(), on_line(u, G),
-                                        b.lam, 1e-9)
+            vals.append(_plain_integral(u.meridian(), on_line(u, G), b.lam,
+                                        1e-9)
                         * b.lam ** 2 / slope ** 2)
         assert vals == pytest.approx([vals[0]] * len(vals), rel=1e-6)
 
@@ -643,6 +660,29 @@ class TestBetaProjection:
             u = assemble(bal.balance(ss, np.ones(2), 2.5, IC, PRM), PRM)
             out.append([beta_projection(u, idx, tol=1e-9) for idx in idxs])
         assert out[1] == out[0] and out[2] == out[0]
+
+    def test_projections_on_any_line_direction(self):
+        # translation mode l is a_l times the axial mode, a the line's
+        # direction, and the dilation mode does not see the direction: on
+        # two rotated lines every level-0 beta is a_l times the e1 pair's
+        # axial one, within the rounding of the rotated frame
+        tol = 1e-7
+
+        def betas(a, modes):
+            ss = bal.SingularSet(points=np.vstack([np.zeros(5), 3.0 * a]))
+            u = assemble(bal.balance(ss, np.ones(2), 2.5, IC, PRM), PRM)
+            return u.axis, {(t, m): beta_projection(u, KernelIndex(t, 0, m),
+                                                    tol=tol)
+                            for t in (0, 1) for m in modes}
+
+        _, ref = betas(E1, (0, 1))
+        for a in (np.array([1.0, 1.0, 0, 0, 0]),
+                  np.array([0.3, -0.5, 0.2, 0.7, 0.1])):
+            axis, got = betas(a / np.linalg.norm(a), range(6))
+            for (t, m), beta in got.items():
+                a_l = axis[m - 1] if m else 1.0
+                r = ref[t, min(m, 1)]
+                assert abs(beta - a_l * r) <= tol * r.mass
 
     def test_hard_levels_check_or_raise(self, pair_35):
         # the adaptive path warned (roundoff, tolerance not reached) on these
@@ -813,7 +853,7 @@ class TestResidual:
         def nd(self, pts, own=None):
             # a (z, rho) point of the meridian function goes to its n-D point
             if pts.shape[1] == 2:
-                return glued(u, line.points(pts[:, 0], pts[:, 1]))
+                return glued(u, line_points(line, pts))
             return glued(self, pts)
 
         rep, betas = run()
@@ -868,8 +908,8 @@ class TestResidual:
         # is off by 8.9e-6
         u = balanced_pair
         um = u.meridian()
-        nodes = _node_set(u, um, lambda zr, uv: uv, 1e-7, 20.0,
-                          np.empty((0, 5)))
+        nodes = _node_set(um, lambda zr, uv: uv, 1e-7, 20.0, np.empty(0),
+                          np.empty(0))
         seen = []
 
         def grab(zr, uv):
@@ -902,10 +942,11 @@ class TestResidual:
             seen.append(zr)
             return uv
 
-        _node_set(u, um, grab, 1e-6, 20.0, np.empty((0, 5)))
+        _node_set(um, grab, 1e-6, 20.0, np.empty(0), np.empty(0))
         fills = len(seen)
         theta = np.linspace(0.1, 3.0, 50)
-        _on_line(um, grab, 3.0 + 0.3 * np.cos(theta), 0.3 * np.sin(theta))
+        _patch_sum(um, grab, np.ones(theta.size), 3.0 + 0.3 * np.cos(theta),
+                   0.3 * np.sin(theta), 0.0, 1.0)
         assert 0 < fills < len(seen)
         assert all(zr.shape[1] == 2 and zr.flags.f_contiguous for zr in seen)
         assert all(zr.shape[0] > 1 for zr in seen)
@@ -916,8 +957,8 @@ class TestResidual:
         # rows within reach, the filled weights are the full evaluation's
         u = pair_35
         um = u.meridian()
-        nodes = _node_set(u, um, lambda zr, uv: uv, 1e-7, 20.0,
-                          np.empty((0, 5)))
+        nodes = _node_set(um, lambda zr, uv: uv, 1e-7, 20.0, np.empty(0),
+                          np.empty(0))
         far = nodes.panels[-1]
         full = _Panels(far.zc, far.e1, far.e2, PRM.n, part=far.part)
         assert full.reach == np.inf
@@ -929,6 +970,26 @@ class TestResidual:
                       == 1.0)
         for k in range(2):
             assert np.array_equal(far.rules[k][3], full.rules[k][3])
+
+    def test_far_weight_never_called_empty(self, pair_35):
+        # a far chunk wholly beyond reach skips the far weight: on this far
+        # panel 3 of its 7 calls used to get empty arrays
+        u = pair_35
+        um = u.meridian()
+        far = _node_set(um, lambda zr, uv: uv, 1e-7, 20.0, np.empty(0),
+                        np.empty(0)).panels[-1]
+        sizes = []
+
+        def part(z, rho):
+            sizes.append(z.size)
+            return far.part(z, rho)
+
+        again = _Panels(far.zc, far.e1, far.e2, PRM.n, part=part,
+                        reach=far.reach)
+        again.fill(um, lambda zr, uv: uv)
+        assert sizes and min(sizes) > 0
+        for k in range(2):
+            assert np.array_equal(again.rules[k][3], far.rules[k][3])
 
     def test_failed_sample_is_nan(self, balanced_pair):
         # the dual map is infinite at a marked point: that sample fails alone

@@ -127,6 +127,24 @@ class TestSolveB2:
         a02 = bal.solve_B2(ss2, q, R2, IC, PRM)
         assert a02 == pytest.approx(a0 / 2.0, rel=1e-10)
 
+    def test_implicit_residual(self):
+        # the implicit form is at rounding level at the explicit offsets and
+        # reads A1 q_k |delta| once a0_k moves by delta
+        q = np.array([1.0, 1.1, 0.9])
+        ss = equilateral(3.0)
+        R = bal.solve_B1(ss, q, IC, PRM)
+        a0 = bal.solve_B2(ss, q, R, IC, PRM)
+        scale = IC.A1 * np.max(np.abs(q[:, None] * a0))
+        res = bal.residual_B2(ss, q, R, a0, IC, PRM)
+        assert np.max(np.abs(res)) <= 16 * np.finfo(float).eps * scale
+        delta = np.array([0.0, 1e-3, -2e-3, 0.0, 0.0])
+        moved = a0.copy()
+        moved[1] += delta
+        res = bal.residual_B2(ss, q, R, moved, IC, PRM)
+        assert np.abs(res[1]) == pytest.approx(IC.A1 * q[1] * np.abs(delta),
+                                               rel=1e-9, abs=1e-15)
+        assert np.max(np.abs(res[[0, 2]])) <= 16 * np.finfo(float).eps * scale
+
 
 class TestJacobian:
     def test_two_point_eigenvalues(self):
@@ -211,7 +229,9 @@ class TestConfigIO:
         q = np.array([1.0, 1.1, 0.9])
         cfg = bal.balance(ss, q, 4.0, IC, PRM)
         assert cfg.resid_B1 <= 1e-12
-        assert cfg.resid_B2 == 0.0
+        # rounding level of the implicit second condition
+        scale = IC.A1 * np.max(np.abs(q[:, None] * cfg.a0_hat))
+        assert cfg.resid_B2 <= 16 * np.finfo(float).eps * scale
         # balanced.json reads back as a run configuration
         doc = json.loads(bal.balanced_to_json(cfg, PRM))
         prm2 = cli._params(doc)

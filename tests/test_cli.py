@@ -264,6 +264,19 @@ class TestAssembleResidualCommand:
         assert json.loads(res.stderr)["error"] == "config"
         assert not (tmp_path / "o" / "residual_report.json").exists()
 
+    def test_rotated_line_writes_finite_betas(self, tmp_path):
+        # the projections take any line direction, not only coordinate axes
+        a = 3.0 / math.sqrt(2.0)
+        doc = {**BASE, "points": [[0, 0, 0, 0, 0], [a, a, 0, 0, 0]],
+               "residual": {"regions": ["transition"]}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert cli.main(["assemble_residual", "--config", cfg,
+                         "--out", str(out)]) == 0
+        entries = json.loads((out / "beta.json").read_text())["entries"]
+        assert len(entries) == 2
+        assert all(math.isfinite(e["beta"]) for e in entries)
+
     def test_bad_regions_rejected(self, tmp_path):
         doc = {**BASE, "residual": {"regions": ["everywhere"]}}
         cfg = write_config(tmp_path / "c.json", doc)

@@ -1,13 +1,16 @@
-"""Every import in the package is used, every export has a reader, and
-nothing in the package integrates with scipy.integrate.
+"""Every import in the package is used, every export has a reader,
+nothing in the package integrates with scipy.integrate, and no assembler
+entry point takes parameters beside the ones its solution carries.
 
-Three AST scans of src/qcurv.  A name bound by an import statement must be
+Four AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
 the acceptance gates: the unit tests alone do not keep a public name alive.
 No module imports or reads scipy.integrate: the package has one quadrature
-layer, the fixed panels of kernels.gauss_panels.
+layer, the fixed panels of kernels.gauss_panels.  No public assembler
+function whose first parameter is an ApproxSolution takes a `prm`: the
+solution's own u.prm is the only one its numbers are right for.
 """
 
 import ast
@@ -165,3 +168,35 @@ def test_scan_flags_scipy_integrate():
            "from scipy.integrate._quadpack_py import quad\n"
            "import scipy.interpolate\n")
     assert scipy_integrate_uses(src) == [1, 2, 3, 6, 7]
+
+
+def prm_overrides(source: str) -> list[str]:
+    """Public module-level functions whose first parameter is annotated
+    ApproxSolution and that take a parameter named prm."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args.posonlyargs + node.args.args
+        if not args or args[0].annotation is None:
+            continue
+        if ast.unparse(args[0].annotation).strip("'\"") != "ApproxSolution":
+            continue
+        if any(a.arg == "prm" for a in args + node.args.kwonlyargs):
+            out.append(node.name)
+    return out
+
+
+def test_no_prm_override_in_assembler():
+    source = (SRC / "assembler.py").read_text(encoding="utf-8")
+    assert prm_overrides(source) == []
+
+
+def test_scan_flags_a_prm_override():
+    src = ("def f(u: ApproxSolution, x, prm=None): pass\n"
+           "def g(u: ApproxSolution, x): pass\n"
+           "def h(points, prm): pass\n"
+           "def _k(u: ApproxSolution, prm): pass\n"
+           "def m(u: 'ApproxSolution', *, prm): pass\n"
+           "class A:\n    def f(self, u: ApproxSolution, prm): pass\n")
+    assert prm_overrides(src) == ["f", "m"]
