@@ -2,10 +2,14 @@
 
 In log coordinates the singular radial problem becomes a 2L-periodic fixed
 point v = kappa * R_per * (c_ns v^p) for the bounded reduced kernel.  The
-solver collocates on a uniform half grid [0, L] (evenness is structural:
-reflected quadrature folds the other half in), iterates Newton with a
-positivity-preserving line search, and reports the neck value v(0) together
-with the defect psi against the periodized profile sum.
+solver collocates with the trapezoid rule on the 2m-point periodic grid
+(M = 2m), keeps the m + 1 nodes of [0, L] as unknowns (evenness is
+structural), iterates Newton with a positivity-preserving line search, and
+reports the neck value v(0) and the defect psi against the periodized
+profile sum.  The trapezoid operator is circulant, so on even vectors the
+DCT-I of the periodized kernel at the m + 1 offsets in [0, L] gives its
+eigenvalues and one DCT-I pair applies it; GMRES on that operator solves
+each Newton step.  No matrix is formed: time O(M log M), memory O(M).
 
 Phase convention: profile peaks sit at odd multiples (1+2j)L so the neck,
 the minimum of v, is at t = 0.  The two printed phase choices differ by a
@@ -21,8 +25,10 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.fft import dct, idct
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .params import Params
 from .bubbles import cyl_coefficient
@@ -51,7 +57,8 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class CylSolution:
-    """Discrete 2L-periodic solution on the symmetric grid [-L, L]."""
+    """Discrete 2L-periodic solution on the symmetric grid [-L, L]; its
+    n_iter Newton steps took krylov_iters GMRES iterations in all."""
 
     L: float
     grid: np.ndarray
@@ -60,6 +67,7 @@ class CylSolution:
     neck: float
     residual_norm: float
     n_iter: int
+    krylov_iters: int
 
     @cached_property
     def spline(self) -> CubicSpline:
@@ -78,20 +86,19 @@ def _tower_profile(ts: np.ndarray, L: float, prm: Params, J: int) -> np.ndarray:
     return np.cosh(ts[..., None] - centers) ** (-prm.gamma_s) @ np.ones(len(centers))
 
 
-def _collocation_matrix(ts: np.ndarray, L: float, prm: Params) -> np.ndarray:
-    """Folded product-trapezoid matrix A with (A w)_k ~ kappa*int R_per*(c w)."""
-    m = len(ts) - 1
+def _collocation_symbol(L: float, m: int, prm: Params) -> np.ndarray:
+    """Eigenvalues of (A w)_k ~ kappa*int R_per*(c w) on the 2m-point grid,
+    entry j for cos(pi j t/L): the DCT-I of R_per at t = jL/m, j = 0..m."""
     h = L / m
     lattice = periodized_lattice(
         lambda a: riesz_kernel_cyl(a, prm),
-        np.arange(2 * m + 1) * h, L, _periodization_order(L, prm))
-    k = np.arange(m + 1)
-    W = lattice[np.abs(k[:, None] - k)]
-    W += lattice[k[:, None] + k]
-    W[:, 0] = lattice[k]            # tau = 0 contributes once
-    W[:, m] = lattice[np.abs(k - m)]  # tau = L pairs with tau = -L by periodicity
-    W *= prm.dual_const * h
-    return W
+        np.arange(m + 1) * h, L, _periodization_order(L, prm))
+    return prm.dual_const * h * dct(lattice, type=1)
+
+
+def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A w for the operator of eigenvalues lam, w on the m + 1 nodes."""
+    return idct(lam * dct(w, type=1), type=1)
 
 
 def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
@@ -100,30 +107,37 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
 
     The returned solution is even by construction (half-grid unknowns,
     reflected quadrature) and strictly positive; the damped Newton step
-    halves until positivity and residual decrease both hold.
+    halves until positivity and residual decrease both hold.  GMRES solves
+    each step to 1e-14 relative, or NewtonError is raised.
     """
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
-    if M < 200:
-        raise ValueError(f"grid too coarse: {M} < 200")
+    if M < 200 or M % 2:
+        raise ValueError(f"grid size must be even and >= 200: {M}")
     m = M // 2
     ts = np.linspace(0.0, L, m + 1)
-    A = _collocation_matrix(ts, L, prm)
+    lam = _collocation_symbol(L, m, prm)
     Jper = _periodization_order(L, prm)
     v = init_factor * _tower_profile(ts, L, prm, Jper + 1)
 
     def residual(w: np.ndarray) -> np.ndarray:
-        return w - A @ w**prm.p
+        return w - _collocation_apply(lam, w**prm.p)
 
     F = residual(v)
     norm = float(np.max(np.abs(F)))
-    it = 0
+    it, krylov = 0, []
     while norm > tol:
         if it >= max_iter:
             raise NewtonError("iteration budget exhausted", norm, it)
-        Jac = A * -(prm.p * v ** (prm.p - 1.0))
-        Jac.flat[::m + 2] += 1.0
-        step = np.linalg.solve(Jac, -F)
+        d = prm.p * v ** (prm.p - 1.0)
+        jac = LinearOperator((m + 1, m + 1), dtype=float,
+                             matvec=lambda s: s - _collocation_apply(lam, d * s))
+        step, info = gmres(jac, -F, rtol=1e-14, atol=0.0,
+                           restart=min(m + 1, 64), maxiter=10,
+                           callback=krylov.append, callback_type="pr_norm")
+        if info != 0:
+            raise NewtonError(f"Krylov solve (GMRES) of Newton step {it + 1} "
+                              "did not reach 1e-14", norm, it)
         alpha = 1.0
         for _ in range(50):
             cand = v + alpha * step
@@ -161,6 +175,7 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
         neck=float(v[0]),
         residual_norm=norm,
         n_iter=it,
+        krylov_iters=len(krylov),
     )
 
 

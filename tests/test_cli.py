@@ -222,6 +222,7 @@ class TestAssembleResidualCommand:
         for facts in solver.values():
             for p in facts["profiles"]:
                 assert p["n_iter"] >= 1 and p["residual_norm"] <= 1e-10
+                assert p["krylov_iters"] >= p["n_iter"]
         again = tmp_path / "again"
         assert cli.main(["assemble_residual", "--config", cfg,
                          "--out", str(again)]) == 0
@@ -306,3 +307,10 @@ class TestDelaunayCommand:
         slopes = json.loads((out / "delaunay_slopes.json").read_text())
         assert slopes["slope_eps"] == pytest.approx(-slopes["gamma_s"],
                                                     rel=0.08)
+
+    def test_odd_grid_fails_every_row(self, tmp_path, capsys):
+        doc = {**BASE, "delaunay": {"L_list": [2.5, 3.0, 3.5], "M": 401}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["delaunay", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "must be even" in capsys.readouterr().err

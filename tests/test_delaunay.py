@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +7,7 @@ from scipy.integrate import quad
 from qcurv import delaunay
 from qcurv.params import derive_params
 from qcurv.bubbles import cyl_coefficient
-from qcurv.kernels import QuadratureError, riesz_kernel_cyl
+from qcurv.kernels import QuadratureError, periodized_lattice, riesz_kernel_cyl
 from qcurv.delaunay import (
     CylSolution,
     NewtonError,
@@ -17,6 +19,55 @@ from qcurv.delaunay import (
 )
 
 PRM = derive_params(5, 1.5)
+
+
+def dense_matrix(L, m, prm):
+    """The folded product-trapezoid matrix on the m + 1 nodes of [0, L],
+    lattice on all 2m + 1 offsets in [0, 2L]: the oracle of the DCT-I
+    operator, as the solver built it before."""
+    h = L / m
+    lattice = periodized_lattice(
+        lambda a: riesz_kernel_cyl(a, prm),
+        np.arange(2 * m + 1) * h, L, delaunay._periodization_order(L, prm))
+    k = np.arange(m + 1)
+    W = lattice[np.abs(k[:, None] - k)]
+    W += lattice[k[:, None] + k]
+    W[:, 0] = lattice[k]            # tau = 0 contributes once
+    W[:, m] = lattice[np.abs(k - m)]  # tau = L pairs with tau = -L by periodicity
+    W *= prm.dual_const * h
+    return W
+
+
+def dense_solve(L, prm, M, tol=1e-10, max_iter=60):
+    """Half-grid profile and Newton steps of solve_periodic with every step
+    an LU solve on the dense matrix: its oracle."""
+    m = M // 2
+    A = dense_matrix(L, m, prm)
+    v = delaunay._tower_profile(np.linspace(0.0, L, m + 1), L, prm,
+                                delaunay._periodization_order(L, prm) + 1)
+    F = v - A @ v**prm.p
+    norm, it = float(np.max(np.abs(F))), 0
+    while norm > tol:
+        assert it < max_iter
+        Jac = A * -(prm.p * v ** (prm.p - 1.0))
+        Jac.flat[::m + 2] += 1.0
+        step = np.linalg.solve(Jac, -F)
+        alpha = 1.0
+        for _ in range(50):
+            cand = v + alpha * step
+            if np.all(cand > 0.0):
+                Fc = cand - A @ cand**prm.p
+                if np.max(np.abs(Fc)) < norm:
+                    v, F, norm = cand, Fc, float(np.max(np.abs(Fc)))
+                    break
+            alpha *= 0.5
+        else:
+            pytest.fail("dense oracle: no decrease along the Newton step")
+        it += 1
+    return v, it
+
+
+ORACLE_PAIRS = [(5, 1.5), (7, 2.5), (6, 1.2)]
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +205,91 @@ def test_sweep_input_validation():
         neck_sweep([3.0, 2.5, 4.0], PRM)
     with pytest.raises(ValueError):
         neck_sweep([2.5, 3.0], PRM)
+
+
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_fft_operator_matches_dense_matrix(n, sigma):
+    prm = derive_params(n, sigma)
+    rng = np.random.default_rng(7)
+    for L, m in ((2.6, 200), (3.5, 400)):
+        A = dense_matrix(L, m, prm)
+        lam = delaunay._collocation_symbol(L, m, prm)
+        for _ in range(3):
+            w = rng.random(m + 1) + 0.01
+            ref = A @ w
+            got = delaunay._collocation_apply(lam, w)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("M", [400, 800])
+@pytest.mark.parametrize("L", [2.6, 3.1, 3.5, 4.5])
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_solver_matches_dense_newton(n, sigma, L, M):
+    prm = derive_params(n, sigma)
+    sol = solve_periodic(L, prm, M=M, tol=1e-10)
+    v, it = dense_solve(L, prm, M)
+    assert sol.n_iter == it
+    half = sol.v[M // 2:]
+    assert np.max(np.abs(half - v)) <= 1e-14 * np.max(v)
+    assert sol.krylov_iters >= sol.n_iter
+
+
+def test_reruns_are_bit_identical():
+    a = solve_periodic(3.5, PRM, M=800)
+    b = solve_periodic(3.5, PRM, M=800)
+    assert a.v.tobytes() == b.v.tobytes()
+    assert a.psi.tobytes() == b.psi.tobytes()
+    assert (a.n_iter, a.krylov_iters, a.residual_norm) == \
+        (b.n_iter, b.krylov_iters, b.residual_norm)
+
+
+def test_odd_grid_is_refused():
+    # M // 2 would silently solve on the M - 1 grid
+    with pytest.raises(ValueError, match="even"):
+        solve_periodic(3.0, PRM, M=801)
+
+
+def test_krylov_failure_raises(monkeypatch):
+    def stalled(A, b, **kw):
+        return np.zeros_like(b), 1
+    monkeypatch.setattr(delaunay, "gmres", stalled)
+    with pytest.raises(NewtonError, match="Krylov solve .* Newton step 1") as exc:
+        solve_periodic(3.0, PRM, M=400)
+    assert exc.value.iterations == 0
+    assert exc.value.residual > 1e-10
+
+
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_solver_eigenvalues_meet_branch_point(n, sigma):
+    # at the continuum branch point the collocation operator's mode-1
+    # eigenvalue satisfies the same condition p * lam_1 = lam_0, up to the
+    # grid error (1.5e-10, 1.0e-10, 1.4e-8 at M = 3200)
+    prm = derive_params(n, sigma)
+    L_star = bifurcation_half_period(prm)
+    lam = delaunay._collocation_symbol(L_star, 1600, prm)
+    assert abs(prm.p * lam[1] / lam[0] - 1.0) <= 5e-8
+
+
+def test_memory_is_linear_in_grid():
+    # the dense Newton step needed three (M/2+1)^2 matrices, 82 MB each here
+    tracemalloc.start()
+    try:
+        solve_periodic(3.5, PRM, M=6400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("n,sigma,lo,hi", [(5, 1.5, 2.8, 3.2),
+                                           (6, 1.2, 2.2, 2.7)])
+def test_grid_convergence_order(n, sigma, lo, hi):
+    # trapezoid error h^(alpha+1) at the kernel's |t|^alpha kink, alpha =
+    # n - 1 - 2 gamma_s: h^3 with a log at (5, 1.5), about h^2.4 at (6, 1.2)
+    prm = derive_params(n, sigma)
+    Ms = np.array([400, 800, 1600, 3200])
+    ref = solve_periodic(3.5, prm, M=12800)
+    errs = [np.max(np.abs(solve_periodic(3.5, prm, M=M).v - ref.v[::12800 // M]))
+            for M in Ms]
+    order = -np.polyfit(np.log(Ms), np.log(errs), 1)[0]
+    assert lo <= order <= hi
