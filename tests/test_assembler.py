@@ -130,12 +130,6 @@ def pair_35():
     return assemble(bal.balance(pair(), np.ones(2), 3.5, IC, PRM), PRM)
 
 
-def test_assemble_refuses_odd_grid(balanced_pair):
-    # the profile grid has M = 2m points; an odd M is not rounded down
-    with pytest.raises(ValueError, match="even"):
-        assemble(balanced_pair.balanced, PRM, M=401)
-
-
 class TestCutoff:
     def test_plateaus(self):
         s = np.array([0.0, 0.2, 0.5, 1.0, 1.7])

@@ -156,6 +156,9 @@ def test_preconditions():
         solve_periodic(1.0, PRM)
     with pytest.raises(ValueError):
         solve_periodic(3.0, PRM, M=100)
+    # M // 2 would silently solve on the M - 1 grid
+    with pytest.raises(ValueError, match="even"):
+        solve_periodic(3.0, PRM, M=801)
 
 
 def test_map_back_to_rn(sol3):
@@ -243,12 +246,6 @@ def test_reruns_are_bit_identical():
         (b.n_iter, b.krylov_iters, b.residual_norm)
 
 
-def test_odd_grid_is_refused():
-    # M // 2 would silently solve on the M - 1 grid
-    with pytest.raises(ValueError, match="even"):
-        solve_periodic(3.0, PRM, M=801)
-
-
 def test_krylov_failure_raises(monkeypatch):
     def stalled(A, b, **kw):
         return np.zeros_like(b), 1
@@ -270,7 +267,7 @@ def test_solver_eigenvalues_meet_branch_point(n, sigma):
     assert abs(prm.p * lam[1] / lam[0] - 1.0) <= 5e-8
 
 
-def test_memory_is_linear_in_grid():
+def test_peak_memory_at_M_6400():
     # the dense Newton step needed three (M/2+1)^2 matrices, 82 MB each here
     tracemalloc.start()
     try:
