@@ -65,6 +65,26 @@ def _require(doc: dict, key: str, typ, where: str = "config"):
     return val
 
 
+def _get(blk: dict, key: str, typ, default, where: str):
+    """An optional key of a command block: its default when absent, or null
+    where the default is null; otherwise checked like _require, so a bool,
+    a string or a fraction is never taken for a number or a count."""
+    if key not in blk or (default is None and blk[key] is None):
+        return default
+    return _require(blk, key, typ, where)
+
+
+def _numbers(blk: dict, key: str, default, where: str) -> list[float] | None:
+    """An optional list of numbers (no bools) from a command block."""
+    vals = _get(blk, key, list, default, where)
+    if vals is None:
+        return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in vals):
+        raise ConfigError(f"{where}[{key!r}] must be a list of numbers")
+    return [float(v) for v in vals]
+
+
 def _params(doc: dict):
     n = _require(doc, "n", int)
     sigma = float(_require(doc, "sigma", (int, float)))
@@ -151,9 +171,9 @@ def _csv(header: list[str], rows: list[list]) -> str:
 def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     blk = _block(doc, "kernel")
-    t_max = float(blk.get("t_max", 16.0))
-    t_points = int(blk.get("t_points", 33))
-    t_min = float(blk.get("t_min", 1e-3))
+    t_max = float(_get(blk, "t_max", (int, float), 16.0, "kernel"))
+    t_points = _get(blk, "t_points", int, 33, "kernel")
+    t_min = float(_get(blk, "t_min", (int, float), 1e-3, "kernel"))
     if t_max <= t_min or t_points < 4:
         raise ConfigError("kernel block needs t_max > t_min and >= 4 points")
     grid = np.linspace(t_min, t_max, t_points)
@@ -174,13 +194,11 @@ def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
 def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     blk = _block(doc, "delaunay")
-    L_list = blk.get("L_list", [2.5, 3.0, 3.5, 4.0])
-    if (not isinstance(L_list, list) or len(L_list) < 3
-            or not all(isinstance(v, (int, float)) for v in L_list)):
+    L_list = _numbers(blk, "L_list", [2.5, 3.0, 3.5, 4.0], "delaunay")
+    if len(L_list) < 3:
         raise ConfigError("delaunay.L_list must be a list of >= 3 numbers")
-    M = int(blk.get("M", 800))
-    sweep = neck_sweep([float(L) for L in L_list], prm, M=M, tol=min(tol,
-                                                                     1e-8))
+    M = _get(blk, "M", int, 800, "delaunay")
+    sweep = neck_sweep(L_list, prm, M=M, tol=min(tol, 1e-8))
     ok = [r for r in sweep.rows if r.error is None]
     if len(ok) < 2:
         bad = "; ".join(f"L={r.L}: {r.error}" for r in sweep.rows if r.error)
@@ -195,8 +213,9 @@ def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
 def cmd_constants(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
     prm = _params(doc)
     blk = _block(doc, "constants")
-    ells = blk.get("psi_ells", [0.0, 0.5, 1.0, 2.0, 4.0, 6.0])
-    if not all(isinstance(v, (int, float)) and v >= 0 for v in ells):
+    ells = _numbers(blk, "psi_ells", [0.0, 0.5, 1.0, 2.0, 4.0, 6.0],
+                    "constants")
+    if not all(v >= 0 for v in ells):
         raise ConfigError("constants.psi_ells must be nonnegative numbers")
     ic = interaction_constants(prm)
     fitted = oracle_fit_constants(prm)
@@ -206,7 +225,7 @@ def cmd_constants(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
     payload["oracle_method"] = fitted.method
     out.write("constants.json", json.dumps(payload, indent=2,
                                            sort_keys=True))
-    rows = [[float(ell), psi(float(ell), prm)] for ell in ells]
+    rows = [[ell, psi(ell, prm)] for ell in ells]
     out.write("psi.csv", _csv(["ell", "psi"], rows))
     return ic
 
@@ -280,15 +299,14 @@ def cmd_assemble_residual(doc: dict, out: OutDir,
     prm = _params(doc)
     ss, q, L = _config_geometry(doc)
     blk = _block(doc, "residual")
-    tau = float(blk.get("tau", 0.5))
-    kind = blk.get("weight_kind", "starstar")
-    mc_points = int(blk.get("mc_points", 0))
-    regions = blk.get("regions")
-    if regions is not None and (
-            not isinstance(regions, list)
-            or not set(regions) <= {"near", "transition", "far"}):
+    tau = float(_get(blk, "tau", (int, float), 0.5, "residual"))
+    kind = _get(blk, "weight_kind", str, "starstar", "residual")
+    mc_points = _get(blk, "mc_points", int, 0, "residual")
+    regions = _get(blk, "regions", list, None, "residual")
+    if regions is not None and not all(
+            r in ("near", "transition", "far") for r in regions):
         raise ConfigError("residual.regions must list near/transition/far")
-    compare_q = blk.get("compare_q")
+    compare_q = _numbers(blk, "compare_q", None, "residual")
     if compare_q is not None:
         qc = np.asarray(compare_q, dtype=float)
         if qc.shape != (ss.size,) or np.any(qc <= 0):
@@ -340,10 +358,10 @@ def cmd_assemble_residual(doc: dict, out: OutDir,
 def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
     _params(doc)  # validates n, sigma even though the operator is scale-free
     blk = _block(doc, "toda")
-    kind = blk.get("kind", "dilation")
-    K = int(blk.get("K", 50))
-    tau = float(blk.get("tau", 0.5))
-    period = blk.get("period")
+    kind = _get(blk, "kind", str, "dilation", "toda")
+    K = _get(blk, "K", int, 50, "toda")
+    tau = float(_get(blk, "tau", (int, float), 0.5, "toda"))
+    period = _get(blk, "period", (int, float), None, "toda")
     try:
         op = toda_mod.TodaOperator(kind=kind, K=K,
                                    period=None if period is None

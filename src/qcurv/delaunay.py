@@ -101,6 +101,11 @@ def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return idct(lam * dct(w, type=1), type=1)
 
 
+def _check_grid(M: int) -> None:
+    if M < 200 or M % 2:
+        raise ValueError(f"grid size must be even and >= 200: {M}")
+
+
 def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
                    max_iter: int = 60, init_factor: float = 1.0) -> CylSolution:
     """Solve the periodic problem at half-period L on an M-point grid.
@@ -112,8 +117,7 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
     """
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
-    if M < 200 or M % 2:
-        raise ValueError(f"grid size must be even and >= 200: {M}")
+    _check_grid(M)
     m = M // 2
     ts = np.linspace(0.0, L, m + 1)
     lam = _collocation_symbol(L, m, prm)
@@ -224,13 +228,15 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
                tol: float = 1e-10) -> SweepResult:
     """Solve along increasing L and fit the two decay laws.
 
-    Failures are kept as marked rows; slopes use the successful entries.
+    A bad grid size M raises ValueError before any solve; solver failures
+    are kept as marked rows, and the slopes use the successful entries.
     """
     L_arr = [float(L) for L in L_list]
     if len(L_arr) < 3:
         raise ValueError("need at least three half-periods for a slope fit")
     if any(b <= a for a, b in zip(L_arr, L_arr[1:])):
         raise ValueError("half-periods must be strictly increasing")
+    _check_grid(M)
     rows = []
     for L in L_arr:
         try:

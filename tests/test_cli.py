@@ -309,8 +309,43 @@ class TestDelaunayCommand:
                                                     rel=0.08)
 
     def test_odd_grid_fails_every_row(self, tmp_path, capsys):
+        # a bad grid is a configuration error, refused before any row
         doc = {**BASE, "delaunay": {"L_list": [2.5, 3.0, 3.5], "M": 401}}
         cfg = write_config(tmp_path / "c.json", doc)
         assert cli.main(["delaunay", "--config", cfg,
-                         "--out", str(tmp_path / "o")]) == 3
+                         "--out", str(tmp_path / "o")]) == 2
         assert "must be even" in capsys.readouterr().err
+
+    def test_small_grid_is_config_error(self, tmp_path, capsys):
+        doc = {**BASE, "delaunay": {"L_list": [2.5, 3.0, 3.5], "M": 198}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["delaunay", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert ">= 200" in capsys.readouterr().err
+
+
+class TestBlockTypes:
+    # block values of the wrong type exit 2 instead of being coerced: a
+    # bool, string or fraction is never read as a number or a count
+    @pytest.mark.parametrize("command,block,value", [
+        ("delaunay", "delaunay", {"M": 400.7}),
+        ("kernel", "kernel", {"t_points": "30"}),
+        ("assemble_residual", "residual", {"mc_points": 1.9}),
+        ("constants", "constants", {"psi_ells": [True]}),
+        ("delaunay", "delaunay", {"L_list": [True, 3.0, 3.5]}),
+        ("kernel", "kernel", {"t_max": True}),
+        ("toda", "toda", {"K": 50.0}),
+        ("toda", "toda", {"tau": "0.5"}),
+        ("toda", "toda", {"kind": "translation", "period": False}),
+        ("assemble_residual", "residual", {"weight_kind": 1}),
+        ("assemble_residual", "residual", {"compare_q": [True, 1.0]}),
+        ("assemble_residual", "residual", {"regions": "far"}),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_wrong_type_is_2(self, tmp_path, capsys, command, block, value):
+        doc = {**BASE, block: value}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main([command, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"{block}[{list(value)[-1]!r}] must be" in err["detail"]

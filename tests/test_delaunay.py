@@ -208,6 +208,9 @@ def test_sweep_input_validation():
         neck_sweep([3.0, 2.5, 4.0], PRM)
     with pytest.raises(ValueError):
         neck_sweep([2.5, 3.0], PRM)
+    # a bad grid is refused before any solve, not kept as failed rows
+    with pytest.raises(ValueError, match="even"):
+        neck_sweep([2.5, 3.0, 3.5], PRM, M=801)
 
 
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)

@@ -8,7 +8,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from qcurv.params import derive_params, gamma_fn, nonlin_prime
 from qcurv.bubbles import TowerConfig
-from qcurv.kernels import QuadratureError
+from qcurv.kernels import QuadratureError, gauss_panels
 from qcurv import interactions as it
 
 PRM = derive_params(5, 1.5)
@@ -163,15 +163,93 @@ def faraway_dblquad(l1, l3, d, mode, prm, tol=1e-10):
     return prm.omega_equator * l1 ** prm.n * val
 
 
+def faraway_per_mode(l1, l3, d, mode, prm, B=120.0):
+    """The 16- and 8-point values of interaction_faraway's tensor rule, one
+    mode and one pair at a time, on the box of half-width B: the per-mode
+    loop the shared-grid evaluation replaced, kept as its oracle."""
+    g = prm.gamma_s
+    c3, h3 = d / l1, l3 / l1
+
+    def integrand(s, y1):
+        y2 = y1 * y1 + s * s
+        u1 = (2.0 / (1.0 + y2)) ** g
+        fp = nonlin_prime(u1, prm) * l1 ** (-2.0 * prm.sigma)
+        x1 = l1 * y1
+        rho2 = (x1 - d) ** 2 + (l1 * s) ** 2
+        u3 = (2.0 * l3 / (l3 * l3 + rho2)) ** g
+        if mode == 0:
+            dU = l1 ** (-g - 1.0) * g * u1 * (y2 - 1.0) / (1.0 + y2)
+        else:
+            dU = -2.0 * g * l1 ** (-g - 1.0) * y1 * u1 / (1.0 + y2)
+        return fp * u3 * dU * s ** (prm.n - 2)
+
+    centers = [(0.0, 1.0)] + ([(c3, h3)] if abs(c3) < B else [])
+    y_edges = it._graded_edges(-B, B, centers)
+    s_edges = it._graded_edges(0.0, B, [(0.0, min(h for _, h in centers))])
+    vals = []
+    for order in (16, 8):
+        y1, wy = gauss_panels(y_edges, order)
+        s_nodes, ws = gauss_panels(s_edges, order)
+        total = 0.0
+        for s_panel, w_panel in zip(s_nodes.reshape(-1, order),
+                                    ws.reshape(-1, order)):
+            total += wy @ integrand(s_panel[None, :], y1[:, None]) @ w_panel
+        vals.append(prm.omega_equator * l1 ** prm.n * total)
+    return vals
+
+
+def oracle_fit_per_mode(prm, d=2.0, B=120.0):
+    """A2, A3 and est_error of oracle_fit_constants from faraway_per_mode."""
+    lams = (1e-2, 1e-3)
+    a2 = [faraway_per_mode(l, l, d, 0, prm, B)[0]
+          * d ** (prm.n - 2 * prm.sigma) * l / l ** (2 * prm.gamma_s)
+          for l in lams]
+    a3 = [faraway_per_mode(l, l, d, 1, prm, B)[0]
+          * d ** (2 * prm.gamma_s + 1) / l ** (2 * prm.gamma_s)
+          for l in lams]
+    err = max(abs(a2[1] - a2[0]) / abs(a2[1]), abs(a3[1] - a3[0]) / abs(a3[1]))
+    return a2[1], a3[1], err
+
+
+# the last case puts a sharp bubble 3 inside the box (center 10, scale 0.1
+# after rescaling), where the rule needs its second grading
+FARAWAY_CASES = [(1e-2, 1e-2, 2.0), (0.05, 0.05, 2.0), (0.05, 0.01, 2.0),
+                 (0.1, 0.01, 1.0)]
+
+
 class TestFarawayRule:
-    # the last case puts a sharp bubble 3 inside the box (center 10, scale
-    # 0.1 after rescaling), where the rule needs its second grading
-    @pytest.mark.parametrize("l1,l3,d", [(1e-2, 1e-2, 2.0), (0.05, 0.05, 2.0),
-                                         (0.05, 0.01, 2.0), (0.1, 0.01, 1.0)])
+    @pytest.mark.parametrize("l1,l3,d", FARAWAY_CASES)
     @pytest.mark.parametrize("mode", [0, 1])
     def test_matches_dblquad(self, l1, l3, d, mode):
         got = it.interaction_faraway(l1, l3, d, mode, PRM)
         assert got == pytest.approx(faraway_dblquad(l1, l3, d, mode, PRM), rel=1e-9)
+
+    @pytest.mark.parametrize("l1,l3,d", FARAWAY_CASES)
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_bitwise_per_mode_oracle(self, l1, l3, d, mode):
+        # the shared-grid evaluation keeps every operand order of the
+        # per-mode loop, so the values are the same doubles
+        fine, coarse = it._faraway_rules([(l1, l3)], d, PRM)[0, mode]
+        assert [fine, coarse] == faraway_per_mode(l1, l3, d, mode, PRM)
+        assert it.interaction_faraway(l1, l3, d, mode, PRM) == fine
+
+    def test_pairs_share_grid_bitwise(self, monkeypatch):
+        # the two pairs with bubble 3 outside the box share one grid, the
+        # one inside gets its own: two grids, each built for both rules in
+        # y and s; every pair keeps its own per-mode values
+        built = []
+
+        def counted(edges, order):
+            built.append(order)
+            return gauss_panels(edges, order)
+        monkeypatch.setattr(it, "gauss_panels", counted)
+        pairs = [(1e-2, 1e-2), (0.1, 0.01), (1e-3, 1e-3)]
+        vals = it._faraway_rules(pairs, 2.0, PRM)
+        assert len(built) == 2 * 2 * 2
+        for (l1, l3), v in zip(pairs, vals):
+            for mode in (0, 1):
+                assert list(v[mode]) == faraway_per_mode(l1, l3, 2.0, mode,
+                                                         PRM)
 
     def test_self_check_raises(self, monkeypatch):
         # ripples in f' far shorter than a panel: the 16- and 8-point rules
@@ -181,6 +259,29 @@ class TestFarawayRule:
         monkeypatch.setattr(it, "nonlin_prime", rippled)
         with pytest.raises(QuadratureError, match="8-point"):
             it.interaction_faraway(1e-2, 1e-2, 2.0, 0, PRM)
+        with pytest.raises(QuadratureError, match="interaction_faraway"):
+            it.oracle_fit_constants(PRM)
+
+    def test_checks_the_requested_mode_only(self, monkeypatch):
+        # a 16/8 gap in the other mode's rules does not refuse this one
+        gapped = np.array([[[1.0, 1.0], [1.0, 2.0]]])
+        monkeypatch.setattr(it, "_faraway_rules", lambda pairs, d, prm: gapped)
+        assert it.interaction_faraway(1e-2, 1e-2, 2.0, 0, PRM) == 1.0
+        with pytest.raises(QuadratureError, match="8-point"):
+            it.interaction_faraway(1e-2, 1e-2, 2.0, 1, PRM)
+
+    @pytest.mark.parametrize("n,s,documented", [
+        (5, 1.5, 6.1e-6), (7, 2.5, 1.9e-9), (6, 1.2, 6.9e-5), (3, 1.2, 1.1e-4)])
+    def test_box_tail_as_documented(self, n, s, documented):
+        # the tail beyond the box of 120, against a box of 1000, is the size
+        # the docstring gives, far above the 1e-8 of the 16/8 check at
+        # sigma < 5/2
+        prm = derive_params(n, s)
+        worst = max(abs(faraway_per_mode(l, l, 2.0, mode, prm)[0]
+                        / faraway_per_mode(l, l, 2.0, mode, prm, B=1000.0)[0]
+                        - 1.0)
+                    for l in (1e-2, 1e-3) for mode in (0, 1))
+        assert worst == pytest.approx(documented, rel=0.05)
 
 
 class TestOracleFit:
@@ -193,6 +294,13 @@ class TestOracleFit:
         # lam = 1e-3 should sit much closer than the gate
         assert abs(fitted.A2 - closed.A2) / closed.A2 < 1e-3
         assert fitted.est_error < 1e-3
+
+    @pytest.mark.parametrize("n,s", [(5, 1.5), (7, 2.5), (6, 1.2)])
+    def test_bitwise_per_mode_oracle(self, n, s):
+        prm = derive_params(n, s)
+        fitted = it.oracle_fit_constants(prm)
+        assert (fitted.A2, fitted.A3, fitted.est_error) == \
+            oracle_fit_per_mode(prm)
 
     def test_distance_scaling_exponent(self):
         lam = 1e-2
