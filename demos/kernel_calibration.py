@@ -2,7 +2,7 @@
 
 The dual form of the equation turns the fractional operator into a
 convolution against two radial kernels.  Its constant has a closed form,
-c_ns kappa = riesz_const q_ns, because the bubble family solves the equation
+dual_const = riesz_const q_ns, because the bubble family solves the equation
 with the curvature constant q_ns; with it the standard bubble is a fixed
 point of the dual map, and everything downstream (towers, residuals,
 projections) rides on this.
@@ -11,8 +11,7 @@ projections) rides on this.
 import numpy as np
 
 from qcurv.params import derive_params
-from qcurv.kernels import (build_kernel_table, calibrate_cyl_kernel,
-                           decay_slope)
+from qcurv.kernels import build_kernel_table, decay_slope, fixed_point_defect
 from qcurv.bubbles import Bubble, bubble_eval
 from qcurv.assembler import dual_apply_radial
 
@@ -21,9 +20,9 @@ print(f"parameters: n={prm.n}, sigma={prm.sigma}, "
       f"near rate gamma={prm.gamma_s}, far rate gamma'={prm.gamma_dual}, "
       f"power p={prm.p}")
 
-cal = calibrate_cyl_kernel(prm)
-print(f"\nkernel constant in closed form: kappa = riesz_const q_ns / c_ns = "
-      f"{cal.kappa:.12g} (fixed-point defect {cal.fixed_point_err:.2e})")
+print(f"\nkernel constant in closed form: dual_const = riesz_const q_ns = "
+      f"{prm.dual_const:.12g} (fixed-point defect "
+      f"{fixed_point_defect(prm):.2e})")
 
 bub = Bubble(center=np.zeros(prm.n), lam=1.0)
 fn = lambda pts: bubble_eval(pts, bub, prm)
@@ -33,8 +32,7 @@ for r in (0.0, 0.5, 1.0, 2.0, 5.0):
     x = np.zeros(prm.n)
     x[0] = r
     ref = float(fn(x[None, :])[0])
-    img = dual_apply_radial(fn, np.zeros(prm.n), x, prm, tol=1e-10,
-                            kappa=cal.kappa)
+    img = dual_apply_radial(fn, np.zeros(prm.n), x, prm, tol=1e-10)
     print(f"{r:8.2f} {ref:14.8f} {img:14.8f} {abs(img / ref - 1):10.2e}")
 
 ts = np.linspace(8.0, 16.0, 9)

@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 - ``params``       derived exponents and normalizing constants
-- ``kernels``      cylindrical reduction of the Riesz kernel, periodization, calibration
+- ``kernels``      cylindrical reduction of the Riesz kernel, periodization, fixed-point check
 - ``bubbles``      bubble profiles, towers, kernel modes
 - ``delaunay``     periodic cylinder solutions, neck diagnostics
 - ``interactions`` interaction constants, the interaction function, cokernel Gram matrices

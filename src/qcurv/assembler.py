@@ -83,8 +83,21 @@ __all__ = [
 # ─────────────────────────────────────────────────────────────────────────────
 # cutoff and frames
 
+# assembly cutoff: chi_i phi_i is glued in on [0, CUT_OFF) about x_i
+CUT_ON, CUT_OFF = 0.5, 1.0
+# integration partition, wider than the assembly cutoff: the far region then
+# only sees the function at distance >= INT_ON from the marked points, where
+# its p-th power has no sharp features left.  Enlarged balls may overlap; the
+# far weight 1 - sum chi stays an exact partition regardless (it just goes
+# negative on the overlap).
+INT_ON, INT_OFF = 1.0, 2.0
 
-def cutoff(s: np.ndarray, on: float = 0.5, off: float = 1.0) -> np.ndarray:
+# tower levels 0..LEVELS of each assembled point
+LEVELS = 6
+
+
+def cutoff(s: np.ndarray, on: float = CUT_ON,
+           off: float = CUT_OFF) -> np.ndarray:
     """Smooth monotone bump: exactly 1 on [0, on], exactly 0 on [off, inf)."""
     s = np.asarray(s, dtype=float)
     z = (s - on) / (off - on)
@@ -131,8 +144,6 @@ class ApproxSolution:
     cyls: tuple[CylSolution, ...]
     baselines: np.ndarray            # R^i
     balanced: BalancedConfig | None
-    cut_on: float = 0.5
-    cut_off: float = 1.0
 
     @property
     def size(self) -> int:
@@ -151,33 +162,33 @@ class ApproxSolution:
     def origin(self) -> np.ndarray:
         return self.centers.mean(axis=0)
 
-    def collinear(self, tol: float = 1e-12) -> bool:
+    def collinear(self) -> bool:
         if self.size <= 2:
             return True
         d = self.centers - self.centers[0]
         off = d - np.outer(d @ self.axis, self.axis)
-        return bool(np.max(np.linalg.norm(off, axis=1)) <= tol)
+        return bool(np.max(np.linalg.norm(off, axis=1)) <= 1e-12)
 
-    def axisymmetric(self, tol: float = 1e-13) -> bool:
+    def axisymmetric(self) -> bool:
         """All perturbation shifts along the singular line."""
         if not self.collinear():
             return False
         a = self.axis
         for cfg in self.towers:
             off = cfg.shifts - np.outer(cfg.shifts @ a, a)
-            if np.max(np.abs(off)) > tol:
+            if np.max(np.abs(off)) > 1e-13:
                 return False
         return True
 
     def _term(self, i: int, s: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """chi_i phi_i at the distances s from x_i (s2 their squares), 0
-        from cut_off on; phi_i is the periodic profile about x_i minus its
+        from CUT_OFF on; phi_i is the periodic profile about x_i minus its
         two-sided base tower (outward levels included), both radial about
         x_i.  The tower's levels are summed in `tower_eval`'s order, so
         given the squared distances `tower_eval` builds, the tower part has
         its bits.  ValueError at s = 0."""
         out = np.zeros(s.shape)
-        live = s < self.cut_off
+        live = s < CUT_OFF
         s, s2 = s[live], s2[live]
         g, R, cfg = self.prm.gamma_s, self.baselines[i], self.base_towers[i]
         tower = s2 + cfg.level_scales_sq[:, None]
@@ -185,7 +196,7 @@ class ApproxSolution:
         tower **= g
         phi = R ** (-g) * radial_profile(self.cyls[i], s / R, self.prm)
         phi -= tower.sum(axis=0)
-        out[live] = cutoff(s, self.cut_on, self.cut_off) * phi
+        out[live] = cutoff(s, CUT_ON, CUT_OFF) * phi
         return out
 
     def meridian(self) -> "ApproxSolution":
@@ -224,7 +235,7 @@ class ApproxSolution:
 
     def _glued(self, pts: np.ndarray, own=None) -> np.ndarray:
         """u at the points (k, d): the half towers, then center by center
-        chi_i phi_i, taken only at points inside cut_off.  own = (i, values)
+        chi_i phi_i, taken only at points inside CUT_OFF.  own = (i, values)
         puts the given values in place of center i's term."""
         out = np.zeros(pts.shape[0])
         for cfg in self.towers:
@@ -234,53 +245,55 @@ class ApproxSolution:
                 out += own[1]
                 continue
             s2 = _sq_dist(pts, c)
-            live = np.flatnonzero(s2 < self.cut_off ** 2)
+            live = np.flatnonzero(s2 < CUT_OFF ** 2)
             if live.size:
                 s2 = s2[live]
                 out[live] += self._term(i, np.sqrt(s2), s2)
         return out
 
 
-def _build_towers(centers, baselines, periods, a0_hat, perturb, prm,
-                  levels, tau):
+def _build_towers(centers, baselines, periods, a0_hat, perturb, prm):
     towers, base = [], []
     n = centers.shape[1]
     for i in range(centers.shape[0]):
-        lam = baselines[i] * np.exp(-(1.0 + 2.0 * np.arange(levels + 1))
+        lam = baselines[i] * np.exp(-(1.0 + 2.0 * np.arange(LEVELS + 1))
                                     * periods[i])
         if perturb is None:
-            r = np.zeros(levels + 1)
-            a_tilde = np.zeros((levels + 1, n))
+            r = np.zeros(LEVELS + 1)
+            a_tilde = np.zeros((LEVELS + 1, n))
         else:
             r, a_tilde = perturb[i]
             r = np.asarray(r, dtype=float)
             a_tilde = np.asarray(a_tilde, dtype=float)
-            if r.shape != (levels + 1,) or a_tilde.shape != (levels + 1, n):
+            if r.shape != (LEVELS + 1,) or a_tilde.shape != (LEVELS + 1, n):
                 raise ValueError("perturbation shape mismatch with levels")
         shifts = lam[:, None] ** 2 * (a0_hat[i][None, :] + a_tilde)
         towers.append(TowerConfig(
-            index=i, center=centers[i], period=periods[i], levels=levels,
-            baseline=baselines[i], dilations=r, shifts=shifts, tau=tau,
+            index=i, center=centers[i], period=periods[i], levels=LEVELS,
+            baseline=baselines[i], dilations=r, shifts=shifts,
             shift_bound=max(1.0, 2.0 * float(np.linalg.norm(a0_hat[i])) + 1.0)))
         base.append(TowerConfig(
-            index=i, center=centers[i], period=periods[i], levels=levels,
-            baseline=baselines[i], tau=tau))
+            index=i, center=centers[i], period=periods[i], levels=LEVELS,
+            baseline=baselines[i]))
     return tuple(towers), tuple(base)
 
 
 def assemble(balanced: BalancedConfig, prm: Params,
              perturb: list[tuple[np.ndarray, np.ndarray]] | None = None,
-             levels: int = 6, M: int = 400, solver_tol: float = 1e-10,
-             tau: float = 0.5) -> ApproxSolution:
+             M: int = 400) -> ApproxSolution:
+    """The glued function of a balanced configuration: towers of levels
+    0..LEVELS, and one periodic profile per distinct period, solved on M
+    points at solve_periodic's tolerance.  perturb gives each tower's
+    per-level (dilations, shifts)."""
     centers = balanced.sigma_set.points
     sols = {}
     for L in balanced.L_i:
         key = round(float(L), 12)
         if key not in sols:
-            sols[key] = solve_periodic(L, prm, M=M, tol=solver_tol)
+            sols[key] = solve_periodic(L, prm, M=M)
     cyls = tuple(sols[round(float(L), 12)] for L in balanced.L_i)
     towers, base = _build_towers(centers, balanced.R, balanced.L_i,
-                                 balanced.a0_hat, perturb, prm, levels, tau)
+                                 balanced.a0_hat, perturb, prm)
     return ApproxSolution(prm=prm, centers=centers, towers=towers,
                           base_towers=base, cyls=cyls,
                           baselines=np.asarray(balanced.R, dtype=float),
@@ -299,20 +312,14 @@ def assemble(balanced: BalancedConfig, prm: Params,
 # 1 - sum chi_i.  Every panel carries the 16-point Gauss-Legendre rule and,
 # for the self-check, the 8-point rule.
 
-# integration partition, wider than the assembly cutoff: the far region then
-# only sees the function at distance >= INT_ON from the marked points, where
-# its p-th power has no sharp features left.  Enlarged balls may overlap; the
-# far weight 1 - sum chi stays an exact partition regardless (it just goes
-# negative on the overlap).
-INT_ON, INT_OFF = 1.0, 2.0
-
 # points per evaluation block of an integrand or of the kernel, measured on
 # the gate fixture's residuals and projections: 8192 runs about a fifth
 # faster than 2048 and near unbounded blocks, for under 1 MB of peak memory
 # where unbounded blocks take about 5.5 MB
 _BLOCK = 8192
-# draws per block of the Monte Carlo probe
+# draws per block of the Monte Carlo probe, and per residual's probed sample
 _MC_BLOCK = 16_384
+_MC_SAMPLES = 200_000
 _ORDERS = (16, 8)
 # panel sizes at tol 1e-7: log-radius across the cutoff annuli, above and
 # below the deepest sample, radius near the origin, log-radius beyond; the
@@ -531,8 +538,8 @@ def _node_set(um: ApproxSolution, fn, tol: float, tau_ref: float,
     tau_hi = tau_ref + 2.0 * np.log(1.0 / tol) / prm.gamma_s
     fine, coarse = (np.linspace(0.0, np.pi, int(np.ceil(k / h)) + 1)
                     for k in (_ANGLES_FINE, _ANGLES_COARSE))
-    cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(um.cut_off),
-                   -np.log(um.cut_on)})
+    cuts = sorted({-np.log(INT_OFF), -np.log(INT_ON), -np.log(CUT_OFF),
+                   -np.log(CUT_ON)})
     panels = []
     for i, z0 in enumerate(zc):
         d = np.hypot(zx - z0, rx)
@@ -638,17 +645,17 @@ def _dual_at(nodes: _Nodes, zx: float, rx: float) -> tuple[float, float, int]:
 
 
 def dual_apply_radial(u_fn, center: np.ndarray, x: np.ndarray, prm: Params,
-                      tol: float = 1e-9, kappa: float | None = None) -> float:
+                      tol: float = 1e-9) -> float:
     """Riesz image of f(u) for u radial about one center: the angular
     integral collapses onto the reduced cylindrical kernel, convolved in
     tau = -ln|y - center| by kernels.log_radial_convolution (at x = center
-    with its far form |S^(n-1)| e^(gamma_s tau)).  kappa defaults to the
-    closed form.  ValueError at a marked point of an ApproxSolution."""
+    with its far form |S^(n-1)| e^(gamma_s tau)), times the closed-form
+    Params.dual_const.  ValueError at a marked point of an ApproxSolution."""
     center = np.asarray(center, dtype=float)
     x = np.asarray(x, dtype=float)
     if isinstance(u_fn, ApproxSolution):
         _require_unmarked(u_fn.centers, x)
-    c = prm.dual_const if kappa is None else prm.c_ns * kappa
+    c = prm.dual_const
     g = prm.gamma_s
     ray = np.eye(center.size)[0]
 
@@ -865,7 +872,6 @@ def beta_leading_form(u: ApproxSolution, i: int) -> float:
 class WeightSpec:
     tau: float
     kind: str = "starstar"
-    zeta1: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("star", "starstar"):
@@ -875,12 +881,11 @@ class WeightSpec:
 
     def resolve(self, prm: Params) -> tuple[float, float]:
         """(near exponent, far exponent) as printed; the starstar table is
-        asymmetric (n+tau near, -n+2 sigma far) and kept verbatim."""
+        asymmetric (n+tau near, -n+2 sigma far) and kept verbatim.  The star
+        kind's zeta1 is the midpoint of its window (-gamma_s, min(-gamma_s +
+        2 sigma, 0))."""
         g = prm.gamma_s
-        top = min(-g + 2 * prm.sigma, 0.0)
-        z1 = self.zeta1 if self.zeta1 is not None else 0.5 * (-g + top)
-        if not (-g < z1 < top):
-            raise ValueError(f"zeta1 {z1} outside (-gamma_s, {top})")
+        z1 = 0.5 * (-g + min(-g + 2 * prm.sigma, 0.0))
         if self.kind == "star":
             return min(z1, -g + self.tau), -(prm.n + 2 * prm.sigma)
         return prm.n + self.tau, -prm.n + 2 * prm.sigma
@@ -977,7 +982,7 @@ class ResidualReport:
 def residual(u: ApproxSolution, weight: WeightSpec,
              samples: tuple[np.ndarray, list[str]] | None = None,
              tol: float = 1e-8, mc_seed: int = 20240817,
-             mc_points: int = 0, mc_samples: int = 200_000) -> ResidualReport:
+             mc_points: int = 0) -> ResidualReport:
     """N_sigma(u) = u - dual(u) over the sample grid, reported per region.
 
     One node set serves every sample, with u^p evaluated on it once; each
@@ -989,9 +994,9 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     of every other sample.
 
     mc_points > 0 adds `mc_probe` checks at that many samples picked among
-    the finite ones, each of mc_samples draws: about 0.83 us and 24 bytes
-    per draw, so the default 200k draws take about 0.17 s and 10 MB per
-    point, on top of the quadrature (2-core Intel Xeon, numpy 2.4).
+    the finite ones, each of _MC_SAMPLES = 200k draws: about 0.83 us and
+    24 bytes per draw, so 0.17 s and 10 MB per point, on top of the
+    quadrature (2-core Intel Xeon, numpy 2.4).
     """
     prm = u.prm
     um, line = _meridian(u)
@@ -1034,7 +1039,7 @@ def residual(u: ApproxSolution, weight: WeightSpec,
                                                        int(np.sum(ok))),
                           replace=False)
         for k in pick:
-            est, err = mc_probe(u, pts[k], mc_samples, mc_seed + int(k))
+            est, err = mc_probe(u, pts[k], _MC_SAMPLES, mc_seed + int(k))
             det = float(uv[k] - vals[k])  # the deterministic dual value
             checks.append({"sample": int(k), "mc": est, "det": det,
                            "mc_stderr": err})

@@ -95,8 +95,9 @@ def residual_B1(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
 
 def solve_B1(sigma_set: SingularSet, q: np.ndarray,
              constants: InteractionConstants, prm: Params,
-             tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
-    """Newton in y = ln R; the exponential map keeps every iterate positive."""
+             tol: float = 1e-12) -> np.ndarray:
+    """Newton in y = ln R, at most 60 steps; the exponential map keeps
+    every iterate positive."""
     N = sigma_set.size
     q = _check_q(q, N)
     w = _weights(sigma_set, prm)
@@ -117,7 +118,7 @@ def solve_B1(sigma_set: SingularSet, q: np.ndarray,
 
     f = F(y)
     norm = np.max(np.abs(f))
-    for it in range(max_iter):
+    for it in range(60):
         if norm <= tol:
             return np.exp(y)
         rg = np.exp(g * y)
@@ -141,7 +142,7 @@ def solve_B1(sigma_set: SingularSet, q: np.ndarray,
         else:
             raise BalanceError(f"line search stalled at residual {norm:.3e} "
                                f"(iteration {it}); " + stall)
-    raise BalanceError(f"no convergence in {max_iter} iterations "
+    raise BalanceError(f"no convergence in 60 iterations "
                        f"(residual {norm:.3e}); " + stall)
 
 
@@ -197,14 +198,15 @@ class JacobianReport:
 
 
 def balance_jacobian(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
-                     constants: InteractionConstants, prm: Params,
-                     kernel_tol: float = 1e-8) -> JacobianReport:
+                     constants: InteractionConstants,
+                     prm: Params) -> JacobianReport:
     """Assembles dF over (q, R) at a balanced point and verifies its shape.
 
     F + q is homogeneous of degree 2g in R, so dF_R(R) = 2g(F + q); at a
     balanced point that is 2g*q, and the square-root dilation clock gives
     g*q.  The q-block has q itself in its kernel because F(q, R) = 0 is
-    linear in q.
+    linear in q; its kernel dimension counts the singular values below
+    1e-8 times the largest.
     """
     N = sigma_set.size
     q = _check_q(q, N)
@@ -224,7 +226,7 @@ def balance_jacobian(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
     dilation_clock = 0.5 * full_clock
 
     u, s, vt = np.linalg.svd(dFq)
-    dim = int(np.sum(s < kernel_tol * s[0]))
+    dim = int(np.sum(s < 1e-8 * s[0]))
     kern = vt[-1]
     if kern @ q < 0:
         kern = -kern

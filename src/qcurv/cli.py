@@ -21,8 +21,8 @@ import numpy as np
 from .params import derive_params
 from .kernels import QuadratureError, build_kernel_table, decay_slope
 from .delaunay import NewtonError, neck_sweep, sweep_csv
-from .interactions import (InteractionConstants, constants_payload,
-                           interaction_constants, oracle_fit_constants, psi)
+from .interactions import (constants_payload, interaction_constants,
+                           oracle_fit_constants, psi)
 from .balancing import (BalanceError, BalancedConfig, SingularSet, balance,
                         balanced_to_json, periods_from_q)
 from .assembler import (WeightSpec, assemble, beta_leading_form,
@@ -74,15 +74,20 @@ def _get(blk: dict, key: str, typ, default, where: str):
     return _require(blk, key, typ, where)
 
 
+def _number_list(vals, what: str) -> list[float]:
+    """vals as floats if it is a list of numbers (no bools), otherwise a
+    ConfigError that names it as `what`."""
+    if not (isinstance(vals, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in vals)):
+        raise ConfigError(f"{what} must be a list of numbers")
+    return [float(v) for v in vals]
+
+
 def _numbers(blk: dict, key: str, default, where: str) -> list[float] | None:
     """An optional list of numbers (no bools) from a command block."""
     vals = _get(blk, key, list, default, where)
-    if vals is None:
-        return None
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in vals):
-        raise ConfigError(f"{where}[{key!r}] must be a list of numbers")
-    return [float(v) for v in vals]
+    return None if vals is None else _number_list(vals, f"{where}[{key!r}]")
 
 
 def _params(doc: dict):
@@ -102,10 +107,7 @@ def _block(doc: dict, name: str) -> dict:
 
 
 def _seed(doc: dict) -> int:
-    seed = doc.get("seed", 20240817)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    return seed
+    return _get(doc, "seed", int, 20240817, "config")
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -135,9 +137,8 @@ class OutDir:
 
 
 def _manifest(out: OutDir, command: str, config_doc: dict, prm,
-              seed: int, tol: float,
-              ic: InteractionConstants | None = None) -> None:
-    ic = interaction_constants(prm) if ic is None else ic
+              seed: int, tol: float) -> None:
+    ic = interaction_constants(prm)
     blob = json.dumps(config_doc, sort_keys=True).encode()
     doc = {
         "command": command,
@@ -210,7 +211,7 @@ def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
          "gamma_s": prm.gamma_s}, indent=2, sort_keys=True))
 
 
-def cmd_constants(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
+def cmd_constants(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     blk = _block(doc, "constants")
     ells = _numbers(blk, "psi_ells", [0.0, 0.5, 1.0, 2.0, 4.0, 6.0],
@@ -227,26 +228,25 @@ def cmd_constants(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
                                            sort_keys=True))
     rows = [[ell, psi(ell, prm)] for ell in ells]
     out.write("psi.csv", _csv(["ell", "psi"], rows))
-    return ic
 
 
 def _config_geometry(doc: dict) -> tuple[SingularSet, np.ndarray, float]:
-    pts, q, L = doc.get("points"), doc.get("q"), doc.get("L")
-    if pts is None or q is None or L is None:
-        raise ConfigError("config needs top-level points, q and L")
+    """The top-level points (rows of numbers), q (numbers) and L (a
+    number), typed like block values: no bools, no strings."""
+    pts = [_number_list(row, "each row of config['points']")
+           for row in _require(doc, "points", list)]
+    qv = np.asarray(_number_list(_require(doc, "q", list), "config['q']"))
+    L = float(_require(doc, "L", (int, float)))
     try:
         ss = SingularSet(points=np.asarray(pts, dtype=float))
-        qv = np.asarray(q, dtype=float)
-        if qv.shape != (ss.size,) or np.any(qv <= 0):
-            raise ConfigError("q must be positive, one entry per point")
-        return ss, qv, float(L)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
+    if qv.shape != (ss.size,) or np.any(qv <= 0):
+        raise ConfigError("q must be positive, one entry per point")
+    return ss, qv, L
 
 
-def cmd_balance(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
+def cmd_balance(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     ss, q, L = _config_geometry(doc)
     ic = interaction_constants(prm)
@@ -257,7 +257,6 @@ def cmd_balance(doc: dict, out: OutDir, tol: float) -> InteractionConstants:
             for i in range(ss.size)]
     head = ["i", "q", "R", "L_i"] + [f"a0_{k}" for k in range(prm.n)]
     out.write("balance.csv", _csv(head, rows))
-    return ic
 
 
 def _samples(u, regions: list[str] | None):
@@ -294,8 +293,7 @@ def _solver_facts(u) -> dict:
     return facts
 
 
-def cmd_assemble_residual(doc: dict, out: OutDir,
-                          tol: float) -> InteractionConstants:
+def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
     ss, q, L = _config_geometry(doc)
     blk = _block(doc, "residual")
@@ -352,7 +350,6 @@ def cmd_assemble_residual(doc: dict, out: OutDir,
                                       indent=2, sort_keys=True))
     out.write("residual_summary.csv",
               _csv(["run", "weighted_norm"], summary_rows))
-    return ic
 
 
 def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
@@ -409,9 +406,8 @@ def main(argv: list[str] | None = None) -> int:
         doc = _load_config(args.config)
         prm = _params(doc)
         out = OutDir(args.out)
-        # commands that hold the interaction constants return them
-        ic = COMMANDS[args.command](doc, out, args.tol)
-        _manifest(out, args.command, doc, prm, _seed(doc), args.tol, ic)
+        COMMANDS[args.command](doc, out, args.tol)
+        _manifest(out, args.command, doc, prm, _seed(doc), args.tol)
     except (NewtonError, QuadratureError, BalanceError) as exc:
         print(json.dumps({"error": "solver", "detail": str(exc)}),
               file=sys.stderr)

@@ -1,7 +1,8 @@
 """Periodic cylindrical solutions by collocation and damped Newton.
 
 In log coordinates the singular radial problem becomes a 2L-periodic fixed
-point v = kappa * R_per * (c_ns v^p) for the bounded reduced kernel.  The
+point v = dual_const * R_per * v^p for the bounded reduced kernel R, with
+the closed-form constant ``Params.dual_const`` of the dual map.  The
 solver collocates with the trapezoid rule on the 2m-point periodic grid
 (M = 2m), keeps the m + 1 nodes of [0, L] as unknowns (evenness is
 structural), iterates Newton with a positivity-preserving line search, and
@@ -32,8 +33,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .params import Params
 from .bubbles import cyl_coefficient
-from .kernels import (check_rules, gauss_panels, graded_edges, periodized_lattice,
-                      riesz_kernel_cyl)
+from .kernels import (check_rules, decay_slope, gauss_panels, graded_edges,
+                      periodized_lattice, riesz_kernel_cyl)
 
 __all__ = [
     "CylSolution",
@@ -87,7 +88,7 @@ def _tower_profile(ts: np.ndarray, L: float, prm: Params, J: int) -> np.ndarray:
 
 
 def _collocation_symbol(L: float, m: int, prm: Params) -> np.ndarray:
-    """Eigenvalues of (A w)_k ~ kappa*int R_per*(c w) on the 2m-point grid,
+    """Eigenvalues of (A w)_k ~ dual_const * int R_per w on the 2m-point grid,
     entry j for cos(pi j t/L): the DCT-I of R_per at t = jL/m, j = 0..m."""
     h = L / m
     lattice = periodized_lattice(
@@ -107,13 +108,14 @@ def _check_grid(M: int) -> None:
 
 
 def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
-                   max_iter: int = 60, init_factor: float = 1.0) -> CylSolution:
+                   init_factor: float = 1.0) -> CylSolution:
     """Solve the periodic problem at half-period L on an M-point grid.
 
     The returned solution is even by construction (half-grid unknowns,
     reflected quadrature) and strictly positive; the damped Newton step
     halves until positivity and residual decrease both hold.  GMRES solves
-    each step to 1e-14 relative, or NewtonError is raised.
+    each step to 1e-14 relative; NewtonError when it does not, or after 60
+    steps.
     """
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
@@ -131,7 +133,7 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
     norm = float(np.max(np.abs(F)))
     it, krylov = 0, []
     while norm > tol:
-        if it >= max_iter:
+        if it >= 60:
             raise NewtonError("iteration budget exhausted", norm, it)
         d = prm.p * v ** (prm.p - 1.0)
         jac = LinearOperator((m + 1, m + 1), dtype=float,
@@ -250,9 +252,9 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
     if len(good) < 2:
         slope_eps = slope_psi = float("nan")
     else:
-        Ls = np.array([r.L for r in good])
-        slope_eps = float(np.polyfit(Ls, np.log([r.eps for r in good]), 1)[0])
-        slope_psi = float(np.polyfit(Ls, np.log([r.psi_sup for r in good]), 1)[0])
+        Ls = [r.L for r in good]
+        slope_eps = decay_slope(Ls, [r.eps for r in good])
+        slope_psi = decay_slope(Ls, [r.psi_sup for r in good])
     return SweepResult(rows=tuple(rows), slope_eps=slope_eps, slope_psi=slope_psi)
 
 
@@ -291,13 +293,13 @@ def _kernel_cosine_rule(prm: Params, tol: float):
     return (t16, w16 * R[:len(t16)]), (t8, w8 * R[len(t16):])
 
 
-def bifurcation_half_period(prm: Params, tol: float = 1e-10,
-                            w_max: float = 8.0) -> float:
+def bifurcation_half_period(prm: Params, tol: float = 1e-10) -> float:
     """Half-period where tower solutions split off the constant branch.
 
     Linearizing the collocation fixed point at the flat profile gives the
     mode-1 condition p * F(pi/L) = F(0) with F the cosine transform of the
-    reduced kernel; the normalization constants cancel, so the threshold
+    reduced kernel, its root bracketed in [0.01, 8]; the normalization
+    constants cancel, so the threshold
     depends on (n, sigma) only.  Below the returned L the flat profile is
     the only positive even periodic solution.
 
@@ -312,7 +314,7 @@ def bifurcation_half_period(prm: Params, tol: float = 1e-10,
         return 2.0 * float(wR @ np.cos(w * t))
 
     f0 = ft(0.0)
-    w_star = brentq(lambda w: ft(w) - f0 / prm.p, 1e-2, w_max, xtol=1e-9)
+    w_star = brentq(lambda w: ft(w) - f0 / prm.p, 1e-2, 8.0, xtol=1e-9)
     check_rules([f0, ft(w_star)],
                 [2.0 * float(wR8 @ np.cos(w * t8)) for w in (0.0, w_star)],
                 tol, "branch-point cosine transform")

@@ -232,19 +232,19 @@ def interaction_faraway(l1: float, l3: float, d: float, mode: int,
     return float(fine)
 
 
-def oracle_fit_constants(prm: Params, tol: float = 1e-8,
-                         d: float = 2.0) -> InteractionConstants:
-    """Fit A2/A3 from the asymptotic laws of the direct integrals.
+def oracle_fit_constants(prm: Params, tol: float = 1e-8) -> InteractionConstants:
+    """Fit A2/A3 from the asymptotic laws of the direct integrals, with the
+    centers d = 2 apart.
 
     Two scales per constant; the returned estimate is the smaller-scale one
     and est_error the relative spread (expected O(lam^2)).  A1 has no
     printed two-bubble law, so the closed integral fills that slot.  The
     four integrals are those of interaction_faraway, each with its own 16/8
-    check; at the default d the two scales share one grid.  Both fits carry
+    check; at d = 2 the two scales share one grid.  Both fits carry
     the box's tail (see interaction_faraway): at (5, 1.5) it is most of
     their gap to the closed forms, 7.1e-6 for A2 and 2.9e-6 for A3.
     """
-    lams = (1e-2, 1e-3)
+    lams, d = (1e-2, 1e-3), 2.0
     vals = _faraway_rules([(l, l) for l in lams], d, prm)
     for mode in (0, 1):
         for fine, coarse in vals[:, mode]:

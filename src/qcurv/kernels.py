@@ -8,15 +8,16 @@ dual-side estimates.  Both have a closed form in the Gauss hypergeometric
 function of e^(-2|t|), as has the ring kernel, the Riesz kernel integrated
 over the orbit of a point about a line.
 
-The convolution's multiplier is the closed form c_ns kappa = riesz_const q_ns
-(``Params.dual_const``), and no fit.
+The convolution's multiplier is the closed form ``Params.dual_const`` =
+riesz_const q_ns, and no fit; ``fixed_point_defect`` checks it on the
+bubble profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gamma, hyp2f1
@@ -151,7 +152,7 @@ def periodized_lattice(
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Fixed-panel quadrature, log-radial convolution and the calibration check
+# Fixed-panel quadrature, log-radial convolution and the fixed-point check
 # ─────────────────────────────────────────────────────────────────────────────
 
 
@@ -221,38 +222,21 @@ def log_radial_convolution(kernel: Callable, g: Callable, t: float,
     return fine
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """Multiplier kappa of the reduced kernel in the fixed-point equation
-    v -> kappa * K_cyl * (f o v), and how closely the exact single-bubble
-    cylinder profile cosh^{-gamma_s} satisfies it."""
+def fixed_point_defect(prm: Params) -> float:
+    """Largest relative defect of the bubble profile cosh^{-gamma_s} as a
+    fixed point v = dual_const * K_cyl * v^p, at offsets 1, 2 and 4.
 
-    kappa: float
-    fixed_point_err: float  # max relative error at the check offsets
-    check_offsets: tuple[float, ...]
-
-
-def calibrate_cyl_kernel(prm: Params,
-                         check_offsets: Sequence[float] = (1.0, 2.0, 4.0)) -> Calibration:
-    """kappa in closed form, and the bubble profile's fixed-point defect
-    at the check offsets.
-
-    c_ns kappa = riesz_const q_ns (Params.dual_const).  As cosh^{-gamma_s p}
-    = cosh^{-gamma_dual}, the check convolves the kernel with the latter by
-    log_radial_convolution at tol 1e-13, which cross-checks both constants.
+    As cosh^{-gamma_s p} = cosh^{-gamma_dual}, the kernel is convolved with
+    the latter by log_radial_convolution at tol 1e-13, which cross-checks
+    the closed-form Params.dual_const.
     """
-    ts = np.asarray(check_offsets, dtype=float)
+    ts = np.array([1.0, 2.0, 4.0])
     conv = np.array([log_radial_convolution(
         lambda s: riesz_kernel_cyl(s, prm),
         lambda tau: np.cosh(tau) ** (-prm.gamma_dual),
-        t, prm.gamma_s, 1e-13, "calibration") for t in ts])
+        t, prm.gamma_s, 1e-13, "fixed-point defect") for t in ts])
     v_exact = np.cosh(ts) ** (-prm.gamma_s)
-    resid = np.abs(prm.dual_const * conv - v_exact) / v_exact
-    return Calibration(
-        kappa=prm.dual_const / prm.c_ns,
-        fixed_point_err=float(resid.max()),
-        check_offsets=tuple(float(t) for t in check_offsets),
-    )
+    return float(np.max(np.abs(prm.dual_const * conv - v_exact) / v_exact))
 
 
 # ─────────────────────────────────────────────────────────────────────────────

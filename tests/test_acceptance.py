@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from qcurv.params import derive_params
-from qcurv.kernels import (calibrate_cyl_kernel, decay_slope,
-                           riesz_kernel_cyl, singular_kernel_cyl)
+from qcurv.kernels import decay_slope, riesz_kernel_cyl, singular_kernel_cyl
 from qcurv.delaunay import neck_sweep
 from qcurv import interactions as it
 from qcurv import toda
@@ -25,11 +24,6 @@ from qcurv.assembler import (WeightSpec, assemble, beta_leading_form,
 PRM = derive_params(5, 1.5)
 IC = it.interaction_constants(PRM)
 E1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-
-
-@pytest.fixture(scope="module")
-def kappa():
-    return calibrate_cyl_kernel(PRM).kappa
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +55,14 @@ def residual_norms(towers):
     return norms
 
 
-def test_01_bubble_fixed_point(kappa):
+def test_01_bubble_fixed_point():
     bub = Bubble(center=np.zeros(5), lam=1.0)
     fn = lambda pts: bubble_eval(pts, bub, PRM)
     t0 = time.time()
     errs = []
     for r in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
         x = r * E1
-        img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-10,
-                                kappa=kappa)
+        img = dual_apply_radial(fn, np.zeros(5), x, PRM, tol=1e-10)
         ref = float(fn(x[None, :])[0])
         errs.append(abs(img - ref) / ref)
     print(f"fixed point of the dual map, 10 radii: sup rel err "

@@ -12,9 +12,9 @@ import adaptive_quadrature as adaptive
 from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
 from qcurv import assembler, balancing as bal
-from qcurv.assembler import (ApproxSolution, WeightSpec, assemble,
-                             beta_leading_form, beta_projection, cutoff,
-                             dual_apply, dual_apply_radial, mc_probe,
+from qcurv.assembler import (CUT_OFF, CUT_ON, ApproxSolution, WeightSpec,
+                             assemble, beta_leading_form, beta_projection,
+                             cutoff, dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
                              _Line, _MC_BLOCK, _Panels, _build_towers,
                              _dual_integral, _node_set, _patch_sum,
@@ -31,12 +31,11 @@ E1 = np.array([1.0, 0, 0, 0, 0])
 E2 = np.array([0.0, 1.0, 0, 0, 0])
 
 
-def assemble_single(center, R, L, prm, levels=6, M=400):
+def assemble_single(center, R, L, prm, M=400):
     """One-point assembly, with no balancing: the pipeline null test."""
     center = np.asarray(center, dtype=float)[None, :]
     towers, base = _build_towers(center, np.array([R]), np.array([L]),
-                                 np.zeros_like(center), None, prm, levels,
-                                 0.5)
+                                 np.zeros_like(center), None, prm)
     return ApproxSolution(prm=prm, centers=center, towers=towers,
                           base_towers=base,
                           cyls=(solve_periodic(L, prm, M=M),),
@@ -201,7 +200,7 @@ class TestAssemble:
             raw = sum(tower_eval(x, cfg, PRM) for cfg in u.towers)
             for i in range(u.size):
                 s = float(np.linalg.norm(x - u.centers[i]))
-                chi = float(cutoff(np.array([s]), u.cut_on, u.cut_off)[0])
+                chi = float(cutoff(np.array([s]), CUT_ON, CUT_OFF)[0])
                 if chi > 0.0:
                     raw += chi * float(correction(u, x[None, :], i)[0])
             assert float(u(x)) == pytest.approx(raw, rel=1e-12, abs=1e-14)
@@ -540,7 +539,7 @@ class TestMCProbe:
         pts = np.array([u.centers[1], u.centers[0] + 0.7 * E1])
         rep = residual(u, WeightSpec(tau=0.5),
                        samples=(pts, ["near:1", "transition"]), tol=1e-7,
-                       mc_points=2, mc_samples=1000)
+                       mc_points=2)
         assert [c["sample"] for c in rep.mc_checks] == [1]
 
 class TestAdaptiveOracle:
@@ -728,11 +727,6 @@ class TestWeightSpec:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError, match="tau"):
             WeightSpec(tau=0.0)
-
-    def test_zeta1_window(self):
-        with pytest.raises(ValueError, match="zeta1"):
-            WeightSpec(tau=0.5, kind="star", zeta1=0.5).resolve(PRM)
-        WeightSpec(tau=0.5, kind="star", zeta1=-0.2).resolve(PRM)
 
     def test_exponent_table(self):
         g, n, s = PRM.gamma_s, PRM.n, PRM.sigma

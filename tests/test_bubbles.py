@@ -81,15 +81,15 @@ def test_ef_pair_and_sphere_profile():
 
 
 def test_cyl_coefficient_matches_kernel_mass():
-    # independent route: the flat profile is a fixed point of the calibrated
-    # convolution in log coordinates, so a^(p-1) * c_ns * kappa * mass(R) = 1
+    # independent route: the flat profile is a fixed point of the dual
+    # map's convolution in log coordinates, so a^(p-1) * dual_const * mass(R)
+    # = 1
     from scipy.integrate import quad
-    from qcurv.kernels import riesz_kernel_cyl, calibrate_cyl_kernel
+    from qcurv.kernels import riesz_kernel_cyl
 
     mass, _ = quad(lambda t: riesz_kernel_cyl(t, PRM), 0.0, 60.0,
                    epsabs=1e-12, epsrel=1e-11, limit=200)
-    kappa = calibrate_cyl_kernel(PRM).kappa
-    a_mass = (1.0 / (PRM.c_ns * kappa * 2.0 * mass)) ** (1.0 / (PRM.p - 1.0))
+    a_mass = (1.0 / (PRM.dual_const * 2.0 * mass)) ** (1.0 / (PRM.p - 1.0))
     assert cyl_coefficient(PRM) == pytest.approx(a_mass, rel=1e-5)
 
 

@@ -349,3 +349,21 @@ class TestBlockTypes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert f"{block}[{list(value)[-1]!r}] must be" in err["detail"]
+
+
+class TestTopLevelTypes:
+    # the top-level geometry and seed are read as typed too: a string, a
+    # bool or a fraction exits 2 instead of being coerced
+    @pytest.mark.parametrize("key,value", [
+        ("L", "3.0"),
+        ("seed", True),
+        ("q", [True, True]),
+        ("points", [[0, 0, 0, 0, 0], [3, False, False, False, False]]),
+    ], ids=["L", "seed", "q", "points"])
+    def test_wrong_type_is_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", {**BASE, key: value})
+        assert cli.main(["balance", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"config['{key}']" in err["detail"]

@@ -1,8 +1,9 @@
 """Every import in the package is used, every export has a reader,
-nothing in the package integrates with scipy.integrate, and no assembler
-entry point takes parameters beside the ones its solution carries.
+nothing in the package integrates with scipy.integrate, no assembler
+entry point takes parameters beside the ones its solution carries, and
+options that only ever took one value stay constants.
 
-Four AST scans of src/qcurv.  A name bound by an import statement must be
+Five AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
@@ -10,7 +11,8 @@ the acceptance gates: the unit tests alone do not keep a public name alive.
 No module imports or reads scipy.integrate: the package has one quadrature
 layer, the fixed panels of kernels.gauss_panels.  No public assembler
 function whose first parameter is an ApproxSolution takes a `prm`: the
-solution's own u.prm is the only one its numbers are right for.
+solution's own u.prm is the only one its numbers are right for.  No public
+signature or class brings back an option in REMOVED_OPTIONS.
 """
 
 import ast
@@ -200,3 +202,73 @@ def test_scan_flags_a_prm_override():
            "def m(u: 'ApproxSolution', *, prm): pass\n"
            "class A:\n    def f(self, u: ApproxSolution, prm): pass\n")
     assert prm_overrides(src) == ["f", "m"]
+
+
+# options that had one value outside the tests, now constants of their
+# modules: (module, owner, parameter or field); a None name marks an owner
+# that is gone altogether
+REMOVED_OPTIONS = {
+    ("kernels", "Calibration", None),
+    ("kernels", "calibrate_cyl_kernel", None),
+    ("assembler", "dual_apply_radial", "kappa"),
+    ("assembler", "ApproxSolution", "cut_on"),
+    ("assembler", "ApproxSolution", "cut_off"),
+    ("assembler", "ApproxSolution.collinear", "tol"),
+    ("assembler", "ApproxSolution.axisymmetric", "tol"),
+    ("assembler", "assemble", "levels"),
+    ("assembler", "assemble", "solver_tol"),
+    ("assembler", "assemble", "tau"),
+    ("assembler", "WeightSpec", "zeta1"),
+    ("assembler", "residual", "mc_samples"),
+    ("balancing", "solve_B1", "max_iter"),
+    ("balancing", "balance_jacobian", "kernel_tol"),
+    ("delaunay", "solve_periodic", "max_iter"),
+    ("delaunay", "bifurcation_half_period", "w_max"),
+    ("interactions", "oracle_fit_constants", "d"),
+}
+
+
+def public_options(source: str) -> set[tuple[str, str | None]]:
+    """(owner, None) for each public module-level function and class, and
+    (owner, name) for each parameter of a public function or method and
+    each annotated field of a public class; a method's owner is
+    "Class.method"."""
+    def params(fn):
+        a = fn.args
+        return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+
+    out = set()
+    for node in ast.parse(source).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        out.add((node.name, None))
+        if isinstance(node, ast.FunctionDef):
+            out |= {(node.name, p) for p in params(node)}
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                out.add((node.name, item.target.id))
+            elif (isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")):
+                out |= {(f"{node.name}.{item.name}", p) for p in params(item)}
+    return out
+
+
+@pytest.mark.parametrize("module", sorted({m for m, _, _ in REMOVED_OPTIONS}))
+def test_removed_options_stay_removed(module):
+    found = public_options((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert sorted((o, n) for m, o, n in REMOVED_OPTIONS
+                  if m == module and (o, n) in found) == []
+
+
+def test_scan_flags_a_removed_option():
+    src = ("class Calibration:\n    kappa: float\n"
+           "class A:\n    x: int = 1\n    def f(self, tol=1e-12): pass\n"
+           "def g(u, levels=6): pass\n"
+           "def _h(kappa=None): pass\n")
+    assert public_options(src) == {
+        ("Calibration", None), ("Calibration", "kappa"), ("A", None),
+        ("A", "x"), ("A.f", "self"), ("A.f", "tol"), ("g", None),
+        ("g", "u"), ("g", "levels")}

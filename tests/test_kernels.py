@@ -11,12 +11,11 @@ from scipy.special import hyp2f1
 from qcurv.kernels import (
     KERNEL_REL_ERR,
     QuadratureError,
-    Calibration,
     _hyp2f1,
     _unit_rule,
     build_kernel_table,
-    calibrate_cyl_kernel,
     decay_slope,
+    fixed_point_defect,
     gauss_panels,
     log_radial_convolution,
     periodized_lattice,
@@ -136,17 +135,10 @@ def test_periodized_lattice_matches_scalar():
 
 
 def test_calibration_fixed_point():
-    cal = calibrate_cyl_kernel(PRM)
-    assert isinstance(cal, Calibration)
-    assert cal.kappa > 0
-    # the exact cosh-profile bubble is reproduced away from the fit offset
-    assert cal.fixed_point_err <= 1e-4
-    # the nonlinearity constant is tuned to the flat cylinder profile while
-    # the bubble family carries the curvature constant, so the calibrated
-    # multiplier must equal the Riesz normalization times their ratio
-    # (q_ns/c_ns = 3 pi / 4 at (5, 1.5); cross-checked at sigma = 1 where the
-    # bubble Laplacian constant n(n-2)/4 equals q_ns exactly)
-    assert cal.kappa == pytest.approx(PRM.riesz_const * PRM.q_ns / PRM.c_ns, rel=1e-6)
+    # the exact cosh-profile bubble is reproduced by the dual map's
+    # closed-form constant dual_const = riesz_const q_ns: the bubble family
+    # carries the curvature constant q_ns where f carries c_ns
+    assert fixed_point_defect(PRM) <= 1e-4
 
 
 def test_gauss_panels_exact_on_polynomials():
@@ -203,12 +195,10 @@ def _profile_convolution_loop(t_grid, prm, halfwidth, nodes_per_unit):
 @pytest.mark.parametrize("n,sigma", [(5, 1.5), (6, 1.2), (3, 1.4), (4, 1.8),
                                      (7, 2.5), (9, 3.5)])
 def test_closed_form_kappa_is_the_fixed_point(n, sigma):
-    # no fit: c_ns kappa = riesz_const q_ns.  The fit at t = 0 on the
-    # uniform (45, 12) rule missed it by its own defect, up to 1.8e-6
-    prm = derive_params(n, sigma)
-    cal = calibrate_cyl_kernel(prm)
-    assert cal.kappa == prm.riesz_const * prm.q_ns / prm.c_ns
-    assert cal.fixed_point_err <= 1e-12
+    # no fit: the constant is dual_const = riesz_const q_ns.  The fit at
+    # t = 0 on the uniform (45, 12) rule missed it by its own defect, up to
+    # 1.8e-6
+    assert fixed_point_defect(derive_params(n, sigma)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,sigma", [(5, 1.5), (3, 1.4), (7, 2.5)])
@@ -219,9 +209,8 @@ def test_closed_form_kappa_on_refined_uniform_rule(n, sigma):
     prm = derive_params(n, sigma)
     ts = np.array([0.0, 1.0, 2.0, 4.0])
     conv = _profile_convolution_loop(ts, prm, 60.0, 768)
-    kappa = calibrate_cyl_kernel(prm).kappa
     v = np.cosh(ts) ** (-prm.gamma_s)
-    assert np.max(np.abs(prm.c_ns * kappa * conv / v - 1.0)) <= 1e-12
+    assert np.max(np.abs(prm.dual_const * conv / v - 1.0)) <= 1e-12
 
 
 def test_log_radial_convolution_refuses_long_windows_and_tails():
@@ -242,7 +231,7 @@ def test_kernel_mass_flat_profile_identity():
     # integrating the reduced kernel against a constant must reproduce the
     # flat-profile eigenvalue: riesz_const * integral(R) = 1 / c_ns, the log
     # coordinate form of the power-law identity behind the nonlinearity
-    # normalization; independent of the calibration fit above
+    # normalization; independent of the fixed-point check above
     from scipy.integrate import quad
 
     mass, est = quad(lambda t: riesz_kernel_cyl(t, PRM), 0.0, 60.0,
