@@ -49,7 +49,6 @@ including it also cancels the dominant quadrature error near the center.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -233,10 +232,11 @@ class ApproxSolution:
         out = self._glued(x.reshape(-1, x.shape[-1]))
         return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 
-    def _glued(self, pts: np.ndarray, own=None) -> np.ndarray:
+    def _glued(self, pts: np.ndarray, own=None, sq=None) -> np.ndarray:
         """u at the points (k, d): the half towers, then center by center
         chi_i phi_i, taken only at points inside CUT_OFF.  own = (i, values)
-        puts the given values in place of center i's term."""
+        puts the given values in place of center i's term; sq, when given,
+        holds each center's squared distances _sq_dist(pts, x_i)."""
         out = np.zeros(pts.shape[0])
         for cfg in self.towers:
             out += tower_eval(pts, cfg, self.prm, half=True)
@@ -244,7 +244,7 @@ class ApproxSolution:
             if own is not None and own[0] == i:
                 out += own[1]
                 continue
-            s2 = _sq_dist(pts, c)
+            s2 = _sq_dist(pts, c) if sq is None else sq[i]
             live = np.flatnonzero(s2 < CUT_OFF ** 2)
             if live.size:
                 s2 = s2[live]
@@ -713,15 +713,21 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
     """Monte-Carlo estimate of the dual operator at x (quadrature guard):
     (estimate, standard error) from n_samples >= 2 draws, on n-D points.
 
-    Importance mixture: per-center log-radial draws matching the local
-    blow-up, plus a heavy-tailed far component.  Per draw only its
-    component, radius and value are kept; the directions, points, density,
-    kernel and u are built one block of about _MC_BLOCK draws at a time,
-    the normals regenerated block by block from a copy of the generator
-    taken after the components, so the draws are those of one batch.  The
-    blocks are near-equal, never a short tail: u's last bit depends on the
-    batch size below about 12 points.  At a marked point the dual map is
-    infinite: ValueError, as in `dual_apply`.
+    Importance mixture of equal weights: about each center a radius
+    (1 - U)^(1/gamma_s) in (0, 1], of density gamma_s s^(gamma_s - n) /
+    |S^(n-1)|, matching the local blow-up; about x a heavy tail, radius
+    (1 - U)^(-1/(2 sigma)) >= 1, of density 2 sigma r^(-2 sigma - n) /
+    |S^(n-1)|.  The generator gives the component labels, then one U per
+    draw, then the directions' normals block by block: blocks drawn in
+    sequence are one batch, so the result does not depend on _MC_BLOCK.
+    Per draw only its label, radius and value are kept, 24 bytes; the
+    points, stored by coordinate, each center's squared distances, which
+    the density and u's cutoffs share, the kernel and u are built one block
+    of about _MC_BLOCK draws at a time.  The blocks are near-equal, never a
+    short tail: u's last bit depends on the batch size below about 12
+    points.  A draw that rounds outside every component's support has
+    density 0 and value 0.  At a marked point the dual map is infinite:
+    ValueError, as in `dual_apply`.
     """
     if n_samples < 2:
         raise ValueError(f"mc_probe needs n_samples >= 2, got {n_samples}")
@@ -729,40 +735,36 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
     _require_unmarked(u.centers, x)
     rng = np.random.default_rng(seed)
     prm, N = u.prm, u.size
-    n, g = prm.n, prm.gamma_s
+    n, g, two_s = prm.n, prm.gamma_s, 2.0 * prm.sigma
     comp = rng.integers(0, N + 1, size=n_samples)
-    normals = copy.deepcopy(rng)
+    radius = rng.random(n_samples)
+    anchors = np.vstack((u.centers, x)).T
+    w_in = g / prm.omega_sphere / (N + 1)
+    w_far = two_s / prm.omega_sphere / (N + 1)
+    vals = np.zeros(n_samples)
     nb = -(-n_samples // _MC_BLOCK)
     edges = [k * n_samples // nb for k in range(nb + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    for b in blocks:  # step past the normals, as one batch would
-        rng.standard_normal((b.stop - b.start, n))
-    radius = np.empty(n_samples)
-    for k in range(N):
-        m = comp == k
-        radius[m] = np.exp(-rng.exponential(1.0 / g, size=int(np.sum(m))))
-    m = comp == N
-    radius[m] = (1.0 - rng.random(int(np.sum(m)))) ** (-1.0 / (2 * prm.sigma))
-    anchors = np.vstack((u.centers, x))
-    vals = np.zeros(n_samples)
-    for b in blocks:
-        dirs = normals.standard_normal((b.stop - b.start, n))
-        dirs /= np.sqrt(_sq_dist(dirs, np.zeros(n)))[:, None]
-        ys = anchors[comp[b]] + radius[b, None] * dirs
-        # mixture density at each draw
-        dens = np.zeros(len(ys))
-        for k in range(N):
-            s = np.sqrt(_sq_dist(ys, u.centers[k]))
-            inside = s <= 1.0
-            dens[inside] += (g * s[inside] ** (g - n)
-                             / prm.omega_sphere) / (N + 1)
-        rr = np.sqrt(_sq_dist(ys, x))
-        far = rr >= 1.0
-        dens[far] += (2 * prm.sigma * rr[far] ** (-2 * prm.sigma - n + 1)
-                      / prm.omega_sphere) / (N + 1)
-        good = dens > 0.0
-        kern = rr[good] ** (2 * prm.sigma - n)
-        vals[b][good] = kern * u(ys[good]) ** prm.p / dens[good]
+    for lo, hi in zip(edges, edges[1:]):
+        c, r = comp[lo:hi], radius[lo:hi]
+        np.subtract(1.0, r, out=r)      # U to radius, in place
+        r **= np.where(c < N, 1.0 / g, -1.0 / two_s)
+        dirs = rng.standard_normal((hi - lo, n))
+        t = r / np.sqrt(_sq_dist(dirs, np.zeros(n)))
+        ys = np.empty((n, hi - lo))     # the points, by coordinate
+        for k, y in enumerate(ys):
+            np.multiply(dirs[:, k], t, out=y)
+            y += anchors[k, c]
+        pts = ys.T
+        sq = [_sq_dist(pts, ci) for ci in u.centers]
+        dens = np.zeros(hi - lo)
+        for s2 in sq:
+            np.add(dens, w_in * s2 ** (0.5 * (g - n)), out=dens,
+                   where=s2 <= 1.0)
+        rr2 = _sq_dist(pts, x)
+        np.add(dens, w_far * rr2 ** (-0.5 * (two_s + n)), out=dens,
+               where=rr2 >= 1.0)
+        val = rr2 ** (0.5 * (two_s - n)) * u._glued(pts, sq=sq) ** prm.p
+        np.divide(val, dens, out=vals[lo:hi], where=dens > 0.0)
     est = prm.dual_const * float(np.mean(vals))
     err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
     return est, err
@@ -994,9 +996,10 @@ def residual(u: ApproxSolution, weight: WeightSpec,
     of every other sample.
 
     mc_points > 0 adds `mc_probe` checks at that many samples picked among
-    the finite ones, each of _MC_SAMPLES = 200k draws: about 0.83 us and
-    24 bytes per draw, so 0.17 s and 10 MB per point, on top of the
-    quadrature (2-core Intel Xeon, numpy 2.4).
+    the finite ones, each of _MC_SAMPLES = 200k draws: about 0.5 us and
+    24 bytes per draw, so 0.1 s and 8 MB per point, on top of the
+    quadrature (2-core Intel Xeon, numpy 2.4).  Each check reports its
+    number of draws.
     """
     prm = u.prm
     um, line = _meridian(u)
@@ -1042,7 +1045,7 @@ def residual(u: ApproxSolution, weight: WeightSpec,
             est, err = mc_probe(u, pts[k], _MC_SAMPLES, mc_seed + int(k))
             det = float(uv[k] - vals[k])  # the deterministic dual value
             checks.append({"sample": int(k), "mc": est, "det": det,
-                           "mc_stderr": err})
+                           "mc_stderr": err, "draws": _MC_SAMPLES})
     L = float(u.balanced.L) if u.balanced is not None \
         else float(u.towers[0].period)
     return ResidualReport(L=L, weight_kind=weight.kind, tau=weight.tau,

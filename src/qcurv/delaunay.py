@@ -298,10 +298,10 @@ def bifurcation_half_period(prm: Params, tol: float = 1e-10) -> float:
 
     Linearizing the collocation fixed point at the flat profile gives the
     mode-1 condition p * F(pi/L) = F(0) with F the cosine transform of the
-    reduced kernel, its root bracketed in [0.01, 8]; the normalization
-    constants cancel, so the threshold
-    depends on (n, sigma) only.  Below the returned L the flat profile is
-    the only positive even periodic solution.
+    reduced kernel, its root bracketed in [0.01, 8] and found to a
+    relative tol/10 (at least 4 eps); the normalization constants cancel,
+    so the threshold depends on (n, sigma) only.  Below the returned L the
+    flat profile is the only positive even periodic solution.
 
     F(w) = 2 int_0^T R(t) cos(w t) dt is a dot product on a fixed graded
     rule (window T from ``_branch_window``).  F(0) and F at the root are
@@ -314,7 +314,9 @@ def bifurcation_half_period(prm: Params, tol: float = 1e-10) -> float:
         return 2.0 * float(wR @ np.cos(w * t))
 
     f0 = ft(0.0)
-    w_star = brentq(lambda w: ft(w) - f0 / prm.p, 1e-2, 8.0, xtol=1e-9)
+    w_star = brentq(lambda w: ft(w) - f0 / prm.p, 1e-2, 8.0,
+                    xtol=np.finfo(float).tiny,
+                    rtol=max(tol / 10.0, 4.0 * np.finfo(float).eps))
     check_rules([f0, ft(w_star)],
                 [2.0 * float(wR8 @ np.cos(w * t8)) for w in (0.0, w_star)],
                 tol, "branch-point cosine transform")

@@ -68,8 +68,45 @@ def on_line(u, F):
 
 
 def mc_probe_oracle(u, x, prm, n_samples, seed):
-    """`mc_probe` with every draw's point and temporary held at once: the
-    all-at-once form the blocked probe must reproduce bit for bit."""
+    """`mc_probe` with every draw's point and temporary held at once, in its
+    draw order: the labels, one uniform per draw, then every normal as one
+    batch.  The blocked probe must reproduce it bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    n, g, two_s = prm.n, prm.gamma_s, 2 * prm.sigma
+    N = u.size
+    comp = rng.integers(0, N + 1, size=n_samples)
+    r = (1.0 - rng.random(n_samples)) ** np.where(comp < N, 1.0 / g,
+                                                  -1.0 / two_s)
+    dirs = rng.standard_normal((n_samples, n))
+    ys = (np.vstack((u.centers, x))[comp]
+          + (r / np.linalg.norm(dirs, axis=1))[:, None] * dirs)
+    # mixture density at each draw, from squared distances
+    dens = np.zeros(n_samples)
+    for c in u.centers:
+        d2 = np.sum((ys - c) ** 2, axis=1)
+        inside = d2 <= 1.0
+        dens[inside] += (g / prm.omega_sphere / (N + 1)
+                         * d2[inside] ** (0.5 * (g - n)))
+    rr2 = np.sum((ys - x) ** 2, axis=1)
+    far = rr2 >= 1.0
+    dens[far] += (two_s / prm.omega_sphere / (N + 1)
+                  * rr2[far] ** (-0.5 * (two_s + n)))
+    good = dens > 0.0
+    vals = np.zeros(n_samples)
+    kern = rr2[good] ** (0.5 * (two_s - n))
+    vals[good] = kern * u(ys[good]) ** prm.p / dens[good]
+    est = prm.dual_const * float(np.mean(vals))
+    err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
+    return est, err
+
+
+def mc_probe_retired(u, x, prm, n_samples, seed):
+    """The probe's earlier random stream, all at once: the labels, every
+    normal, then per component its radii, the centers' as exp(-Exp(gamma_s))
+    and the far ones as (1 - U)^(-1/(2 sigma)).  Its far density is
+    corrected to 2 sigma r^(-2 sigma - n) / |S^(n-1)|, as in `mc_probe`
+    (it read r^(-2 sigma - n + 1)), so that only the stream differs."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     n, g = prm.n, prm.gamma_s
@@ -95,7 +132,7 @@ def mc_probe_oracle(u, x, prm, n_samples, seed):
                          / prm.omega_sphere) / (N + 1)
     rr = np.linalg.norm(ys - x, axis=1)
     far = rr >= 1.0
-    dens[far] += (2 * prm.sigma * rr[far] ** (-2 * prm.sigma - n + 1)
+    dens[far] += (2 * prm.sigma * rr[far] ** (-2 * prm.sigma - n)
                   / prm.omega_sphere) / (N + 1)
     good = dens > 0.0
     vals = np.zeros(n_samples)
@@ -509,6 +546,45 @@ class TestMCProbe:
         x = triangle.centers.mean(axis=0) + 0.7 * np.eye(5)[2]
         assert mc_probe(triangle, x, 40_000, 3) == \
             mc_probe_oracle(triangle, x, PRM, 40_000, 3)
+
+    @pytest.mark.parametrize("k,seed", [(0, 1), (20, 2), (40, 3), (45, 4),
+                                        (60, 5), (40, 6)])
+    def test_agrees_with_retired_stream(self, balanced_pair, k, seed):
+        # the draw order changed the estimate of a given seed, not its law
+        x = sample_grid(balanced_pair)[0][k]
+        est, err = mc_probe(balanced_pair, x, 50_000, seed)
+        old, old_err = mc_probe_retired(balanced_pair, x, PRM, 50_000, seed)
+        assert abs(est - old) <= 4.0 * np.hypot(err, old_err)
+
+    @pytest.mark.parametrize("block", [1000, 50_000])
+    def test_block_size_is_only_performance(self, balanced_pair, triangle,
+                                            monkeypatch, block):
+        cases = [(balanced_pair, balanced_pair.centers[0] + 0.35 * E1),
+                 (triangle, triangle.centers.mean(axis=0)
+                  + 0.7 * np.eye(5)[2])]
+        ref = [mc_probe(u, x, 40_000, 7) for u, x in cases]
+        monkeypatch.setattr(assembler, "_MC_BLOCK", block)
+        assert [mc_probe(u, x, 40_000, 7) for u, x in cases] == ref
+
+    def test_far_density_is_normalised(self, balanced_pair):
+        # u^p = |y - x|^(-4 sigma - 1) beyond 1 from x and 0 within: the
+        # kernel times u^p integrates to |S^(n-1)| / (2 sigma + 1).  Far
+        # from the centers only the far component reaches it, so a far
+        # density off by the factor r gives (2 sigma + 1) / (2 sigma + 2)
+        # of that, 4/5 here: 20 stderr off.
+        x = balanced_pair.origin + 50.0 * E2
+
+        class Tail(ApproxSolution):
+            def _glued(self, pts, own=None, sq=None):
+                rr = np.linalg.norm(pts - x, axis=1)
+                return np.where(rr >= 1.0, rr, np.inf) ** (
+                    -(4.0 * PRM.sigma + 1.0) / PRM.p)
+
+        u = Tail(**{f.name: getattr(balanced_pair, f.name)
+                    for f in dataclasses.fields(balanced_pair)})
+        est, err = mc_probe(u, x, 20_000, 1)
+        ref = PRM.dual_const * PRM.omega_sphere / (2.0 * PRM.sigma + 1.0)
+        assert abs(est - ref) <= 4.0 * err
 
     def test_memory_per_draw(self, balanced_pair):
         # a label, a radius and a value per draw, points one block at a

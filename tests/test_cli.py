@@ -239,6 +239,7 @@ class TestAssembleResidualCommand:
         rep = json.loads((tmp_path / "o1" / "residual_report.json")
                          .read_text())
         assert len(rep["mc_checks"]) == 1
+        assert rep["mc_checks"][0]["draws"] == 200_000
 
     def test_no_good_sample_is_3_with_nan_norm(self, tmp_path,
                                                monkeypatch):

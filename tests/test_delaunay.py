@@ -142,6 +142,20 @@ def test_branch_window_follows_kernel_decay(monkeypatch):
     assert got == pytest.approx(6.0488630, rel=1e-7)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_branch_point_closed_form_at_sigma_2(n):
+    # at sigma = 2 the mode-1 condition is a quadratic in xi^2: L* = pi/xi*
+    # with xi*^2 = (-(A+B) + sqrt((A+B)^2 + 4(p-1)AB))/2, A = (n-4)^2/4,
+    # B = n^2/4.  A root finder stopping at a fixed xtol of 1e-9 missed it
+    # by 1.9e-10 at n = 5
+    prm = derive_params(n, 2.0)
+    A, B = (n - 4) ** 2 / 4.0, n ** 2 / 4.0
+    xi2 = (-(A + B) + np.sqrt((A + B) ** 2 + 4.0 * (prm.p - 1.0) * A * B)) / 2
+    ref = np.pi / np.sqrt(xi2)
+    tol = 1e-10
+    assert abs(bifurcation_half_period(prm, tol=tol) - ref) <= tol * ref
+
+
 def test_branch_rule_self_check_raises(monkeypatch):
     # ripples much shorter than a panel: the 16- and 8-point rules disagree
     def rippled(t, prm):
