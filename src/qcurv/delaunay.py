@@ -74,6 +74,14 @@ class CylSolution:
     def spline(self) -> CubicSpline:
         return CubicSpline(self.grid, self.v, bc_type="periodic")
 
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The spline's breakpoints x, its coefficients c (4, intervals),
+        the cubic on [x_i, x_i+1) being sum_k c[k, i] (t - x_i)^(3-k), and
+        the grid step."""
+        x = self.spline.x
+        return x, self.spline.c, float((x[-1] - x[0]) / (x.size - 1))
+
 
 def _periodization_order(L: float, prm: Params) -> int:
     # keep the dropped image tail below e^{-40}
@@ -187,14 +195,44 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
 
 def radial_profile(sol: CylSolution, r, prm: Params):
     """The periodic profile at radii r > 0: r^{-gamma_s} v(-ln r mod 2L),
-    exactly self-similar under r -> e^{-2L} r by construction.  ValueError
-    at r = 0, where it is singular."""
+    exactly self-similar under r -> e^{-2L} r by construction.  v is read
+    from the spline's pieces by direct index on the uniform grid, bit for
+    bit the periodic `CubicSpline` call: scipy's wrap onto [x_0, x_0 + 2L),
+    its half-open intervals [x_i, x_i+1) with the last one closed, and its
+    order of the cubic's terms.  ValueError at r = 0, where it is
+    singular, and at negative or non-finite r."""
     r = np.asarray(r, dtype=float)
-    if np.any(r == 0.0):
-        raise ValueError("the profile is singular at the origin")
-    t = -np.log(r)
-    tr = np.mod(t + sol.L, 2.0 * sol.L) - sol.L
-    return r ** (-prm.gamma_s) * sol.spline(tr)
+    if not np.all((r > 0.0) & (r < np.inf)):
+        if np.any(r == 0.0):
+            raise ValueError("the profile is singular at the origin")
+        raise ValueError("the profile needs finite radii r > 0")
+    x, (c0, c1, c2, c3), h = sol.pieces
+    # tr = mod(-ln r + L, 2L) - L, the remainder taken as np.mod takes it:
+    # fmod, plus 2L where negative (np.mod also forms the quotient); the
+    # steps run in place, each temporary freed when the next needs room
+    b = np.fmod(sol.L - np.log(r), 2.0 * sol.L)
+    b += np.where(b < 0.0, 2.0 * sol.L, 0.0)
+    b -= sol.L
+    # b = tr - x_0 lies in [0, 2L], and scipy's mod maps only 2L to 0
+    b -= x[0]
+    xs = np.where(b < x[-1] - x[0], b, 0.0)
+    del b
+    xs += x[0]
+    i = np.minimum(((xs - x[0]) / h).astype(np.intp), x.size - 2)
+    i -= xs < x[i]
+    i += (xs >= x[i + 1]) & (i < x.size - 2)
+    s = xs
+    s -= x[i]
+    ss = s * s
+    # ((c3 + c2 s) + c1 s^2) + c0 s^3, as scipy sums it
+    v = c2[i] * s
+    v += c3[i]
+    v += c1[i] * ss
+    ss *= s
+    ss *= c0[i]
+    v += ss
+    v *= r ** (-prm.gamma_s)
+    return v
 
 
 def delaunay_to_rn(sol: CylSolution, x, prm: Params):

@@ -122,16 +122,36 @@ def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
     diagonal the kernel is finite exactly when sigma > 1.
     """
     g, c = prm.gamma_s, 0.5 * (prm.n - 1)
-    dz2 = np.asarray(dz, dtype=float) ** 2
+    dz = np.asarray(dz, dtype=float)
     rho, rho_p = np.asarray(rho, dtype=float), np.asarray(rho_p, dtype=float)
-    lo = dz2 + (rho - rho_p) ** 2
-    hi = dz2 + (rho + rho_p) ** 2
-    S = np.sqrt(lo * hi)
-    AS = 0.5 * (lo + hi) + S
-    if g + 1.0 - c == 0.0:  # the series is the constant 1
-        return prm.omega_equator * (0.5 * AS) ** (-g)
-    F = _hyp2f1(g, g + 1.0 - c, c, (2.0 * rho * rho_p / AS) ** 2, 2.0 * S / AS)
-    return prm.omega_equator * (0.5 * AS) ** (-g) * F
+    # the expression's own temporaries, of the broadcast shape, in place
+    shape = np.broadcast(dz, rho, rho_p).shape
+    lo, hi, S = np.empty(shape), np.empty(shape), np.empty(shape)
+    dz2 = np.square(dz, out=S)
+    np.subtract(rho, rho_p, out=lo)
+    np.add(rho, rho_p, out=hi)
+    for d in (lo, hi):      # dz^2 + (rho -+ rho_p)^2
+        np.square(d, out=d)
+        d += dz2
+    np.multiply(lo, hi, out=S)
+    np.sqrt(S, out=S)
+    AS = lo                 # 0.5 (lo + hi) + S
+    AS += hi
+    AS *= 0.5
+    AS += S
+    # [()] makes a 0-d result a scalar: scalar calls take numpy's scalar
+    # power (libm), whose last bit can differ from the array loop's
+    out = np.multiply(AS, 0.5, out=hi)[()]
+    out **= -g
+    out *= prm.omega_equator
+    if g + 1.0 - c != 0.0:  # else the series is the constant 1
+        w = np.multiply(2.0 * rho, rho_p, out=np.empty(shape))
+        w /= AS
+        np.square(w, out=w)
+        S *= 2.0            # 1 - w = 2 S / (A + S)
+        S /= AS
+        out *= _hyp2f1(g, g + 1.0 - c, c, w, S)
+    return out
 
 
 # ─────────────────────────────────────────────────────────────────────────────

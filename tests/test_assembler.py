@@ -18,11 +18,11 @@ from qcurv.assembler import (CUT_OFF, CUT_ON, ApproxSolution, WeightSpec,
                              residual, sample_grid, weighted_fn_norm,
                              _Line, _MC_BLOCK, _Panels, _build_towers,
                              _dual_integral, _node_set, _patch_sum,
-                             _plain_integral)
+                             _plain_integral, _t_edges)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
-from qcurv.delaunay import delaunay_to_rn, solve_periodic
-from qcurv.kernels import QuadratureError, riesz_kernel_cyl
+from qcurv.delaunay import delaunay_to_rn, radial_profile, solve_periodic
+from qcurv.kernels import QuadratureError, gauss_panels, riesz_kernel_cyl
 from qcurv.params import nonlin_prime
 
 PRM = derive_params(5, 1.5)
@@ -143,6 +143,65 @@ def mc_probe_retired(u, x, prm, n_samples, seed):
     return est, err
 
 
+
+def cutoff_masked(s, on=CUT_ON, off=CUT_OFF):
+    """`cutoff` as it was written before, with a boolean scatter for each
+    plateau: the oracle of its bits."""
+    s = np.asarray(s, dtype=float)
+    z = (s - on) / (off - on)
+    out = np.empty_like(z)
+    lo, hi = z <= 0.0, z >= 1.0
+    out[lo], out[hi] = 1.0, 0.0
+    mid = ~(lo | hi)
+    zm = z[mid]
+    with np.errstate(over="ignore"):
+        a = np.exp(-1.0 / zm)
+        b = np.exp(-1.0 / (1.0 - zm))
+    out[mid] = b / (a + b)
+    return out if out.ndim else float(out)
+
+
+def term_filtered(u, i, s, s2):
+    """`ApproxSolution._term` as it was written before, when it took any
+    distances and filtered them by s < CUT_OFF itself, then multiplied
+    every live point by the cutoff."""
+    out = np.zeros(s.shape)
+    live = s < CUT_OFF
+    s, s2 = s[live], s2[live]
+    g, R, cfg = u.prm.gamma_s, u.baselines[i], u.base_towers[i]
+    tower = s2 + cfg.level_scales_sq[:, None]
+    np.divide(2.0 * cfg.level_scales[:, None], tower, out=tower)
+    tower **= g
+    phi = R ** (-g) * radial_profile(u.cyls[i], s / R, u.prm)
+    phi -= tower.sum(axis=0)
+    out[live] = cutoff_masked(s, CUT_ON, CUT_OFF) * phi
+    return out
+
+
+def patch_stacked(panel, q, rng, order, t_edges):
+    """`_Panels.patch` as it was written before, each triangle's nodes built
+    as one (T, S, 2) array: the oracle of its nodes and weights."""
+    (i0, i1), (j0, j1) = rng
+    e1, e2 = panel.e1[i0:i1 + 2], panel.e2[j0:j1 + 2]
+    corners = np.array([(e1[0], e2[0]), (e1[-1], e2[0]),
+                        (e1[-1], e2[-1]), (e1[0], e2[-1])])
+    t, tw = gauss_panels(t_edges, order)
+    q0 = np.asarray(q)
+    q1s, q2s, ws = [], [], []
+    for k in range(4):
+        P, side = corners[k], corners[(k + 1) % 4] - corners[k]
+        det = abs((P - q0)[0] * side[1] - (P - q0)[1] * side[0])
+        if det == 0.0:          # q lies on this side
+            continue
+        along = (e1, e2)[k % 2]
+        s, sw = gauss_panels(np.sort(np.abs(along - P[k % 2])
+                                     / abs(side[k % 2])), order)
+        pts = q0 + t[:, None, None] * (P + s[:, None] * side - q0)
+        q1s.append(pts[..., 0].ravel())
+        q2s.append(pts[..., 1].ravel())
+        ws.append((det * (t * tw)[:, None] * sw[None, :]).ravel())
+    return np.concatenate(q1s), np.concatenate(q2s), np.concatenate(ws)
+
 def pair(d=3.0):
     pts = np.zeros((2, 5))
     pts[1, 0] = d
@@ -181,6 +240,24 @@ class TestCutoff:
     def test_custom_radii(self):
         assert cutoff(np.array([1.4]), 1.0, 2.0)[0] == pytest.approx(
             cutoff(np.array([0.7]), 0.5, 1.0)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("on,off", [(CUT_ON, CUT_OFF), (1.0, 2.0)])
+    def test_is_the_masked_cutoff(self, on, off):
+        # the plateaus and their ends to the ulp, dense radii, NaN, and the
+        # scalar, 0-d and 2-D inputs
+        rng = np.random.default_rng(3)
+        ends = np.array([on, off])
+        edges = np.concatenate([ends, np.nextafter(ends, 0.0),
+                                np.nextafter(ends, np.inf), [0.0, np.nan]])
+        dense = rng.uniform(0.0, 2.5 * off, 20_000)
+        for s in (edges, dense, dense.reshape(100, 200)):
+            got = cutoff(s, on, off)
+            assert got.shape == s.shape
+            assert np.array_equal(got, cutoff_masked(s, on, off),
+                                  equal_nan=True)
+        for s in list(edges[:-1]) + [np.array(0.5 * (on + off))]:
+            got = cutoff(s, on, off)
+            assert type(got) is float and got == cutoff_masked(s, on, off)
 
 
 class TestAssemble:
@@ -241,6 +318,26 @@ class TestAssemble:
                 if chi > 0.0:
                     raw += chi * float(correction(u, x[None, :], i)[0])
             assert float(u(x)) == pytest.approx(raw, rel=1e-12, abs=1e-14)
+
+    def test_term_is_the_filtered_term(self, balanced_pair, pair_35):
+        # the callers select s < CUT_OFF, as _glued and _Panels.fill do;
+        # the annulus ends to the ulp, and the s2 just below 1 whose root
+        # rounds to s = 1.0, where the cutoff and so the term are 0
+        rng = np.random.default_rng(8)
+        ends = np.array([CUT_ON, CUT_OFF])
+        s = np.concatenate([rng.uniform(0.0, 2.0, 20_000),
+                            np.geomspace(1e-9, 2.0, 500), ends,
+                            np.nextafter(ends, 0.0), np.nextafter(ends, 2.0)])
+        s2 = s * s
+        s = np.append(s, 1.0)
+        s2 = np.append(s2, np.nextafter(1.0, 0.0))
+        for u in (balanced_pair, pair_35, pair_35.meridian()):
+            for i in range(u.size):
+                cut = s < CUT_OFF
+                got = np.zeros(s.size)
+                got[cut] = u._term(i, s[cut], s2[cut])
+                assert np.array_equal(got, term_filtered(u, i, s, s2))
+                assert u._term(i, s[-1:], s2[-1:])[0] == 0.0
 
     def test_marked_point_raises(self, single, balanced_pair):
         # u is singular at its marked points
@@ -365,6 +462,30 @@ class TestDualApply:
                 gen = prm.dual_const * _dual_integral(
                     u.meridian(), F, *_Line.of(u).coords(y), 1e-7)
                 assert gen == pytest.approx(rad, rel=1e-7)
+
+    @pytest.mark.parametrize("n,sigma", [(5, 1.5), (6, 1.2)])
+    def test_patch_is_the_stacked_patch(self, n, sigma):
+        # a point inside a ball panel and one on a far panel's edges (on the
+        # line at a radial edge), with the plain and the graded radial rule
+        prm = derive_params(n, sigma)
+        ball = _Panels(0.0, np.linspace(-np.log(2.0), 3.0, 9),
+                       np.linspace(0.0, np.pi, 7), n, own=0)
+        far = _Panels(0.0, np.linspace(0.0, 4.0, 9),
+                      np.linspace(0.0, np.pi, 7), n, part=lambda z, r: 1.0)
+        for panel, (z, rho) in ((ball, (0.3, 0.2)), (far, (1.5, 0.0))):
+            hit = panel.near(z, rho)
+            assert hit is not None
+            for order in (16, 8):
+                got = panel.patch(*hit, order, _t_edges(prm))
+                ref = patch_stacked(panel, *hit, order, _t_edges(prm))
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        # on the line the point lies on the patch's side along the radius
+        # (3 panels), whose triangle drops out: the other sides have 2 + 3
+        # + 2 panels
+        hit = far.near(1.5, 0.0)
+        assert hit[0] == (1.5, 0.0)
+        t = gauss_panels(_t_edges(prm), 8)[0]
+        assert far.patch(*hit, 8, _t_edges(prm))[0].size == t.size * 8 * 7
 
     def test_single_point_matches_radial(self, single):
         # a one-point assembly takes the meridian path like any other
@@ -585,6 +706,40 @@ class TestMCProbe:
         est, err = mc_probe(u, x, 20_000, 1)
         ref = PRM.dual_const * PRM.omega_sphere / (2.0 * PRM.sigma + 1.0)
         assert abs(est - ref) <= 4.0 * err
+
+    def test_unsampled_share_is_negligible(self):
+        # The centers' components cover the unit balls about them and the far
+        # component |y - x| >= 1, so within 1 of x but outside every center
+        # ball the mixture has density 0 and the probe omits that share of
+        # the dual map.  There u is the half towers alone.  On the balanced
+        # d = 3.1, L = 3.3 pair the share is 1.3e-7 to 7.8e-7 of the
+        # deterministic value over the transition samples and falls from
+        # 3.1e-7 at the far ones; these are the largest of each region.  The
+        # share is drawn in the unit ball about x with radial density
+        # 2 sigma r^(2 sigma - 1), which takes up the kernel.
+        pts = np.zeros((2, 5))
+        pts[1, 0] = 3.1
+        u = assemble(bal.balance(bal.SingularSet(points=pts), np.ones(2),
+                                 3.3, IC, PRM), PRM)
+        grid, tags = sample_grid(u)
+        pick = [45, 48, 51, 52]
+        assert [tags[k] for k in pick] == ["transition"] * 2 + ["far"] * 2
+        rep = residual(u, WeightSpec(tau=0.5), tol=1e-7,
+                       samples=(grid[pick], [tags[k] for k in pick]))
+        det = u(grid[pick]) - rep.values
+        rng = np.random.default_rng(12)
+        two_s, draws = 2.0 * PRM.sigma, 20_000
+        for x, value in zip(grid[pick], det):
+            r = rng.random(draws) ** (1.0 / two_s)
+            dirs = rng.standard_normal((draws, PRM.n))
+            y = x + (r / np.linalg.norm(dirs, axis=1))[:, None] * dirs
+            gap = np.all(np.sum((y[:, None, :] - u.centers) ** 2, axis=-1)
+                         > 1.0, axis=1)
+            f = np.zeros(draws)
+            f[gap] = u(y[gap]) ** PRM.p
+            share = (PRM.dual_const * PRM.omega_sphere / two_s
+                     * float(np.mean(f)) / value)
+            assert 0.0 < share < 1e-6
 
     def test_memory_per_draw(self, balanced_pair):
         # a label, a radius and a value per draw, points one block at a

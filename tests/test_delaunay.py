@@ -12,6 +12,7 @@ from qcurv.delaunay import (
     CylSolution,
     NewtonError,
     solve_periodic,
+    radial_profile,
     delaunay_to_rn,
     neck_sweep,
     sweep_csv,
@@ -196,6 +197,53 @@ def test_map_back_to_rn(sol3):
     for i in range(3):
         assert batch[i] == pytest.approx(delaunay_to_rn(sol3, xs[i], PRM), rel=1e-13)
 
+
+
+def radial_profile_spline(sol, r, prm):
+    """`radial_profile` as it read the profile before: the periodic
+    `CubicSpline` call on the wrapped log-radius.  The direct lookup must
+    reproduce it bit for bit."""
+    r = np.asarray(r, dtype=float)
+    t = -np.log(r)
+    tr = np.mod(t + sol.L, 2.0 * sol.L) - sol.L
+    return r ** (-prm.gamma_s) * sol.spline(tr)
+
+
+@pytest.mark.parametrize("n,sigma,L", [(5, 1.5, 3.3), (7, 2.5, 3.0),
+                                       (6, 1.2, 3.5), (5, 1.5, 3.1416)])
+def test_radial_profile_is_the_spline_call(n, sigma, L):
+    prm = derive_params(n, sigma)
+    sol = solve_periodic(L, prm, M=400)
+    x = sol.spline.x
+    rng = np.random.default_rng(5)
+    dense = np.exp(rng.uniform(-4.0 * L, 4.0 * L, 50_000))
+    # every breakpoint and its neighbours, in t and in r, and their images
+    # one and two periods away; r = e^L is where tr rounds to +L and wraps
+    t = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    r = np.exp(-t)
+    r = np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)])
+    edges = np.concatenate([r, r * np.exp(2.0 * L), r * np.exp(-2.0 * L),
+                            r * np.exp(4.0 * L), r * np.exp(-4.0 * L),
+                            np.exp([L, -L, 2.0 * L, -2.0 * L, 0.0])])
+    for radii in (dense, edges, np.stack([edges, edges[::-1]])):
+        got = radial_profile(sol, radii, prm)
+        assert got.shape == radii.shape
+        assert np.array_equal(got, radial_profile_spline(sol, radii, prm))
+    for r0 in (float(np.exp(L)), np.float64(0.3), np.array(2.0)):
+        got = radial_profile(sol, r0, prm)
+        ref = radial_profile_spline(sol, r0, prm)
+        assert type(got) is type(ref) and got == ref
+    assert radial_profile(sol, np.empty(0), prm).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+def test_radial_profile_refuses_unmappable_radii(sol3, bad):
+    # a NaN would index an arbitrary interval, a negative r has no log
+    with pytest.raises(ValueError, match="singular" if bad == 0.0
+                       else "finite radii r > 0"):
+        radial_profile(sol3, bad, PRM)
+    with pytest.raises(ValueError):
+        radial_profile(sol3, np.array([[1.0, 0.5], [bad, 2.0]]), PRM)
 
 def test_sweep_laws_and_markers():
     sweep = neck_sweep([2.0, 2.5, 3.0, 3.5, 4.0], PRM, M=400, tol=1e-10)

@@ -398,6 +398,50 @@ def test_ring_kernel_broadcasts():
         assert vals[idx] == ring_kernel(0.1, 1.0, float(rho_p[idx]), prm)
 
 
+
+def ring_kernel_expr(dz, rho, rho_p, prm):
+    """`ring_kernel` as one out-of-place expression, as it read before it
+    ran in place on its own temporaries: the same operations in the same
+    order, so the values must agree bit for bit."""
+    g, c = prm.gamma_s, 0.5 * (prm.n - 1)
+    dz2 = np.asarray(dz, dtype=float) ** 2
+    rho, rho_p = np.asarray(rho, dtype=float), np.asarray(rho_p, dtype=float)
+    lo = dz2 + (rho - rho_p) ** 2
+    hi = dz2 + (rho + rho_p) ** 2
+    S = np.sqrt(lo * hi)
+    AS = 0.5 * (lo + hi) + S
+    if g + 1.0 - c == 0.0:  # the series is the constant 1
+        return prm.omega_equator * (0.5 * AS) ** (-g)
+    F = _hyp2f1(g, g + 1.0 - c, c, (2.0 * rho * rho_p / AS) ** 2, 2.0 * S / AS)
+    return prm.omega_equator * (0.5 * AS) ** (-g) * F
+
+
+@pytest.mark.parametrize("n,sigma", RING_PAIRS)
+def test_ring_kernel_is_the_expression(n, sigma):
+    # terminating series at (5, 1.5), (7, 2.5) and (9, 3.5), the general
+    # one elsewhere; the dual map's shapes (a block of nodes against one
+    # sample), broadcasting every way, and scalars
+    prm = derive_params(n, sigma)
+    rng = np.random.default_rng(n)
+    dz = np.concatenate([[p[0] for p in RING_POINTS], rng.normal(size=300)])
+    rho = np.concatenate([[p[1] for p in RING_POINTS],
+                          rng.uniform(0.0, 3.0, 300)])
+    rho_p = np.concatenate([[p[2] for p in RING_POINTS],
+                            rng.uniform(0.0, 3.0, 300)])
+    block = (dz[:306].reshape(18, 17), 0.8, rho_p[:306].reshape(18, 17))
+    cases = [(dz, rho, rho_p), block, (0.1, 1.0, rho_p),
+             (dz[:, None], rho[None, :50], 1.3), (dz[:40], 0.7, 0.9)]
+    for args in cases:
+        kept = [np.copy(a) for a in args]
+        got = ring_kernel(*args, prm)
+        assert np.array_equal(got, ring_kernel_expr(*args, prm))
+        # the caller's arrays are read, never written
+        assert all(np.array_equal(a, b) for a, b in zip(args, kept))
+    for dz0, rho0, rho_p0 in RING_POINTS:
+        got = ring_kernel(dz0, rho0, rho_p0, prm)
+        ref = ring_kernel_expr(dz0, rho0, rho_p0, prm)
+        assert type(got) is type(ref) and got == ref
+
 def test_ring_kernel_constant_series_shortcut_is_bitwise():
     # at (5, 1.5) the series parameter gamma_s + 1 - (n-1)/2 is 0, so 2F1 is
     # the constant 1 and ring_kernel skips building its argument; the value
