@@ -4,12 +4,17 @@ In log-radial coordinates the radial problem becomes a one-dimensional
 periodic fixed point.  Past the branch point near L = 2.01 a non-constant
 profile exists; its neck pinches like e^{-gamma L} while the defect from a
 pure stack of bubbles dies strictly faster.  Below the branch point the
-solver lands on the flat profile and says so.  Last, the profile's grid
-error: sup distance to an M = 12800 solve, and its fitted order in M.
+solver lands on the flat profile and says so.  Last, the operator's
+closed-form symbol against a quadrature of the kernel's cosine transform,
+and the profile's grid error: sup distance to an M = 6400 solve, rounding
+from M = 200 on.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
+from qcurv import delaunay
+from qcurv.kernels import riesz_kernel_cyl
 from qcurv.params import derive_params
 from qcurv.delaunay import bifurcation_half_period, neck_sweep, solve_periodic
 
@@ -39,19 +44,23 @@ print("\nneck ratios between consecutive periods:",
       ", ".join(f"{r:.4f}" for r in ratios),
       f"  vs e^(-gamma/2) = {np.exp(-prm.gamma_s * 0.5):.4f}")
 
-Ms = [400, 800, 1600, 3200]
-pairs = [(5, 1.5), (6, 1.2)]
+xi = 2.0
+F = sum(quad(riesz_kernel_cyl, a, a + 1.0, args=(prm,), weight="cos",
+             wvar=xi, epsabs=0.0, epsrel=1e-12)[0] for a in range(45))
+sym = prm.q_ns * np.exp(-delaunay._log_symbol(xi, prm))
+print(f"\nsymbol at xi = {xi}: q_ns / Theta_0 = {sym:.15f}, "
+      f"dual_const * 2 int R cos = {2.0 * prm.dual_const * F:.15f}")
+
+Ms = [200, 400, 800, 1600, 3200]
+pairs = [(5, 1.5), (6, 1.2), (7, 2.5)]
 errs = {}
 for pair in pairs:
     p = derive_params(*pair)
-    ref = solve_periodic(3.5, p, M=12800)
+    ref = solve_periodic(3.5, p, M=6400)
     errs[pair] = [np.max(np.abs(solve_periodic(3.5, p, M=M).v
-                                - ref.v[::12800 // M])) for M in Ms]
+                                - ref.v[::6400 // M])) for M in Ms]
 
-print("\nprofile grid error at L = 3.5, sup |v_M - v_12800|:")
+print("\nprofile grid error at L = 3.5, sup |v_M - v_6400|:")
 print(f"{'M':>6} " + " ".join(f"{str(pair):>12}" for pair in pairs))
 for k, M in enumerate(Ms):
     print(f"{M:6d} " + " ".join(f"{errs[pair][k]:12.3e}" for pair in pairs))
-print(f"{'order':>6} " + " ".join(
-    f"{-np.polyfit(np.log(Ms), np.log(errs[pair]), 1)[0]:12.2f}"
-    for pair in pairs))

@@ -3,9 +3,9 @@
 The package is organized bottom-up:
 
 - ``params``       derived exponents and normalizing constants
-- ``kernels``      cylindrical reduction of the Riesz kernel, periodization, fixed-point check
+- ``kernels``      cylindrical reduction of the Riesz kernel, quadrature, fixed-point check
 - ``bubbles``      bubble profiles, towers, kernel modes
-- ``delaunay``     periodic cylinder solutions, neck diagnostics
+- ``delaunay``     periodic cylinder solutions from the Gamma-ratio symbol, neck diagnostics
 - ``interactions`` interaction constants, the interaction function, cokernel Gram matrices
 - ``balancing``    force-balance equations for multi-point configurations
 - ``toda``         upper-banded interaction operators and their explicit inverses

@@ -3,14 +3,22 @@
 In log coordinates the singular radial problem becomes a 2L-periodic fixed
 point v = dual_const * R_per * v^p for the bounded reduced kernel R, with
 the closed-form constant ``Params.dual_const`` of the dual map.  The
-solver collocates with the trapezoid rule on the 2m-point periodic grid
-(M = 2m), keeps the m + 1 nodes of [0, L] as unknowns (evenness is
-structural), iterates Newton with a positivity-preserving line search, and
-reports the neck value v(0) and the defect psi against the periodized
-profile sum.  The trapezoid operator is circulant, so on even vectors the
-DCT-I of the periodized kernel at the m + 1 offsets in [0, L] gives its
-eigenvalues and one DCT-I pair applies it; GMRES on that operator solves
-each Newton step.  No matrix is formed: time O(M log M), memory O(M).
+operator has a closed-form Fourier symbol: with Theta_0 the symbol of the
+conformal fractional Laplacian on R x S^(n-1),
+
+    Theta_0(xi) = 4^sigma |Gamma((n+2 sigma)/4 + i xi/2)|^2
+                  / |Gamma((n-2 sigma)/4 + i xi/2)|^2,
+
+dual_const * R^(xi) = q_ns / Theta_0(xi) (DelaTorre, del Pino, Gonzalez &
+Wei, Math. Ann. 2017), and Theta_0(0) = c_ns.  The solver collocates on
+the 2m-point periodic grid (M = 2m) with the m + 1 nodes of [0, L] as
+unknowns (evenness is structural): on even vectors the operator is the
+cosine series with eigenvalues q_ns / Theta_0(pi j/L), applied by one DCT-I
+pair, so the nodes carry the exact operator's fixed point and no image sum
+is formed.  Newton with a positivity-preserving line search and GMRES on
+that operator reach it in time O(M log M), memory O(M); the solver reports
+the neck value v(0) and the defect psi against the periodized profile sum.
+The branch point of the tower family is a root of the same symbol.
 
 Phase convention: profile peaks sit at odd multiples (1+2j)L so the neck,
 the minimum of v, is at t = 0.  The two printed phase choices differ by a
@@ -30,11 +38,11 @@ from scipy.fft import dct, idct
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.special import loggamma
 
 from .params import Params
 from .bubbles import cyl_coefficient
-from .kernels import (check_rules, decay_slope, gauss_panels, graded_edges,
-                      periodized_lattice, riesz_kernel_cyl)
+from .kernels import decay_slope
 
 __all__ = [
     "CylSolution",
@@ -95,14 +103,18 @@ def _tower_profile(ts: np.ndarray, L: float, prm: Params, J: int) -> np.ndarray:
     return np.cosh(ts[..., None] - centers) ** (-prm.gamma_s) @ np.ones(len(centers))
 
 
+def _log_symbol(xi, prm: Params):
+    """ln Theta_0(xi), the Gamma ratio of the module docstring."""
+    z = 0.5j * np.asarray(xi, dtype=float)
+    return prm.sigma * np.log(4.0) + 2.0 * (
+        loggamma(0.5 * prm.gamma_dual + z).real
+        - loggamma(0.5 * prm.gamma_s + z).real)
+
+
 def _collocation_symbol(L: float, m: int, prm: Params) -> np.ndarray:
-    """Eigenvalues of (A w)_k ~ dual_const * int R_per w on the 2m-point grid,
-    entry j for cos(pi j t/L): the DCT-I of R_per at t = jL/m, j = 0..m."""
-    h = L / m
-    lattice = periodized_lattice(
-        lambda a: riesz_kernel_cyl(a, prm),
-        np.arange(m + 1) * h, L, _periodization_order(L, prm))
-    return prm.dual_const * h * dct(lattice, type=1)
+    """Eigenvalues of (A w) = dual_const * R_per * w on the m + 1 nodes,
+    entry j for cos(pi j t/L): q_ns / Theta_0(pi j/L), j = 0..m."""
+    return prm.q_ns * np.exp(-_log_symbol(np.pi / L * np.arange(m + 1), prm))
 
 
 def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -235,14 +247,6 @@ def radial_profile(sol: CylSolution, r, prm: Params):
     return v
 
 
-def delaunay_to_rn(sol: CylSolution, x, prm: Params):
-    """Map the periodic profile back to the punctured space:
-    u(x) = `radial_profile` at |x|."""
-    x = np.asarray(x, dtype=float)
-    val = radial_profile(sol, np.sqrt(np.sum(x * x, axis=-1)), prm)
-    return float(val) if np.ndim(val) == 0 else val
-
-
 # ─────────────────────────────────────────────────────────────────────────────
 # sweeps
 
@@ -305,57 +309,18 @@ def sweep_csv(sweep: SweepResult) -> str:
     return buf.getvalue()
 
 
-def _branch_window(prm: Params, tol: float) -> float:
-    """Right end T of the cosine-transform window: the reduced kernel decays
-    like e^{-gamma_s t}, so the dropped tail is below tol relative to F(0)
-    once gamma_s T > ln(1/tol), plus a margin of five decay lengths.  The
-    cap T <= 700 bounds the fixed rule at 1400 half-unit panels (about 34k
-    kernel values); a gamma_s that needs more decays too slowly for it."""
-    T = max(60.0, (np.log(1.0 / tol) + 5.0) / prm.gamma_s)
-    if T > 700.0:
-        raise ValueError(
-            f"branch-point window {T:.0f} exceeds 700, the cap of the fixed "
-            f"rule (gamma_s = {prm.gamma_s:.3g} decays too slowly)")
-    return T
-
-
-def _kernel_cosine_rule(prm: Params, tol: float):
-    """(t, w * R(t)) of the 16- and the 8-point composite Gauss rules on the
-    window [0, T]: panels halve geometrically toward the t log t kink at
-    t = 0 and are at most 0.5 wide beyond t = 0.5.  One kernel call serves
-    both rules."""
-    T = _branch_window(prm, tol)
-    (t16, w16), (t8, w8) = (gauss_panels(graded_edges(T, 0.5), order)
-                            for order in (16, 8))
-    R = riesz_kernel_cyl(np.concatenate([t16, t8]), prm)
-    return (t16, w16 * R[:len(t16)]), (t8, w8 * R[len(t16):])
-
-
 def bifurcation_half_period(prm: Params, tol: float = 1e-10) -> float:
     """Half-period where tower solutions split off the constant branch.
 
-    Linearizing the collocation fixed point at the flat profile gives the
-    mode-1 condition p * F(pi/L) = F(0) with F the cosine transform of the
-    reduced kernel, its root bracketed in [0.01, 8] and found to a
-    relative tol/10 (at least 4 eps); the normalization constants cancel,
-    so the threshold depends on (n, sigma) only.  Below the returned L the
-    flat profile is the only positive even periodic solution.
-
-    F(w) = 2 int_0^T R(t) cos(w t) dt is a dot product on a fixed graded
-    rule (window T from ``_branch_window``).  F(0) and F at the root are
-    checked against the 8-point rule on the same panels; a gap above
-    tol * F(0) raises QuadratureError.
+    Linearizing the fixed point at the flat profile gives the mode-1
+    condition p * R^(pi/L) = R^(0), that is Theta_0(pi/L) = p * c_ns: a root
+    of the closed-form symbol, bracketed in [0.01, 8] and found by `brentq`
+    on ln Theta_0 to a relative tol/10 (at least 4 eps).  The normalization
+    constants cancel, so the threshold depends on (n, sigma) only.  Below
+    the returned L the flat profile is the only positive even periodic
+    solution.
     """
-    (t, wR), (t8, wR8) = _kernel_cosine_rule(prm, tol)
-
-    def ft(w: float) -> float:
-        return 2.0 * float(wR @ np.cos(w * t))
-
-    f0 = ft(0.0)
-    w_star = brentq(lambda w: ft(w) - f0 / prm.p, 1e-2, 8.0,
-                    xtol=np.finfo(float).tiny,
+    w_star = brentq(lambda w: _log_symbol(w, prm) - np.log(prm.p * prm.c_ns),
+                    1e-2, 8.0, xtol=np.finfo(float).tiny,
                     rtol=max(tol / 10.0, 4.0 * np.finfo(float).eps))
-    check_rules([f0, ft(w_star)],
-                [2.0 * float(wR8 @ np.cos(w * t8)) for w in (0.0, w_star)],
-                tol, "branch-point cosine transform")
     return float(np.pi / w_star)

@@ -155,23 +155,6 @@ def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Periodization
-# ─────────────────────────────────────────────────────────────────────────────
-
-
-def periodized_lattice(
-    kernel_vals: Callable[[np.ndarray], np.ndarray],
-    ts: np.ndarray,
-    L: float,
-    J: int,
-) -> np.ndarray:
-    """Sum of kernel_vals(t - 2jL) over |j| <= J for each offset t in ts."""
-    ts = np.asarray(ts, dtype=float)
-    shifts = 2.0 * L * np.arange(-J, J + 1)
-    return kernel_vals(ts[:, None] - shifts[None, :]).sum(axis=1)
-
-
-# ─────────────────────────────────────────────────────────────────────────────
 # Fixed-panel quadrature, log-radial convolution and the fixed-point check
 # ─────────────────────────────────────────────────────────────────────────────
 

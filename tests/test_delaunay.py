@@ -2,18 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from qcurv import delaunay
 from qcurv.params import derive_params
 from qcurv.bubbles import cyl_coefficient
-from qcurv.kernels import QuadratureError, periodized_lattice, riesz_kernel_cyl
+from qcurv.kernels import gauss_panels, graded_edges, riesz_kernel_cyl
 from qcurv.delaunay import (
     CylSolution,
     NewtonError,
     solve_periodic,
     radial_profile,
-    delaunay_to_rn,
     neck_sweep,
     sweep_csv,
     bifurcation_half_period,
@@ -22,10 +23,30 @@ from qcurv.delaunay import (
 PRM = derive_params(5, 1.5)
 
 
+def periodized_lattice(kernel_vals, ts, L, J):
+    """Sum of kernel_vals(t - 2jL) over |j| <= J for each offset t in ts."""
+    ts = np.asarray(ts, dtype=float)
+    shifts = 2.0 * L * np.arange(-J, J + 1)
+    return kernel_vals(ts[:, None] - shifts[None, :]).sum(axis=1)
+
+
+def trapezoid_symbol(L, m, prm):
+    """Eigenvalues of the product-trapezoid operator on the 2m-point grid,
+    the DCT-I of the periodized kernel at t = jL/m, j = 0..m: by Poisson
+    summation the exact symbol plus its aliases at pi j/L + 2 pi k m/L.
+    The solver took these before it took the exact symbol; they stay as the
+    oracle of the aliased operator."""
+    h = L / m
+    lattice = periodized_lattice(
+        lambda a: riesz_kernel_cyl(a, prm),
+        np.arange(m + 1) * h, L, delaunay._periodization_order(L, prm))
+    return prm.dual_const * h * dct(lattice, type=1)
+
+
 def dense_matrix(L, m, prm):
     """The folded product-trapezoid matrix on the m + 1 nodes of [0, L],
     lattice on all 2m + 1 offsets in [0, 2L]: the oracle of the DCT-I
-    operator, as the solver built it before."""
+    operator of `trapezoid_symbol`, as the solver built it before."""
     h = L / m
     lattice = periodized_lattice(
         lambda a: riesz_kernel_cyl(a, prm),
@@ -40,8 +61,8 @@ def dense_matrix(L, m, prm):
 
 
 def dense_solve(L, prm, M, tol=1e-10, max_iter=60):
-    """Half-grid profile and Newton steps of solve_periodic with every step
-    an LU solve on the dense matrix: its oracle."""
+    """Half-grid profile and Newton steps of solve_periodic on the
+    trapezoid operator with every step an LU solve on the dense matrix."""
     m = M // 2
     A = dense_matrix(L, m, prm)
     v = delaunay._tower_profile(np.linspace(0.0, L, m + 1), L, prm,
@@ -118,29 +139,79 @@ def test_flat_branch_detected_below_threshold():
     assert 0.75 < a < 0.76
 
 
+def kernel_cosine_rule(prm, tol=1e-10):
+    """(t, w * R(t)) of the 16-point composite Gauss rule on [0, T], panels
+    halving toward the t log t kink at t = 0 and at most 0.5 wide beyond:
+    the window T = max(60, (ln(1/tol) + 5)/gamma_s) drops a kernel tail
+    below tol.  `bifurcation_half_period` took the kernel's cosine
+    transform from this rule before it took the closed-form symbol."""
+    T = max(60.0, (np.log(1.0 / tol) + 5.0) / prm.gamma_s)
+    t, w = gauss_panels(graded_edges(T, 0.5), 16)
+    return t, w * riesz_kernel_cyl(t, prm)
+
+
+def cosine_rule_half_period(prm, tol=1e-10):
+    """The branch point from p F(pi/L) = F(0), F(w) = 2 int R(t) cos(w t)
+    dt on `kernel_cosine_rule`."""
+    t, wR = kernel_cosine_rule(prm, tol)
+    f0 = 2.0 * float(wR.sum())
+    w = brentq(lambda w: 2.0 * float(wR @ np.cos(w * t)) - f0 / prm.p,
+               1e-2, 8.0, xtol=np.finfo(float).tiny,
+               rtol=max(tol / 10.0, 4.0 * np.finfo(float).eps))
+    return np.pi / w
+
+
 @pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
 def test_branch_transform_matches_nested_quad(n, sigma):
-    # oracle: the adaptive outer quad over scalar kernel calls on [0, 60]
+    # the cosine-rule oracle against the adaptive outer quad over scalar
+    # kernel calls on [0, 60]
     prm = derive_params(n, sigma)
-    (t, wR), _ = delaunay._kernel_cosine_rule(prm, 1e-10)
+    t, wR = kernel_cosine_rule(prm)
     for w in (0.0, 1.0, 2.0):
         ref, _ = quad(lambda x: riesz_kernel_cyl(x, prm) * np.cos(w * x),
                       0.0, 60.0, epsabs=1e-12, epsrel=1e-10, limit=400)
         assert 2.0 * float(wR @ np.cos(w * t)) == pytest.approx(2.0 * ref, rel=1e-9)
 
 
-def test_branch_window_follows_kernel_decay(monkeypatch):
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_symbol_is_the_kernel_transform(n, sigma):
+    # dual_const R^(xi) = q_ns / Theta_0(xi), R^ = 2 int_0^inf R cos(xi t):
+    # quad's cosine weight on unit panels out to a tail below 1e-16.  At
+    # epsrel 1e-13 quad warns of roundoff on some panels; the comparison
+    # with the symbol is the check of its sum (worst seen 7.8e-15)
+    prm = derive_params(n, sigma)
+    T = np.ceil((np.log(1e16) + 5.0) / prm.gamma_s)
+    edges = np.arange(T + 1.0)
+    for xi in (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 7.0):
+        F = sum(quad(riesz_kernel_cyl, a, b, args=(prm,), weight="cos",
+                     wvar=xi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges, edges[1:]))
+        got = prm.q_ns * np.exp(-delaunay._log_symbol(xi, prm))
+        assert got == pytest.approx(2.0 * prm.dual_const * F, rel=1e-13)
+    # Theta_0(0) is the nonlinearity's constant
+    assert np.exp(delaunay._log_symbol(0.0, prm)) == pytest.approx(prm.c_ns,
+                                                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("n,sigma", [(5, 1.5), (6, 1.2), (7, 2.5), (9, 3.5)])
+def test_branch_point_matches_cosine_rule(n, sigma):
+    prm = derive_params(n, sigma)
+    assert bifurcation_half_period(prm) == pytest.approx(
+        cosine_rule_half_period(prm), rel=1e-12)
+
+
+def test_branch_point_at_slow_kernel_decay():
     # gamma_s = 0.1: the kernel still holds e^-6 of its weight at t = 60,
-    # where a fixed window gave L* = 6.06146 instead of 6.04886
-    prm = derive_params(3, 1.4)
-    got = bifurcation_half_period(prm)
-    # gamma_s = 0.01 would need a window past the fixed rule's cap
-    with pytest.raises(ValueError, match="exceeds 700"):
-        bifurcation_half_period(derive_params(3, 1.49))
-    monkeypatch.setattr(delaunay, "_branch_window", lambda prm, tol: 400.0)
-    wide = bifurcation_half_period(prm)
-    assert got == pytest.approx(wide, rel=1e-9)
-    assert got == pytest.approx(6.0488630, rel=1e-7)
+    # where a fixed cosine-rule window gave L* = 6.06146 instead of 6.04886.
+    # gamma_s = 0.01: the cosine rule needs a window of 2800, past the cap
+    # of 700 that once made this a refusal; the symbol needs none.  The
+    # rule's tail, below 1e-10 of F(0), leaves it 1.7e-12 off at (3, 1.4)
+    for sigma, ref in ((1.4, 6.0488630), (1.49, 18.245577)):
+        prm = derive_params(3, sigma)
+        got = bifurcation_half_period(prm)
+        assert got == pytest.approx(ref, rel=1e-6)
+        assert got == pytest.approx(cosine_rule_half_period(prm), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -153,17 +224,7 @@ def test_branch_point_closed_form_at_sigma_2(n):
     A, B = (n - 4) ** 2 / 4.0, n ** 2 / 4.0
     xi2 = (-(A + B) + np.sqrt((A + B) ** 2 + 4.0 * (prm.p - 1.0) * A * B)) / 2
     ref = np.pi / np.sqrt(xi2)
-    tol = 1e-10
-    assert abs(bifurcation_half_period(prm, tol=tol) - ref) <= tol * ref
-
-
-def test_branch_rule_self_check_raises(monkeypatch):
-    # ripples much shorter than a panel: the 16- and 8-point rules disagree
-    def rippled(t, prm):
-        return riesz_kernel_cyl(t, prm) * (1.0 + 1e-3 * np.cos(200.0 * t))
-    monkeypatch.setattr(delaunay, "riesz_kernel_cyl", rippled)
-    with pytest.raises(QuadratureError, match="8-point"):
-        bifurcation_half_period(PRM)
+    assert abs(bifurcation_half_period(prm) - ref) <= 1e-13 * ref
 
 
 def test_preconditions():
@@ -177,25 +238,26 @@ def test_preconditions():
 
 
 def test_map_back_to_rn(sol3):
-    # |x| = 1 lands on the neck
+    # u(x) = radial_profile at |x|; |x| = 1 lands on the neck
+    to_rn = lambda x: radial_profile(sol3, np.linalg.norm(x, axis=-1), PRM)
     e1 = np.array([1.0, 0, 0, 0, 0])
-    assert delaunay_to_rn(sol3, e1, PRM) == pytest.approx(sol3.neck, rel=1e-12)
+    assert to_rn(e1) == pytest.approx(sol3.neck, rel=1e-12)
     # self-similarity under one period of scaling
     x = np.array([0.3, -0.2, 0.1, 0.0, 0.4])
     shrink = np.exp(-2.0 * sol3.L)
-    v1 = delaunay_to_rn(sol3, x, PRM)
-    v2 = delaunay_to_rn(sol3, shrink * x, PRM)
+    v1 = to_rn(x)
+    v2 = to_rn(shrink * x)
     assert v2 == pytest.approx(np.exp(2.0 * sol3.L * PRM.gamma_s) * v1, rel=1e-10)
     # global bound from the transform definition
     r = float(np.linalg.norm(x))
     assert v1 <= r ** (-PRM.gamma_s) * sol3.v.max() * (1 + 1e-12)
     with pytest.raises(ValueError):
-        delaunay_to_rn(sol3, np.zeros(5), PRM)
+        to_rn(np.zeros(5))
     # batch evaluation agrees with scalars
     xs = np.stack([x, 2.0 * x, e1])
-    batch = delaunay_to_rn(sol3, xs, PRM)
+    batch = to_rn(xs)
     for i in range(3):
-        assert batch[i] == pytest.approx(delaunay_to_rn(sol3, xs[i], PRM), rel=1e-13)
+        assert batch[i] == pytest.approx(to_rn(xs[i]), rel=1e-13)
 
 
 
@@ -277,11 +339,12 @@ def test_sweep_input_validation():
 
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
 def test_fft_operator_matches_dense_matrix(n, sigma):
+    # the DCT-I pair applies an operator given by its eigenvalues
     prm = derive_params(n, sigma)
     rng = np.random.default_rng(7)
     for L, m in ((2.6, 200), (3.5, 400)):
         A = dense_matrix(L, m, prm)
-        lam = delaunay._collocation_symbol(L, m, prm)
+        lam = trapezoid_symbol(L, m, prm)
         for _ in range(3):
             w = rng.random(m + 1) + 0.01
             ref = A @ w
@@ -292,8 +355,11 @@ def test_fft_operator_matches_dense_matrix(n, sigma):
 @pytest.mark.parametrize("M", [400, 800])
 @pytest.mark.parametrize("L", [2.6, 3.1, 3.5, 4.5])
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
-def test_solver_matches_dense_newton(n, sigma, L, M):
+def test_solver_matches_dense_newton(n, sigma, L, M, monkeypatch):
+    # Newton, GMRES and the line search on the trapezoid operator against
+    # the dense LU Newton on the same operator
     prm = derive_params(n, sigma)
+    monkeypatch.setattr(delaunay, "_collocation_symbol", trapezoid_symbol)
     sol = solve_periodic(L, prm, M=M, tol=1e-10)
     v, it = dense_solve(L, prm, M)
     assert sol.n_iter == it
@@ -324,12 +390,14 @@ def test_krylov_failure_raises(monkeypatch):
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
 def test_solver_eigenvalues_meet_branch_point(n, sigma):
     # at the continuum branch point the collocation operator's mode-1
-    # eigenvalue satisfies the same condition p * lam_1 = lam_0, up to the
-    # grid error (1.5e-10, 1.0e-10, 1.4e-8 at M = 3200)
+    # eigenvalue satisfies the same condition p * lam_1 = lam_0 on any grid,
+    # up to the root's relative tol/10 times d ln Theta_0 / d ln w (1.2e-14,
+    # 1.5e-12 and 3.6e-15 at M = 200 and 3200 alike)
     prm = derive_params(n, sigma)
     L_star = bifurcation_half_period(prm)
-    lam = delaunay._collocation_symbol(L_star, 1600, prm)
-    assert abs(prm.p * lam[1] / lam[0] - 1.0) <= 5e-8
+    for m in (100, 1600):
+        lam = delaunay._collocation_symbol(L_star, m, prm)
+        assert abs(prm.p * lam[1] / lam[0] - 1.0) <= 1e-10
 
 
 def test_peak_memory_at_M_6400():
@@ -343,15 +411,12 @@ def test_peak_memory_at_M_6400():
     assert peak < 5e6
 
 
-@pytest.mark.parametrize("n,sigma,lo,hi", [(5, 1.5, 2.8, 3.2),
-                                           (6, 1.2, 2.2, 2.7)])
-def test_grid_convergence_order(n, sigma, lo, hi):
-    # trapezoid error h^(alpha+1) at the kernel's |t|^alpha kink, alpha =
-    # n - 1 - 2 gamma_s: h^3 with a log at (5, 1.5), about h^2.4 at (6, 1.2)
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_grid_error_is_rounding_at_M_400(n, sigma):
+    # the exact symbol leaves no aliasing error at the nodes: the trapezoid
+    # operator was off by its alias sum, 2.3e-7 at (5, 1.5) and 1.4e-5 at
+    # (6, 1.2) for M = 400
     prm = derive_params(n, sigma)
-    Ms = np.array([400, 800, 1600, 3200])
-    ref = solve_periodic(3.5, prm, M=12800)
-    errs = [np.max(np.abs(solve_periodic(3.5, prm, M=M).v - ref.v[::12800 // M]))
-            for M in Ms]
-    order = -np.polyfit(np.log(Ms), np.log(errs), 1)[0]
-    assert lo <= order <= hi
+    ref = solve_periodic(3.5, prm, M=6400)
+    sol = solve_periodic(3.5, prm, M=400)
+    assert np.max(np.abs(sol.v - ref.v[::16])) <= 1e-12

@@ -18,12 +18,12 @@ from qcurv.kernels import (
     fixed_point_defect,
     gauss_panels,
     log_radial_convolution,
-    periodized_lattice,
     ring_kernel,
     riesz_kernel_cyl,
     singular_kernel_cyl,
 )
 from qcurv.params import derive_params
+from test_delaunay import periodized_lattice
 
 PRM = derive_params(5, 1.5)
 
@@ -390,12 +390,26 @@ def test_ring_kernel_matches_orbit_quadrature(n, sigma):
 
 
 def test_ring_kernel_broadcasts():
-    prm = derive_params(6, 1.2)
+    # a point of an array call is bit for bit the 1-element array call.  A
+    # scalar call may not be: wherever gamma_s != 1 numpy's scalar power
+    # (libm) and its array power can round apart by one ulp, at most eps
+    # relative, and the products after it round once more on each side, so
+    # the values stay within 2 eps relative (87-114 of these 2000 points
+    # differ at each pair, by at most 1.9 eps)
     rho_p = np.array([[0.5, 1.0 + 1e-9], [2.0, 0.0]])
-    vals = ring_kernel(0.1, 1.0, rho_p, prm)
-    assert vals.shape == (2, 2)
-    for idx in np.ndindex(2, 2):
-        assert vals[idx] == ring_kernel(0.1, 1.0, float(rho_p[idx]), prm)
+    assert ring_kernel(0.1, 1.0, rho_p, derive_params(6, 1.2)).shape == (2, 2)
+    rng = np.random.default_rng(11)
+    dz, rho, rho_p = (rng.normal(size=2000), rng.uniform(0.0, 3.0, 2000),
+                      rng.uniform(0.0, 3.0, 2000))
+    for n, sigma in ((3, 1.4), (6, 1.2), (4, 1.8)):
+        prm = derive_params(n, sigma)
+        vals = ring_kernel(dz, rho, rho_p, prm)
+        for i in range(dz.size):
+            one = ring_kernel(dz[i:i + 1], rho[i:i + 1], rho_p[i:i + 1], prm)
+            assert one.shape == (1,) and one[0] == vals[i]
+            scalar = ring_kernel(float(dz[i]), float(rho[i]),
+                                 float(rho_p[i]), prm)
+            assert abs(scalar - vals[i]) <= 2.0 * np.finfo(float).eps * vals[i]
 
 
 
