@@ -11,7 +11,8 @@ projections) rides on this.
 import numpy as np
 
 from qcurv.params import derive_params
-from qcurv.kernels import build_kernel_table, decay_slope, fixed_point_defect
+from qcurv.kernels import (decay_slope, fixed_point_defect, riesz_kernel_cyl,
+                           singular_kernel_cyl)
 from qcurv.bubbles import Bubble, bubble_eval
 from qcurv.assembler import dual_apply_radial
 
@@ -37,7 +38,7 @@ for r in (0.0, 0.5, 1.0, 2.0, 5.0):
 
 ts = np.linspace(8.0, 16.0, 9)
 print("\nkernel tails on t in [8, 16]:")
-for kind, target in (("riesz", prm.gamma_s), ("singular", prm.gamma_dual)):
-    table = build_kernel_table(prm, kind, ts)
-    slope = decay_slope(table.t, table.value)
+for kind, kernel, target in (("riesz", riesz_kernel_cyl, prm.gamma_s),
+                             ("singular", singular_kernel_cyl, prm.gamma_dual)):
+    slope = decay_slope(ts, kernel(ts, prm))
     print(f"  {kind:9s} fitted slope {slope:+.5f}   expected {-target:+.1f}")

@@ -50,7 +50,6 @@ including it also cancels the dominant quadrature error near the center.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -285,8 +284,12 @@ def assemble(balanced: BalancedConfig, prm: Params,
     """The glued function of a balanced configuration: towers of levels
     0..LEVELS, and one periodic profile per distinct period, solved on M
     points at solve_periodic's tolerance.  perturb gives each tower's
-    per-level (dilations, shifts)."""
+    per-level (dilations, shifts).  ValueError when the points are not
+    prm.n-dimensional."""
     centers = balanced.sigma_set.points
+    if centers.shape[1] != prm.n:
+        raise ValueError(f"points have {centers.shape[1]} coordinates, "
+                         f"need n = {prm.n}")
     sols = {}
     for L in balanced.L_i:
         key = round(float(L), 12)
@@ -976,23 +979,6 @@ class ResidualReport:
     mc_seed: int
     mc_checks: tuple
     errors: tuple
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "L": self.L,
-            "weight_kind": self.weight_kind,
-            "tau": self.tau,
-            "points": self.points.tolist(),
-            "tags": list(self.tags),
-            "values": self.values.tolist(),
-            "err_est": self.err_est.tolist(),
-            "nodes": self.nodes,
-            "weighted_norm": self.weighted_norm,
-            "region_sup": self.region_sup,
-            "mc_seed": self.mc_seed,
-            "mc_checks": list(self.mc_checks),
-            "errors": list(self.errors),
-        }, indent=2, sort_keys=True)
 
 
 def residual(u: ApproxSolution, weight: WeightSpec,

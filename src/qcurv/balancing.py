@@ -14,7 +14,6 @@ report produced here verifies that structure numerically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +29,6 @@ __all__ = [
     "balance_jacobian",
     "periods_from_q",
     "balance",
-    "balanced_to_json",
 ]
 
 
@@ -284,16 +282,3 @@ def balance(sigma_set: SingularSet, q: np.ndarray, L: float,
     return BalancedConfig(sigma_set=sigma_set, q=q, R=R, a0_hat=a0,
                           L=float(L), L_i=L_i, resid_B1=r1, resid_B2=r2)
 
-
-def balanced_to_json(cfg: BalancedConfig, prm: Params) -> str:
-    return json.dumps({
-        "n": prm.n, "sigma": prm.sigma,
-        "points": cfg.sigma_set.points.tolist(),
-        "q": cfg.q.tolist(),
-        "R": cfg.R.tolist(),
-        "a0_hat": cfg.a0_hat.tolist(),
-        "L": cfg.L,
-        "L_i": cfg.L_i.tolist(),
-        "resid_B1": cfg.resid_B1,
-        "resid_B2": cfg.resid_B2,
-    }, indent=2, sort_keys=True)

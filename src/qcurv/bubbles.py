@@ -84,6 +84,10 @@ def cyl_coefficient(prm: Params) -> float:
 # towers
 
 
+# decay rate of the admissible dilation envelope of a tower's levels
+_DILATION_RATE = 0.5
+
+
 @dataclass(frozen=True)
 class TowerConfig:
     """Deformed half tower at one singular point.
@@ -91,7 +95,8 @@ class TowerConfig:
     Level j (0-based) sits at log height t_j = (1+2j)*period with scale
     lam_j = baseline*(1+dilations[j])*exp(-t_j) and center
     center + shifts[j].  Admissibility keeps the deformations subordinate:
-    |dilations[j]| <= exp(-tau*t_j) and |shifts[j]| <= shift_bound*lam_j^2.
+    |dilations[j]| <= exp(-_DILATION_RATE*t_j) and
+    |shifts[j]| <= shift_bound*lam_j^2.
     Negative levels (used by the doubly infinite sum) carry no deformation
     data and fall back to the standard scales.
 
@@ -110,7 +115,6 @@ class TowerConfig:
     baseline: float = 1.0
     dilations: np.ndarray | None = None
     shifts: np.ndarray | None = None
-    tau: float = 0.5
     shift_bound: float = 1.0
     level_scales: np.ndarray = field(init=False, repr=False, compare=False)
     level_scales_sq: np.ndarray = field(init=False, repr=False, compare=False)
@@ -129,8 +133,6 @@ class TowerConfig:
             raise ValueError("levels must be >= 0")
         if not self.baseline > 0:
             raise ValueError("baseline scale must be positive")
-        if not self.tau > 0:
-            raise ValueError("admissibility rate tau must be positive")
         m = self.levels + 1
         dil = (np.zeros(m) if self.dilations is None
                else np.array(self.dilations, dtype=float, copy=True))
@@ -143,7 +145,7 @@ class TowerConfig:
         object.__setattr__(self, "dilations", dil)
         object.__setattr__(self, "shifts", shf)
         tj = self.level_heights()
-        if np.any(np.abs(dil) > np.exp(-self.tau * tj)):
+        if np.any(np.abs(dil) > np.exp(-_DILATION_RATE * tj)):
             raise ValueError("dilation perturbations exceed the admissible envelope")
         J = self.levels
         js = np.arange(-J, J + 1)

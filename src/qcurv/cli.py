@@ -1,7 +1,8 @@
 """Batch front end: tables, sweeps, balancing, assembly diagnostics.
 
 Every command reads one JSON config, writes CSV/JSON artifacts plus a
-manifest into --out, and exits 0 on success, 2 on a config problem or a
+manifest into --out (the library returns data; their formats are decided
+here alone), and exits 0 on success, 2 on a config problem or a
 geometry outside the deterministic reduction, 3 when a solver or quadrature
 gives up.  Reruns of the same config are bit-identical:
 no timestamps, fixed seeds, deterministic aggregation.
@@ -15,16 +16,17 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .params import derive_params
-from .kernels import QuadratureError, build_kernel_table, decay_slope
-from .delaunay import NewtonError, neck_sweep, sweep_csv
-from .interactions import (constants_payload, interaction_constants,
-                           oracle_fit_constants, psi)
+from .kernels import (KERNEL_REL_ERR, QuadratureError, decay_slope,
+                      riesz_kernel_cyl, singular_kernel_cyl)
+from .delaunay import NewtonError, neck_sweep
+from .interactions import interaction_constants, oracle_fit_constants, psi
 from .balancing import (BalanceError, BalancedConfig, SingularSet, balance,
-                        balanced_to_json, periods_from_q)
+                        periods_from_q)
 from .assembler import (WeightSpec, assemble, beta_leading_form,
                         beta_projection, residual, sample_grid)
 from .bubbles import KernelIndex
@@ -123,7 +125,8 @@ def _write_atomic(path: str, data: str) -> None:
 
 class OutDir:
     """The output directory, the files written to it, and the deterministic
-    facts a command leaves for the manifest."""
+    facts a command leaves for the manifest.  Every JSON file is written by
+    `json`: indented, keys sorted, arrays as lists."""
 
     def __init__(self, root: str):
         self.root = root
@@ -134,6 +137,10 @@ class OutDir:
     def write(self, name: str, data: str) -> None:
         _write_atomic(os.path.join(self.root, name), data)
         self.files.append(name)
+
+    def json(self, name: str, doc: dict) -> None:
+        self.write(name, json.dumps(doc, indent=2, sort_keys=True,
+                                    default=np.ndarray.tolist))
 
 
 def _manifest(out: OutDir, command: str, config_doc: dict, prm,
@@ -153,7 +160,7 @@ def _manifest(out: OutDir, command: str, config_doc: dict, prm,
         "outputs": sorted(out.files),
         **out.facts,
     }
-    out.write("manifest.json", json.dumps(doc, indent=2, sort_keys=True))
+    out.json("manifest.json", doc)
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -175,21 +182,19 @@ def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
     t_max = float(_get(blk, "t_max", (int, float), 16.0, "kernel"))
     t_points = _get(blk, "t_points", int, 33, "kernel")
     t_min = float(_get(blk, "t_min", (int, float), 1e-3, "kernel"))
-    if t_max <= t_min or t_points < 4:
-        raise ConfigError("kernel block needs t_max > t_min and >= 4 points")
+    if not 0 < t_min < t_max or t_points < 4:
+        raise ConfigError("kernel block needs 0 < t_min < t_max and >= 4 "
+                          "points")
     grid = np.linspace(t_min, t_max, t_points)
-    slopes = {}
-    for kind in ("riesz", "singular"):
-        table = build_kernel_table(prm, kind, grid, t_min=t_min)
+    tail = grid >= t_max / 2
+    slopes = {"gamma_s": prm.gamma_s, "gamma_dual": prm.gamma_dual}
+    for kind, vals in (("riesz", riesz_kernel_cyl(grid, prm)),
+                       ("singular", singular_kernel_cyl(grid, prm, t_min))):
+        rows = np.column_stack([grid, vals, KERNEL_REL_ERR * np.abs(vals)])
         out.write(f"kernel_{kind}.csv",
-                  _csv(["t", "value", "est_error"], [list(r) for r in
-                                                     table.rows()]))
-        tail = grid >= t_max / 2
-        slopes[kind] = decay_slope(grid[tail], table.value[tail])
-    slopes["gamma_s"] = prm.gamma_s
-    slopes["gamma_dual"] = prm.gamma_dual
-    out.write("kernel_slopes.json", json.dumps(slopes, indent=2,
-                                               sort_keys=True))
+                  _csv(["t", "value", "est_error"], rows.tolist()))
+        slopes[kind] = decay_slope(grid[tail], vals[tail])
+    out.json("kernel_slopes.json", slopes)
 
 
 def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
@@ -205,10 +210,13 @@ def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
         bad = "; ".join(f"L={r.L}: {r.error}" for r in sweep.rows if r.error)
         raise NewtonError(f"sweep has {len(ok)} usable rows, need 2+ ({bad})",
                           residual=float("nan"), iterations=0)
-    out.write("delaunay_sweep.csv", sweep_csv(sweep))
-    out.write("delaunay_slopes.json", json.dumps(
-        {"slope_eps": sweep.slope_eps, "slope_psi": sweep.slope_psi,
-         "gamma_s": prm.gamma_s}, indent=2, sort_keys=True))
+    # failed rows keep their nan markers
+    out.write("delaunay_sweep.csv", "L,eps,psi_sup,resid,iters\n" + "".join(
+        f"{r.L:.6g},{r.eps:.12g},{r.psi_sup:.12g},{r.resid:.6g},{r.iters}\n"
+        for r in sweep.rows))
+    out.json("delaunay_slopes.json", {"slope_eps": sweep.slope_eps,
+                                      "slope_psi": sweep.slope_psi,
+                                      "gamma_s": prm.gamma_s})
 
 
 def cmd_constants(doc: dict, out: OutDir, tol: float) -> None:
@@ -220,21 +228,22 @@ def cmd_constants(doc: dict, out: OutDir, tol: float) -> None:
         raise ConfigError("constants.psi_ells must be nonnegative numbers")
     ic = interaction_constants(prm)
     fitted = oracle_fit_constants(prm)
-    payload = json.loads(constants_payload(ic, prm))
-    payload["oracle_A2"] = fitted.A2
-    payload["oracle_A3"] = fitted.A3
-    payload["oracle_method"] = fitted.method
-    out.write("constants.json", json.dumps(payload, indent=2,
-                                           sort_keys=True))
+    out.json("constants.json", {"n": prm.n, "sigma": prm.sigma, **asdict(ic),
+                                "oracle_A2": fitted.A2, "oracle_A3": fitted.A3,
+                                "oracle_method": fitted.method})
     rows = [[ell, psi(ell, prm)] for ell in ells]
     out.write("psi.csv", _csv(["ell", "psi"], rows))
 
 
-def _config_geometry(doc: dict) -> tuple[SingularSet, np.ndarray, float]:
-    """The top-level points (rows of numbers), q (numbers) and L (a
+def _config_geometry(doc: dict, n: int) -> tuple[SingularSet, np.ndarray,
+                                                  float]:
+    """The top-level points (rows of n numbers), q (numbers) and L (a
     number), typed like block values: no bools, no strings."""
     pts = [_number_list(row, "each row of config['points']")
            for row in _require(doc, "points", list)]
+    if any(len(row) != n for row in pts):
+        raise ConfigError(f"each row of config['points'] must have n = {n} "
+                          "coordinates")
     qv = np.asarray(_number_list(_require(doc, "q", list), "config['q']"))
     L = float(_require(doc, "L", (int, float)))
     try:
@@ -248,10 +257,12 @@ def _config_geometry(doc: dict) -> tuple[SingularSet, np.ndarray, float]:
 
 def cmd_balance(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
-    ss, q, L = _config_geometry(doc)
+    ss, q, L = _config_geometry(doc, prm.n)
     ic = interaction_constants(prm)
     cfg = balance(ss, q, L, ic, prm, tol=min(tol, 1e-10))
-    out.write("balanced.json", balanced_to_json(cfg, prm))
+    fields = asdict(cfg)
+    fields["points"] = fields.pop("sigma_set")["points"]
+    out.json("balanced.json", {"n": prm.n, "sigma": prm.sigma, **fields})
     rows = [[i, float(cfg.q[i]), float(cfg.R[i]), float(cfg.L_i[i])]
             + [float(v) for v in cfg.a0_hat[i]]
             for i in range(ss.size)]
@@ -271,7 +282,7 @@ def _samples(u, regions: list[str] | None):
 
 def _write_report(out: OutDir, name: str, rep) -> None:
     """Write the report, then fail if no sample produced a value."""
-    out.write(name, rep.to_json())
+    out.json(name, asdict(rep))
     if not np.any(np.isfinite(rep.values)):
         raise QuadratureError(f"{name}: no residual sample succeeded "
                               f"({'; '.join(rep.errors[:1])})")
@@ -295,7 +306,7 @@ def _solver_facts(u) -> dict:
 
 def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
     prm = _params(doc)
-    ss, q, L = _config_geometry(doc)
+    ss, q, L = _config_geometry(doc, prm.n)
     blk = _block(doc, "residual")
     tau = float(_get(blk, "tau", (int, float), 0.5, "residual"))
     kind = _get(blk, "weight_kind", str, "starstar", "residual")
@@ -346,8 +357,7 @@ def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
                              / rep.weighted_norm])
         betas += level0_betas(u2, config="compare")
 
-    out.write("beta.json", json.dumps({"L": cfg.L, "entries": betas},
-                                      indent=2, sort_keys=True))
+    out.json("beta.json", {"L": cfg.L, "entries": betas})
     out.write("residual_summary.csv",
               _csv(["run", "weighted_norm"], summary_rows))
 
@@ -371,11 +381,11 @@ def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
     back = toda_mod.apply(op, x)
     rows = [[j, float(b[j]), float(x[j]), float(back[j])] for j in range(K)]
     out.write("toda.csv", _csv(["j", "b", "x", "apply_invert_b"], rows))
-    out.write("toda_check.json", json.dumps({
+    out.json("toda_check.json", {
         "kind": kind, "K": K, "tau": tau,
         "apply_invert_err": float(np.max(np.abs(back - b))),
         "amplification": toda_mod.amplification(op, tau),
-    }, indent=2, sort_keys=True))
+    })
 
 
 COMMANDS = {

@@ -28,7 +28,6 @@ what makes v(0) the decaying quantity the sweeps fit.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -50,7 +49,6 @@ __all__ = [
     "solve_periodic",
     "radial_profile",
     "neck_sweep",
-    "sweep_csv",
     "bifurcation_half_period",
 ]
 
@@ -127,8 +125,8 @@ def _check_grid(M: int) -> None:
         raise ValueError(f"grid size must be even and >= 200: {M}")
 
 
-def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
-                   init_factor: float = 1.0) -> CylSolution:
+def solve_periodic(L: float, prm: Params, M: int = 800,
+                   tol: float = 1e-10) -> CylSolution:
     """Solve the periodic problem at half-period L on an M-point grid.
 
     The returned solution is even by construction (half-grid unknowns,
@@ -144,7 +142,7 @@ def solve_periodic(L: float, prm: Params, M: int = 800, tol: float = 1e-10,
     ts = np.linspace(0.0, L, m + 1)
     lam = _collocation_symbol(L, m, prm)
     Jper = _periodization_order(L, prm)
-    v = init_factor * _tower_profile(ts, L, prm, Jper + 1)
+    v = _tower_profile(ts, L, prm, Jper + 1)
 
     def residual(w: np.ndarray) -> np.ndarray:
         return w - _collocation_apply(lam, w**prm.p)
@@ -298,15 +296,6 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
         slope_eps = decay_slope(Ls, [r.eps for r in good])
         slope_psi = decay_slope(Ls, [r.psi_sup for r in good])
     return SweepResult(rows=tuple(rows), slope_eps=slope_eps, slope_psi=slope_psi)
-
-
-def sweep_csv(sweep: SweepResult) -> str:
-    """Render a sweep as CSV (failed rows keep nan markers)."""
-    buf = io.StringIO()
-    buf.write("L,eps,psi_sup,resid,iters\n")
-    for r in sweep.rows:
-        buf.write(f"{r.L:.6g},{r.eps:.12g},{r.psi_sup:.12g},{r.resid:.6g},{r.iters}\n")
-    return buf.getvalue()
 
 
 def bifurcation_half_period(prm: Params, tol: float = 1e-10) -> float:

@@ -24,7 +24,6 @@ for the bubbles and nonlinearity this package uses.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ __all__ = [
     "psi",
     "gram_cokernels",
     "gram_indices",
-    "constants_payload",
 ]
 
 
@@ -261,14 +259,6 @@ def oracle_fit_constants(prm: Params, tol: float = 1e-8) -> InteractionConstants
         method="oracle_fit",
         est_error=float(err),
     )
-
-
-def constants_payload(ic: InteractionConstants, prm: Params) -> str:
-    return json.dumps({
-        "n": prm.n, "sigma": prm.sigma,
-        "A1": ic.A1, "A2": ic.A2, "A3": ic.A3,
-        "method": ic.method, "est_error": ic.est_error,
-    }, indent=2, sort_keys=True)
 
 
 # ─────────────────────────────────────────────────────────────────────────────

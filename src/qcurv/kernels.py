@@ -15,7 +15,6 @@ bubble profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -99,8 +98,11 @@ def riesz_kernel_cyl(t, prm: Params):
 def singular_kernel_cyl(t, prm: Params, t_min: float = 1e-3):
     """Singular cylindrical kernel (exponent gamma_dual); blows up at t = 0.
 
-    Offsets with |t| < t_min are rejected rather than extrapolated.
+    Offsets with |t| < t_min are rejected rather than extrapolated, and so
+    is a t_min <= 0, which would let t = 0 through to an infinite value.
     """
+    if not t_min > 0:
+        raise ValueError(f"singular kernel needs t_min > 0, got {t_min}")
     if np.any(np.abs(np.asarray(t, dtype=float)) < t_min):
         raise ValueError(f"singular kernel needs |t| >= t_min = {t_min}")
     return _reduced_kernel(t, prm.gamma_dual, prm)
@@ -243,34 +245,8 @@ def fixed_point_defect(prm: Params) -> float:
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Tables and decay diagnostics
+# Decay diagnostics
 # ─────────────────────────────────────────────────────────────────────────────
-
-
-@dataclass
-class CylKernelTable:
-    kind: str  # "riesz" | "singular"
-    t: np.ndarray
-    value: np.ndarray
-    est_error: np.ndarray
-
-    def rows(self):
-        for ti, vi, ei in zip(self.t, self.value, self.est_error):
-            yield float(ti), float(vi), float(ei)
-
-
-def build_kernel_table(prm: Params, kind: str, t_grid,
-                       t_min: float = 1e-3) -> CylKernelTable:
-    """Kernel values on t_grid; est_error is KERNEL_REL_ERR times |value|."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if kind == "riesz":
-        vals = riesz_kernel_cyl(t_grid, prm)
-    elif kind == "singular":
-        vals = singular_kernel_cyl(t_grid, prm, t_min=t_min)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return CylKernelTable(kind=kind, t=t_grid, value=vals,
-                          est_error=KERNEL_REL_ERR * np.abs(vals))
 
 
 def decay_slope(ts, values) -> float:

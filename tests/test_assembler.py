@@ -11,7 +11,7 @@ import adaptive_quadrature as adaptive
 
 from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
-from qcurv import assembler, balancing as bal
+from qcurv import assembler, balancing as bal, cli
 from qcurv.assembler import (CUT_OFF, CUT_ON, ApproxSolution, WeightSpec,
                              assemble, beta_leading_form, beta_projection,
                              cutoff, dual_apply, dual_apply_radial, mc_probe,
@@ -202,6 +202,12 @@ def patch_stacked(panel, q, rng, order, t_edges):
         ws.append((det * (t * tw)[:, None] * sw[None, :]).ravel())
     return np.concatenate(q1s), np.concatenate(q2s), np.concatenate(ws)
 
+def report_file(rep, tmp_path, name):
+    """The report as the CLI writes it, read back as text."""
+    cli.OutDir(str(tmp_path)).json(name, dataclasses.asdict(rep))
+    return (tmp_path / name).read_text()
+
+
 def pair(d=3.0):
     pts = np.zeros((2, 5))
     pts[1, 0] = d
@@ -261,6 +267,14 @@ class TestCutoff:
 
 
 class TestAssemble:
+    def test_points_must_be_n_dimensional(self):
+        # balancing takes points of any dimension; assembling them for
+        # another n would report numbers for a configuration never built
+        ss = bal.SingularSet(points=np.array([[0.0, 0, 0], [3.0, 0, 0]]))
+        cfg = bal.balance(ss, np.ones(2), 2.5, IC, PRM)
+        with pytest.raises(ValueError, match="3 coordinates, need n = 5"):
+            assemble(cfg, PRM)
+
     def test_single_point_reduction(self, single):
         """Inside the cutoff the one-point assembly is the periodic profile
         with its outward (mirror) levels removed, exactly."""
@@ -1025,7 +1039,7 @@ class TestWeightedNorm:
 
 
 class TestResidual:
-    def test_report_round_trip(self, balanced_pair):
+    def test_report_round_trip(self, balanced_pair, tmp_path):
         u = balanced_pair
         pts = np.array([u.centers[0] + 0.2 * E1,
                         u.centers[0] + 0.7 * E1,
@@ -1035,22 +1049,24 @@ class TestResidual:
         assert rep.errors == ()
         assert rep.weighted_norm > 0
         assert set(rep.region_sup) == {"near:0", "transition", "far"}
-        doc = json.loads(rep.to_json())
+        doc = json.loads(report_file(rep, tmp_path, "r.json"))
+        assert set(doc) == {f.name for f in dataclasses.fields(rep)}
         assert doc["L"] == pytest.approx(2.5)
         assert len(doc["values"]) == 3
         assert doc["weighted_norm"] == pytest.approx(rep.weighted_norm)
         assert doc["nodes"] == rep.nodes > 0
 
-    def test_err_est_within_tol_and_reruns_identical(self, pair_35):
+    def test_err_est_within_tol_and_reruns_identical(self, pair_35, tmp_path):
         u = pair_35
         rep = residual(u, WeightSpec(tau=0.5), tol=1e-7)
         assert rep.errors == ()
         dual = np.array([float(u(x)) for x in rep.points]) - rep.values
         assert np.all(rep.err_est <= 1e-7 * np.abs(dual))
         assert np.all(rep.err_est > 0.0)
-        assert json.loads(rep.to_json())["err_est"] == rep.err_est.tolist()
+        text = report_file(rep, tmp_path, "r.json")
+        assert json.loads(text)["err_est"] == rep.err_est.tolist()
         again = residual(u, WeightSpec(tau=0.5), tol=1e-7)
-        assert again.to_json() == rep.to_json()
+        assert report_file(again, tmp_path, "again.json") == text
 
     def test_meridian_matches_nd_integrand(self, pair_35, monkeypatch):
         # the node set evaluates u in the line's frame and takes each ball's

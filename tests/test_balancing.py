@@ -224,7 +224,7 @@ class TestPeriods:
 
 
 class TestConfigIO:
-    def test_balance_and_roundtrip(self):
+    def test_balance_and_roundtrip(self, tmp_path):
         ss = equilateral()
         q = np.array([1.0, 1.1, 0.9])
         cfg = bal.balance(ss, q, 4.0, IC, PRM)
@@ -232,10 +232,21 @@ class TestConfigIO:
         # rounding level of the implicit second condition
         scale = IC.A1 * np.max(np.abs(q[:, None] * cfg.a0_hat))
         assert cfg.resid_B2 <= 16 * np.finfo(float).eps * scale
-        # balanced.json reads back as a run configuration
-        doc = json.loads(bal.balanced_to_json(cfg, PRM))
-        prm2 = cli._params(doc)
-        ss2, q2, L2 = cli._config_geometry(doc)
-        assert prm2.n == 5 and L2 == 4.0
-        assert q2 == pytest.approx(cfg.q)
-        assert ss2.points == pytest.approx(ss.points)
+        # the CLI's balanced.json reads back as a run configuration, and
+        # balancing that configuration writes the same file again
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 5, "sigma": 1.5, "L": 4.0,
+                                    "points": ss.points.tolist(),
+                                    "q": q.tolist()}))
+        for out in (tmp_path / "o1", tmp_path / "o2"):
+            assert cli.main(["balance", "--config", str(path),
+                             "--out", str(out)]) == 0
+            path = out / "balanced.json"
+        first = (tmp_path / "o1" / "balanced.json").read_text()
+        assert path.read_text() == first
+        doc = json.loads(first)
+        assert doc["n"] == 5 and doc["sigma"] == 1.5 and doc["L"] == 4.0
+        assert doc["points"] == ss.points.tolist() and doc["q"] == q.tolist()
+        assert doc["R"] == pytest.approx(cfg.R.tolist(), rel=1e-9)
+        assert set(doc) == {"n", "sigma", "points", "q", "R", "a0_hat", "L",
+                            "L_i", "resid_B1", "resid_B2"}

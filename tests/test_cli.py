@@ -1,5 +1,6 @@
 """End-to-end checks for the batch front end."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 
 import qcurv
 from qcurv import assembler, cli
+from qcurv.kernels import KERNEL_REL_ERR
 
 
 def run_cli(args):
@@ -116,6 +118,18 @@ class TestExitCodes:
         assert cli.main(["balance", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["balance", "assemble_residual"])
+    def test_points_of_wrong_dimension(self, tmp_path, capsys, command):
+        # 3-D points with n = 5 would balance and assemble a configuration
+        # other than the one the header and the report describe
+        doc = {**BASE, "points": [[0, 0, 0], [3, 0, 0]]}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "n = 5" in err["detail"]
+        assert list(out.iterdir()) == []
+
     def test_solver_failure_is_3(self, tmp_path):
         doc = {**BASE, "delaunay": {"L_list": [1.0, 1.2, 1.4], "M": 200}}
         cfg = write_config(tmp_path / "c.json", doc)
@@ -148,8 +162,22 @@ class TestKernelCommand:
         for kind in ("riesz", "singular"):
             rows = (out / f"kernel_{kind}.csv").read_text().splitlines()
             assert rows[0] == "t,value,est_error"
-            vals = [abs(float(r.split(",")[1])) for r in rows[1:]]
+            table = [[float(v) for v in r.split(",")] for r in rows[1:]]
+            vals = [abs(v) for _, v, _ in table]
             assert all(a > b for a, b in zip(vals, vals[1:]))
+            for _, val, err in table:
+                assert err == pytest.approx(KERNEL_REL_ERR * abs(val),
+                                            rel=1e-11)
+
+    @pytest.mark.parametrize("t_min", [0.0, -0.5])
+    def test_nonpositive_t_min_is_2(self, tmp_path, capsys, t_min):
+        # at t = 0 the singular kernel is infinite: no row 0,inf,inf
+        doc = {**BASE, "kernel": {"t_min": t_min, "t_max": 8.0}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert cli.main(["kernel", "--config", cfg, "--out", str(out)]) == 2
+        assert "0 < t_min" in json.loads(capsys.readouterr().err)["detail"]
+        assert list(out.iterdir()) == []
 
 
 class TestConstantsCommand:
@@ -160,6 +188,13 @@ class TestConstantsCommand:
         assert cli.main(["constants", "--config", cfg,
                          "--out", str(out)]) == 0
         pay = json.loads((out / "constants.json").read_text())
+        assert set(pay) == {"n", "sigma", "A1", "A2", "A3", "method",
+                            "est_error", "oracle_A2", "oracle_A3",
+                            "oracle_method"}
+        assert pay["n"] == 5 and pay["sigma"] == 1.5
+        assert pay["method"] == "closed_integral"
+        assert pay["oracle_method"] == "oracle_fit"
+        assert 0 < pay["est_error"] < 1e-6
         assert pay["A1"] > 0 and pay["A2"] > 0 and pay["A3"] < 0
         assert pay["A3"] == pytest.approx(-2 * pay["A2"], rel=1e-9)
         assert pay["oracle_A2"] == pytest.approx(pay["A2"], rel=0.02)
@@ -207,8 +242,13 @@ class TestAssembleResidualCommand:
         assert balanced_betas[0] == pytest.approx(balanced_betas[1],
                                                   rel=1e-3)
         rep = json.loads((out / "residual_report.json").read_text())
-        assert rep["weight_kind"] == "starstar"
-        assert rep["errors"] == []
+        assert set(rep) == {f.name for f in
+                            dataclasses.fields(assembler.ResidualReport)}
+        assert rep["weight_kind"] == "starstar" and rep["tau"] == 0.5
+        assert rep["errors"] == [] and rep["nodes"] > 0
+        assert rep["weighted_norm"] == pytest.approx(runs["balanced"],
+                                                     rel=1e-11)
+        assert len(rep["values"]) == len(rep["points"]) == len(rep["tags"])
         # each projection carries its 16/8 gap within tol (1e-7) x its mass
         for e in betas["entries"]:
             assert 0.0 < e["err_est"] <= 1e-7 * e["mass"]
@@ -295,15 +335,20 @@ class TestAssembleResidualCommand:
 
 class TestDelaunayCommand:
     def test_sweep_csv_and_slopes(self, tmp_path):
-        doc = {**BASE, "delaunay": {"L_list": [2.5, 3.0, 3.5], "M": 400}}
+        # L = 2 is below the branch point: a failed row with nan markers
+        doc = {**BASE, "delaunay": {"L_list": [2.0, 2.5, 3.0, 3.5],
+                                    "M": 400}}
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "out"
         assert cli.main(["delaunay", "--config", cfg,
                          "--out", str(out)]) == 0
         rows = (out / "delaunay_sweep.csv").read_text().strip().splitlines()
         assert rows[0] == "L,eps,psi_sup,resid,iters"
-        assert len(rows) == 4
-        eps = [float(r.split(",")[1]) for r in rows[1:]]
+        assert rows[1] == "2,nan,nan,nan,0"
+        cols = [r.split(",") for r in rows[2:]]
+        assert [c[0] for c in cols] == ["2.5", "3", "3.5"]
+        assert all(int(c[4]) >= 1 and float(c[3]) <= 1e-8 for c in cols)
+        eps = [float(c[1]) for c in cols]
         assert eps[0] > eps[1] > eps[2] > 0
         slopes = json.loads((out / "delaunay_slopes.json").read_text())
         assert slopes["slope_eps"] == pytest.approx(-slopes["gamma_s"],

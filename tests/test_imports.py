@@ -1,15 +1,17 @@
 """Every import in the package is used, every export has a reader,
-nothing in the package integrates with scipy.integrate, no assembler
-entry point takes parameters beside the ones its solution carries, and
-options that only ever took one value stay constants.
+nothing in the package integrates with scipy.integrate, only the CLI
+serialises, no assembler entry point takes parameters beside the ones its
+solution carries, and options that only ever took one value stay constants.
 
-Five AST scans of src/qcurv.  A name bound by an import statement must be
+Six AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
 the acceptance gates: the unit tests alone do not keep a public name alive.
 No module imports or reads scipy.integrate: the package has one quadrature
-layer, the fixed panels of kernels.gauss_panels.  No public assembler
+layer, the fixed panels of kernels.gauss_panels.  Only cli.py imports
+json, io or csv: the library returns data and the CLI alone decides how it
+is written.  No public assembler
 function whose first parameter is an ApproxSolution takes a `prm`: the
 solution's own u.prm is the only one its numbers are right for.  No public
 signature or class brings back an option in REMOVED_OPTIONS.
@@ -172,6 +174,41 @@ def test_scan_flags_scipy_integrate():
     assert scipy_integrate_uses(src) == [1, 2, 3, 6, 7]
 
 
+SERIALISERS = {"json", "io", "csv"}
+
+
+def serialiser_imports(source: str) -> list[str]:
+    """The json, io and csv modules the source imports (absolutely), as
+    "line N: module"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] in SERIALISERS]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_serialises(path):
+    assert serialiser_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_a_serialiser_import():
+    src = ("import json\nfrom io import StringIO\nimport csv as c\n"
+           "import numpy.io\nfrom json.decoder import JSONDecodeError\n"
+           "from . import io\nimport jsonschema\n")
+    assert serialiser_imports(src) == ["line 1: json", "line 2: io",
+                                       "line 3: csv",
+                                       "line 5: json.decoder"]
+
+
 def prm_overrides(source: str) -> list[str]:
     """Public module-level functions whose first parameter is annotated
     ApproxSolution and that take a parameter named prm."""
@@ -222,7 +259,9 @@ REMOVED_OPTIONS = {
     ("assembler", "residual", "mc_samples"),
     ("balancing", "solve_B1", "max_iter"),
     ("balancing", "balance_jacobian", "kernel_tol"),
+    ("bubbles", "TowerConfig", "tau"),
     ("delaunay", "solve_periodic", "max_iter"),
+    ("delaunay", "solve_periodic", "init_factor"),
     ("delaunay", "bifurcation_half_period", "w_max"),
     ("interactions", "oracle_fit_constants", "d"),
 }

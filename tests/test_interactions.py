@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -91,14 +90,6 @@ class TestConstants:
         with pytest.raises(ValueError, match="A1>0"):
             it.InteractionConstants(A1=-1.0, A2=1.0, A3=-1.0,
                                     method="closed_integral", est_error=0.0)
-
-    def test_payload_roundtrip(self):
-        ic = it.interaction_constants(PRM)
-        data = json.loads(it.constants_payload(ic, PRM))
-        assert data["n"] == 5 and data["sigma"] == 1.5
-        assert data["A2"] == pytest.approx(ic.A2)
-        assert data["method"] == "closed_integral"
-        assert "est_error" in data
 
 
 def interaction_lambda(l1, l2, prm, tol=1e-9):

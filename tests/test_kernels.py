@@ -13,7 +13,6 @@ from qcurv.kernels import (
     QuadratureError,
     _hyp2f1,
     _unit_rule,
-    build_kernel_table,
     decay_slope,
     fixed_point_defect,
     gauss_panels,
@@ -242,14 +241,16 @@ def test_kernel_mass_flat_profile_identity():
 
 
 def test_kernel_table():
-    tab = build_kernel_table(PRM, "riesz", np.linspace(0.0, 4.0, 9))
-    assert np.all(np.isfinite(tab.value)) and np.all(tab.value > 0)
-    assert np.all(tab.est_error < 1e-6)
-    assert np.array_equal(tab.est_error, KERNEL_REL_ERR * tab.value)
-    with pytest.raises(ValueError):
-        build_kernel_table(PRM, "singular", np.linspace(0.0, 4.0, 9))
-    with pytest.raises(ValueError):
-        build_kernel_table(PRM, "nope", [1.0])
+    # the bounded kernel is finite and positive on a grid through t = 0;
+    # the singular one refuses it, and a t_min <= 0 that would let it through
+    grid = np.linspace(0.0, 4.0, 9)
+    vals = riesz_kernel_cyl(grid, PRM)
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+    with pytest.raises(ValueError, match="t_min = 0.001"):
+        singular_kernel_cyl(grid, PRM)
+    for t_min in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_min > 0"):
+            singular_kernel_cyl(grid[1:], PRM, t_min=t_min)
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -295,15 +296,16 @@ def _kernel_mp_quad(t, g, n):
 def test_closed_forms_within_est_error_of_mpmath(n, sigma):
     prm = derive_params(n, sigma)
     tiny = np.finfo(float).tiny
-    for kind, g, ts in (("riesz", prm.gamma_s, KERNEL_TS),
-                        ("singular", prm.gamma_dual, KERNEL_TS[4:])):
-        tab = build_kernel_table(prm, kind, ts)
-        for t, val, err in tab.rows():
+    for kernel, g, ts in ((riesz_kernel_cyl, prm.gamma_s, KERNEL_TS),
+                          (singular_kernel_cyl, prm.gamma_dual, KERNEL_TS[4:])):
+        for t, val in zip(ts, kernel(ts, prm)):
+            err = KERNEL_REL_ERR * abs(val)
             ref = float(_kernel_mp_hyp2f1(t, g, n))
             if ref >= tiny:
-                assert abs(val - ref) <= err, (kind, t, val, ref)
+                assert abs(val - ref) <= err, (kernel.__name__, t, val, ref)
             else:   # past the normal doubles only an absolute bound holds
-                assert abs(val - ref) <= tiny, (kind, t, val, ref)
+                assert abs(val - ref) <= tiny, (kernel.__name__, t, val,
+                                                 ref)
 
 
 @pytest.mark.parametrize("n,sigma", KERNEL_PAIRS)
