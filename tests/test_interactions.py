@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 from qcurv.params import derive_params, gamma_fn, nonlin_prime
 from qcurv.bubbles import TowerConfig
 from qcurv.kernels import QuadratureError, gauss_panels
-from qcurv import interactions as it
+from qcurv import cli, interactions as it
 
 PRM = derive_params(5, 1.5)
 
@@ -90,6 +92,21 @@ class TestConstants:
         with pytest.raises(ValueError, match="A1>0"):
             it.InteractionConstants(A1=-1.0, A2=1.0, A3=-1.0,
                                     method="closed_integral", est_error=0.0)
+
+    def test_payload_roundtrip(self, tmp_path):
+        # constants.json carries the InteractionConstants fields unchanged
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 5, "sigma": 1.5,
+                                   "points": [[0] * 5, [3, 0, 0, 0, 0]],
+                                   "q": [1.0, 1.0], "L": 2.5}))
+        out = tmp_path / "out"
+        assert cli.main(["constants", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        data = json.loads((out / "constants.json").read_text())
+        assert data["n"] == 5 and data["sigma"] == 1.5
+        ic = it.interaction_constants(PRM)
+        for key, val in dataclasses.asdict(ic).items():
+            assert data[key] == val
 
 
 def interaction_lambda(l1, l2, prm, tol=1e-9):
