@@ -11,8 +11,7 @@ projections) rides on this.
 import numpy as np
 
 from qcurv.params import derive_params
-from qcurv.kernels import (decay_slope, fixed_point_defect, riesz_kernel_cyl,
-                           singular_kernel_cyl)
+from qcurv.kernels import decay_slope, riesz_kernel_cyl, singular_kernel_cyl
 from qcurv.bubbles import Bubble, bubble_eval
 from qcurv.assembler import dual_apply_radial
 
@@ -22,8 +21,7 @@ print(f"parameters: n={prm.n}, sigma={prm.sigma}, "
       f"power p={prm.p}")
 
 print(f"\nkernel constant in closed form: dual_const = riesz_const q_ns = "
-      f"{prm.dual_const:.12g} (fixed-point defect "
-      f"{fixed_point_defect(prm):.2e})")
+      f"{prm.dual_const:.12g}")
 
 bub = Bubble(center=np.zeros(prm.n), lam=1.0)
 fn = lambda pts: bubble_eval(pts, bub, prm)

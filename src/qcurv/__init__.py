@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 - ``params``       derived exponents and normalizing constants
-- ``kernels``      cylindrical reduction of the Riesz kernel, quadrature, fixed-point check
+- ``kernels``      cylindrical reduction of the Riesz kernel, quadrature rules
 - ``bubbles``      bubble profiles, towers, kernel modes
 - ``delaunay``     periodic cylinder solutions from the Gamma-ratio symbol, neck diagnostics
 - ``interactions`` interaction constants, the interaction function, cokernel Gram matrices
@@ -13,8 +13,8 @@ The package is organized bottom-up:
 - ``cli``          command-line front end
 """
 
-from .params import Params, derive_params, gamma_fn
+from .params import Params, derive_params
 
-__all__ = ["Params", "derive_params", "gamma_fn"]
+__all__ = ["Params", "derive_params"]
 
 __version__ = "0.1.0"

@@ -696,25 +696,19 @@ def _meridian(u: ApproxSolution) -> tuple[ApproxSolution, _Line]:
     return um, _Line.of(u)
 
 
-def _dual_integral(um: ApproxSolution, F, zx: float, rx: float,
-                   tol: float) -> float:
-    """int |x-y|^(2s-n) F(y) dy at x = (zx, rx) on its own node set, checked
-    against the 8-point rule; F takes (z, rho) points and u's values there."""
-    nodes = _dual_nodes(um, F, np.atleast_1d(zx), np.atleast_1d(rx), tol)
-    fine, coarse, _ = _dual_at(nodes, zx, rx)
-    check_rules(fine, coarse, tol, "dual map")
-    return fine
-
-
 def dual_apply(u: ApproxSolution, x: np.ndarray, tol: float = 1e-8) -> float:
     """(-Delta)^{-sigma} of f applied to the assembled function at x, by
-    the meridian quadrature; ValueError at a marked point."""
+    the meridian quadrature on x's own node set, checked against the
+    8-point rule; ValueError at a marked point."""
     x = np.asarray(x, dtype=float)
     um, line = _meridian(u)
     _require_unmarked(u.centers, x)
-    p = u.prm.p
-    return float(u.prm.dual_const * _dual_integral(
-        um, lambda zr, uv: uv ** p, *line.coords(x), tol))
+    zx, rx = line.coords(x)
+    nodes = _dual_nodes(um, lambda zr, uv: uv ** u.prm.p, np.atleast_1d(zx),
+                        np.atleast_1d(rx), tol)
+    fine, coarse, _ = _dual_at(nodes, zx, rx)
+    check_rules(fine, coarse, tol, "dual map")
+    return float(u.prm.dual_const * fine)
 
 
 def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,

@@ -25,6 +25,8 @@ __all__ = [
     "bubble_eval",
     "tower_eval",
     "kernel_Z",
+    "dlam_bubble",
+    "translation_factor",
     "cyl_coefficient",
 ]
 
@@ -257,14 +259,26 @@ class KernelIndex:
             raise ValueError("kernel mode must be >= 0")
 
 
+def dlam_bubble(r2, lam, prm: Params):
+    """dU/dlam = gamma_s U (r2 - lam^2)/(lam (lam^2 + r2)) at |x - x0|^2 = r2."""
+    u = (2.0 * lam / (lam**2 + r2)) ** prm.gamma_s
+    return prm.gamma_s * u * (r2 - lam**2) / (lam * (lam**2 + r2))
+
+
+def translation_factor(r2, lam, prm: Params):
+    """2 gamma_s lam U/(lam^2 + r2) = -lam dU/dx_l / (x - x0)_l."""
+    u = (2.0 * lam / (lam**2 + r2)) ** prm.gamma_s
+    return 2.0 * prm.gamma_s * lam * u / (lam**2 + r2)
+
+
 def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
              prm: Params) -> float | np.ndarray:
     """Analytic derivative of one tower level at the current configuration.
 
     Mode 0 differentiates in the dilation perturbation: lam_j depends on it
     linearly with slope baseline*exp(-t_j), so the value is that slope times
-    dU/dlam = gamma_s*U*(rho^2-lam^2)/(lam*(lam^2+rho^2)).  Modes ell >= 1
-    return -lam_j * dU/dx_ell = 2*gamma_s*lam_j*(x-x0)_ell*U/(lam^2+rho^2).
+    `dlam_bubble`.  Modes ell >= 1 return -lam_j * dU/dx_ell =
+    (x-x0)_ell * `translation_factor`.
     """
     if idx.tower != cfg.index:
         raise ValueError(f"index targets tower {idx.tower}, config is {cfg.index}")
@@ -273,12 +287,10 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
     lam, ctr = cfg.level(idx.level)
     x = np.asarray(x, dtype=float)
     rho2 = _sq_dist(x, ctr)
-    u = (2.0 * lam / (lam**2 + rho2)) ** prm.gamma_s
     if idx.mode == 0:
-        du_dlam = prm.gamma_s * u * (rho2 - lam**2) / (lam * (lam**2 + rho2))
-        val = du_dlam * cfg.baseline * np.exp(-(1.0 + 2.0 * idx.level) * cfg.period)
+        val = (dlam_bubble(rho2, lam, prm) * cfg.baseline
+               * np.exp(-(1.0 + 2.0 * idx.level) * cfg.period))
     else:
-        val = (2.0 * prm.gamma_s * lam * (x[..., idx.mode - 1]
-                                          - ctr[idx.mode - 1])
-               * u / (lam**2 + rho2))
+        val = ((x[..., idx.mode - 1] - ctr[idx.mode - 1])
+               * translation_factor(rho2, lam, prm))
     return float(val) if np.ndim(val) == 0 else val

@@ -64,25 +64,28 @@ def _require(doc: dict, key: str, typ, where: str = "config"):
         names = (typ.__name__ if isinstance(typ, type)
                  else "/".join(t.__name__ for t in typ))
         raise ConfigError(f"{where}[{key!r}] must be {names}")
+    if isinstance(val, float) and not np.isfinite(val):
+        raise ConfigError(f"{where}[{key!r}] must be finite, got {val}")
     return val
 
 
 def _get(blk: dict, key: str, typ, default, where: str):
     """An optional key of a command block: its default when absent, or null
     where the default is null; otherwise checked like _require, so a bool,
-    a string or a fraction is never taken for a number or a count."""
+    a string, a fraction, NaN or an infinity is never taken for a number or
+    a count."""
     if key not in blk or (default is None and blk[key] is None):
         return default
     return _require(blk, key, typ, where)
 
 
 def _number_list(vals, what: str) -> list[float]:
-    """vals as floats if it is a list of numbers (no bools), otherwise a
-    ConfigError that names it as `what`."""
+    """vals as floats if it is a list of finite numbers (no bools),
+    otherwise a ConfigError that names it as `what`."""
     if not (isinstance(vals, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in vals)):
-        raise ConfigError(f"{what} must be a list of numbers")
+            and np.isfinite(float(v)) for v in vals)):
+        raise ConfigError(f"{what} must be a list of finite numbers")
     return [float(v) for v in vals]
 
 
@@ -187,14 +190,16 @@ def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
                           "points")
     grid = np.linspace(t_min, t_max, t_points)
     tail = grid >= t_max / 2
-    slopes = {"gamma_s": prm.gamma_s, "gamma_dual": prm.gamma_dual}
-    for kind, vals in (("riesz", riesz_kernel_cyl(grid, prm)),
-                       ("singular", singular_kernel_cyl(grid, prm, t_min))):
+    tables = {"riesz": riesz_kernel_cyl(grid, prm),
+              "singular": singular_kernel_cyl(grid, prm, t_min)}
+    # both slopes before any file: a tail that underflows to 0 fails here
+    slopes = {k: decay_slope(grid[tail], v[tail]) for k, v in tables.items()}
+    for kind, vals in tables.items():
         rows = np.column_stack([grid, vals, KERNEL_REL_ERR * np.abs(vals)])
         out.write(f"kernel_{kind}.csv",
                   _csv(["t", "value", "est_error"], rows.tolist()))
-        slopes[kind] = decay_slope(grid[tail], vals[tail])
-    out.json("kernel_slopes.json", slopes)
+    out.json("kernel_slopes.json", {"gamma_s": prm.gamma_s,
+                                    "gamma_dual": prm.gamma_dual, **slopes})
 
 
 def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
@@ -311,6 +316,8 @@ def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
     tau = float(_get(blk, "tau", (int, float), 0.5, "residual"))
     kind = _get(blk, "weight_kind", str, "starstar", "residual")
     mc_points = _get(blk, "mc_points", int, 0, "residual")
+    if mc_points < 0:
+        raise ConfigError("residual.mc_points must be >= 0")
     regions = _get(blk, "regions", list, None, "residual")
     if regions is not None and not all(
             r in ("near", "transition", "far") for r in regions):
@@ -368,6 +375,8 @@ def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
     kind = _get(blk, "kind", str, "dilation", "toda")
     K = _get(blk, "K", int, 50, "toda")
     tau = float(_get(blk, "tau", (int, float), 0.5, "toda"))
+    if not tau > 0:
+        raise ConfigError("toda.tau must be positive")
     period = _get(blk, "period", (int, float), None, "toda")
     try:
         op = toda_mod.TodaOperator(kind=kind, K=K,
@@ -415,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _load_config(args.config)
         prm = _params(doc)
+        if not 0 < args.tol < np.inf:
+            raise ConfigError(f"--tol must be positive and finite: {args.tol}")
         out = OutDir(args.out)
         COMMANDS[args.command](doc, out, args.tol)
         _manifest(out, args.command, doc, prm, _seed(doc), args.tol)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params, nonlin_prime
-from .bubbles import TowerConfig, KernelIndex
+from .bubbles import (KernelIndex, TowerConfig, dlam_bubble,
+                      translation_factor)
 from .kernels import QuadratureError, check_rules, gauss_panels
 
 __all__ = [
@@ -42,6 +43,10 @@ __all__ = [
     "gram_cokernels",
     "gram_indices",
 ]
+
+
+# relative tolerances of the radial rules (A1, psi) and of the fit's 16/8 check
+_RADIAL_TOL, _FIT_TOL = 1e-10, 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,34 +64,33 @@ class InteractionConstants:
                 f"got ({self.A1}, {self.A2}, {self.A3})")
 
 
-def _one_signed_integral(f, lo: float, hi: float, prm: Params, tol: float,
+def _one_signed_integral(f, lo: float, hi: float, prm: Params,
                          what: str) -> float:
     """int_lo^hi f dt for an f of one sign, whose features are 1/n wide, on
-    16-point panels of width min(1/2, 2.5/n); the 8-point rule must agree
-    to tol times the value, here the absolute mass, or QuadratureError."""
+    16-point panels of width min(1/2, 2.5/n); the 8-point rule must agree to
+    _RADIAL_TOL times the value, here the absolute mass, or QuadratureError."""
     h = min(0.5, 2.5 / prm.n)
     edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / h)) + 1)
     fine, coarse = (w @ f(t) for t, w in (gauss_panels(edges, order)
                                           for order in (16, 8)))
-    check_rules(fine, coarse, tol, what)
+    check_rules(fine, coarse, _RADIAL_TOL, what)
     return float(fine)
 
 
-def const_A1(prm: Params, tol: float = 1e-10) -> float:
+def const_A1(prm: Params) -> float:
     """((n+2s)(n-2s)/n) * int (|x|^(2g)(1+|x|^2)^(g')+1)^(-1) dx, convergent
     as printed.  In t = ln r the radial integrand is below e^(-n|t|) and
     integrates to at least e^(-n)/(2^g' + 1) over [-1, 0], so the window
-    |t| <= X leaves tails under tol times the value."""
+    |t| <= X leaves tails under _RADIAL_TOL times the value."""
     n, g, gd = prm.n, prm.gamma_s, prm.gamma_dual
-    X = 1.0 + np.log(2.0 * (2.0 ** gd + 1.0) / (n * tol)) / n
+    X = 1.0 + np.log(2.0 * (2.0 ** gd + 1.0) / (n * _RADIAL_TOL)) / n
 
     def f(t: np.ndarray) -> np.ndarray:
         r = np.exp(t)
         return r ** n / (r ** (2 * g) * (1 + r * r) ** gd + 1.0)
 
     pref = (n + 2 * prm.sigma) * (n - 2 * prm.sigma) / n
-    return pref * prm.omega_sphere * _one_signed_integral(f, -X, X, prm, tol,
-                                                          "A1")
+    return pref * prm.omega_sphere * _one_signed_integral(f, -X, X, prm, "A1")
 
 
 def _radial_moment(a: float, prm: Params) -> float:
@@ -112,25 +116,19 @@ def const_A3(prm: Params) -> float:
     return float(prm.c_ns * prm.p * 2.0 ** prm.n * bare)
 
 
-def interaction_constants(prm: Params, tol: float = 1e-10) -> InteractionConstants:
+def interaction_constants(prm: Params) -> InteractionConstants:
     """A1 by a fixed radial rule, A2 and A3 in closed form."""
     return InteractionConstants(
-        A1=const_A1(prm, tol),
+        A1=const_A1(prm),
         A2=const_A2(prm),
         A3=const_A3(prm),
         method="closed_integral",
-        est_error=tol,
+        est_error=_RADIAL_TOL,
     )
 
 
 # ─────────────────────────────────────────────────────────────────────────────
 # two-bubble interaction integrals (direct quadrature)
-
-
-def _dlam_bubble(r2: np.ndarray, lam: float, prm: Params) -> np.ndarray:
-    """d/d lam of (2 lam/(lam^2+r^2))^g at squared radius r2."""
-    u = (2.0 * lam / (lam * lam + r2)) ** prm.gamma_s
-    return prm.gamma_s * u * (r2 - lam * lam) / (lam * (lam * lam + r2))
 
 
 def _graded_edges(lo: float, hi: float, centers) -> np.ndarray:
@@ -146,8 +144,11 @@ def _graded_edges(lo: float, hi: float, centers) -> np.ndarray:
 
 
 def _faraway_rules(pairs, d: float, prm: Params) -> np.ndarray:
-    """The integrals of interaction_faraway for each (l1, l3) pair, modes 0
-    and 1, by the 16- and 8-point rules: an array [pair, mode, order].
+    """int f'(U_1) U_3 dU_1 dx, bubbles of scales l1 and l3 at 0 and d e1,
+    per (l1, l3) pair and mode: 0 differentiates U_1 in its scale, 1 along
+    the axis (modes across it vanish by the angular average).  Rescaled to
+    unit bubble-1 scale, on a fixed graded tensor rule over the box |y_1|,
+    |y'| <= 120, by the 16- and 8-point rules: an array [pair, mode, order].
 
     Each pair's tensor rule is graded about bubble 1 and, inside the box,
     bubble 3; the s panels are graded toward the axis at the finer of the
@@ -155,7 +156,7 @@ def _faraway_rules(pairs, d: float, prm: Params) -> np.ndarray:
     factors of bubble 1 are evaluated once, per pair only those of bubble 3,
     and per mode the derivative and the panel sum.
     """
-    B = 120.0    # the box's half-width; interaction_faraway gives its tail
+    B = 120.0    # the box's half-width; oracle_fit_constants gives its tail
     g = prm.gamma_s
     grids: dict = {}
     for k, (l1, l3) in enumerate(pairs):
@@ -202,58 +203,33 @@ def _faraway_rules(pairs, d: float, prm: Params) -> np.ndarray:
     return out
 
 
-def interaction_faraway(l1: float, l3: float, d: float, mode: int,
-                        prm: Params, tol: float = 1e-8) -> float:
-    """int f'(U_1) U_3 dU_1 dx with centers 0 and d*e1 at distance d.
-
-    mode 0 differentiates U_1 in its scale, mode 1 along the axis; modes
-    perpendicular to the axis vanish exactly (the angular average of a
-    single transverse coordinate is zero), so those return 0.
-
-    The integral, rescaled to unit bubble-1 scale, runs over a fixed graded
-    tensor Gauss-Legendre rule on the box |y_1|, |y'| <= 120; the 8-point
-    rule on the same panels must agree with it to tol * |value|, otherwise
-    QuadratureError is raised.  That check covers the box only.  The tail
-    beyond it falls off like 120^(-2 sigma); at l1 = l3 = 1e-2 and 1e-3
-    with d = 2, against a box of 1000, it is up to 6.1e-6 of the value at
-    (n, sigma) = (5, 1.5), 6.9e-5 at (6, 1.2), 1.1e-4 at (3, 1.2) and
-    1.9e-9 at (7, 2.5).
-    """
-    if min(l1, l3, d) <= 0:
-        raise ValueError("scales and distance must be positive")
-    if mode < 0 or mode > prm.n:
-        raise ValueError(f"mode {mode} out of range")
-    if mode >= 2:
-        return 0.0
-    fine, coarse = _faraway_rules([(l1, l3)], d, prm)[0, mode]
-    check_rules(fine, coarse, tol, "interaction_faraway")
-    return float(fine)
-
-
-def oracle_fit_constants(prm: Params, tol: float = 1e-8) -> InteractionConstants:
+def oracle_fit_constants(prm: Params) -> InteractionConstants:
     """Fit A2/A3 from the asymptotic laws of the direct integrals, with the
     centers d = 2 apart.
 
     Two scales per constant; the returned estimate is the smaller-scale one
     and est_error the relative spread (expected O(lam^2)).  A1 has no
     printed two-bubble law, so the closed integral fills that slot.  The
-    four integrals are those of interaction_faraway, each with its own 16/8
-    check; at d = 2 the two scales share one grid.  Both fits carry
-    the box's tail (see interaction_faraway): at (5, 1.5) it is most of
-    their gap to the closed forms, 7.1e-6 for A2 and 2.9e-6 for A3.
+    four integrals of _faraway_rules share one grid at d = 2; each 8-point
+    value must agree with its 16-point one to _FIT_TOL, or QuadratureError.
+    That check covers the box only.  Its tail falls off like 120^(-2 sigma):
+    against a box of 1000 it is up to 6.1e-6 of the integrals at (n, sigma)
+    = (5, 1.5), 6.9e-5 at (6, 1.2), 1.1e-4 at (3, 1.2), 1.9e-9 at (7, 2.5).
+    At (5, 1.5) it is most of the fits' gap to the closed forms, 7.1e-6 for
+    A2 and 2.9e-6 for A3, and est_error does not see it.
     """
     lams, d = (1e-2, 1e-3), 2.0
     vals = _faraway_rules([(l, l) for l in lams], d, prm)
     for mode in (0, 1):
         for fine, coarse in vals[:, mode]:
-            check_rules(fine, coarse, tol, "interaction_faraway")
+            check_rules(fine, coarse, _FIT_TOL, "oracle_fit_constants")
     a2 = [float(v) * d ** (prm.n - 2 * prm.sigma) * l / l ** (2 * prm.gamma_s)
           for l, v in zip(lams, vals[:, 0, 0])]
     a3 = [float(v) * d ** (2 * prm.gamma_s + 1) / l ** (2 * prm.gamma_s)
           for l, v in zip(lams, vals[:, 1, 0])]
     err = max(abs(a2[1] - a2[0]) / abs(a2[1]), abs(a3[1] - a3[0]) / abs(a3[1]))
     return InteractionConstants(
-        A1=const_A1(prm, 1e-10),
+        A1=const_A1(prm),
         A2=float(a2[1]),
         A3=float(a3[1]),
         method="oracle_fit",
@@ -265,7 +241,7 @@ def oracle_fit_constants(prm: Params, tol: float = 1e-8) -> InteractionConstants
 # two-scale interaction function
 
 
-def psi(ell: float, prm: Params, tol: float = 1e-10) -> float:
+def psi(ell: float, prm: Params) -> float:
     """int f'(v(t)) v(t+ell) v'(t) dt for the even profile v = cosh^(-g).
 
     Written over t >= 0 with the antisymmetrized integrand, so psi(0)
@@ -273,15 +249,15 @@ def psi(ell: float, prm: Params, tol: float = 1e-10) -> float:
     factor e^(-g ell) is taken out in closed form.  The rest is below
     2^n e^(-2 sigma t), and past t = ell below 2^n e^(2 g ell - n t)
     min(1, 2 g ell): the window ends where the nearer bound leaves a tail
-    of tol times a small factor, and QuadratureError is raised when that
-    tail is not below tol times the value or the 8-point rule disagrees.
+    of _RADIAL_TOL times a small factor; QuadratureError when that tail is
+    not below _RADIAL_TOL times the value or the 8-point rule disagrees.
     """
     if ell < 0:
         raise ValueError("the offset must be nonnegative")
     g, n, two_s = prm.gamma_s, prm.n, 2.0 * prm.sigma
-    budget = np.log(2.0 ** n / tol)
+    budget = np.log(2.0 ** n / _RADIAL_TOL)
     near, far = ell + 2.0 + budget / n, 2.0 + budget / two_s
-    # the nearer end, with its tail bound over tol
+    # the nearer end, with its tail bound over _RADIAL_TOL
     T, tail = ((near, np.exp(-two_s * ell - 2.0 * n)
                 * min(1.0, 2.0 * g * ell) / n)
                if near < far else (far, np.exp(-2.0 * two_s) / two_s))
@@ -292,10 +268,10 @@ def psi(ell: float, prm: Params, tol: float = 1e-10) -> float:
                    - (np.exp(t) + np.exp(-t - 2.0 * ell)) ** (-g))
         return np.tanh(t) * np.cosh(t) ** (-prm.gamma_dual) * bracket
 
-    val = _one_signed_integral(f, 0.0, T, prm, tol, "psi")
+    val = _one_signed_integral(f, 0.0, T, prm, "psi")
     if not tail <= val:
         raise QuadratureError(f"psi({ell}): the tail beyond t = {T:.3g} may "
-                              f"exceed tol {tol:.1e} x the value")
+                              f"exceed tol {_RADIAL_TOL:.1e} x the value")
     return float(prm.c_ns * prm.p * g * 2.0 ** g * np.exp(-g * ell) * val)
 
 
@@ -308,17 +284,6 @@ def gram_indices(cfg: TowerConfig) -> list[KernelIndex]:
     return [KernelIndex(cfg.index, j, ell)
             for j in range(cfg.levels + 1)
             for ell in range(cfg.dim + 1)]
-
-
-def _z0_radial(r2: np.ndarray, lam: float, slope: float, prm: Params) -> np.ndarray:
-    # dilation kernel of one level: slope * dU/dlam, slope = baseline e^{-t_j}
-    return slope * _dlam_bubble(r2, lam, prm)
-
-
-def _zt_factor(r2: np.ndarray, lam: float, prm: Params) -> np.ndarray:
-    # translation kernel = x_l * factor(r)
-    u = (2.0 * lam / (lam * lam + r2)) ** prm.gamma_s
-    return 2.0 * prm.gamma_s * lam * u / (lam * lam + r2)
 
 
 def gram_cokernels(cfg: TowerConfig, prm: Params, tol: float = 1e-9) -> np.ndarray:
@@ -350,8 +315,8 @@ def gram_cokernels(cfg: TowerConfig, prm: Params, tol: float = 1e-9) -> np.ndarr
         r2 = np.exp(-2.0 * t)
         wj = w * np.exp(-n * t)
         fp = nonlin_prime((2.0 * lams / (lams * lams + r2)) ** prm.gamma_s, prm)
-        z0 = _z0_radial(r2, lams, slopes, prm)
-        zt = fp * _zt_factor(r2, lams, prm)
+        z0 = slopes * dlam_bubble(r2, lams, prm)
+        zt = fp * translation_factor(r2, lams, prm)
         # (weighted left profiles, right profiles, factor) per block
         blocks = ((fp * z0 * wj, z0, prm.omega_sphere),
                   (zt * r2 * wj, zt, prm.omega_sphere / n))

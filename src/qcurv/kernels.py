@@ -9,8 +9,8 @@ function of e^(-2|t|), as has the ring kernel, the Riesz kernel integrated
 over the orbit of a point about a line.
 
 The convolution's multiplier is the closed form ``Params.dual_const`` =
-riesz_const q_ns, and no fit; ``fixed_point_defect`` checks it on the
-bubble profile.
+riesz_const q_ns, and no fit: ``assembler.dual_apply_radial`` runs this
+convolution, and on the unit bubble it gives the bubble back.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def ring_kernel(dz, rho, rho_p, prm: Params) -> np.ndarray:
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Fixed-panel quadrature, log-radial convolution and the fixed-point check
+# Fixed-panel quadrature and the log-radial convolution
 # ─────────────────────────────────────────────────────────────────────────────
 
 
@@ -225,23 +225,6 @@ def log_radial_convolution(kernel: Callable, g: Callable, t: float,
         raise QuadratureError(f"{what}: tail {tail:.3e} beyond t -+ {W:.3g} "
                               f"(> tol {tol:.1e} x {abs(fine):.3e})")
     return fine
-
-
-def fixed_point_defect(prm: Params) -> float:
-    """Largest relative defect of the bubble profile cosh^{-gamma_s} as a
-    fixed point v = dual_const * K_cyl * v^p, at offsets 1, 2 and 4.
-
-    As cosh^{-gamma_s p} = cosh^{-gamma_dual}, the kernel is convolved with
-    the latter by log_radial_convolution at tol 1e-13, which cross-checks
-    the closed-form Params.dual_const.
-    """
-    ts = np.array([1.0, 2.0, 4.0])
-    conv = np.array([log_radial_convolution(
-        lambda s: riesz_kernel_cyl(s, prm),
-        lambda tau: np.cosh(tau) ** (-prm.gamma_dual),
-        t, prm.gamma_s, 1e-13, "fixed-point defect") for t in ts])
-    v_exact = np.cosh(ts) ** (-prm.gamma_s)
-    return float(np.max(np.abs(prm.dual_const * conv - v_exact) / v_exact))
 
 
 # ─────────────────────────────────────────────────────────────────────────────

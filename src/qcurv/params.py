@@ -15,25 +15,6 @@ from functools import cached_property
 import numpy as np
 
 # ─────────────────────────────────────────────────────────────────────────────
-# Gamma function (standard library; no dependency on scipy.special here by
-# design)
-# ─────────────────────────────────────────────────────────────────────────────
-
-
-def gamma_fn(z):
-    """Gamma(z) for real z > 0 (scalar or array), via math.gamma.
-
-    Poles (z <= 0) are rejected.
-    """
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("gamma_fn requires z > 0")
-    if arr.ndim == 0:
-        return math.gamma(float(arr))
-    return np.array([math.gamma(v) for v in arr.ravel()]).reshape(arr.shape)
-
-
-# ─────────────────────────────────────────────────────────────────────────────
 # Parameter bundle
 # ─────────────────────────────────────────────────────────────────────────────
 
@@ -66,12 +47,12 @@ class Params:
     @cached_property
     def omega_sphere(self) -> float:
         """Surface measure of the unit sphere S^{n-1} in R^n."""
-        return 2.0 * math.pi ** (self.n / 2.0) / gamma_fn(self.n / 2.0)
+        return 2.0 * math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0)
 
     @cached_property
     def omega_equator(self) -> float:
         """Surface measure of S^{n-2} (the sphere in R^{n-1})."""
-        return 2.0 * math.pi ** ((self.n - 1) / 2.0) / gamma_fn((self.n - 1) / 2.0)
+        return 2.0 * math.pi ** ((self.n - 1) / 2.0) / math.gamma((self.n - 1) / 2.0)
 
     @cached_property
     def dual_const(self) -> float:
@@ -83,14 +64,14 @@ class Params:
 def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params:
     """Validate (n, sigma) and derive the attached constants.
 
-    Rejects sigma <= 0 and n <= 2 sigma.  sigma <= 1 is outside the standing
-    range and requires ``allow_low_order=True`` (used only for cross-checks).
+    Rejects sigma <= 0 or NaN and n <= 2 sigma.  sigma <= 1 is outside the
+    standing range and requires ``allow_low_order=True`` (for cross-checks).
     """
     if int(n) != n or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     n = int(n)
     sigma = float(sigma)
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if n <= 2.0 * sigma:
         raise ValueError(f"need n > 2 sigma, got n={n}, sigma={sigma}")
@@ -103,9 +84,9 @@ def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params
     gamma_s = 0.5 * (n - 2.0 * sigma)
     gamma_dual = 0.5 * (n + 2.0 * sigma)
     p = (n + 2.0 * sigma) / (n - 2.0 * sigma)
-    c_ns = 4.0**sigma * (gamma_fn(0.25 * (n + 2.0 * sigma)) / gamma_fn(0.25 * (n - 2.0 * sigma))) ** 2
-    q_ns = gamma_fn(gamma_dual) / gamma_fn(gamma_s)
-    riesz_const = gamma_fn(gamma_s) / (4.0**sigma * math.pi ** (n / 2.0) * gamma_fn(sigma))
+    c_ns = 4.0**sigma * (math.gamma(0.25 * (n + 2.0 * sigma)) / math.gamma(0.25 * (n - 2.0 * sigma))) ** 2
+    q_ns = math.gamma(gamma_dual) / math.gamma(gamma_s)
+    riesz_const = math.gamma(gamma_s) / (4.0**sigma * math.pi ** (n / 2.0) * math.gamma(sigma))
 
     return Params(
         n=n,

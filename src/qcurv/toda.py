@@ -43,7 +43,7 @@ class TodaOperator:
         if self.K < 3:
             raise ValueError("need at least three levels")
         if self.kind == "translation":
-            if self.period is None or self.period <= 0:
+            if self.period is None or not self.period > 0:
                 raise ValueError("translation kind needs a positive period")
         elif self.period is not None:
             raise ValueError("dilation kind takes no period")
@@ -106,7 +106,7 @@ def amplification(op: TodaOperator, tau: float) -> float:
     The aligned sequence b_k = -e^{-(2k+1) tau} attains it at level 0:
     sum_m g_m e^{-2(m-1) tau}.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     m = np.arange(1, op.K + 1, dtype=float)
     return float(np.sum(op.weights() * np.exp(-2.0 * (m - 1.0) * tau)))

@@ -12,6 +12,7 @@ is the one-dimensional map for functions radial about one center, on
 `quad` as the library ran it before its fixed panels.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,13 +23,13 @@ from qcurv.assembler import (INT_OFF, INT_ON, ApproxSolution, _complete_frame,
                              cutoff)
 from qcurv.bubbles import bubble_eval, kernel_Z
 from qcurv.kernels import riesz_kernel_cyl
-from qcurv.params import gamma_fn, nonlin, nonlin_prime
+from qcurv.params import nonlin, nonlin_prime
 
 
 @lru_cache(maxsize=8)
 def _omega_ring(n: int) -> float:
     # |S^{n-3}|, the symmetry group orbit collapsed by the two-angle reduction
-    return float(2.0 * np.pi ** ((n - 2) / 2.0) / gamma_fn((n - 2) / 2.0))
+    return float(2.0 * np.pi ** ((n - 2) / 2.0) / math.gamma((n - 2) / 2.0))
 
 
 @lru_cache(maxsize=32)
@@ -66,8 +67,8 @@ def _dirs(axis: np.ndarray, v_pref: np.ndarray, zs: np.ndarray,
     if Kc == 1 or np.linalg.norm(v_hat) < 0.5:
         # one node carrying int (1-c^2)^((n-4)/2) dc over [-1, 1]
         cs = np.zeros(1)
-        cws = np.array([np.sqrt(np.pi) * gamma_fn((n - 2) / 2.0)
-                        / gamma_fn((n - 1) / 2.0)])
+        cws = np.array([np.sqrt(np.pi) * math.gamma((n - 2) / 2.0)
+                        / math.gamma((n - 1) / 2.0)])
     else:
         cs, cws = _angular_nodes(n, "plane", Kc)
     sin_pol = np.sqrt(np.clip(1.0 - zs ** 2, 0.0, None))

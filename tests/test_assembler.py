@@ -17,8 +17,8 @@ from qcurv.assembler import (CUT_OFF, CUT_ON, ApproxSolution, WeightSpec,
                              cutoff, dual_apply, dual_apply_radial, mc_probe,
                              residual, sample_grid, weighted_fn_norm,
                              _Line, _MC_BLOCK, _Panels, _build_towers,
-                             _dual_integral, _node_set, _patch_sum,
-                             _plain_integral, _t_edges)
+                             _node_set, _patch_sum, _plain_integral,
+                             _t_edges)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import radial_profile, solve_periodic
@@ -452,13 +452,11 @@ class TestDualApply:
         assert b > a
 
     def test_general_path_matches_radial(self, single):
-        F = on_line(single, lambda p: single(p) ** PRM.p)
         for r in (0.35, 2.5):
             x = r * E1
             rad = dual_apply_radial(single, single.centers[0], x, PRM,
                                     tol=1e-9)
-            gen = PRM.dual_const * _dual_integral(
-                single.meridian(), F, *_Line.of(single).coords(x), 1e-7)
+            gen = dual_apply(single, x, tol=1e-7)
             assert gen == pytest.approx(rad, rel=1e-5)
 
     @pytest.mark.parametrize("n,sigma", [(6, 1.2), (7, 2.5)])
@@ -468,14 +466,12 @@ class TestDualApply:
         # in w.  Points on the line and off it.
         prm = derive_params(n, sigma)
         u = assemble_single(np.zeros(n), 0.7, 3.0, prm)
-        F = on_line(u, lambda p: u(p) ** prm.p)
         for r in (0.05, 0.35, 2.5):
             x = np.zeros(n)
             x[0] = r
             rad = dual_apply_radial(u, u.centers[0], x, prm, tol=1e-9)
             for y in (x, np.roll(x, 1)):
-                gen = prm.dual_const * _dual_integral(
-                    u.meridian(), F, *_Line.of(u).coords(y), 1e-7)
+                gen = dual_apply(u, y, tol=1e-7)
                 assert gen == pytest.approx(rad, rel=1e-7)
 
     @pytest.mark.parametrize("n,sigma", [(5, 1.5), (6, 1.2)])

@@ -150,6 +150,60 @@ class TestExitCodes:
         assert res.returncode == 2
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRefusedBeforeWriting:
+    # a config error exits 2 before any output file is written
+    @pytest.mark.parametrize("command,change", [
+        ("balance", {"L": NAN}),
+        ("toda", {"sigma": NAN}),
+        ("balance", {"q": [1.0, INF]}),
+        ("balance", {"points": [[0, 0, 0, 0, 0], [3, NAN, 0, 0, 0]]}),
+        ("delaunay", {"delaunay": {"L_list": [2.5, NAN, 3.5]}}),
+        ("toda", {"toda": {"kind": "translation", "period": NAN}}),
+        ("kernel", {"kernel": {"t_max": INF}}),
+        ("constants", {"constants": {"psi_ells": [0.0, -INF]}}),
+        ("assemble_residual", {"residual": {"tau": NAN}}),
+    ], ids=["L", "sigma", "q", "points", "L_list", "period", "t_max",
+            "psi_ells", "tau"])
+    def test_non_finite_number_is_2(self, tmp_path, capsys, command, change):
+        # Python's json reads NaN and Infinity
+        cfg = write_config(tmp_path / "c.json", {**BASE, **change})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "finite" in err["detail"]
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+    def test_bad_tol_is_2(self, tmp_path, capsys, tol):
+        # at --tol nan the periodic solver's Newton loop never ran, and
+        # delaunay wrote its initial guesses with exit 0
+        cfg = write_config(tmp_path / "c.json", BASE)
+        out = tmp_path / "o"
+        assert cli.main(["delaunay", "--config", cfg, "--out", str(out),
+                         "--tol", tol]) == 2
+        assert "--tol" in json.loads(capsys.readouterr().err)["detail"]
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command,block,detail", [
+        ("toda", {"toda": {"tau": 0.0}}, "tau must be positive"),
+        ("toda", {"toda": {"tau": -1.0}}, "tau must be positive"),
+        # every tail value underflows to 0: no slope to fit
+        ("kernel", {"kernel": {"t_max": 2000.0}}, "nonzero samples"),
+        ("assemble_residual", {"residual": {"mc_points": -4}},
+         "mc_points must be >= 0"),
+    ], ids=["tau-0", "tau-neg", "t_max-2000", "mc_points"])
+    def test_late_config_error_writes_nothing(self, tmp_path, capsys, command,
+                                              block, detail):
+        cfg = write_config(tmp_path / "c.json", {**BASE, **block})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert detail in json.loads(capsys.readouterr().err)["detail"]
+        assert list(out.iterdir()) == []
+
+
 class TestKernelCommand:
     def test_tables_and_slopes(self, tmp_path):
         doc = {**BASE, "kernel": {"t_max": 8.0, "t_points": 9}}

@@ -7,7 +7,9 @@ Six AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
-the acceptance gates: the unit tests alone do not keep a public name alive.
+the acceptance gates, and any other public top-level function or class by
+those or by its own module: the unit tests alone do not keep a public name
+alive.
 No module imports or reads scipy.integrate: the package has one quadrature
 layer, the fixed panels of kernels.gauss_panels.  Only cli.py imports
 json, io or csv: the library returns data and the CLI alone decides how it
@@ -104,13 +106,23 @@ def package_reads(source: str) -> set[str]:
 
 def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
     """Names in a package module's __all__ that no other package module and
-    no reader source reads.  `package` maps module names to sources."""
+    no reader source reads, then the module's other public top-level
+    functions and classes that neither those nor the module itself reads.
+    `package` maps module names to sources."""
     outside = set().union(*map(package_reads, readers))
     reads = {mod: package_reads(source) for mod, source in package.items()}
     unread = []
     for mod, source in sorted(package.items()):
         seen = outside.union(*(r for other, r in reads.items() if other != mod))
-        unread += [f"{mod}.{name}" for name in exported(source)
+        tree = ast.parse(source)
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        names = exported(source)
+        names += [node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in names and node.name not in own]
+        unread += [f"{mod}.{name}" for name in names
                    if f"{mod}.{name}" not in seen]
     return unread
 
@@ -129,11 +141,17 @@ def test_every_export_has_a_reader():
 def test_scan_flags_an_unread_export():
     package = {"a": "__all__ = ['f', 'g', 'h', 'k']\ndef f(): g()\n",
                "b": "from .a import f\n",
-               "c": "from . import a as m\nm.k\n"}
-    readers = ["from qcurv import a\nfrom qcurv.c import x\nx.h\n"]
+               "c": ("from . import a as m\nm.k\ndef p(): q()\n"
+                     "def q(): pass\nclass R: pass\nclass S: pass\n"
+                     "def t(): pass\ndef _u(): pass\n"),
+               "d": "from .c import R\n"}
+    readers = ["from qcurv import a\nfrom qcurv.c import x\nx.h\n",
+               "from qcurv import c as m\nm.t\n"]
     # g is read only inside its own module, h only as an attribute of
-    # something that is not a package module
-    assert unread_exports(package, readers) == ["a.g", "a.h"]
+    # something that is not a package module; outside any __all__, q is
+    # read by its own module, R by another and t by a reader, while p and
+    # S are read nowhere and _u is private
+    assert unread_exports(package, readers) == ["a.g", "a.h", "c.p", "c.S"]
 
 
 def scipy_integrate_uses(source: str) -> list[int]:
@@ -264,6 +282,13 @@ REMOVED_OPTIONS = {
     ("delaunay", "solve_periodic", "init_factor"),
     ("delaunay", "bifurcation_half_period", "w_max"),
     ("interactions", "oracle_fit_constants", "d"),
+    ("interactions", "oracle_fit_constants", "tol"),
+    ("interactions", "const_A1", "tol"),
+    ("interactions", "interaction_constants", "tol"),
+    ("interactions", "psi", "tol"),
+    ("interactions", "interaction_faraway", None),
+    ("kernels", "fixed_point_defect", None),
+    ("params", "gamma_fn", None),
 }
 
 

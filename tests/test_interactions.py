@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from mpmath import mp
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
-from qcurv.params import derive_params, gamma_fn, nonlin_prime
-from qcurv.bubbles import TowerConfig
-from qcurv.kernels import QuadratureError, gauss_panels
+from qcurv.params import derive_params, nonlin_prime
+from qcurv.bubbles import TowerConfig, dlam_bubble, translation_factor
+from qcurv.kernels import QuadratureError, check_rules, gauss_panels
 from qcurv import cli, interactions as it
 
 PRM = derive_params(5, 1.5)
@@ -17,8 +18,8 @@ PRM = derive_params(5, 1.5)
 
 def closed_W(prm):
     # omega_{n-1} * B(n/2, sigma) / 2
-    return (prm.omega_sphere * gamma_fn(prm.n / 2) * gamma_fn(prm.sigma)
-            / gamma_fn(prm.n / 2 + prm.sigma) / 2.0)
+    return (prm.omega_sphere * math.gamma(prm.n / 2) * math.gamma(prm.sigma)
+            / math.gamma(prm.n / 2 + prm.sigma) / 2.0)
 
 
 def a2_a3_quad(prm, tol=1e-12):
@@ -121,7 +122,7 @@ def interaction_lambda(l1, l2, prm, tol=1e-9):
         r2 = np.exp(-2.0 * t)
         u1 = (2.0 * l1 / (l1 * l1 + r2)) ** prm.gamma_s
         u2 = (2.0 * l2 / (l2 * l2 + r2)) ** prm.gamma_s
-        return (nonlin_prime(u1, prm) * u2 * it._dlam_bubble(r2, l1, prm)
+        return (nonlin_prime(u1, prm) * u2 * dlam_bubble(r2, l1, prm)
                 * np.exp(-prm.n * t))
 
     t1, t2 = -np.log(l1), -np.log(l2)
@@ -147,8 +148,8 @@ def psi_quad(ell, prm):
 
 
 def faraway_dblquad(l1, l3, d, mode, prm, tol=1e-10):
-    """Adaptive oracle for interaction_faraway: nested scalar quadrature of
-    the rescaled integrand over the same box."""
+    """Adaptive oracle for the two-bubble integrals of _faraway_rules:
+    nested scalar quadrature of the rescaled integrand over the same box."""
     B = 120.0
     g = prm.gamma_s
 
@@ -172,9 +173,9 @@ def faraway_dblquad(l1, l3, d, mode, prm, tol=1e-10):
 
 
 def faraway_per_mode(l1, l3, d, mode, prm, B=120.0):
-    """The 16- and 8-point values of interaction_faraway's tensor rule, one
-    mode and one pair at a time, on the box of half-width B: the per-mode
-    loop the shared-grid evaluation replaced, kept as its oracle."""
+    """The 16- and 8-point values of _faraway_rules' tensor rule, one mode
+    and one pair at a time, on the box of half-width B: the per-mode loop
+    the shared-grid evaluation replaced, kept as its oracle."""
     g = prm.gamma_s
     c3, h3 = d / l1, l3 / l1
 
@@ -229,8 +230,10 @@ class TestFarawayRule:
     @pytest.mark.parametrize("l1,l3,d", FARAWAY_CASES)
     @pytest.mark.parametrize("mode", [0, 1])
     def test_matches_dblquad(self, l1, l3, d, mode):
-        got = it.interaction_faraway(l1, l3, d, mode, PRM)
-        assert got == pytest.approx(faraway_dblquad(l1, l3, d, mode, PRM), rel=1e-9)
+        fine, coarse = it._faraway_rules([(l1, l3)], d, PRM)[0, mode]
+        check_rules(fine, coarse, it._FIT_TOL, "two-bubble integral")
+        assert fine == pytest.approx(faraway_dblquad(l1, l3, d, mode, PRM),
+                                     rel=1e-9)
 
     @pytest.mark.parametrize("l1,l3,d", FARAWAY_CASES)
     @pytest.mark.parametrize("mode", [0, 1])
@@ -239,7 +242,6 @@ class TestFarawayRule:
         # per-mode loop, so the values are the same doubles
         fine, coarse = it._faraway_rules([(l1, l3)], d, PRM)[0, mode]
         assert [fine, coarse] == faraway_per_mode(l1, l3, d, mode, PRM)
-        assert it.interaction_faraway(l1, l3, d, mode, PRM) == fine
 
     def test_pairs_share_grid_bitwise(self, monkeypatch):
         # the two pairs with bubble 3 outside the box share one grid, the
@@ -261,22 +263,14 @@ class TestFarawayRule:
 
     def test_self_check_raises(self, monkeypatch):
         # ripples in f' far shorter than a panel: the 16- and 8-point rules
-        # disagree and the rule refuses to return either
+        # disagree and the fit refuses to return either
         def rippled(xi, prm):
             return nonlin_prime(xi, prm) * (1.0 + 1e-3 * np.cos(2000.0 * xi))
         monkeypatch.setattr(it, "nonlin_prime", rippled)
-        with pytest.raises(QuadratureError, match="8-point"):
-            it.interaction_faraway(1e-2, 1e-2, 2.0, 0, PRM)
-        with pytest.raises(QuadratureError, match="interaction_faraway"):
+        fine, coarse = it._faraway_rules([(1e-2, 1e-2)], 2.0, PRM)[0, 0]
+        assert abs(fine - coarse) > it._FIT_TOL * abs(fine)
+        with pytest.raises(QuadratureError, match="oracle_fit_constants"):
             it.oracle_fit_constants(PRM)
-
-    def test_checks_the_requested_mode_only(self, monkeypatch):
-        # a 16/8 gap in the other mode's rules does not refuse this one
-        gapped = np.array([[[1.0, 1.0], [1.0, 2.0]]])
-        monkeypatch.setattr(it, "_faraway_rules", lambda pairs, d, prm: gapped)
-        assert it.interaction_faraway(1e-2, 1e-2, 2.0, 0, PRM) == 1.0
-        with pytest.raises(QuadratureError, match="8-point"):
-            it.interaction_faraway(1e-2, 1e-2, 2.0, 1, PRM)
 
     @pytest.mark.parametrize("n,s,documented", [
         (5, 1.5, 6.1e-6), (7, 2.5, 1.9e-9), (6, 1.2, 6.9e-5), (3, 1.2, 1.1e-4)])
@@ -310,24 +304,23 @@ class TestOracleFit:
         assert (fitted.A2, fitted.A3, fitted.est_error) == \
             oracle_fit_per_mode(prm)
 
+    @pytest.mark.parametrize("pair,mode", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_checks_every_integral(self, monkeypatch, pair, mode):
+        # a 16/8 gap in any of the four integrals refuses the fit
+        gapped = np.ones((2, 2, 2))
+        gapped[pair, mode, 1] = 2.0
+        monkeypatch.setattr(it, "_faraway_rules", lambda pairs, d, prm: gapped)
+        with pytest.raises(QuadratureError, match="8-point"):
+            it.oracle_fit_constants(PRM)
+
     def test_distance_scaling_exponent(self):
         lam = 1e-2
         ds = np.array([2.0, 4.0, 8.0])
-        vals = np.array([it.interaction_faraway(lam, lam, d, 0, PRM)
+        vals = np.array([it._faraway_rules([(lam, lam)], d, PRM)[0, 0, 0]
                          for d in ds])
         slope = np.polyfit(np.log(ds), np.log(np.abs(vals)), 1)[0]
         target = 2 * PRM.sigma - PRM.n
         assert abs(slope - target) <= 0.02 * abs(target)
-
-    def test_transverse_mode_vanishes(self):
-        assert it.interaction_faraway(1e-2, 1e-2, 2.0, 2, PRM) == 0.0
-        assert it.interaction_faraway(1e-2, 1e-2, 2.0, 5, PRM) == 0.0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            it.interaction_faraway(-1.0, 1.0, 2.0, 0, PRM)
-        with pytest.raises(ValueError, match="out of range"):
-            it.interaction_faraway(1e-2, 1e-2, 2.0, 6, PRM)
 
 
 class TestPsi:
@@ -465,14 +458,15 @@ def _gram_integrand(cfg, prm, j, k, mode):
         def f(t):
             r2 = np.exp(-2.0 * t)
             zbar = (nonlin_prime(u_at(r2, lj), prm)
-                    * it._z0_radial(r2, lj, slopes[j], prm))
-            return zbar * it._z0_radial(r2, lk, slopes[k], prm) * np.exp(-n * t)
+                    * slopes[j] * dlam_bubble(r2, lj, prm))
+            return (zbar * slopes[k] * dlam_bubble(r2, lk, prm)
+                    * np.exp(-n * t))
         return f, prm.omega_sphere
 
     def f(t):
         r2 = np.exp(-2.0 * t)
-        zbar_j = nonlin_prime(u_at(r2, lj), prm) * it._zt_factor(r2, lj, prm)
-        zbar_k = nonlin_prime(u_at(r2, lk), prm) * it._zt_factor(r2, lk, prm)
+        zbar_j, zbar_k = (nonlin_prime(u_at(r2, lam), prm)
+                          * translation_factor(r2, lam, prm) for lam in (lj, lk))
         return r2 * zbar_j * zbar_k * np.exp(-n * t)
     return f, prm.omega_sphere / n
 

@@ -14,13 +14,14 @@ from qcurv.kernels import (
     _hyp2f1,
     _unit_rule,
     decay_slope,
-    fixed_point_defect,
     gauss_panels,
     log_radial_convolution,
     ring_kernel,
     riesz_kernel_cyl,
     singular_kernel_cyl,
 )
+from qcurv.assembler import dual_apply_radial
+from qcurv.bubbles import Bubble, bubble_eval
 from qcurv.params import derive_params
 from test_delaunay import periodized_lattice
 
@@ -133,11 +134,22 @@ def test_periodized_lattice_matches_scalar():
         assert lat[i] == pytest.approx(periodize(kern, float(t), 2.0, 6).value, rel=1e-12)
 
 
+def bubble_defect(prm, radii):
+    """Largest relative defect of the unit bubble as a fixed point of the
+    dual map, dual_apply_radial at tol 1e-13, at points at the radii."""
+    bub = Bubble(1.0, np.zeros(prm.n))
+    u = lambda pts: bubble_eval(pts, bub, prm)
+    xs = np.outer(radii, np.eye(prm.n)[0])
+    return max(abs(dual_apply_radial(u, bub.center, x, prm, tol=1e-13)
+                   / bubble_eval(x, bub, prm) - 1.0) for x in xs)
+
+
 def test_calibration_fixed_point():
     # the exact cosh-profile bubble is reproduced by the dual map's
     # closed-form constant dual_const = riesz_const q_ns: the bubble family
-    # carries the curvature constant q_ns where f carries c_ns
-    assert fixed_point_defect(PRM) <= 1e-4
+    # carries the curvature constant q_ns where f carries c_ns.  At the
+    # center the kernel takes its far form |S^(n-1)| e^(gamma_s tau)
+    assert bubble_defect(PRM, [0.0]) <= 1e-12
 
 
 def test_gauss_panels_exact_on_polynomials():
@@ -196,8 +208,9 @@ def _profile_convolution_loop(t_grid, prm, halfwidth, nodes_per_unit):
 def test_closed_form_kappa_is_the_fixed_point(n, sigma):
     # no fit: the constant is dual_const = riesz_const q_ns.  The fit at
     # t = 0 on the uniform (45, 12) rule missed it by its own defect, up to
-    # 1.8e-6
-    assert fixed_point_defect(derive_params(n, sigma)) <= 1e-12
+    # 1.8e-6; the defect here is at most 1.3e-15
+    radii = np.exp(-np.array([1.0, 2.0, 4.0]))
+    assert bubble_defect(derive_params(n, sigma), radii) <= 1e-12
 
 
 @pytest.mark.parametrize("n,sigma", [(5, 1.5), (3, 1.4), (7, 2.5)])

@@ -7,33 +7,31 @@ import numpy as np
 import pytest
 
 from qcurv import params
-from qcurv.params import derive_params, gamma_fn, nonlin, nonlin_prime
+from qcurv.params import derive_params, nonlin, nonlin_prime
 
 
 def test_gamma_against_mpmath():
-    # independent oracle: mpmath at 30 digits
+    # the Gamma-function constants, against mpmath at 30 digits
     mpmath.mp.dps = 30
-    zs = np.concatenate([np.linspace(0.05, 10.0, 200), [0.5, 1.0, 1.5, 2.0, 25.0]])
-    for z in zs:
-        ref = float(mpmath.gamma(z))
-        assert abs(gamma_fn(float(z)) - ref) <= 1e-12 * abs(ref)
-
-
-def test_gamma_recurrence_property():
-    # Gamma(z+1) = z Gamma(z) across the working range
-    rng = np.random.default_rng(7)
-    zs = np.concatenate([np.linspace(0.1, 10.0, 100), rng.uniform(0.1, 10.0, 50)])
-    vals = gamma_fn(zs)
-    vals_p1 = gamma_fn(zs + 1.0)
-    rel = np.abs(vals_p1 - zs * vals) / np.abs(vals_p1)
-    assert rel.max() <= 1e-12
+    G, pi = mpmath.gamma, mpmath.pi
+    for n, s in [(5, 1.5), (6, 1.2), (3, 1.4), (7, 2.5), (9, 3.5), (4, 0.3)]:
+        prm = derive_params(n, s, allow_low_order=True)
+        m, s = mpmath.mpf(n), mpmath.mpf(s)
+        refs = {"c_ns": 4 ** s * (G((m + 2 * s) / 4) / G((m - 2 * s) / 4)) ** 2,
+                "q_ns": G((m + 2 * s) / 2) / G((m - 2 * s) / 2),
+                "riesz_const": G((m - 2 * s) / 2) / (4 ** s * pi ** (m / 2)
+                                                     * G(s)),
+                "omega_sphere": 2 * pi ** (m / 2) / G(m / 2)}
+        for name, ref in refs.items():
+            assert getattr(prm, name) == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.3)
+    # derive_params keeps every Gamma argument positive: sigma <= 0 and a
+    # NaN sigma are refused before any Gamma is taken
+    for sigma in (0.0, -1.3, float("nan")):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            derive_params(5, sigma, allow_low_order=True)
 
 
 def test_derived_values_at_5_15():
@@ -89,18 +87,20 @@ def test_sphere_measures():
 
 
 def test_sphere_measures_cached_once(monkeypatch):
-    # each measure is one gamma_fn call per instance, bit-equal to the formula
+    # each measure is one math.gamma call per instance, bit-equal to the
+    # formula
     calls = []
+    gamma = math.gamma
 
     def counted(z):
         calls.append(z)
-        return math.gamma(z)
+        return gamma(z)
 
     prm, fresh = derive_params(6, 1.2), derive_params(6, 1.2)
-    monkeypatch.setattr(params, "gamma_fn", counted)
+    monkeypatch.setattr(params.math, "gamma", counted)
     for _ in range(3):
-        assert prm.omega_sphere == 2.0 * math.pi ** 3.0 / math.gamma(3.0)
-        assert prm.omega_equator == 2.0 * math.pi ** 2.5 / math.gamma(2.5)
+        assert prm.omega_sphere == 2.0 * math.pi ** 3.0 / gamma(3.0)
+        assert prm.omega_equator == 2.0 * math.pi ** 2.5 / gamma(2.5)
     assert calls == [3.0, 2.5]
     # the cache is no field: ==, hash, replace and pickle see the same Params
     assert fresh == prm and hash(fresh) == hash(prm)

@@ -45,8 +45,9 @@ class TestTypes:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
             toda.TodaOperator(kind="rotation", K=10)
-        with pytest.raises(ValueError, match="period"):
-            toda.TodaOperator(kind="translation", K=10)
+        for period in (None, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="period"):
+                toda.TodaOperator(kind="translation", K=10, period=period)
         with pytest.raises(ValueError, match="no period"):
             toda.TodaOperator(kind="dilation", K=10, period=2.0)
 
@@ -198,6 +199,12 @@ class TestAmplification:
                 for m in range(1, op.K + 1))
         assert toda.amplification(op, tau) == pytest.approx(float(ref),
                                                             rel=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+    def test_rejects_nonpositive_tau(self, tau):
+        op = toda.TodaOperator(kind="dilation", K=10)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            toda.amplification(op, tau)
 
     def test_gain_over_decay_shrinks_with_tau(self):
         # normalized by the e^{-2 tau} decay law, the worst-case gain at
