@@ -1,11 +1,11 @@
 """Batch front end: tables, sweeps, balancing, assembly diagnostics.
 
-Every command reads one JSON config, writes CSV/JSON artifacts plus a
-manifest into --out (the library returns data; their formats are decided
-here alone), and exits 0 on success, 2 on a config problem or a
-geometry outside the deterministic reduction, 3 when a solver or quadrature
-gives up.  Reruns of the same config are bit-identical:
-no timestamps, fixed seeds, deterministic aggregation.
+Every command reads one JSON config through SCHEMA, the config contract,
+writes CSV/JSON artifacts plus a manifest into --out (the library returns
+data; their formats are decided here alone), and exits 0 on success, 2 on
+a config problem or a geometry outside the deterministic reduction, 3 when
+a solver or quadrature gives up.  Reruns of the same config are
+bit-identical: no timestamps, fixed seeds, deterministic aggregation.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -38,92 +39,138 @@ class ConfigError(ValueError):
 
 
 # ─────────────────────────────────────────────────────────────────────────────
-# config plumbing
+# the config contract
 
 
-def _load_config(path: str) -> dict:
+def _finite(v) -> bool:
+    """v is a JSON number that is a finite double: not a bool, NaN, an
+    infinity or an integer beyond the double range."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:
+        return False
+
+
+# a value kind: (what a value must be, test of the JSON value, typed value)
+_KINDS = {
+    "int": ("an integer within double range",
+            lambda v: isinstance(v, int) and _finite(v), int),
+    "number": ("a finite number", _finite, float),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "numbers": ("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_finite, v)),
+                lambda v: [float(x) for x in v]),
+    "list": ("a list", lambda v: isinstance(v, list), list),
+    "rows": ("a list of rows of finite numbers",
+             lambda v: isinstance(v, list) and all(
+                 isinstance(r, list) and all(map(_finite, r)) for r in v),
+             lambda v: [[float(x) for x in r] for r in v]),
+}
+
+REQUIRED = object()
+_POSITIVE = (lambda v, _: v > 0, "must be positive")
+_ALL_POSITIVE = (lambda v, _: all(x > 0 for x in v), "must be positive")
+_NONNEGATIVE = (lambda v, _: v >= 0, "must be >= 0")
+
+# Every config key, top level and blocks: key -> (kind, default, rule).  A
+# REQUIRED key must be given; a default of None lets it be absent or null.
+# A rule is (test of the typed value and the typed values beside it, what
+# it demands), checked when the value is not null.  Checks that need n or
+# the point count, and the library's own refusals, stay with the commands.
+SCHEMA = {
+    "n": ("int", REQUIRED, None),
+    "sigma": ("number", REQUIRED, None),
+    "seed": ("int", 20240817, _NONNEGATIVE),
+    "points": ("rows", None, None),
+    "q": ("numbers", None, _ALL_POSITIVE),
+    "L": ("number", None, None),
+    "kernel": {
+        "t_max": ("number", 16.0, None),
+        "t_points": ("int", 33, (lambda v, _: v >= 4, "must be >= 4")),
+        "t_min": ("number", 1e-3, (lambda v, k: 0 < v < k["t_max"],
+                                   "must satisfy 0 < t_min < t_max")),
+    },
+    "delaunay": {
+        "L_list": ("numbers", [2.5, 3.0, 3.5, 4.0], None),
+        "M": ("int", 800, None),
+    },
+    "constants": {
+        "psi_ells": ("numbers", [0.0, 0.5, 1.0, 2.0, 4.0, 6.0],
+                     (lambda v, _: all(x >= 0 for x in v),
+                      "must be nonnegative")),
+    },
+    "toda": {
+        "kind": ("string", "dilation", None),
+        "K": ("int", 50, None),
+        "tau": ("number", 0.5, _POSITIVE),
+        "period": ("number", None, None),
+    },
+    "residual": {
+        "tau": ("number", 0.5, _POSITIVE),
+        "weight_kind": ("string", "starstar", None),
+        "mc_points": ("int", 0, _NONNEGATIVE),
+        "regions": ("list", None, (lambda v, _: bool(v) and all(
+            r in ("near", "transition", "far") for r in v),
+            "must list one or more of near/transition/far")),
+        "compare_q": ("numbers", None, _ALL_POSITIVE),
+    },
+}
+# the top-level keys a command requires beyond n and sigma
+NEEDS = dict.fromkeys(("balance", "assemble_residual"), ("points", "q", "L"))
+# balanced.json holds these beside n, sigma, points, q and L; they are
+# ignored, so that a balance output reads back as a config
+_BALANCE_OUTPUTS = ("R", "a0_hat", "L_i", "resid_B1", "resid_B2")
+
+
+def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return doc
 
 
-def _require(doc: dict, key: str, typ, where: str = "config"):
-    if key not in doc:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    val = doc[key]
-    if not isinstance(val, typ) or isinstance(val, bool):
-        names = (typ.__name__ if isinstance(typ, type)
-                 else "/".join(t.__name__ for t in typ))
-        raise ConfigError(f"{where}[{key!r}] must be {names}")
-    if isinstance(val, float) and not np.isfinite(val):
-        raise ConfigError(f"{where}[{key!r}] must be finite, got {val}")
-    return val
+def _typed(raw, keys: dict, where: str, ignored=()) -> dict:
+    """raw read through `keys` (SCHEMA or one of its blocks): every key
+    with its typed value or its default.  A rule sees the keys above its
+    own."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in raw:
+        if key not in keys and key not in ignored:
+            raise ConfigError(f"{where}[{key!r}] is not a config key; "
+                              f"{where} keys: {', '.join(keys)}")
+    out = {}
+    for key, spec in keys.items():
+        val = raw.get(key)
+        if isinstance(spec, dict):
+            out[key] = _typed(raw.get(key, {}), spec, key)
+            continue
+        kind, default, rule = spec
+        what, ok, typed = _KINDS[kind]
+        if val is None and (key not in raw or default is None):
+            if default is REQUIRED:
+                raise ConfigError(f"{where} is missing required key {key!r}")
+        elif not ok(val):
+            raise ConfigError(f"{where}[{key!r}] must be {what}")
+        out[key] = default if val is None else typed(val)
+        if rule and out[key] is not None and not rule[0](out[key], out):
+            raise ConfigError(f"{where}.{key} {rule[1]}")
+    return out
 
 
-def _get(blk: dict, key: str, typ, default, where: str):
-    """An optional key of a command block: its default when absent, or null
-    where the default is null; otherwise checked like _require, so a bool,
-    a string, a fraction, NaN or an infinity is never taken for a number or
-    a count."""
-    if key not in blk or (default is None and blk[key] is None):
-        return default
-    return _require(blk, key, typ, where)
-
-
-def _number_list(vals, what: str) -> list[float]:
-    """vals as floats if it is a list of finite numbers (no bools),
-    otherwise a ConfigError that names it as `what`."""
-    if not (isinstance(vals, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and np.isfinite(float(v)) for v in vals)):
-        raise ConfigError(f"{what} must be a list of finite numbers")
-    return [float(v) for v in vals]
-
-
-def _numbers(blk: dict, key: str, default, where: str) -> list[float] | None:
-    """An optional list of numbers (no bools) from a command block."""
-    vals = _get(blk, key, list, default, where)
-    return None if vals is None else _number_list(vals, f"{where}[{key!r}]")
-
-
-def _params(doc: dict):
-    n = _require(doc, "n", int)
-    sigma = float(_require(doc, "sigma", (int, float)))
-    try:
-        return derive_params(n, sigma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _block(doc: dict, name: str) -> dict:
-    blk = doc.get(name, {})
-    if not isinstance(blk, dict):
-        raise ConfigError(f"config[{name!r}] must be an object")
-    return blk
-
-
-def _seed(doc: dict) -> int:
-    return _get(doc, "seed", int, 20240817, "config")
+def _read(doc: dict, command: str) -> dict:
+    """The document read through SCHEMA, every block, used or not."""
+    conf = _typed(doc, SCHEMA, "config", _BALANCE_OUTPUTS)
+    for key in NEEDS.get(command, ()):
+        if conf[key] is None:
+            raise ConfigError(f"config is missing required key {key!r}")
+    return conf
 
 
 # ─────────────────────────────────────────────────────────────────────────────
 # output plumbing
-
-
-def _write_atomic(path: str, data: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 class OutDir:
@@ -138,7 +185,11 @@ class OutDir:
         self.facts: dict = {}
 
     def write(self, name: str, data: str) -> None:
-        _write_atomic(os.path.join(self.root, name), data)
+        """Write one file atomically: a temporary file, then a rename."""
+        path = os.path.join(self.root, name)
+        with open(f"{path}.tmp-{os.getpid()}", "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.replace(fh.name, path)
         self.files.append(name)
 
     def json(self, name: str, doc: dict) -> None:
@@ -153,10 +204,7 @@ def _manifest(out: OutDir, command: str, config_doc: dict, prm,
     doc = {
         "command": command,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "n": prm.n,
-        "sigma": prm.sigma,
-        "seed": seed,
-        "tol": tol,
+        "n": prm.n, "sigma": prm.sigma, "seed": seed, "tol": tol,
         "constants": {"A1": ic.A1, "A2": ic.A2, "A3": ic.A3,
                       "method": ic.method,
                       "kappa": prm.dual_const / prm.c_ns},
@@ -179,19 +227,12 @@ def _csv(header: list[str], rows: list[list]) -> str:
 # commands
 
 
-def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
-    prm = _params(doc)
-    blk = _block(doc, "kernel")
-    t_max = float(_get(blk, "t_max", (int, float), 16.0, "kernel"))
-    t_points = _get(blk, "t_points", int, 33, "kernel")
-    t_min = float(_get(blk, "t_min", (int, float), 1e-3, "kernel"))
-    if not 0 < t_min < t_max or t_points < 4:
-        raise ConfigError("kernel block needs 0 < t_min < t_max and >= 4 "
-                          "points")
-    grid = np.linspace(t_min, t_max, t_points)
-    tail = grid >= t_max / 2
+def cmd_kernel(conf: dict, prm, out: OutDir, tol: float) -> None:
+    k = conf["kernel"]
+    grid = np.linspace(k["t_min"], k["t_max"], k["t_points"])
+    tail = grid >= k["t_max"] / 2
     tables = {"riesz": riesz_kernel_cyl(grid, prm),
-              "singular": singular_kernel_cyl(grid, prm, t_min)}
+              "singular": singular_kernel_cyl(grid, prm, k["t_min"])}
     # both slopes before any file: a tail that underflows to 0 fails here
     slopes = {k: decay_slope(grid[tail], v[tail]) for k, v in tables.items()}
     for kind, vals in tables.items():
@@ -202,14 +243,9 @@ def cmd_kernel(doc: dict, out: OutDir, tol: float) -> None:
                                     "gamma_dual": prm.gamma_dual, **slopes})
 
 
-def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
-    prm = _params(doc)
-    blk = _block(doc, "delaunay")
-    L_list = _numbers(blk, "L_list", [2.5, 3.0, 3.5, 4.0], "delaunay")
-    if len(L_list) < 3:
-        raise ConfigError("delaunay.L_list must be a list of >= 3 numbers")
-    M = _get(blk, "M", int, 800, "delaunay")
-    sweep = neck_sweep(L_list, prm, M=M, tol=min(tol, 1e-8))
+def cmd_delaunay(conf: dict, prm, out: OutDir, tol: float) -> None:
+    d = conf["delaunay"]
+    sweep = neck_sweep(d["L_list"], prm, M=d["M"], tol=min(tol, 1e-8))
     ok = [r for r in sweep.rows if r.error is None]
     if len(ok) < 2:
         bad = "; ".join(f"L={r.L}: {r.error}" for r in sweep.rows if r.error)
@@ -224,47 +260,31 @@ def cmd_delaunay(doc: dict, out: OutDir, tol: float) -> None:
                                       "gamma_s": prm.gamma_s})
 
 
-def cmd_constants(doc: dict, out: OutDir, tol: float) -> None:
-    prm = _params(doc)
-    blk = _block(doc, "constants")
-    ells = _numbers(blk, "psi_ells", [0.0, 0.5, 1.0, 2.0, 4.0, 6.0],
-                    "constants")
-    if not all(v >= 0 for v in ells):
-        raise ConfigError("constants.psi_ells must be nonnegative numbers")
+def cmd_constants(conf: dict, prm, out: OutDir, tol: float) -> None:
     ic = interaction_constants(prm)
     fitted = oracle_fit_constants(prm)
     out.json("constants.json", {"n": prm.n, "sigma": prm.sigma, **asdict(ic),
                                 "oracle_A2": fitted.A2, "oracle_A3": fitted.A3,
                                 "oracle_method": fitted.method})
-    rows = [[ell, psi(ell, prm)] for ell in ells]
+    rows = [[ell, psi(ell, prm)] for ell in conf["constants"]["psi_ells"]]
     out.write("psi.csv", _csv(["ell", "psi"], rows))
 
 
-def _config_geometry(doc: dict, n: int) -> tuple[SingularSet, np.ndarray,
-                                                  float]:
-    """The top-level points (rows of n numbers), q (numbers) and L (a
-    number), typed like block values: no bools, no strings."""
-    pts = [_number_list(row, "each row of config['points']")
-           for row in _require(doc, "points", list)]
-    if any(len(row) != n for row in pts):
+def _geometry(conf: dict, n: int) -> tuple[SingularSet, np.ndarray]:
+    """The marked points, rows of n coordinates, and one q per point."""
+    if any(len(row) != n for row in conf["points"]):
         raise ConfigError(f"each row of config['points'] must have n = {n} "
                           "coordinates")
-    qv = np.asarray(_number_list(_require(doc, "q", list), "config['q']"))
-    L = float(_require(doc, "L", (int, float)))
-    try:
-        ss = SingularSet(points=np.asarray(pts, dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"bad geometry block: {exc}") from exc
-    if qv.shape != (ss.size,) or np.any(qv <= 0):
-        raise ConfigError("q must be positive, one entry per point")
-    return ss, qv, L
+    ss = SingularSet(points=np.asarray(conf["points"], dtype=float))
+    if len(conf["q"]) != ss.size:
+        raise ConfigError("config['q'] must have one entry per point")
+    return ss, np.asarray(conf["q"])
 
 
-def cmd_balance(doc: dict, out: OutDir, tol: float) -> None:
-    prm = _params(doc)
-    ss, q, L = _config_geometry(doc, prm.n)
+def cmd_balance(conf: dict, prm, out: OutDir, tol: float) -> None:
+    ss, q = _geometry(conf, prm.n)
     ic = interaction_constants(prm)
-    cfg = balance(ss, q, L, ic, prm, tol=min(tol, 1e-10))
+    cfg = balance(ss, q, conf["L"], ic, prm, tol=min(tol, 1e-10))
     fields = asdict(cfg)
     fields["points"] = fields.pop("sigma_set")["points"]
     out.json("balanced.json", {"n": prm.n, "sigma": prm.sigma, **fields})
@@ -280,8 +300,6 @@ def _samples(u, regions: list[str] | None):
     if regions is None:
         return pts, tags
     keep = [k for k, t in enumerate(tags) if t.split(":", 1)[0] in regions]
-    if not keep:
-        raise ConfigError(f"regions {regions} select no samples")
     return pts[keep], [tags[k] for k in keep]
 
 
@@ -309,28 +327,15 @@ def _solver_facts(u) -> dict:
     return facts
 
 
-def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
-    prm = _params(doc)
-    ss, q, L = _config_geometry(doc, prm.n)
-    blk = _block(doc, "residual")
-    tau = float(_get(blk, "tau", (int, float), 0.5, "residual"))
-    kind = _get(blk, "weight_kind", str, "starstar", "residual")
-    mc_points = _get(blk, "mc_points", int, 0, "residual")
-    if mc_points < 0:
-        raise ConfigError("residual.mc_points must be >= 0")
-    regions = _get(blk, "regions", list, None, "residual")
-    if regions is not None and not all(
-            r in ("near", "transition", "far") for r in regions):
-        raise ConfigError("residual.regions must list near/transition/far")
-    compare_q = _numbers(blk, "compare_q", None, "residual")
-    if compare_q is not None:
-        qc = np.asarray(compare_q, dtype=float)
-        if qc.shape != (ss.size,) or np.any(qc <= 0):
-            raise ConfigError("residual.compare_q must match the point count")
-    seed = _seed(doc)
+def cmd_assemble_residual(conf: dict, prm, out: OutDir, tol: float) -> None:
+    ss, q = _geometry(conf, prm.n)
+    r = conf["residual"]
+    regions, compare_q, seed = r["regions"], r["compare_q"], conf["seed"]
+    if compare_q is not None and len(compare_q) != ss.size:
+        raise ConfigError("residual.compare_q must match the point count")
     ic = interaction_constants(prm)
-    cfg = balance(ss, q, L, ic, prm)
-    weight = WeightSpec(tau=tau, kind=kind)
+    cfg = balance(ss, q, conf["L"], ic, prm)
+    weight = WeightSpec(tau=r["tau"], kind=r["weight_kind"])
     qtol = max(tol, 1e-7)
 
     def level0_betas(v, **tag):
@@ -345,12 +350,13 @@ def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
     u = assemble(cfg, prm)
     out.facts["solver"] = solver = {"balanced": _solver_facts(u)}
     rep = residual(u, weight, samples=_samples(u, regions), tol=qtol,
-                   mc_seed=seed, mc_points=mc_points)
+                   mc_seed=seed, mc_points=r["mc_points"])
     _write_report(out, "residual_report.json", rep)
     betas = level0_betas(u)
     summary_rows = [["balanced", rep.weighted_norm]]
 
     if compare_q is not None:
+        qc = np.asarray(compare_q)
         unb = BalancedConfig(sigma_set=ss, q=qc, R=cfg.R, a0_hat=cfg.a0_hat,
                              L=cfg.L, L_i=periods_from_q(qc, cfg.L, prm),
                              resid_B1=float("nan"), resid_B2=float("nan"))
@@ -369,22 +375,11 @@ def cmd_assemble_residual(doc: dict, out: OutDir, tol: float) -> None:
               _csv(["run", "weighted_norm"], summary_rows))
 
 
-def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
-    _params(doc)  # validates n, sigma even though the operator is scale-free
-    blk = _block(doc, "toda")
-    kind = _get(blk, "kind", str, "dilation", "toda")
-    K = _get(blk, "K", int, 50, "toda")
-    tau = float(_get(blk, "tau", (int, float), 0.5, "toda"))
-    if not tau > 0:
-        raise ConfigError("toda.tau must be positive")
-    period = _get(blk, "period", (int, float), None, "toda")
-    try:
-        op = toda_mod.TodaOperator(kind=kind, K=K,
-                                   period=None if period is None
-                                   else float(period))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rng = np.random.default_rng(_seed(doc))
+def cmd_toda(conf: dict, prm, out: OutDir, tol: float) -> None:
+    t = conf["toda"]
+    kind, K, tau = t["kind"], t["K"], t["tau"]
+    op = toda_mod.TodaOperator(kind=kind, K=K, period=t["period"])
+    rng = np.random.default_rng(conf["seed"])
     b = rng.standard_normal(K) * np.exp(-2 * tau * np.arange(K))
     x = toda_mod.invert(op, b)
     back = toda_mod.apply(op, x)
@@ -397,14 +392,9 @@ def cmd_toda(doc: dict, out: OutDir, tol: float) -> None:
     })
 
 
-COMMANDS = {
-    "kernel": cmd_kernel,
-    "delaunay": cmd_delaunay,
-    "constants": cmd_constants,
-    "balance": cmd_balance,
-    "assemble_residual": cmd_assemble_residual,
-    "toda": cmd_toda,
-}
+COMMANDS = {f.__name__[len("cmd_"):]: f for f in (
+    cmd_kernel, cmd_delaunay, cmd_constants, cmd_balance,
+    cmd_assemble_residual, cmd_toda)}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -422,13 +412,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        doc = _load_config(args.config)
-        prm = _params(doc)
         if not 0 < args.tol < np.inf:
             raise ConfigError(f"--tol must be positive and finite: {args.tol}")
+        # made before the config is read: a refused config leaves it empty
         out = OutDir(args.out)
-        COMMANDS[args.command](doc, out, args.tol)
-        _manifest(out, args.command, doc, prm, _seed(doc), args.tol)
+        doc = _load_config(args.config)
+        conf = _read(doc, args.command)
+        prm = derive_params(conf["n"], conf["sigma"])
+        COMMANDS[args.command](conf, prm, out, args.tol)
+        _manifest(out, args.command, doc, prm, conf["seed"], args.tol)
     except (NewtonError, QuadratureError, BalanceError) as exc:
         print(json.dumps({"error": "solver", "detail": str(exc)}),
               file=sys.stderr)

@@ -120,9 +120,11 @@ def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return idct(lam * dct(w, type=1), type=1)
 
 
-def _check_grid(M: int) -> None:
+def _check_solver(M: int, tol: float) -> None:
     if M < 200 or M % 2:
         raise ValueError(f"grid size must be even and >= 200: {M}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite: {tol}")
 
 
 def solve_periodic(L: float, prm: Params, M: int = 800,
@@ -133,11 +135,11 @@ def solve_periodic(L: float, prm: Params, M: int = 800,
     reflected quadrature) and strictly positive; the damped Newton step
     halves until positivity and residual decrease both hold.  GMRES solves
     each step to 1e-14 relative; NewtonError when it does not, or after 60
-    steps.
+    steps.  ValueError for a tol that is not finite and positive.
     """
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
-    _check_grid(M)
+    _check_solver(M, tol)
     m = M // 2
     ts = np.linspace(0.0, L, m + 1)
     lam = _collocation_symbol(L, m, prm)
@@ -270,7 +272,7 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
                tol: float = 1e-10) -> SweepResult:
     """Solve along increasing L and fit the two decay laws.
 
-    A bad grid size M raises ValueError before any solve; solver failures
+    A bad M or tol raises ValueError before any solve; solver failures
     are kept as marked rows, and the slopes use the successful entries.
     """
     L_arr = [float(L) for L in L_list]
@@ -278,7 +280,7 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
         raise ValueError("need at least three half-periods for a slope fit")
     if any(b <= a for a, b in zip(L_arr, L_arr[1:])):
         raise ValueError("half-periods must be strictly increasing")
-    _check_grid(M)
+    _check_solver(M, tol)
     rows = []
     for L in L_arr:
         try:

@@ -64,8 +64,9 @@ class Params:
 def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params:
     """Validate (n, sigma) and derive the attached constants.
 
-    Rejects sigma <= 0 or NaN and n <= 2 sigma.  sigma <= 1 is outside the
-    standing range and requires ``allow_low_order=True`` (for cross-checks).
+    Rejects sigma <= 0 or NaN, n <= 2 sigma and constants that overflow a
+    double (n above about 340).  sigma <= 1 is outside the standing range
+    and requires ``allow_low_order=True`` (for cross-checks).
     """
     if int(n) != n or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
@@ -84,9 +85,12 @@ def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params
     gamma_s = 0.5 * (n - 2.0 * sigma)
     gamma_dual = 0.5 * (n + 2.0 * sigma)
     p = (n + 2.0 * sigma) / (n - 2.0 * sigma)
-    c_ns = 4.0**sigma * (math.gamma(0.25 * (n + 2.0 * sigma)) / math.gamma(0.25 * (n - 2.0 * sigma))) ** 2
-    q_ns = math.gamma(gamma_dual) / math.gamma(gamma_s)
-    riesz_const = math.gamma(gamma_s) / (4.0**sigma * math.pi ** (n / 2.0) * math.gamma(sigma))
+    try:
+        c_ns = 4.0**sigma * (math.gamma(0.25 * (n + 2.0 * sigma)) / math.gamma(0.25 * (n - 2.0 * sigma))) ** 2
+        q_ns = math.gamma(gamma_dual) / math.gamma(gamma_s)
+        riesz_const = math.gamma(gamma_s) / (4.0**sigma * math.pi ** (n / 2.0) * math.gamma(sigma))
+    except OverflowError as exc:
+        raise ValueError(f"the constants of (n, sigma) = ({n}, {sigma}) overflow a double") from exc
 
     return Params(
         n=n,

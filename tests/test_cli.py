@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -185,6 +186,38 @@ class TestRefusedBeforeWriting:
         assert cli.main(["delaunay", "--config", cfg, "--out", str(out),
                          "--tol", tol]) == 2
         assert "--tol" in json.loads(capsys.readouterr().err)["detail"]
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command,change,detail", [
+        # a misspelt key is refused, never ignored for its default; one
+        # document serves every command, so every block is checked
+        ("kernel", {"kernel": {"tmax": 5.0}}, "kernel['tmax']"),
+        ("toda", {"sede": 3}, "config['sede']"),
+        ("assemble_residual", {"residual": {"region": ["far"]}},
+         "residual['region']"),
+        ("balance", {"toda": {"periode": 2.0}}, "toda['periode']"),
+        # an integer too large for a double is a config error, not an
+        # OverflowError traceback with exit 1
+        ("balance", {"L": 10**400}, "config['L']"),
+        ("toda", {"n": 10**400}, "config['n']"),
+        ("balance", {"q": [10**400, 1.0]}, "config['q']"),
+        ("delaunay", {"delaunay": {"M": -10**400}}, "delaunay['M']"),
+        # within double range, but Gamma((n + 2 sigma)/2) overflows
+        ("toda", {"n": 400}, "overflow"),
+        # selects no sample
+        ("assemble_residual", {"residual": {"regions": []}}, "regions"),
+        # numpy refuses it as a seed, so no command takes it
+        ("kernel", {"seed": -1}, "seed must be >= 0"),
+    ], ids=["tmax", "sede", "region", "other-block", "L-huge", "n-huge",
+            "q-huge", "M-huge", "n-400", "no-regions", "seed"])
+    def test_refused_config_is_2(self, tmp_path, capsys, monkeypatch,
+                                 command, change, detail):
+        monkeypatch.setattr(cli, "assemble", None)  # refused before it
+        cfg = write_config(tmp_path / "c.json", {**BASE, **change})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and detail in err["detail"]
         assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("command,block,detail", [
@@ -449,6 +482,19 @@ class TestBlockTypes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert f"{block}[{list(value)[-1]!r}] must be" in err["detail"]
+
+
+def test_readme_example_names_every_schema_key():
+    # the README's config example shows exactly the keys cli.SCHEMA reads,
+    # and passes it
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md")
+    text = readme.read_text(encoding="utf-8").split("### Config schema")[1]
+    doc = json.loads(text.split("```jsonc")[1].split("```")[0])
+    assert set(doc) == set(cli.SCHEMA)
+    for name, keys in cli.SCHEMA.items():
+        if isinstance(keys, dict):
+            assert set(doc[name]) == set(keys), name
+    cli._read(doc, "assemble_residual")
 
 
 class TestTopLevelTypes:

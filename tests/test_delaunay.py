@@ -335,6 +335,17 @@ def test_sweep_input_validation():
         neck_sweep([2.5, 3.0, 3.5], PRM, M=801)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_tol_is_refused(tol):
+    # at NaN the Newton loop never ran and the start came back as the
+    # solution; at 0 or -1 no step could meet it ("positivity lost"); the
+    # sweep refuses once, before its rows would each turn it into NaN
+    with pytest.raises(ValueError, match="tol"):
+        solve_periodic(2.5, PRM, M=200, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        neck_sweep([2.5, 3.0, 3.5], PRM, M=200, tol=tol)
+
+
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
 def test_fft_operator_matches_dense_matrix(n, sigma):
     # the DCT-I pair applies an operator given by its eigenvalues

@@ -70,6 +70,13 @@ def test_validation():
         derive_params(4.5, 1.5)
 
 
+def test_overflowing_constants_are_refused():
+    # Gamma((n + 2 sigma)/2) overflows a double: a ValueError, not an
+    # OverflowError the CLI would report as a crash
+    with pytest.raises(ValueError, match="overflow"):
+        derive_params(400, 1.5)
+
+
 def test_nonlinearity_consistency():
     prm = derive_params(5, 1.5)
     xi = np.linspace(0.1, 2.0, 17)
