@@ -29,10 +29,12 @@ The dual map evaluates u^p once per call on that node set.  A sample's
 value is the node set's sum against its ring kernel, with the panels next
 to the sample taken out and integrated again on triangles from it, where u
 is evaluated afresh and the kernel's kink at the sample falls into the
-radial factor of the triangle.  Every value is also computed with the
-8-point rule on the same panels, and QuadratureError is raised when the two
-differ by more than tol times the value (for a projection, tol times the
-integrand's absolute mass).  Configurations outside the reduction, and
+radial factor of the triangle.  For assemblies on the same marked points,
+panels of the same geometry take the kernel and the triangles once per
+sample (`residuals`).  Every value is also computed with the 8-point rule
+on the same panels, and QuadratureError is raised when the two differ by
+more than tol times the value (for a projection, tol times the integrand's
+absolute mass).  Configurations outside the reduction, and
 sigma <= 1, where the ring kernel is unbounded on the diagonal, raise
 NotImplementedError.
 
@@ -56,12 +58,12 @@ from typing import Callable
 import numpy as np
 
 from .params import Params, nonlin, nonlin_prime
-from .kernels import (check_rules, gauss_panels, log_radial_convolution,
-                      ring_kernel, riesz_kernel_cyl)
+from .kernels import (QuadratureError, check_rules, gauss_panels,
+                      log_radial_convolution, ring_kernel, riesz_kernel_cyl)
 from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
                       kernel_Z, tower_eval)
 from .balancing import BalancedConfig
-from .delaunay import CylSolution, radial_profile, solve_periodic
+from .delaunay import CylSolution, _check_tol, radial_profile, solve_periodic
 
 __all__ = [
     "ApproxSolution",
@@ -70,6 +72,7 @@ __all__ = [
     "dual_apply",
     "dual_apply_radial",
     "residual",
+    "residuals",
     "beta_projection",
     "beta_leading_form",
     "weighted_fn_norm",
@@ -361,17 +364,19 @@ class _Line:
         return z, np.linalg.norm(rel - z[..., None] * self.a, axis=-1)
 
 
-def _patch_sum(um: ApproxSolution, fn, w: np.ndarray, z: np.ndarray,
-               rho: np.ndarray, zx: float, rx: float) -> float:
-    """sum of w * fn(zr, u) * ring_kernel(x; z, rho) over the points (z, rho)
-    with u = um there, block by block."""
-    total = 0.0
+def _patch_sum(sets, w: np.ndarray, z: np.ndarray, rho: np.ndarray,
+               zx: float, rx: float) -> list[float]:
+    """Per node set of `sets` (one prm), the sum of w * fn(zr, u) *
+    ring_kernel(x; z, rho) over the points (z, rho), u = um there, block by
+    block; the kernel once per block for all sets."""
+    totals = [0.0] * len(sets)
     for s in range(0, z.size, _BLOCK):
         b = slice(s, s + _BLOCK)
         zr = np.stack((z[b], rho[b])).T
-        total += float((w[b] * fn(zr, um(zr)))
-                       @ ring_kernel(zx - z[b], rx, rho[b], um.prm))
-    return total
+        kern = ring_kernel(zx - z[b], rx, rho[b], sets[0].um.prm)
+        for m, ns in enumerate(sets):
+            totals[m] += float((w[b] * ns.fn(zr, ns.um(zr))) @ kern)
+    return totals
 
 
 def _split(breaks, h: float) -> np.ndarray:
@@ -398,6 +403,9 @@ class _Panels:
                  own: int | None = None, part=None, reach: float = np.inf):
         self.log, self.zc, self.e1, self.e2 = own is not None, zc, e1, e2
         self.own, self.part, self.n, self.reach = own, part, n, reach
+        # on node sets of one prm and one set of marked points, panels with
+        # equal keys have the same nodes, partition weight and patches
+        self.key = (own, zc, reach, e1.tobytes(), e2.tobytes())
         self.rules = []
         for order in _ORDERS:
             q1, w1 = gauss_panels(e1, order)
@@ -611,42 +619,55 @@ def _require_unmarked(centers: np.ndarray, x: np.ndarray) -> None:
                          f"{int(at[0])}")
 
 
-def _dual_at(nodes: _Nodes, zx: float, rx: float) -> tuple[float, float, int]:
-    """(16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy at the point
-    x = (zx, rx) of the half-plane: the node set's kernel sums with the
-    panels about x taken out, plus those panels again on triangles from x,
-    where F is evaluated afresh; and the number of those patch nodes.  x is
-    no marked point: there u^p is not integrable against the kernel, and
-    the callers refuse it."""
+def _dual_at(sets, zx: float, rx: float) -> list[tuple[float, float, int]]:
+    """Per node set of `sets` (one prm and one set of marked points), the
+    (16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy at the point
+    x = (zx, rx) of the half-plane: the set's kernel sums with the panels
+    about x taken out, plus those panels again on triangles from x, where F
+    is evaluated afresh; and the number of those patch nodes.  Panels in
+    one place of the sets' lists with equal keys take the kernel and the
+    patch once; each set adds its own terms in its own order, so its sums
+    are those of a call on it alone.  x is no marked point: there u^p is
+    not integrable against the kernel, and the callers refuse it."""
     zx, rx = float(zx), float(rx)
-    prm = nodes.um.prm
+    prm = sets[0].um.prm
     t_edges = _t_edges(prm)
-    out = [0.0, 0.0]
-    evals = 0
-    for p in nodes.panels:
-        hit = p.near(zx, rx)
-        for k, order in enumerate(_ORDERS):
-            wf = p.rules[k][3]
-            for r in p.chunks(k):
-                z, rho = p.nodes(k, r)
-                out[k] += float(np.sum(wf[r] * ring_kernel(zx - z, rx, rho,
-                                                           prm)))
-            if hit is None:
-                continue
-            (i0, i1), (j0, j1) = hit[1]
-            r = slice(i0 * order, (i1 + 1) * order)
-            c = slice(j0 * order, (j1 + 1) * order)
-            z, rho = p.nodes(k, r, c)
-            out[k] -= float(np.sum(wf[r, c] * ring_kernel(zx - z, rx, rho,
-                                                          prm)))
-            q1, q2, wq = p.patch(*hit, order, t_edges)
-            pz, prho, pw = p.map(q1, q2)
-            pw = pw * wq
-            live = pw != 0.0
-            out[k] += _patch_sum(nodes.um, nodes.fn, pw[live], pz[live],
-                                 prho[live], zx, rx)
-            evals += int(np.count_nonzero(live))
-    return out[0], out[1], evals
+    out = [[0.0, 0.0] for _ in sets]
+    evals = [0] * len(sets)
+    for row in zip(*(ns.panels for ns in sets)):
+        groups: dict = {}
+        for m, p in enumerate(row):
+            groups.setdefault(p.key, []).append(m)
+        for members in groups.values():
+            p = row[members[0]]
+            hit = p.near(zx, rx)
+            for k, order in enumerate(_ORDERS):
+                for r in p.chunks(k):
+                    z, rho = p.nodes(k, r)
+                    kern = ring_kernel(zx - z, rx, rho, prm)
+                    for m in members:
+                        out[m][k] += float(np.sum(row[m].rules[k][3][r]
+                                                  * kern))
+                if hit is None:
+                    continue
+                (i0, i1), (j0, j1) = hit[1]
+                r = slice(i0 * order, (i1 + 1) * order)
+                c = slice(j0 * order, (j1 + 1) * order)
+                z, rho = p.nodes(k, r, c)
+                kern = ring_kernel(zx - z, rx, rho, prm)
+                for m in members:
+                    out[m][k] -= float(np.sum(row[m].rules[k][3][r, c]
+                                              * kern))
+                q1, q2, wq = p.patch(*hit, order, t_edges)
+                pz, prho, pw = p.map(q1, q2)
+                pw = pw * wq
+                live = pw != 0.0
+                sums = _patch_sum([sets[m] for m in members], pw[live],
+                                  pz[live], prho[live], zx, rx)
+                for m, total in zip(members, sums):
+                    out[m][k] += total
+                    evals[m] += int(np.count_nonzero(live))
+    return [(fine, coarse, e) for (fine, coarse), e in zip(out, evals)]
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -699,14 +720,16 @@ def _meridian(u: ApproxSolution) -> tuple[ApproxSolution, _Line]:
 def dual_apply(u: ApproxSolution, x: np.ndarray, tol: float = 1e-8) -> float:
     """(-Delta)^{-sigma} of f applied to the assembled function at x, by
     the meridian quadrature on x's own node set, checked against the
-    8-point rule; ValueError at a marked point."""
+    8-point rule; ValueError at a marked point or for a tol that is not
+    finite and positive."""
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     um, line = _meridian(u)
     _require_unmarked(u.centers, x)
     zx, rx = line.coords(x)
     nodes = _dual_nodes(um, lambda zr, uv: uv ** u.prm.p, np.atleast_1d(zx),
                         np.atleast_1d(rx), tol)
-    fine, coarse, _ = _dual_at(nodes, zx, rx)
+    fine, coarse, _ = _dual_at((nodes,), zx, rx)[0]
     check_rules(fine, coarse, tol, "dual map")
     return float(u.prm.dual_const * fine)
 
@@ -723,7 +746,9 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
     |S^(n-1)|.  The generator gives the component labels, then one U per
     draw, then the directions' normals block by block: blocks drawn in
     sequence are one batch, so the result does not depend on _MC_BLOCK.
-    Per draw only its label, radius and value are kept, 24 bytes; the
+    Per draw only its label, in the smallest unsigned integer type that
+    holds N + 1, its radius and its value are kept, 17 bytes below 255
+    marked points; the variance is taken in place on the values.  The
     points, stored by coordinate, each center's squared distances, which
     the density and u's cutoffs share, the kernel and u are built one block
     of about _MC_BLOCK draws at a time.  The blocks are near-equal, never a
@@ -747,7 +772,8 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
     rng = np.random.default_rng(seed)
     prm, N = u.prm, u.size
     n, g, two_s = prm.n, prm.gamma_s, 2.0 * prm.sigma
-    comp = rng.integers(0, N + 1, size=n_samples)
+    comp = rng.integers(0, N + 1, size=n_samples).astype(
+        np.min_scalar_type(N + 1))
     radius = rng.random(n_samples)
     anchors = np.vstack((u.centers, x)).T
     w_in = g / prm.omega_sphere / (N + 1)
@@ -776,9 +802,11 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
                where=rr2 >= 1.0)
         val = rr2 ** (0.5 * (two_s - n)) * u._glued(pts, sq=sq) ** prm.p
         np.divide(val, dens, out=vals[lo:hi], where=dens > 0.0)
-    est = prm.dual_const * float(np.mean(vals))
-    err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
-    return est, err
+    mean = np.mean(vals)
+    vals -= mean                        # np.std's steps, in place
+    std = np.sqrt(np.add.reduce(np.square(vals, out=vals)) / n_samples)
+    return (prm.dual_const * float(mean),
+            prm.dual_const * float(std / np.sqrt(n_samples)))
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -830,8 +858,10 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
     off by 3e-4 to 0.07 times delta/lam_j over levels with delta/lam_j from
     1e-7 to 0.7 (L = 2.5..3.5), and by 13x at delta/lam_j = 169; a tower at
     the line's foot has delta = 0.  The value passes the 16- vs 8-point
-    check at tol or raises QuadratureError.
+    check at tol or raises QuadratureError.  ValueError for a tol that is
+    not finite and positive.
     """
+    _check_tol(tol)
     prm = u.prm
     um, _ = _meridian(u)
     i = idx.tower
@@ -975,76 +1005,103 @@ class ResidualReport:
     errors: tuple
 
 
-def residual(u: ApproxSolution, weight: WeightSpec,
-             samples: tuple[np.ndarray, list[str]] | None = None,
-             tol: float = 1e-8, mc_seed: int = 20240817,
-             mc_points: int = 0) -> ResidualReport:
-    """N_sigma(u) = u - dual(u) over the sample grid, reported per region.
+def residuals(us, weight: WeightSpec,
+              samples: tuple[np.ndarray, list[str]] | None = None,
+              tol: float = 1e-8, mc_seed: int = 20240817,
+              mc_points: int = 0) -> list[ResidualReport]:
+    """N_sigma(u) = u - dual(u) over the sample grid, reported per region,
+    for each assembly u of `us`; they share prm and the marked points
+    (ValueError otherwise), and so the samples.
 
-    One node set serves every sample, with u^p evaluated on it once; each
-    sample then adds its own kernel sums and patch (`_dual_at`).  `nodes`
-    counts the evaluations of u^p: the node set's and every patch's.  A sample
-    whose 16- and 8-point dual values differ by more than tol times the
-    value is NaN, with the QuadratureError message in `errors`, and so is a
-    sample at a marked point, with the ValueError's; `err_est` holds the gap
-    of every other sample.
+    Each assembly has its own node set, with u^p evaluated on it once; each
+    sample then adds its kernel sums and patch (`_dual_at`), shared panels
+    once for all, so each report is bit for bit that of a call on its
+    assembly alone.  `nodes` counts the evaluations of u^p: the node set's
+    and every patch's.  A sample whose 16- and 8-point dual values differ by
+    more than tol times the value is NaN, with the QuadratureError message
+    in `errors`, and so is a sample at a marked point, with the
+    ValueError's; `err_est` holds the gap of every other sample.  ValueError
+    for a tol that is not finite and positive.
 
-    mc_points > 0 adds `mc_probe` checks at that many samples picked among
-    the finite ones, each of _MC_SAMPLES = 200k draws: about 0.45 us and
-    24 bytes per draw, so 0.09 s and 8 MB per point, on top of the
-    quadrature (2-core Intel Xeon, numpy 2.4).  Each check reports its
-    number of draws.
+    mc_points > 0 adds to the first report `mc_probe` checks at that many of
+    its finite samples, each of _MC_SAMPLES = 200k draws, after the node
+    sets are released: about 0.45 us per draw and a 6.8 MB allocation peak,
+    so 0.09 s per point, on top of the quadrature (2-core Intel Xeon, numpy
+    2.4).  Each check reports its number of draws.
     """
-    prm = u.prm
-    um, line = _meridian(u)
-    pts, tags = sample_grid(u) if samples is None else samples
-    zx, rx = line.coords(pts)
+    _check_tol(tol)
+    u0, prm = us[0], us[0].prm
+    if any(u.prm != prm or not np.array_equal(u.centers, u0.centers)
+           for u in us):
+        raise ValueError("residuals needs assemblies of one prm on the same "
+                         "marked points")
+    merids = [_meridian(u) for u in us]
+    pts, tags = sample_grid(u0) if samples is None else samples
+    zx, rx = merids[0][1].coords(pts)
     c = prm.dual_const
-    nodes = _dual_nodes(um, lambda zr, uv: uv ** prm.p, zx, rx, tol)
-    evals = nodes.evals
+    sets = [_dual_nodes(um, lambda zr, uv: uv ** prm.p, zx, rx, tol)
+            for um, _ in merids]
+    evals = [ns.evals for ns in sets]
     # u once on the unmarked samples; a marked one fails below
-    free = ~np.any(np.all(pts[:, None, :] == u.centers, axis=-1), axis=1)
-    uv = np.full(len(pts), np.nan)
-    uv[free] = u(pts[free])
-    vals = np.full(len(pts), np.nan)
-    err_est = np.full(len(pts), np.nan)
-    errors = []
+    free = ~np.any(np.all(pts[:, None, :] == u0.centers, axis=-1), axis=1)
+    shape = (len(us), len(pts))
+    uv, vals, err_est = (np.full(shape, np.nan) for _ in range(3))
+    for m, u in enumerate(us):
+        uv[m, free] = u(pts[free])
+    errors = [[] for _ in us]
     for k, x in enumerate(pts):
         try:
-            _require_unmarked(u.centers, x)
-            fine, coarse, patch = _dual_at(nodes, zx[k], rx[k])
-            evals += patch
-            check_rules(c * fine, c * coarse, tol, "dual map")
-            vals[k] = uv[k] - c * fine
+            _require_unmarked(u0.centers, x)
+            at = _dual_at(sets, zx[k], rx[k])
         except Exception as exc:  # per-sample propagation
-            errors.append(f"sample {k}: {exc}")
+            for e in errors:
+                e.append(f"sample {k}: {exc}")
             continue
-        err_est[k] = c * abs(fine - coarse)
-    region_sup: dict = {}
-    for k, tag in enumerate(tags):
-        if np.isnan(vals[k]):
-            continue
-        region_sup[tag] = max(region_sup.get(tag, 0.0), abs(float(vals[k])))
-    ok = ~np.isnan(vals)
-    norm = weighted_fn_norm(pts[ok], vals[ok],
-                            [t for k, t in enumerate(tags) if ok[k]],
-                            weight, u.centers, prm)
+        for m, (fine, coarse, patch) in enumerate(at):
+            evals[m] += patch
+            try:
+                check_rules(c * fine, c * coarse, tol, "dual map")
+            except QuadratureError as exc:
+                errors[m].append(f"sample {k}: {exc}")
+                continue
+            vals[m, k] = uv[m, k] - c * fine
+            err_est[m, k] = c * abs(fine - coarse)
+    del sets, merids
     checks = []
+    ok = ~np.isnan(vals[0])
     if mc_points > 0:
         rng = np.random.default_rng(mc_seed)
         pick = rng.choice(np.flatnonzero(ok), size=min(mc_points,
                                                        int(np.sum(ok))),
                           replace=False)
         for k in pick:
-            est, err = mc_probe(u, pts[k], _MC_SAMPLES, mc_seed + int(k))
-            det = float(uv[k] - vals[k])  # the deterministic dual value
+            est, err = mc_probe(u0, pts[k], _MC_SAMPLES, mc_seed + int(k))
+            det = float(uv[0, k] - vals[0, k])  # the deterministic dual value
             checks.append({"sample": int(k), "mc": est, "det": det,
                            "mc_stderr": err, "draws": _MC_SAMPLES})
-    L = float(u.balanced.L) if u.balanced is not None \
-        else float(u.towers[0].period)
-    return ResidualReport(L=L, weight_kind=weight.kind, tau=weight.tau,
-                          points=pts, tags=tuple(tags), values=vals,
-                          err_est=err_est, nodes=evals,
-                          weighted_norm=float(norm), region_sup=region_sup,
-                          mc_seed=mc_seed, mc_checks=tuple(checks),
-                          errors=tuple(errors))
+    reports = []
+    for m, u in enumerate(us):
+        ok = ~np.isnan(vals[m])
+        good = [t for k, t in enumerate(tags) if ok[k]]
+        region_sup: dict = {}
+        for tag, v in zip(good, vals[m, ok]):
+            region_sup[tag] = max(region_sup.get(tag, 0.0), abs(float(v)))
+        norm = weighted_fn_norm(pts[ok], vals[m, ok], good, weight,
+                                u.centers, prm)
+        L = float(u.balanced.L) if u.balanced is not None \
+            else float(u.towers[0].period)
+        reports.append(ResidualReport(
+            L=L, weight_kind=weight.kind, tau=weight.tau, points=pts,
+            tags=tuple(tags), values=vals[m], err_est=err_est[m],
+            nodes=evals[m], weighted_norm=float(norm), region_sup=region_sup,
+            mc_seed=mc_seed, mc_checks=tuple(checks) if m == 0 else (),
+            errors=tuple(errors[m])))
+    return reports
+
+
+def residual(u: ApproxSolution, weight: WeightSpec,
+             samples: tuple[np.ndarray, list[str]] | None = None,
+             tol: float = 1e-8, mc_seed: int = 20240817,
+             mc_points: int = 0) -> ResidualReport:
+    """The report of `residuals` on u alone."""
+    return residuals((u,), weight, samples, tol, mc_seed, mc_points)[0]

@@ -29,7 +29,7 @@ from .interactions import interaction_constants, oracle_fit_constants, psi
 from .balancing import (BalanceError, BalancedConfig, SingularSet, balance,
                         periods_from_q)
 from .assembler import (WeightSpec, assemble, beta_leading_form,
-                        beta_projection, residual, sample_grid)
+                        beta_projection, residuals, sample_grid)
 from .bubbles import KernelIndex
 from . import toda as toda_mod
 
@@ -87,7 +87,9 @@ SCHEMA = {
     "L": ("number", None, None),
     "kernel": {
         "t_max": ("number", 16.0, None),
-        "t_points": ("int", 33, (lambda v, _: v >= 4, "must be >= 4")),
+        # counts up to 100,000: a larger one could exhaust the memory
+        "t_points": ("int", 33, (lambda v, _: 4 <= v <= 100_000,
+                                 "must be in [4, 100000]")),
         "t_min": ("number", 1e-3, (lambda v, k: 0 < v < k["t_max"],
                                    "must satisfy 0 < t_min < t_max")),
     },
@@ -102,7 +104,7 @@ SCHEMA = {
     },
     "toda": {
         "kind": ("string", "dilation", None),
-        "K": ("int", 50, None),
+        "K": ("int", 50, (lambda v, _: v <= 100_000, "must be <= 100000")),
         "tau": ("number", 0.5, _POSITIVE),
         "period": ("number", None, None),
     },
@@ -347,28 +349,28 @@ def cmd_assemble_residual(conf: dict, prm, out: OutDir, tol: float) -> None:
                         "leading_form": beta_leading_form(v, i), **tag})
         return out
 
-    u = assemble(cfg, prm)
-    out.facts["solver"] = solver = {"balanced": _solver_facts(u)}
-    rep = residual(u, weight, samples=_samples(u, regions), tol=qtol,
-                   mc_seed=seed, mc_points=r["mc_points"])
-    _write_report(out, "residual_report.json", rep)
-    betas = level0_betas(u)
-    summary_rows = [["balanced", rep.weighted_norm]]
-
+    us = [assemble(cfg, prm)]
+    out.facts["solver"] = solver = {"balanced": _solver_facts(us[0])}
     if compare_q is not None:
         qc = np.asarray(compare_q)
         unb = BalancedConfig(sigma_set=ss, q=qc, R=cfg.R, a0_hat=cfg.a0_hat,
                              L=cfg.L, L_i=periods_from_q(qc, cfg.L, prm),
                              resid_B1=float("nan"), resid_B2=float("nan"))
-        u2 = assemble(unb, prm)
-        solver["compare"] = _solver_facts(u2)
-        rep2 = residual(u2, weight, samples=_samples(u2, regions), tol=qtol,
-                        mc_seed=seed)
-        _write_report(out, "residual_report_compare.json", rep2)
-        summary_rows.append(["compare", rep2.weighted_norm])
-        summary_rows.append(["ratio", rep2.weighted_norm
-                             / rep.weighted_norm])
-        betas += level0_betas(u2, config="compare")
+        us.append(assemble(unb, prm))
+        solver["compare"] = _solver_facts(us[1])
+    # the control's panels are the balanced run's: one call takes them once
+    reps = residuals(us, weight, samples=_samples(us[0], regions), tol=qtol,
+                     mc_seed=seed, mc_points=r["mc_points"])
+    _write_report(out, "residual_report.json", reps[0])
+    betas = level0_betas(us[0])
+    summary_rows = [["balanced", reps[0].weighted_norm]]
+
+    if compare_q is not None:
+        _write_report(out, "residual_report_compare.json", reps[1])
+        summary_rows.append(["compare", reps[1].weighted_norm])
+        summary_rows.append(["ratio", reps[1].weighted_norm
+                             / reps[0].weighted_norm])
+        betas += level0_betas(us[1], config="compare")
 
     out.json("beta.json", {"L": cfg.L, "entries": betas})
     out.write("residual_summary.csv",

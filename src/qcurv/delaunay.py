@@ -120,11 +120,15 @@ def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return idct(lam * dct(w, type=1), type=1)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite: {tol}")
+
+
 def _check_solver(M: int, tol: float) -> None:
     if M < 200 or M % 2:
         raise ValueError(f"grid size must be even and >= 200: {M}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite: {tol}")
+    _check_tol(tol)
 
 
 def solve_periodic(L: float, prm: Params, M: int = 800,
@@ -309,8 +313,9 @@ def bifurcation_half_period(prm: Params, tol: float = 1e-10) -> float:
     on ln Theta_0 to a relative tol/10 (at least 4 eps).  The normalization
     constants cancel, so the threshold depends on (n, sigma) only.  Below
     the returned L the flat profile is the only positive even periodic
-    solution.
+    solution.  ValueError for a tol that is not finite and positive.
     """
+    _check_tol(tol)
     w_star = brentq(lambda w: _log_symbol(w, prm) - np.log(prm.p * prm.c_ns),
                     1e-2, 8.0, xtol=np.finfo(float).tiny,
                     rtol=max(tol / 10.0, 4.0 * np.finfo(float).eps))

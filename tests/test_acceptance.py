@@ -19,7 +19,7 @@ from qcurv.balancing import (BalancedConfig, SingularSet, balance,
                              balance_jacobian, periods_from_q)
 from qcurv.bubbles import Bubble, KernelIndex, TowerConfig, bubble_eval
 from qcurv.assembler import (WeightSpec, assemble, beta_leading_form,
-                             beta_projection, dual_apply_radial, residual)
+                             beta_projection, dual_apply_radial, residuals)
 
 PRM = derive_params(5, 1.5)
 IC = it.interaction_constants(PRM)
@@ -49,8 +49,8 @@ def towers():
 def residual_norms(towers):
     weight = WeightSpec(tau=0.5, kind="starstar")
     t0 = time.time()
-    norms = {key: residual(u, weight, tol=1e-7).weighted_norm
-             for key, u in towers.items()}
+    reps = residuals(list(towers.values()), weight, tol=1e-7)
+    norms = {key: rep.weighted_norm for key, rep in zip(towers, reps)}
     norms["elapsed"] = time.time() - t0
     return norms
 

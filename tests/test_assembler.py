@@ -15,10 +15,11 @@ from qcurv import assembler, balancing as bal, cli
 from qcurv.assembler import (CUT_OFF, CUT_ON, ApproxSolution, WeightSpec,
                              assemble, beta_leading_form, beta_projection,
                              cutoff, dual_apply, dual_apply_radial, mc_probe,
-                             residual, sample_grid, weighted_fn_norm,
-                             _Line, _MC_BLOCK, _Panels, _build_towers,
-                             _node_set, _patch_sum, _plain_integral,
-                             _t_edges)
+                             residual, residuals, sample_grid,
+                             weighted_fn_norm,
+                             _Line, _MC_BLOCK, _Nodes, _Panels,
+                             _build_towers, _node_set, _patch_sum,
+                             _plain_integral, _t_edges)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import radial_profile, solve_periodic
@@ -753,8 +754,9 @@ class TestMCProbe:
             assert 0.0 < share < 1e-6
 
     def test_memory_per_draw(self, balanced_pair):
-        # a label, a radius and a value per draw, points one block at a
-        # time; holding every draw's point and temporaries takes about 60 MB
+        # a one-byte label, a radius and a value per draw, points one block
+        # at a time: a 6.8 MB peak, 8.4 MB with 8-byte labels and np.std's
+        # temporary; every draw's point and temporaries at once take 60 MB
         x = balanced_pair.centers[0] + 0.35 * E1
         mc_probe(balanced_pair, x, 1000, 1)
         tracemalloc.start()
@@ -763,7 +765,7 @@ class TestMCProbe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 200_000 + 8e6
+        assert peak <= 17 * 200_000 + 4e6
 
     def test_marked_point_raises(self, balanced_pair):
         # a finite mean of an infinite-mean variable is no estimate
@@ -1190,8 +1192,8 @@ class TestResidual:
         _node_set(um, grab, 1e-6, 20.0, np.empty(0), np.empty(0))
         fills = len(seen)
         theta = np.linspace(0.1, 3.0, 50)
-        _patch_sum(um, grab, np.ones(theta.size), 3.0 + 0.3 * np.cos(theta),
-                   0.3 * np.sin(theta), 0.0, 1.0)
+        _patch_sum([_Nodes(um, grab, (), 0)], np.ones(theta.size),
+                   3.0 + 0.3 * np.cos(theta), 0.3 * np.sin(theta), 0.0, 1.0)
         assert 0 < fills < len(seen)
         assert all(zr.shape[1] == 2 and zr.flags.f_contiguous for zr in seen)
         assert all(zr.shape[0] > 1 for zr in seen)
@@ -1253,3 +1255,117 @@ class TestResidual:
         assert len(pts) == len(tags)
         kinds = {t.split(":")[0] for t in tags}
         assert kinds == {"near", "transition", "far"}
+
+
+def report_fields(rep):
+    """What must not depend on how many assemblies share a call, to the
+    bit (NaN included)."""
+    return (rep.values.tobytes(), rep.err_est.tobytes(), rep.nodes,
+            rep.weighted_norm, rep.errors, rep.region_sup)
+
+
+class TestResiduals:
+    """One call for assemblies on the same marked points: every report is
+    that of a call on its assembly alone, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def gate(self, balanced_pair, pair_35):
+        """The gate 8/9 assemblies: balanced at L = 2.5, 3.0, 3.5 and the
+        L = 3.5 control with q = (1.2, 1)."""
+        ref = pair_35.balanced
+        qq = np.array([1.2, 1.0])
+        unb = bal.BalancedConfig(
+            sigma_set=ref.sigma_set, q=qq, R=ref.R, a0_hat=ref.a0_hat,
+            L=ref.L, L_i=bal.periods_from_q(qq, ref.L, PRM),
+            resid_B1=float("nan"), resid_B2=float("nan"))
+        return [balanced_pair,
+                assemble(bal.balance(pair(), np.ones(2), 3.0, IC, PRM), PRM),
+                pair_35, assemble(unb, PRM)]
+
+    def test_pair_and_control(self, gate):
+        # every panel of the two node sets coincides; the Monte Carlo checks
+        # go to the first report alone
+        us = gate[2:]
+        joint = residuals(us, WeightSpec(tau=0.5), tol=1e-7, mc_seed=3,
+                          mc_points=1)
+        alone = [residual(u, WeightSpec(tau=0.5), tol=1e-7, mc_seed=3,
+                          mc_points=1 if m == 0 else 0)
+                 for m, u in enumerate(us)]
+        assert joint[0].errors == ()
+        assert len(joint[0].mc_checks) == 1 and joint[1].mc_checks == ()
+        for a, b in zip(joint, alone):
+            assert report_fields(a) == report_fields(b)
+            assert a.mc_checks == b.mc_checks
+
+    def test_gate_assemblies(self, gate):
+        # the deep ball panels differ with the periods; the others are shared
+        grid, _ = sample_grid(gate[0])
+        zx, rx = _Line.of(gate[0]).coords(grid)
+        keys = [[p.key for p in assembler._dual_nodes(
+            u.meridian(), lambda zr, uv: uv, zx, rx, 1e-7).panels]
+            for u in gate]
+        shared = [len({k[j] for k in keys}) == 1 for j in range(5)]
+        assert shared == [True, False, True, False, True]
+        joint = residuals(gate, WeightSpec(tau=0.5), tol=1e-7)
+        for a, u in zip(joint, gate):
+            assert report_fields(a) == report_fields(
+                residual(u, WeightSpec(tau=0.5), tol=1e-7))
+
+    def test_marked_sample_fails_in_every_report(self, gate):
+        u = gate[0]
+        pts = np.array([u.centers[1], u.centers[0] + 0.7 * E1,
+                        u.origin + 5.0 * E2])
+        samples = (pts, ["near:1", "transition", "far"])
+        joint = residuals(gate, WeightSpec(tau=0.5), samples=samples,
+                          tol=1e-7, mc_points=3)
+        for a, u in zip(joint, gate):
+            assert a.errors == ("sample 0: the dual map is infinite at "
+                                "marked point 1",)
+            assert np.isnan(a.values[0]) and np.all(np.isfinite(a.values[1:]))
+            assert report_fields(a) == report_fields(
+                residual(u, WeightSpec(tau=0.5), samples=samples, tol=1e-7))
+        assert sorted(c["sample"] for c in joint[0].mc_checks) == [1, 2]
+
+    def test_shared_panels_take_the_kernel_once(self, gate, monkeypatch):
+        # the control shares every panel of the L = 3.5 pair: a joint call
+        # evaluates the ring kernel exactly as often as a call on one
+        ring_kernel = assembler.ring_kernel
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return ring_kernel(*args)
+
+        monkeypatch.setattr(assembler, "ring_kernel", counted)
+        grid, tags = sample_grid(gate[2])
+        samples = (grid[::8], tags[::8])
+        residual(gate[2], WeightSpec(tau=0.5), samples=samples, tol=1e-7)
+        alone = len(calls)
+        residuals(gate[2:], WeightSpec(tau=0.5), samples=samples, tol=1e-7)
+        assert len(calls) == 2 * alone > 0
+
+    def test_different_marked_points_raise(self, gate):
+        other = assemble(bal.balance(pair(3.2), np.ones(2), 3.5, IC, PRM),
+                         PRM)
+        with pytest.raises(ValueError, match="same marked points"):
+            residuals([gate[2], other], WeightSpec(tau=0.5))
+        low = dataclasses.replace(gate[3], prm=derive_params(5, 1.2))
+        with pytest.raises(ValueError, match="same marked points"):
+            residuals([gate[2], low], WeightSpec(tau=0.5))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_tol_is_refused_before_any_node(balanced_pair, monkeypatch, tol):
+    # NaN and inf failed converting a panel count to an integer, 0 divided
+    # by zero and -1 took a complex power; beta_projection blamed the double
+    # spacing
+    u = balanced_pair
+    monkeypatch.setattr(assembler, "_node_set", None)
+    x = u.centers[0] + 0.7 * E1
+    samples = (np.array([x]), ["transition"])
+    for call in (lambda: residual(u, WeightSpec(tau=0.5), samples, tol),
+                 lambda: residuals([u, u], WeightSpec(tau=0.5), samples, tol),
+                 lambda: dual_apply(u, x, tol),
+                 lambda: beta_projection(u, KernelIndex(0, 0, 0), tol)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()

@@ -208,8 +208,13 @@ class TestRefusedBeforeWriting:
         ("assemble_residual", {"residual": {"regions": []}}, "regions"),
         # numpy refuses it as a seed, so no command takes it
         ("kernel", {"seed": -1}, "seed must be >= 0"),
+        # counts numpy could not allocate: a MemoryError traceback, exit 1
+        ("kernel", {"kernel": {"t_points": 10**12}},
+         "t_points must be in [4, 100000]"),
+        ("toda", {"toda": {"K": 10**12}}, "K must be <= 100000"),
     ], ids=["tmax", "sede", "region", "other-block", "L-huge", "n-huge",
-            "q-huge", "M-huge", "n-400", "no-regions", "seed"])
+            "q-huge", "M-huge", "n-400", "no-regions", "seed",
+            "t_points-huge", "K-huge"])
     def test_refused_config_is_2(self, tmp_path, capsys, monkeypatch,
                                  command, change, detail):
         monkeypatch.setattr(cli, "assemble", None)  # refused before it

@@ -339,11 +339,14 @@ def test_sweep_input_validation():
 def test_bad_tol_is_refused(tol):
     # at NaN the Newton loop never ran and the start came back as the
     # solution; at 0 or -1 no step could meet it ("positivity lost"); the
-    # sweep refuses once, before its rows would each turn it into NaN
+    # sweep refuses once, before its rows would each turn it into NaN.  The
+    # branch point took tol -1 and returned 2.01395
     with pytest.raises(ValueError, match="tol"):
         solve_periodic(2.5, PRM, M=200, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         neck_sweep([2.5, 3.0, 3.5], PRM, M=200, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        bifurcation_half_period(PRM, tol=tol)
 
 
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
