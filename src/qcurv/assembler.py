@@ -57,13 +57,13 @@ from typing import Callable
 
 import numpy as np
 
-from .params import Params, nonlin, nonlin_prime
+from .params import Params, _check_tol, nonlin, nonlin_prime
 from .kernels import (QuadratureError, check_rules, gauss_panels,
                       log_radial_convolution, ring_kernel, riesz_kernel_cyl)
 from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
                       kernel_Z, tower_eval)
 from .balancing import BalancedConfig
-from .delaunay import CylSolution, _check_tol, radial_profile, solve_periodic
+from .delaunay import CylSolution, radial_profile, solve_periodic
 
 __all__ = [
     "ApproxSolution",
@@ -113,21 +113,18 @@ def cutoff(s: np.ndarray, on: float = CUT_ON,
     return out if out.ndim else float(out)
 
 
-def _complete_frame(u_hat: np.ndarray, v_pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit v orthogonal to u along v_pref's residual, plus any w beyond both."""
-    n = u_hat.shape[0]
+def _complete_frame(u_hat: np.ndarray, v_pref: np.ndarray) -> np.ndarray:
+    """Unit w orthogonal to the unit u_hat and to v_pref's part orthogonal
+    to it: the first coordinate axis whose residual has norm above 1/2."""
     v = v_pref - (v_pref @ u_hat) * u_hat
     nv = np.linalg.norm(v)
-    v = v / nv if nv > 1e-13 else np.zeros(n)
-    for k in range(n):
-        w = np.zeros(n)
-        w[k] = 1.0
+    v = v / nv if nv > 1e-13 else np.zeros_like(v)
+    for w in np.eye(u_hat.shape[0]):
         w -= (w @ u_hat) * u_hat
-        if nv > 1e-13:
-            w -= (w @ v) * v
+        w -= (w @ v) * v
         nw = np.linalg.norm(w)
         if nw > 0.5:
-            return v, w / nw
+            return w / nw
     raise RuntimeError("degenerate frame")
 
 
@@ -184,10 +181,10 @@ class ApproxSolution:
         """chi_i phi_i at distances s < CUT_OFF from x_i (s2 their squares);
         the callers select those points.  phi_i is the periodic profile
         about x_i minus its two-sided base tower (outward levels included),
-        both radial about x_i.  The tower's levels are summed in
-        `tower_eval`'s order, so given the squared distances `tower_eval`
-        builds, the tower part has its bits; as there, the power is skipped
-        at gamma_s = 1.  The cutoff multiplies only the annulus s > CUT_ON,
+        both radial about x_i.  The levels -J..J, from the stored scales and
+        their scalar squares, are summed once over the (levels, points)
+        array, as `tower_eval` sums its half tower; the power is skipped at
+        gamma_s = 1.  The cutoff multiplies only the annulus s > CUT_ON,
         where it is not exactly 1, and a rounded s = 1.0 gets the term 0.
         ValueError at s = 0."""
         g, R, cfg = self.prm.gamma_s, self.baselines[i], self.base_towers[i]
@@ -242,7 +239,7 @@ class ApproxSolution:
         holds each center's squared distances _sq_dist(pts, x_i)."""
         out = np.zeros(pts.shape[0])
         for cfg in self.towers:
-            out += tower_eval(pts, cfg, self.prm, half=True)
+            out += tower_eval(pts, cfg, self.prm)
         for i, c in enumerate(self.centers):
             if own is not None and own[0] == i:
                 out += own[1]
@@ -354,7 +351,7 @@ class _Line:
         p0 = u.centers[0] - (u.centers[0] @ a) * a
         free = np.flatnonzero((a == 0.0) & (p0 == 0.0))
         e = (np.eye(a.size)[free[0]] if free.size
-             else _complete_frame(a, p0)[1])
+             else _complete_frame(a, p0))
         return cls(p0, a, e)
 
     def coords(self, x: np.ndarray):
@@ -966,25 +963,21 @@ FAR_RADII = (3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0)
 
 
 def sample_grid(u: ApproxSolution) -> tuple[np.ndarray, list[str]]:
-    """Deterministic graded grid; near radii are absolute so that sweeps in
-    the period compare like with like."""
-    a = u.axis
-    v_hat, _ = _complete_frame(a, np.roll(a, 1))
+    """Deterministic graded grid: near radii about each marked point and
+    transition radii about the first, along the line both ways and along its
+    normal `_Line.of(u).e`, then far radii from the centroid, along the line
+    and the normal.  Near radii are absolute so that sweeps in the period
+    compare like with like."""
+    line = _Line.of(u)
+    a, e = line.a, line.e
+    rings = [(c, NEAR_RADII, (a, -a, e), f"near:{i}")
+             for i, c in enumerate(u.centers)]
+    rings += [(u.centers[0], TRANSITION_RADII, (a, -a, e), "transition"),
+              (u.origin, FAR_RADII, (a, e), "far")]
     pts, tags = [], []
-    for i, c in enumerate(u.centers):
-        for r in NEAR_RADII:
-            for direction in (a, -a, v_hat):
-                pts.append(c + r * direction)
-                tags.append(f"near:{i}")
-    o = u.origin
-    for r in TRANSITION_RADII:
-        for direction in (a, -a, v_hat):
-            pts.append(u.centers[0] + r * direction)
-            tags.append("transition")
-    for r in FAR_RADII:
-        for direction in (a, v_hat):
-            pts.append(o + r * direction)
-            tags.append("far")
+    for c, radii, directions, tag in rings:
+        pts += [c + r * d for r in radii for d in directions]
+        tags += [tag] * (len(radii) * len(directions))
     return np.asarray(pts), tags
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import Params
+from .params import Params, _check_finite
 from .interactions import InteractionConstants
 
 __all__ = [
@@ -56,10 +56,6 @@ class SingularSet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     @cached_property
     def distances(self) -> np.ndarray:
         return np.linalg.norm(self.points[:, None, :] - self.points[None, :, :],
@@ -91,11 +87,14 @@ def residual_B1(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
     return constants.A2 * rg * (w @ (q * rg)) - q
 
 
+B1_TOL = 1e-12
+
+
 def solve_B1(sigma_set: SingularSet, q: np.ndarray,
-             constants: InteractionConstants, prm: Params,
-             tol: float = 1e-12) -> np.ndarray:
-    """Newton in y = ln R, at most 60 steps; the exponential map keeps
-    every iterate positive."""
+             constants: InteractionConstants, prm: Params) -> np.ndarray:
+    """Newton in y = ln R until the max norm of the first condition is at
+    most B1_TOL, at most 60 steps; the exponential map keeps every iterate
+    positive."""
     N = sigma_set.size
     q = _check_q(q, N)
     w = _weights(sigma_set, prm)
@@ -117,7 +116,7 @@ def solve_B1(sigma_set: SingularSet, q: np.ndarray,
     f = F(y)
     norm = np.max(np.abs(f))
     for it in range(60):
-        if norm <= tol:
+        if norm <= B1_TOL:
             return np.exp(y)
         rg = np.exp(g * y)
         cross = constants.A2 * rg[:, None] * w * (q * rg)[None, :]
@@ -245,6 +244,7 @@ def balance_jacobian(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
 
 def periods_from_q(q: np.ndarray, L: float, prm: Params) -> np.ndarray:
     """Per-point periods: q_i e^{-g L} = e^{-g L_i}."""
+    _check_finite("L", L)
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0) or L <= 0:
         raise ValueError("q and L must be positive")
@@ -270,10 +270,9 @@ class BalancedConfig:
 
 
 def balance(sigma_set: SingularSet, q: np.ndarray, L: float,
-            constants: InteractionConstants, prm: Params,
-            tol: float = 1e-12) -> BalancedConfig:
+            constants: InteractionConstants, prm: Params) -> BalancedConfig:
     q = _check_q(q, sigma_set.size)
-    R = solve_B1(sigma_set, q, constants, prm, tol)
+    R = solve_B1(sigma_set, q, constants, prm)
     a0 = solve_B2(sigma_set, q, R, constants, prm)
     L_i = periods_from_q(q, L, prm)
     r1 = float(np.max(np.abs(residual_B1(sigma_set, q, R, constants, prm))))

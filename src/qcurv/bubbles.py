@@ -195,9 +195,9 @@ class TowerConfig:
 _BLOCK = 4096
 
 
-def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
-               half: bool = True) -> float | np.ndarray:
-    """Sum the tower's bubbles at x; half=False also adds levels -J..-1.
+def tower_eval(x: np.ndarray, cfg: TowerConfig,
+               prm: Params) -> float | np.ndarray:
+    """Sum the half tower's bubbles, levels 0..J, at x.
 
     Per block of points, |x - center|^2 of every level is built in place in
     a (levels, block) slice of the output, one coordinate at a time, in
@@ -215,11 +215,10 @@ def tower_eval(x: np.ndarray, cfg: TowerConfig, prm: Params,
     would make the bits depend on the block size.
     """
     x = np.asarray(x, dtype=float)
-    lo = cfg.levels if half else 0
-    lam2 = 2.0 * cfg.level_scales[lo:, None]
-    lam_sq = cfg.level_scales_sq[lo:, None]
+    lam2 = 2.0 * cfg.level_scales[cfg.levels:, None]
+    lam_sq = cfg.level_scales_sq[cfg.levels:, None]
     ctr = [c[:1] if shared else c for c, shared in
-           zip(cfg.level_centers[lo:].T[:, :, None], cfg.level_shared)]
+           zip(cfg.level_centers[cfg.levels:].T[:, :, None], cfg.level_shared)]
     pts = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
     vals = np.empty((lam2.shape[0], pts.shape[1]))
     diff = np.empty((lam2.shape[0], min(_BLOCK, pts.shape[1])))

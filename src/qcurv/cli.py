@@ -200,13 +200,13 @@ class OutDir:
 
 
 def _manifest(out: OutDir, command: str, config_doc: dict, prm,
-              seed: int, tol: float) -> None:
+              seed: int) -> None:
     ic = interaction_constants(prm)
     blob = json.dumps(config_doc, sort_keys=True).encode()
     doc = {
         "command": command,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "n": prm.n, "sigma": prm.sigma, "seed": seed, "tol": tol,
+        "n": prm.n, "sigma": prm.sigma, "seed": seed,
         "constants": {"A1": ic.A1, "A2": ic.A2, "A3": ic.A3,
                       "method": ic.method,
                       "kappa": prm.dual_const / prm.c_ns},
@@ -229,7 +229,7 @@ def _csv(header: list[str], rows: list[list]) -> str:
 # commands
 
 
-def cmd_kernel(conf: dict, prm, out: OutDir, tol: float) -> None:
+def cmd_kernel(conf: dict, prm, out: OutDir) -> None:
     k = conf["kernel"]
     grid = np.linspace(k["t_min"], k["t_max"], k["t_points"])
     tail = grid >= k["t_max"] / 2
@@ -245,9 +245,9 @@ def cmd_kernel(conf: dict, prm, out: OutDir, tol: float) -> None:
                                     "gamma_dual": prm.gamma_dual, **slopes})
 
 
-def cmd_delaunay(conf: dict, prm, out: OutDir, tol: float) -> None:
+def cmd_delaunay(conf: dict, prm, out: OutDir) -> None:
     d = conf["delaunay"]
-    sweep = neck_sweep(d["L_list"], prm, M=d["M"], tol=min(tol, 1e-8))
+    sweep = neck_sweep(d["L_list"], prm, M=d["M"])
     ok = [r for r in sweep.rows if r.error is None]
     if len(ok) < 2:
         bad = "; ".join(f"L={r.L}: {r.error}" for r in sweep.rows if r.error)
@@ -262,7 +262,7 @@ def cmd_delaunay(conf: dict, prm, out: OutDir, tol: float) -> None:
                                       "gamma_s": prm.gamma_s})
 
 
-def cmd_constants(conf: dict, prm, out: OutDir, tol: float) -> None:
+def cmd_constants(conf: dict, prm, out: OutDir) -> None:
     ic = interaction_constants(prm)
     fitted = oracle_fit_constants(prm)
     out.json("constants.json", {"n": prm.n, "sigma": prm.sigma, **asdict(ic),
@@ -283,10 +283,10 @@ def _geometry(conf: dict, n: int) -> tuple[SingularSet, np.ndarray]:
     return ss, np.asarray(conf["q"])
 
 
-def cmd_balance(conf: dict, prm, out: OutDir, tol: float) -> None:
+def cmd_balance(conf: dict, prm, out: OutDir) -> None:
     ss, q = _geometry(conf, prm.n)
     ic = interaction_constants(prm)
-    cfg = balance(ss, q, conf["L"], ic, prm, tol=min(tol, 1e-10))
+    cfg = balance(ss, q, conf["L"], ic, prm)
     fields = asdict(cfg)
     fields["points"] = fields.pop("sigma_set")["points"]
     out.json("balanced.json", {"n": prm.n, "sigma": prm.sigma, **fields})
@@ -295,6 +295,9 @@ def cmd_balance(conf: dict, prm, out: OutDir, tol: float) -> None:
             for i in range(ss.size)]
     head = ["i", "q", "R", "L_i"] + [f"a0_{k}" for k in range(prm.n)]
     out.write("balance.csv", _csv(head, rows))
+
+
+RESIDUAL_TOL = 1e-7
 
 
 def _samples(u, regions: list[str] | None):
@@ -329,7 +332,7 @@ def _solver_facts(u) -> dict:
     return facts
 
 
-def cmd_assemble_residual(conf: dict, prm, out: OutDir, tol: float) -> None:
+def cmd_assemble_residual(conf: dict, prm, out: OutDir) -> None:
     ss, q = _geometry(conf, prm.n)
     r = conf["residual"]
     regions, compare_q, seed = r["regions"], r["compare_q"], conf["seed"]
@@ -338,12 +341,11 @@ def cmd_assemble_residual(conf: dict, prm, out: OutDir, tol: float) -> None:
     ic = interaction_constants(prm)
     cfg = balance(ss, q, conf["L"], ic, prm)
     weight = WeightSpec(tau=r["tau"], kind=r["weight_kind"])
-    qtol = max(tol, 1e-7)
 
     def level0_betas(v, **tag):
         out = []
         for i in range(ss.size):
-            beta = beta_projection(v, KernelIndex(i, 0, 0), tol=qtol)
+            beta = beta_projection(v, KernelIndex(i, 0, 0), tol=RESIDUAL_TOL)
             out.append({"tower": i, "level": 0, "mode": 0, "beta": beta,
                         "err_est": beta.err_est, "mass": beta.mass,
                         "leading_form": beta_leading_form(v, i), **tag})
@@ -359,8 +361,8 @@ def cmd_assemble_residual(conf: dict, prm, out: OutDir, tol: float) -> None:
         us.append(assemble(unb, prm))
         solver["compare"] = _solver_facts(us[1])
     # the control's panels are the balanced run's: one call takes them once
-    reps = residuals(us, weight, samples=_samples(us[0], regions), tol=qtol,
-                     mc_seed=seed, mc_points=r["mc_points"])
+    reps = residuals(us, weight, samples=_samples(us[0], regions),
+                     tol=RESIDUAL_TOL, mc_seed=seed, mc_points=r["mc_points"])
     _write_report(out, "residual_report.json", reps[0])
     betas = level0_betas(us[0])
     summary_rows = [["balanced", reps[0].weighted_norm]]
@@ -377,7 +379,7 @@ def cmd_assemble_residual(conf: dict, prm, out: OutDir, tol: float) -> None:
               _csv(["run", "weighted_norm"], summary_rows))
 
 
-def cmd_toda(conf: dict, prm, out: OutDir, tol: float) -> None:
+def cmd_toda(conf: dict, prm, out: OutDir) -> None:
     t = conf["toda"]
     kind, K, tau = t["kind"], t["K"], t["tau"]
     op = toda_mod.TodaOperator(kind=kind, K=K, period=t["period"])
@@ -406,23 +408,19 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default="qcurv-out", help="output directory")
-    ap.add_argument("--tol", type=float, default=1e-8,
-                    help="quadrature/solver budget")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if not 0 < args.tol < np.inf:
-            raise ConfigError(f"--tol must be positive and finite: {args.tol}")
         # made before the config is read: a refused config leaves it empty
         out = OutDir(args.out)
         doc = _load_config(args.config)
         conf = _read(doc, args.command)
         prm = derive_params(conf["n"], conf["sigma"])
-        COMMANDS[args.command](conf, prm, out, args.tol)
-        _manifest(out, args.command, doc, prm, conf["seed"], args.tol)
+        COMMANDS[args.command](conf, prm, out)
+        _manifest(out, args.command, doc, prm, conf["seed"])
     except (NewtonError, QuadratureError, BalanceError) as exc:
         print(json.dumps({"error": "solver", "detail": str(exc)}),
               file=sys.stderr)

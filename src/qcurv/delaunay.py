@@ -39,7 +39,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import loggamma
 
-from .params import Params
+from .params import Params, _check_finite, _check_tol
 from .bubbles import cyl_coefficient
 from .kernels import decay_slope
 
@@ -120,11 +120,6 @@ def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return idct(lam * dct(w, type=1), type=1)
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite: {tol}")
-
-
 def _check_solver(M: int, tol: float) -> None:
     if M < 200 or M % 2:
         raise ValueError(f"grid size must be even and >= 200: {M}")
@@ -141,6 +136,7 @@ def solve_periodic(L: float, prm: Params, M: int = 800,
     each step to 1e-14 relative; NewtonError when it does not, or after 60
     steps.  ValueError for a tol that is not finite and positive.
     """
+    _check_finite("L", L)
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
     _check_solver(M, tol)

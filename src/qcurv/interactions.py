@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params, nonlin_prime
+from .params import Params, _check_finite, nonlin_prime
 from .bubbles import (KernelIndex, TowerConfig, dlam_bubble,
                       translation_factor)
 from .kernels import QuadratureError, check_rules, gauss_panels
@@ -252,6 +252,7 @@ def psi(ell: float, prm: Params) -> float:
     of _RADIAL_TOL times a small factor; QuadratureError when that tail is
     not below _RADIAL_TOL times the value or the 8-point rule disagrees.
     """
+    _check_finite("ell", ell)
     if ell < 0:
         raise ValueError("the offset must be nonnegative")
     g, n, two_s = prm.gamma_s, prm.n, 2.0 * prm.sigma

@@ -61,6 +61,16 @@ class Params:
         return self.riesz_const * self.q_ns
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite: {value}")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite: {tol}")
+
+
 def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params:
     """Validate (n, sigma) and derive the attached constants.
 
@@ -68,6 +78,7 @@ def derive_params(n: int, sigma: float, allow_low_order: bool = False) -> Params
     double (n above about 340).  sigma <= 1 is outside the standing range
     and requires ``allow_low_order=True`` (for cross-checks).
     """
+    _check_finite("n", n)
     if int(n) != n or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     n = int(n)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import _check_finite
+
 __all__ = [
     "TodaOperator",
     "apply",
@@ -108,5 +110,6 @@ def amplification(op: TodaOperator, tau: float) -> float:
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
+    _check_finite("tau", tau)
     m = np.arange(1, op.K + 1, dtype=float)
     return float(np.sum(op.weights() * np.exp(-2.0 * (m - 1.0) * tau)))

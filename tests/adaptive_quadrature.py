@@ -56,6 +56,16 @@ def _far_weight(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return W
 
 
+def _frame(axis: np.ndarray,
+           v_pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit v along v_pref's part orthogonal to axis (zero when it has
+    none), and `_complete_frame`'s w orthogonal to both."""
+    v = v_pref - (v_pref @ axis) * axis
+    nv = np.linalg.norm(v)
+    return (v / nv if nv > 1e-13 else np.zeros_like(v),
+            _complete_frame(axis, v_pref))
+
+
 def _dirs(axis: np.ndarray, v_pref: np.ndarray, zs: np.ndarray,
           Kc: int) -> tuple[np.ndarray, np.ndarray]:
     """Angular rule: directions (Kz, Kc, n) at polar cosines zs about axis,
@@ -63,7 +73,7 @@ def _dirs(axis: np.ndarray, v_pref: np.ndarray, zs: np.ndarray,
     orthogonal to axis; Kc = 1, or no such part, collapses it to one node,
     exact for integrands symmetric about that plane."""
     n = axis.shape[0]
-    v_hat, w_hat = _complete_frame(axis, v_pref)
+    v_hat, w_hat = _frame(axis, v_pref)
     if Kc == 1 or np.linalg.norm(v_hat) < 0.5:
         # one node carrying int (1-c^2)^((n-4)/2) dc over [-1, 1]
         cs = np.zeros(1)

@@ -8,11 +8,13 @@ import pytest
 from scipy.integrate import quad
 
 import adaptive_quadrature as adaptive
+from test_bubbles import _oracle_tower
 
 from qcurv.params import derive_params
 from qcurv.interactions import interaction_constants
 from qcurv import assembler, balancing as bal, cli
-from qcurv.assembler import (CUT_OFF, CUT_ON, ApproxSolution, WeightSpec,
+from qcurv.assembler import (CUT_OFF, CUT_ON, FAR_RADII, NEAR_RADII,
+                             TRANSITION_RADII, ApproxSolution, WeightSpec,
                              assemble, beta_leading_form, beta_projection,
                              cutoff, dual_apply, dual_apply_radial, mc_probe,
                              residual, residuals, sample_grid,
@@ -52,7 +54,7 @@ def correction(u, x, i):
     R = u.baselines[i]
     prof = R ** (-u.prm.gamma_s) * radial_profile(
         u.cyls[i], np.linalg.norm(x - u.centers[i], axis=-1) / R, u.prm)
-    return prof - tower_eval(x, u.base_towers[i], u.prm, half=False)
+    return prof - _oracle_tower(x, u.base_towers[i], u.prm, half=False)
 
 
 def line_points(line, zr):
@@ -284,10 +286,9 @@ class TestAssemble:
         R = single.baselines[0]
         for x in (0.04 * E1, 0.3 * E1, 0.3 * E2, 0.49 * E1):
             prof = R ** (-g) * radial_profile(cyl, np.linalg.norm(x) / R, PRM)
-            mirror = (tower_eval(x[None, :], single.base_towers[0], PRM,
-                                 half=False)
-                      - tower_eval(x[None, :], single.base_towers[0], PRM,
-                                   half=True))[0]
+            base = single.base_towers[0]
+            mirror = (_oracle_tower(x, base, PRM, half=False)
+                      - tower_eval(x, base, PRM))
             assert float(single(x)) == pytest.approx(prof - mirror,
                                                      abs=1e-12)
 
@@ -1256,6 +1257,31 @@ class TestResidual:
         kinds = {t.split(":")[0] for t in tags}
         assert kinds == {"near", "transition", "far"}
 
+    def test_grid_off_the_line_on_any_line(self, balanced_pair):
+        # the off-axis direction was the axis rolled by one coordinate, made
+        # orthogonal to it: zero along (1, ..., 1), where 17 of the 65
+        # samples sat on a marked point and 43 were distinct
+        a = np.ones(5) / np.sqrt(5.0)
+        u = assemble(bal.balance(bal.SingularSet(points=np.array(
+            [np.zeros(5), 3.0 * a])), np.ones(2), 3.5, IC, PRM), PRM)
+        pts, tags = sample_grid(u)
+        assert len(np.unique(pts, axis=0)) == len(pts) == 65
+        assert not np.any(np.all(pts[:, None, :] == u.centers, axis=-1))
+        # every third near and transition sample, every second far one, is
+        # off the line, at its radius
+        want = ([r * (d == 2) for _ in u.centers for r in NEAR_RADII
+                 for d in range(3)]
+                + [r * (d == 2) for r in TRANSITION_RADII for d in range(3)]
+                + [r * (d == 1) for r in FAR_RADII for d in range(2)])
+        np.testing.assert_allclose(_Line.of(u).coords(pts)[1], want,
+                                   rtol=1e-14, atol=1e-13)
+        # on e1 the normal is e2 itself, as before
+        pts, _ = sample_grid(balanced_pair)
+        c = balanced_pair.centers
+        assert np.array_equal(pts[2], c[0] + NEAR_RADII[0] * E2)
+        assert np.array_equal(pts[-1], balanced_pair.origin
+                              + FAR_RADII[-1] * E2)
+
 
 def report_fields(rep):
     """What must not depend on how many assemblies share a call, to the
@@ -1343,6 +1369,34 @@ class TestResiduals:
         alone = len(calls)
         residuals(gate[2:], WeightSpec(tau=0.5), samples=samples, tol=1e-7)
         assert len(calls) == 2 * alone > 0
+
+    def test_one_member_failing_one_sample(self, gate, monkeypatch):
+        # one assembly's 16/8 check fails at sample 3: NaN and the error in
+        # its report alone, every other number as in lone calls
+        us, weight = gate[2:], WeightSpec(tau=0.5)
+        grid, tags = sample_grid(us[0])
+        samples = (grid[::8], tags[::8])
+        alone = [residual(u, weight, samples=samples, tol=1e-7) for u in us]
+        check_rules, calls = assembler.check_rules, []
+
+        def failing(fine, coarse, tol, what):
+            # calls run sample by sample, member by member
+            calls.append(what)
+            return check_rules(fine, coarse, 0.0 if len(calls) == 8 else tol,
+                               what)
+
+        monkeypatch.setattr(assembler, "check_rules", failing)
+        joint = residuals(us, weight, samples=samples, tol=1e-7)
+        assert len(calls) == 2 * len(grid[::8])
+        assert report_fields(joint[0]) == report_fields(alone[0])
+        assert len(joint[1].errors) == 1
+        assert joint[1].errors[0].startswith(
+            "sample 3: dual map: 16- and 8-point rules differ")
+        assert np.isnan(joint[1].values[3]) and np.isnan(joint[1].err_est[3])
+        keep = np.arange(len(grid[::8])) != 3
+        assert np.array_equal(joint[1].values[keep], alone[1].values[keep])
+        assert np.array_equal(joint[1].err_est[keep], alone[1].err_est[keep])
+        assert joint[1].nodes == alone[1].nodes
 
     def test_different_marked_points_raise(self, gate):
         other = assemble(bal.balance(pair(3.2), np.ones(2), 3.5, IC, PRM),

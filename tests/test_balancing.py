@@ -52,7 +52,7 @@ class TestSolveB1:
     def test_residual_contract(self):
         ss = equilateral()
         q = np.array([1.0, 1.1, 0.9])
-        R = bal.solve_B1(ss, q, IC, PRM, tol=1e-12)
+        R = bal.solve_B1(ss, q, IC, PRM)
         assert np.max(np.abs(bal.residual_B1(ss, q, R, IC, PRM))) <= 1e-12
 
     def test_equilateral_symmetry(self):

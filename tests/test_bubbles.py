@@ -125,7 +125,8 @@ def test_tower_ef_conjugation():
 
 def test_full_tower_adds_mirror_levels():
     cfg = _standard_cfg(levels=2)
-    u = _ray(lambda pts: tower_eval(pts, cfg, PRM, half=False))
+    u = _ray(lambda pts: sum(bubble_eval(pts, cfg.level_bubble(j), PRM)
+                             for j in range(-cfg.levels, cfg.levels + 1)))
     ts = np.linspace(-6.0, 6.0, 13)
     got = ef_forward(u, ts, PRM)
     want = sum(np.cosh(ts - (1.0 + 2.0 * j) * cfg.period) ** (-PRM.gamma_s)
@@ -306,8 +307,7 @@ def test_sq_dist_matches_sum_of_squares_bitwise(n):
 
 
 @pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5), (9, 3.5)])
-@pytest.mark.parametrize("half", [True, False])
-def test_tower_eval_matches_per_level_oracle_bitwise(n, sigma, half):
+def test_tower_eval_matches_per_level_oracle_bitwise(n, sigma):
     # integer gamma_s: every operation is exactly rounded, so bit equality
     # holds for single points, every block boundary and nested batches; at
     # n = 9 both add the squared differences in coordinate order
@@ -316,33 +316,32 @@ def test_tower_eval_matches_per_level_oracle_bitwise(n, sigma, half):
     cfg = _deformed_tower(n)
     for count in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
         x = _points(cfg, count, seed=count)
-        got = tower_eval(x, cfg, prm, half=half)
+        got = tower_eval(x, cfg, prm)
         assert got.shape == (count,)
-        assert np.array_equal(got, _oracle_tower(x, cfg, prm, half=half))
+        assert np.array_equal(got, _oracle_tower(x, cfg, prm))
         for xi in x[:50]:
-            one = tower_eval(xi, cfg, prm, half=half)
+            one = tower_eval(xi, cfg, prm)
             assert isinstance(one, float)
-            assert one == _oracle_tower(xi, cfg, prm, half=half)
+            assert one == _oracle_tower(xi, cfg, prm)
     x = _points(cfg, 24, seed=3).reshape(4, 6, n)
-    got = tower_eval(x, cfg, prm, half=half)
+    got = tower_eval(x, cfg, prm)
     assert got.shape == (4, 6)
-    assert np.array_equal(got, _oracle_tower(x, cfg, prm, half=half))
+    assert np.array_equal(got, _oracle_tower(x, cfg, prm))
 
 
 @pytest.mark.parametrize("n,sigma", [(3, 1.2), (9, 3.5)])
-@pytest.mark.parametrize("half", [True, False])
-def test_tower_eval_matches_oracle_within_ulps(n, sigma, half):
+def test_tower_eval_matches_oracle_within_ulps(n, sigma):
     # at fractional gamma_s numpy's scalar pow (single points in the oracle)
     # and its vectorized pow can differ by an ulp per level; the squared
     # distances are the same bits, added in coordinate order by both
     prm = derive_params(n, sigma)
     cfg = _deformed_tower(n)
     x = _points(cfg, _BLOCK + 1, seed=9)
-    np.testing.assert_array_max_ulp(tower_eval(x, cfg, prm, half=half),
-                                    _oracle_tower(x, cfg, prm, half=half), 4)
+    np.testing.assert_array_max_ulp(tower_eval(x, cfg, prm),
+                                    _oracle_tower(x, cfg, prm), 4)
     for xi in x[:200]:
-        np.testing.assert_array_max_ulp(tower_eval(xi, cfg, prm, half=half),
-                                        _oracle_tower(xi, cfg, prm, half=half), 4)
+        np.testing.assert_array_max_ulp(tower_eval(xi, cfg, prm),
+                                        _oracle_tower(xi, cfg, prm), 4)
 
 
 def _axial_tower(n, dim):
@@ -360,8 +359,7 @@ def _axial_tower(n, dim):
 
 @pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
 @pytest.mark.parametrize("dim", ["meridian", "n-D"])
-@pytest.mark.parametrize("half", [True, False])
-def test_tower_eval_axial_shifts_match_oracle_bitwise(n, sigma, dim, half):
+def test_tower_eval_axial_shifts_match_oracle_bitwise(n, sigma, dim):
     # with the shifts along e1 every level center has the same e2..en, so
     # those coordinates are squared once per block and shared by the levels
     prm = derive_params(n, sigma)
@@ -372,11 +370,10 @@ def test_tower_eval_axial_shifts_match_oracle_bitwise(n, sigma, dim, half):
         x = _points(cfg, count, seed=count)
         if dim == "meridian":
             x[:, 1] = np.abs(x[:, 1])
-        assert np.array_equal(tower_eval(x, cfg, prm, half=half),
-                              _oracle_tower(x, cfg, prm, half=half))
+        assert np.array_equal(tower_eval(x, cfg, prm),
+                              _oracle_tower(x, cfg, prm))
         for xi in x[:20]:
-            assert (tower_eval(xi, cfg, prm, half=half)
-                    == _oracle_tower(xi, cfg, prm, half=half))
+            assert tower_eval(xi, cfg, prm) == _oracle_tower(xi, cfg, prm)
 
 
 def test_tower_eval_keeps_scalar_square_of_scales():
@@ -386,10 +383,9 @@ def test_tower_eval_keeps_scalar_square_of_scales():
     for k in range(1000):
         cfg = TowerConfig(index=0, center=np.zeros(N), period=1.0, levels=6,
                           baseline=0.2 + 1e-3 * k)
-        if np.any(cfg.level_scales ** 2 != cfg.level_scales_sq):
+        if np.any(cfg.scales() ** 2 != cfg.level_scales_sq[cfg.levels:]):
             break
     else:
         pytest.skip("scalar and array squares agree on this platform")
     x = _points(cfg, 2000, seed=1)
-    assert np.array_equal(tower_eval(x, cfg, prm, half=False),
-                          _oracle_tower(x, cfg, prm, half=False))
+    assert np.array_equal(tower_eval(x, cfg, prm), _oracle_tower(x, cfg, prm))

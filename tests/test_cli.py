@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import qcurv
-from qcurv import assembler, cli
+from qcurv import assembler, balancing, cli
+from qcurv.interactions import interaction_constants
 from qcurv.kernels import KERNEL_REL_ERR
 
 
@@ -81,6 +82,7 @@ class TestManifest:
         assert man["seed"] == 11
         assert {"A1", "A2", "A3", "method", "kappa"} <= set(man["constants"])
         assert sorted(man["outputs"]) == ["toda.csv", "toda_check.json"]
+        assert "tol" not in man
         flat = json.dumps(man).lower()
         assert "time" not in flat and "date" not in flat
 
@@ -150,6 +152,20 @@ class TestExitCodes:
         res = run_cli(["frobnicate", "--config", "x.json"])
         assert res.returncode == 2
 
+    def test_only_config_and_out(self, tmp_path, capsys):
+        # every command runs at its own fixed tolerance: there is no --tol,
+        # and argparse refuses one like any unknown flag
+        flags = {f for a in cli._parser()._actions for f in a.option_strings}
+        assert flags == {"-h", "--help", "--config", "--out"}
+        cfg = write_config(tmp_path / "c.json", BASE)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["delaunay", "--config", cfg, "--out", str(out),
+                      "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -175,17 +191,6 @@ class TestRefusedBeforeWriting:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "finite" in err["detail"]
-        assert list(out.glob("*")) == []
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
-    def test_bad_tol_is_2(self, tmp_path, capsys, tol):
-        # at --tol nan the periodic solver's Newton loop never ran, and
-        # delaunay wrote its initial guesses with exit 0
-        cfg = write_config(tmp_path / "c.json", BASE)
-        out = tmp_path / "o"
-        assert cli.main(["delaunay", "--config", cfg, "--out", str(out),
-                         "--tol", tol]) == 2
-        assert "--tol" in json.loads(capsys.readouterr().err)["detail"]
         assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("command,change,detail", [
@@ -310,6 +315,22 @@ class TestBalanceCommand:
         rows = (out / "balance.csv").read_text().strip().splitlines()
         assert rows[0].startswith("i,q,R,L_i")
         assert len(rows) == 3
+
+    def test_balances_as_the_library(self, tmp_path):
+        # balance and assemble_residual balance one config alike: both at
+        # balancing.B1_TOL, where the balance command once stopped at 1e-10
+        doc = {**BASE, "points": [[0, 0, 0, 0, 0], [3, 0, 0, 0, 0],
+                                  [6, 0, 0, 0, 0]], "q": [1.0, 1.3, 1.0]}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["balance", "--config", cfg, "--out", str(out)]) == 0
+        got = json.loads((out / "balanced.json").read_text())
+        prm = qcurv.derive_params(5, 1.5)
+        want = balancing.balance(
+            balancing.SingularSet(points=np.array(doc["points"], float)),
+            np.array(doc["q"]), doc["L"], interaction_constants(prm), prm)
+        assert got["R"] == want.R.tolist()
+        assert got["resid_B1"] == want.resid_B1 <= balancing.B1_TOL
 
 
 class TestAssembleResidualCommand:

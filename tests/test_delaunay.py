@@ -432,3 +432,11 @@ def test_grid_error_is_rounding_at_M_400(n, sigma):
     ref = solve_periodic(3.5, prm, M=6400)
     sol = solve_periodic(3.5, prm, M=400)
     assert np.max(np.abs(sol.v - ref.v[::16])) <= 1e-12
+
+
+def test_non_finite_half_period_row_names_it():
+    # the row of a NaN half-period said "cannot convert float NaN to
+    # integer"; the other rows solve
+    sweep = neck_sweep([2.5, float("nan"), 3.0, 3.5], PRM, M=200)
+    assert [r.error for r in sweep.rows] == [
+        None, "L must be finite: nan", None, None]

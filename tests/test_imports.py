@@ -276,6 +276,13 @@ REMOVED_OPTIONS = {
     ("assembler", "WeightSpec", "zeta1"),
     ("assembler", "residual", "mc_samples"),
     ("balancing", "solve_B1", "max_iter"),
+    ("balancing", "solve_B1", "tol"),
+    ("balancing", "balance", "tol"),
+    ("balancing", "SingularSet.dim", "self"),
+    ("bubbles", "tower_eval", "half"),
+    *(("cli", f"cmd_{c}", "tol") for c in (
+        "kernel", "delaunay", "constants", "balance", "assemble_residual",
+        "toda")),
     ("balancing", "balance_jacobian", "kernel_tol"),
     ("bubbles", "TowerConfig", "tau"),
     ("delaunay", "solve_periodic", "max_iter"),

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcurv import params
+from qcurv import balancing, delaunay, interactions, params, toda
 from qcurv.params import derive_params, nonlin, nonlin_prime
 
 
@@ -115,3 +115,29 @@ def test_sphere_measures_cached_once(monkeypatch):
     back = pickle.loads(pickle.dumps(prm))
     assert back == prm and back.omega_sphere == prm.omega_sphere
     assert len(calls) == 2
+
+
+PRM = derive_params(5, 1.5)
+TWO = balancing.SingularSet(points=np.array([[0.0] * 5, [3.0] + [0.0] * 4]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,call", [
+    ("ell", lambda v: interactions.psi(v, PRM)),
+    ("L", lambda v: delaunay.solve_periodic(v, PRM)),
+    ("L", lambda v: balancing.periods_from_q(np.ones(2), v, PRM)),
+    ("L", lambda v: balancing.balance(
+        TWO, np.ones(2), v, interactions.interaction_constants(PRM), PRM)),
+    ("n", lambda v: derive_params(v, 1.5)),
+    ("tau", lambda v: toda.amplification(toda.TodaOperator("dilation", 10),
+                                         v)),
+], ids=["psi", "solve_periodic", "periods_from_q", "balance",
+        "derive_params", "amplification"])
+def test_non_finite_argument_is_named(name, call, value):
+    # psi(inf) was a "perfect" 0 and amplification(inf) NaN; solve_periodic
+    # at inf returned a NaN neck, periods_from_q and balance at NaN or inf
+    # NaN or inf periods; NaN failed deep inside, in words that named no
+    # argument, and derive_params(inf) raised an OverflowError
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
