@@ -62,8 +62,9 @@ from .kernels import (QuadratureError, check_rules, gauss_panels,
                       log_radial_convolution, ring_kernel, riesz_kernel_cyl)
 from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
                       kernel_Z, tower_eval)
-from .balancing import BalancedConfig
+from .balancing import BalancedConfig, _balance_map
 from .delaunay import CylSolution, radial_profile, solve_periodic
+from .interactions import const_A2
 
 __all__ = [
     "ApproxSolution",
@@ -889,19 +890,14 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
 
 
 def beta_leading_form(u: ApproxSolution, i: int) -> float:
-    """Printed leading bracket of the level-0 dilation projection."""
+    """Printed leading bracket of the level-0 dilation projection,
+    -c_ns q_i e^(-g L) F_i(q, R): the first balancing map, zero at
+    balance."""
     if u.balanced is None:
         raise ValueError("needs a balanced multi-point configuration")
-    prm = u.prm
-    cfg = u.balanced
-    g = prm.gamma_s
-    d = cfg.sigma_set.distances
-    q, R = cfg.q, cfg.R
-    cross = sum(q[k] * (R[i] * R[k]) ** g * d[i, k] ** (-2.0 * g)
-                for k in range(u.size) if k != i)
-    from .interactions import const_A2
-    return float(-prm.c_ns * q[i] * (const_A2(prm) * cross - q[i])
-                 * np.exp(-g * cfg.L))
+    prm, cfg, g = u.prm, u.balanced, u.prm.gamma_s
+    F = _balance_map(cfg.sigma_set, cfg.q, cfg.R, const_A2(prm), g)[0]
+    return float(-prm.c_ns * cfg.q[i] * F[i] * np.exp(-g * cfg.L))
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -916,8 +912,8 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("star", "starstar"):
             raise ValueError("kind must be 'star' or 'starstar'")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite: {self.tau}")
 
     def resolve(self, prm: Params) -> tuple[float, float]:
         """(near exponent, far exponent) as printed; the starstar table is

@@ -4,12 +4,17 @@ A configuration assigns each marked point a relative multiplicity q_i and a
 dilation baseline R^i.  The first balancing condition ties them through the
 pairwise interaction weights,
 
-    q_i = A2 * sum_{i' != i} q_{i'} (R^i R^{i'})^g |x_i - x_{i'}|^{-2g},
+    F_i(q, R) = A2 R_i^g sum_{i' != i} q_{i'} R_{i'}^g |x_i - x_{i'}|^{-2g}
+                - q_i = 0,
 
-solved here by Newton in ln R; the second defines the leading center offsets
-explicitly.  The q-Jacobian of the first system at a balanced point is
-singular along q itself, which is what downstream gluing relies on; the
-report produced here verifies that structure numerically.
+a map evaluated in one place here (`_balance_map`, with its ln R
+derivative).  `solve_B1` starts at the equal scale min |x_i - x_{i'}|
+A2^(-1/2g), which solves it exactly for a pair of equal q, and otherwise
+hands it to scipy's Levenberg-Marquardt in ln R; the second condition
+defines the leading center offsets explicitly.  The q-Jacobian of the first
+system at a balanced point is singular along q itself, which is what
+downstream gluing relies on; the report produced here verifies that
+structure numerically.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import root
 
 from .params import Params, _check_finite
 from .interactions import InteractionConstants
@@ -44,13 +50,12 @@ class SingularSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("a singular set needs at least two points")
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        off = d[~np.eye(len(pts), dtype=bool)]
+        object.__setattr__(self, "points", pts)
+        off = self.distances[~np.eye(len(pts), dtype=bool)]
         if np.min(off) < 2.0:
             raise ValueError(
                 f"pairwise distances must be >= 2 after normalization "
                 f"(min {np.min(off):.4g}); rescale the configuration")
-        object.__setattr__(self, "points", pts)
 
     @property
     def size(self) -> int:
@@ -69,22 +74,31 @@ def _check_q(q: np.ndarray, N: int) -> np.ndarray:
     return q
 
 
-def _weights(sigma_set: SingularSet, prm: Params) -> np.ndarray:
-    # d_{ii'}^{-2g} with zero diagonal
+def _pair_powers(sigma_set: SingularSet, power: float) -> np.ndarray:
+    """|x_i - x_{i'}|^power with zero diagonal."""
     d = sigma_set.distances.copy()
     np.fill_diagonal(d, 1.0)
-    w = d ** (-2.0 * prm.gamma_s)
+    w = d ** power
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def _balance_map(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
+                 A2: float, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(q, R) of the first condition and its derivative in ln R: g A2
+    R_i^g w_ii' q_i' R_i'^g, plus g (F_i + q_i) on the diagonal from R_i^g."""
+    w = _pair_powers(sigma_set, -2.0 * g)
+    rg = np.asarray(R, dtype=float) ** g
+    F = A2 * rg * (w @ (q * rg)) - q
+    dF = g * A2 * rg[:, None] * w * (q * rg)[None, :]
+    dF[np.diag_indices(len(q))] += g * (F + q)
+    return F, dF
 
 
 def residual_B1(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
                 constants: InteractionConstants, prm: Params) -> np.ndarray:
     q = _check_q(q, sigma_set.size)
-    R = np.asarray(R, dtype=float)
-    w = _weights(sigma_set, prm)
-    rg = R ** prm.gamma_s
-    return constants.A2 * rg * (w @ (q * rg)) - q
+    return _balance_map(sigma_set, q, R, constants.A2, prm.gamma_s)[0]
 
 
 B1_TOL = 1e-12
@@ -92,67 +106,29 @@ B1_TOL = 1e-12
 
 def solve_B1(sigma_set: SingularSet, q: np.ndarray,
              constants: InteractionConstants, prm: Params) -> np.ndarray:
-    """Newton in y = ln R until the max norm of the first condition is at
-    most B1_TOL, at most 60 steps; the exponential map keeps every iterate
-    positive."""
+    """R with max |F| at most B1_TOL: the equal-scale start as it is when it
+    meets that, else Levenberg-Marquardt in y = ln R from it (the exponential
+    keeps R positive).  The system need not be solvable for every q (one
+    multiplicity dominating the rest); that is reported, not papered over."""
     N = sigma_set.size
     q = _check_q(q, N)
-    w = _weights(sigma_set, prm)
-    g = prm.gamma_s
-
+    A2, g = constants.A2, prm.gamma_s
     off = sigma_set.distances[~np.eye(N, dtype=bool)]
-    y = np.full(N, np.log(np.min(off) * constants.A2 ** (-1.0 / (2 * g))))
+    y = np.full(N, np.log(np.min(off) * A2 ** (-1.0 / (2 * g))))
 
-    def F(y: np.ndarray) -> np.ndarray:
+    def F(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):
-            rg = np.exp(g * y)
-            return constants.A2 * rg * (w @ (q * rg)) - q
+            return _balance_map(sigma_set, q, np.exp(y), A2, g)
 
-    # the system need not be solvable for every q (e.g. one multiplicity
-    # dominating the rest); divergence is reported, not papered over
-    stall = ("the first balancing system may have no solution for this q "
-             "(multiplicities too lopsided for the geometry)")
-
-    f = F(y)
-    norm = np.max(np.abs(f))
-    for it in range(60):
-        if norm <= B1_TOL:
-            return np.exp(y)
-        rg = np.exp(g * y)
-        cross = constants.A2 * rg[:, None] * w * (q * rg)[None, :]
-        J = g * cross
-        J[np.diag_indices(N)] += g * (f + q)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError as exc:
-            raise BalanceError(f"singular Jacobian at iteration {it}; "
-                               + stall) from exc
-        alpha = 1.0
-        for _ in range(40):
-            cand = y + alpha * step
-            fc = F(cand)
-            nc = np.max(np.abs(fc))
-            if np.isfinite(nc) and nc < norm:
-                y, f, norm = cand, fc, nc
-                break
-            alpha *= 0.5
-        else:
-            raise BalanceError(f"line search stalled at residual {norm:.3e} "
-                               f"(iteration {it}); " + stall)
-    raise BalanceError(f"no convergence in 60 iterations "
-                       f"(residual {norm:.3e}); " + stall)
-
-
-def _offset_terms(sigma_set: SingularSet,
-                  prm: Params) -> tuple[np.ndarray, np.ndarray]:
-    """|x_{i'} - x_i|^(-2g-2) with zero diagonal, and diff[i, i'] =
-    x_{i'} - x_i."""
-    pts = sigma_set.points
-    d = sigma_set.distances.copy()
-    np.fill_diagonal(d, 1.0)
-    coef = d ** (-2.0 * prm.gamma_s - 2.0)
-    np.fill_diagonal(coef, 0.0)
-    return coef, pts[None, :, :] - pts[:, None, :]
+    if np.max(np.abs(F(y)[0])) > B1_TOL:
+        sol = root(F, y, jac=True, method="lm")
+        y, norm = sol.x, np.max(np.abs(F(sol.x)[0]))
+        if not norm <= B1_TOL:
+            raise BalanceError(
+                f"{' '.join(sol.message.split())} (residual {norm:.3e}); "
+                f"the first balancing system may have no solution for this "
+                f"q (multiplicities too lopsided for the geometry)")
+    return np.exp(y)
 
 
 def residual_B2(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
@@ -162,10 +138,11 @@ def residual_B2(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
     A1 q_i a0_i + A3 sum_{i'} q_{i'} (R^i R^{i'})^g |x_{i'} - x_i|^(-2g-2)
     (x_{i'} - x_i)."""
     q = _check_q(q, sigma_set.size)
-    coef, diff = _offset_terms(sigma_set, prm)
+    pts = sigma_set.points
+    coef = _pair_powers(sigma_set, -2.0 * prm.gamma_s - 2.0)
     rg = np.asarray(R, dtype=float) ** prm.gamma_s
     pull = np.einsum("ij,ijk->ik", coef * rg[:, None] * (q * rg)[None, :],
-                     diff)
+                     pts[None, :, :] - pts[:, None, :])
     return constants.A1 * q[:, None] * np.asarray(a0) + constants.A3 * pull
 
 
@@ -173,12 +150,12 @@ def solve_B2(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
              constants: InteractionConstants, prm: Params) -> np.ndarray:
     """Explicit leading center offsets, one n-vector per marked point."""
     q = _check_q(q, sigma_set.size)
-    R = np.asarray(R, dtype=float)
-    coef, diff = _offset_terms(sigma_set, prm)
-    rg = R ** prm.gamma_s
+    pts = sigma_set.points
+    coef = _pair_powers(sigma_set, -2.0 * prm.gamma_s - 2.0)
+    rg = np.asarray(R, dtype=float) ** prm.gamma_s
     weights = coef * (q[None, :] / q[:, None]) * (rg[:, None] * rg[None, :])
-    return -(constants.A3 / constants.A1) * np.einsum("ij,ijk->ik",
-                                                      weights, diff)
+    return -(constants.A3 / constants.A1) * np.einsum(
+        "ij,ijk->ik", weights, pts[None, :, :] - pts[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -208,16 +185,10 @@ def balance_jacobian(sigma_set: SingularSet, q: np.ndarray, R: np.ndarray,
     N = sigma_set.size
     q = _check_q(q, N)
     R = np.asarray(R, dtype=float)
-    g = prm.gamma_s
-    w = _weights(sigma_set, prm)
-    rg = R ** g
-
-    cross = constants.A2 * rg[:, None] * w * rg[None, :]
-    dFq = cross - np.eye(N)
-
-    f = constants.A2 * rg * (w @ (q * rg)) - q
-    dFR = constants.A2 * g * (rg / R)[None, :] * rg[:, None] * w * q[None, :]
-    dFR[np.diag_indices(N)] += g * (f + q) / R
+    rg = R ** prm.gamma_s
+    w = _pair_powers(sigma_set, -2.0 * prm.gamma_s)
+    dFq = constants.A2 * rg[:, None] * w * rg[None, :] - np.eye(N)
+    dFR = _balance_map(sigma_set, q, R, constants.A2, prm.gamma_s)[1] / R
 
     full_clock = dFR @ R
     dilation_clock = 0.5 * full_clock

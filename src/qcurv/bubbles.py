@@ -39,8 +39,9 @@ class Bubble:
     center: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"bubble scale must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"bubble scale must be positive and finite, "
+                             f"got {self.lam}")
         object.__setattr__(self, "center",
                            np.array(self.center, dtype=float, copy=True))
         if self.center.ndim != 1:
@@ -129,12 +130,15 @@ class TowerConfig:
         n = self.center.shape[0]
         if self.center.ndim != 1:
             raise ValueError("tower center must be a single point")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got "
+                             f"{self.period}")
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
-        if not self.baseline > 0:
-            raise ValueError("baseline scale must be positive")
+        if not 0 < self.baseline < np.inf:
+            raise ValueError("baseline scale must be positive and finite")
+        if not 0 <= self.shift_bound < np.inf:
+            raise ValueError("shift_bound must be finite and >= 0")
         m = self.levels + 1
         dil = (np.zeros(m) if self.dilations is None
                else np.array(self.dilations, dtype=float, copy=True))

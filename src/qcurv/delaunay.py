@@ -278,7 +278,8 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
     L_arr = [float(L) for L in L_list]
     if len(L_arr) < 3:
         raise ValueError("need at least three half-periods for a slope fit")
-    if any(b <= a for a, b in zip(L_arr, L_arr[1:])):
+    known = [L for L in L_arr if not np.isnan(L)]  # NaN rows are marked
+    if any(b <= a for a, b in zip(known, known[1:])):
         raise ValueError("half-periods must be strictly increasing")
     _check_solver(M, tol)
     rows = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params, _check_finite, nonlin_prime
+from .params import Params, _check_finite, _check_tol, nonlin_prime
 from .bubbles import (KernelIndex, TowerConfig, dlam_bubble,
                       translation_factor)
 from .kernels import QuadratureError, check_rules, gauss_panels
@@ -300,6 +300,7 @@ def gram_cokernels(cfg: TowerConfig, prm: Params, tol: float = 1e-9) -> np.ndarr
     (the integral of |integrand|): the 8-point rule on the same panels must
     agree that well, otherwise QuadratureError is raised.
     """
+    _check_tol(tol)
     if cfg.levels > 6:
         raise ValueError("Gram truncation limited to 6 levels")
     if np.any(cfg.shifts != 0.0):

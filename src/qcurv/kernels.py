@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma, hyp2f1
 
-from .params import Params
+from .params import Params, _check_finite, _check_tol
 
 
 class QuadratureError(RuntimeError):
@@ -194,26 +194,25 @@ def check_rules(fine, coarse, tol: float, what: str,
             f"(> tol {tol:.1e} x {scale:.3e})")
 
 
-def graded_edges(T: float, width: float) -> np.ndarray:
-    """Panel edges on [0, T], halving 24 times toward a kink at 0 from
-    width, and at most width wide beyond it."""
-    return np.concatenate([[0.0], width * 2.0 ** np.arange(-24.0, 0.0),
-                           np.linspace(width, T, int(np.ceil(T / width)))])
-
-
 def log_radial_convolution(kernel: Callable, g: Callable, t: float,
                            rate: float, tol: float, what: str) -> float:
     """int kernel(t - tau) g(tau) dtau, the integrand decaying like
     e^(-rate |t - tau|): 16-point rule on t -+ W, W = (ln(1/tol) + 5)/rate
-    (ValueError over 700), graded_edges panels 0.25 wide (at 0.5 the 8-point
-    rule misses a glued u's cutoffs by 1.5e-9) about the kink at tau = t.
+    (ValueError over 700), on panels 0.25 wide (at 0.5 the 8-point rule
+    misses a glued u's cutoffs by 1.5e-9) that halve 24 times toward the
+    kink at tau = t.
     QuadratureError when the 8-point rule's gap or the tail, the integrand
     at the window ends over rate (a g growing outward), exceeds tol times
     the value."""
+    _check_tol(tol)
+    _check_finite("t", t)
+    if not 0 < rate < np.inf:
+        raise ValueError(f"{what}: rate must be positive and finite: {rate}")
     W = (np.log(1.0 / tol) + 5.0) / rate
     if W > 700.0:
         raise ValueError(f"{what}: window {W:.0f} exceeds 700")
-    half = graded_edges(W, 0.25)
+    half = np.concatenate([[0.0], 0.25 * 2.0 ** np.arange(-24.0, 0.0),
+                           np.linspace(0.25, W, int(np.ceil(W / 0.25)))])
     edges = np.concatenate([t - half[:0:-1], t + half])
     (x16, w16), (x8, w8) = (gauss_panels(edges, order) for order in (16, 8))
     taus = np.concatenate([x16, x8, [t - W, t + W]])

@@ -45,8 +45,9 @@ class TodaOperator:
         if self.K < 3:
             raise ValueError("need at least three levels")
         if self.kind == "translation":
-            if self.period is None or not self.period > 0:
-                raise ValueError("translation kind needs a positive period")
+            if self.period is None or not 0 < self.period < np.inf:
+                raise ValueError("translation kind needs a positive, finite "
+                                 "period")
         elif self.period is not None:
             raise ValueError("dilation kind takes no period")
 

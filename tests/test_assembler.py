@@ -950,6 +950,23 @@ class TestBetaProjection:
         scale = PRM.c_ns * np.exp(-PRM.gamma_s * u.balanced.L)
         assert abs(lead) / scale < 1e-8
 
+    def test_leading_form_is_the_scaled_b1_residual(self, pair_35):
+        # -c_ns q_i e^(-g L) F_i(q, R) with F the first balancing map, on the
+        # gate pair at L = 3.5 and its q = (1.2, 1) control
+        ref, qq = pair_35.balanced, np.array([1.2, 1.0])
+        unb = bal.BalancedConfig(
+            sigma_set=ref.sigma_set, q=qq, R=ref.R, a0_hat=ref.a0_hat,
+            L=ref.L, L_i=bal.periods_from_q(qq, ref.L, PRM),
+            resid_B1=np.nan, resid_B2=np.nan)
+        for u in (pair_35, assemble(unb, PRM)):
+            cfg = u.balanced
+            F = bal.residual_B1(cfg.sigma_set, cfg.q, cfg.R, IC, PRM)
+            for i in range(2):
+                want = (-PRM.c_ns * cfg.q[i] * np.exp(-PRM.gamma_s * cfg.L)
+                        * F[i])
+                assert (abs(beta_leading_form(u, i) - want)
+                        <= 4 * np.spacing(abs(want)))
+
     def test_leading_form_sign_when_unbalanced(self):
         cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
         qq = np.array([1.2, 1.0])

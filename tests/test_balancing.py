@@ -83,8 +83,40 @@ class TestSolveB1:
         # on the equilateral triangle the system is solvable only while no
         # q_i^2 dominates the sum of the others; (1, 1.3, 0.8) crosses that
         # fold (1.69 > 1.64) and the solver must say so
-        with pytest.raises(bal.BalanceError):
+        with pytest.raises(bal.BalanceError, match="lopsided"):
             bal.solve_B1(equilateral(), np.array([1.0, 1.3, 0.8]), IC, PRM)
+
+    @pytest.mark.parametrize("n,sigma", [(5, 1.5), (7, 2.5)])
+    def test_seeded_sweep_meets_tol(self, monkeypatch, n, sigma):
+        # three to five points in a box, q within 5 % of 1: the equal-scale
+        # start is off balance, and the solver brings max |F| to B1_TOL
+        prm = derive_params(n, sigma)
+        ic = interaction_constants(prm)
+        calls, solver = [], bal.root
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+        monkeypatch.setattr(bal, "root", counted)
+        rng = np.random.default_rng(1)
+        while len(calls) < 20:
+            N = int(rng.integers(3, 6))
+            try:
+                ss = bal.SingularSet(points=rng.uniform(-4, 4, size=(N, n)))
+            except ValueError:      # two points closer than 2
+                continue
+            q = rng.uniform(0.95, 1.05, size=N)
+            R = bal.solve_B1(ss, q, ic, prm)
+            F = bal.residual_B1(ss, q, R, ic, prm)
+            assert np.max(np.abs(F)) <= bal.B1_TOL
+
+    def test_symmetric_pair_never_calls_the_solver(self, monkeypatch):
+        # a pair of equal q balances at the equal-scale start exactly
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver called")
+        monkeypatch.setattr(bal, "root", refuse)
+        cfg = bal.balance(two_points(3.0), np.ones(2), 3.5, IC, PRM)
+        assert cfg.resid_B1 <= bal.B1_TOL
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError, match="positive"):

@@ -35,6 +35,7 @@ def write_config(path, doc):
 BASE = {"n": 5, "sigma": 1.5, "seed": 11,
         "points": [[0, 0, 0, 0, 0], [3, 0, 0, 0, 0]],
         "q": [1.0, 1.0], "L": 2.5}
+DROP = object()  # a key left out of BASE
 
 
 def manifest(out_dir):
@@ -217,13 +218,21 @@ class TestRefusedBeforeWriting:
         ("kernel", {"kernel": {"t_points": 10**12}},
          "t_points must be in [4, 100000]"),
         ("toda", {"toda": {"K": 10**12}}, "K must be <= 100000"),
+        # a block that is not an object, a required key absent, a key the
+        # command needs left null, a q of the wrong length
+        ("kernel", {"kernel": [8.0]}, "kernel must be a JSON object"),
+        ("toda", {"n": DROP}, "missing required key 'n'"),
+        ("balance", {"points": None}, "missing required key 'points'"),
+        ("balance", {"q": [1.0, 1.0, 1.0]}, "one entry per point"),
     ], ids=["tmax", "sede", "region", "other-block", "L-huge", "n-huge",
             "q-huge", "M-huge", "n-400", "no-regions", "seed",
-            "t_points-huge", "K-huge"])
+            "t_points-huge", "K-huge", "block-list", "no-n", "no-points",
+            "q-length"])
     def test_refused_config_is_2(self, tmp_path, capsys, monkeypatch,
                                  command, change, detail):
         monkeypatch.setattr(cli, "assemble", None)  # refused before it
-        cfg = write_config(tmp_path / "c.json", {**BASE, **change})
+        doc = {k: v for k, v in {**BASE, **change}.items() if v is not DROP}
+        cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from qcurv import delaunay
 from qcurv.params import derive_params
 from qcurv.bubbles import cyl_coefficient
-from qcurv.kernels import gauss_panels, graded_edges, riesz_kernel_cyl
+from qcurv.kernels import gauss_panels, riesz_kernel_cyl
 from qcurv.delaunay import (
     CylSolution,
     NewtonError,
@@ -149,7 +149,9 @@ def kernel_cosine_rule(prm, tol=1e-10):
     below tol.  `bifurcation_half_period` took the kernel's cosine
     transform from this rule before it took the closed-form symbol."""
     T = max(60.0, (np.log(1.0 / tol) + 5.0) / prm.gamma_s)
-    t, w = gauss_panels(graded_edges(T, 0.5), 16)
+    edges = np.concatenate([[0.0], 0.5 * 2.0 ** np.arange(-24.0, 0.0),
+                            np.linspace(0.5, T, int(np.ceil(T / 0.5)))])
+    t, w = gauss_panels(edges, 16)
     return t, w * riesz_kernel_cyl(t, prm)
 
 
@@ -330,6 +332,9 @@ def test_sweep_input_validation():
         neck_sweep([3.0, 2.5, 4.0], PRM)
     with pytest.raises(ValueError):
         neck_sweep([2.5, 3.0], PRM)
+    # a NaN between two entries hides their order from b <= a
+    with pytest.raises(ValueError, match="increasing"):
+        neck_sweep([3.0, float("nan"), 2.5], PRM, M=200)
     # a bad grid is refused before any solve, not kept as failed rows
     with pytest.raises(ValueError, match="even"):
         neck_sweep([2.5, 3.0, 3.5], PRM, M=801)

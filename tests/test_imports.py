@@ -104,6 +104,16 @@ def package_reads(source: str) -> set[str]:
     return out
 
 
+def public_names(source: str) -> list[str]:
+    """The names in a module's __all__, then its other public top-level
+    functions and classes."""
+    names = exported(source)
+    return names + [node.name for node in ast.parse(source).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in names]
+
+
 def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
     """Names in a package module's __all__ that no other package module and
     no reader source reads, then the module's other public top-level
@@ -117,13 +127,10 @@ def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
         tree = ast.parse(source)
         own = {node.id for node in ast.walk(tree)
                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        names = exported(source)
-        names += [node.name for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
-                  and node.name not in names and node.name not in own]
-        unread += [f"{mod}.{name}" for name in names
-                   if f"{mod}.{name}" not in seen]
+        listed = exported(source)
+        unread += [f"{mod}.{name}" for name in public_names(source)
+                   if (name in listed or name not in own)
+                   and f"{mod}.{name}" not in seen]
     return unread
 
 

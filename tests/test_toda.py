@@ -45,6 +45,8 @@ class TestTypes:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
             toda.TodaOperator(kind="rotation", K=10)
+        with pytest.raises(ValueError, match="three levels"):
+            toda.TodaOperator(kind="dilation", K=2)
         for period in (None, 0.0, float("nan")):
             with pytest.raises(ValueError, match="period"):
                 toda.TodaOperator(kind="translation", K=10, period=period)
