@@ -62,7 +62,7 @@ from .kernels import (QuadratureError, check_rules, gauss_panels,
                       log_radial_convolution, ring_kernel, riesz_kernel_cyl)
 from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
                       kernel_Z, tower_eval)
-from .balancing import BalancedConfig, _balance_map
+from .balancing import BalancedConfig, _balance_map, periods_from_q
 from .delaunay import CylSolution, radial_profile, solve_periodic
 from .interactions import const_A2
 
@@ -283,14 +283,18 @@ def assemble(balanced: BalancedConfig, prm: Params,
              perturb: list[tuple[np.ndarray, np.ndarray]] | None = None,
              M: int = 400) -> ApproxSolution:
     """The glued function of a balanced configuration: towers of levels
-    0..LEVELS, and one periodic profile per distinct period, solved on M
-    points at solve_periodic's tolerance.  perturb gives each tower's
-    per-level (dilations, shifts).  ValueError when the points are not
-    prm.n-dimensional."""
+    0..LEVELS, and one periodic profile per distinct period, solved at
+    solve_periodic's tolerance and put on M points.  perturb gives each
+    tower's per-level (dilations, shifts).  ValueError when the points are
+    not prm.n-dimensional, or L_i is not periods_from_q(q, L) to 1e-12."""
     centers = balanced.sigma_set.points
     if centers.shape[1] != prm.n:
         raise ValueError(f"points have {centers.shape[1]} coordinates, "
                          f"need n = {prm.n}")
+    L_i = periods_from_q(balanced.q, balanced.L, prm)
+    if not np.allclose(balanced.L_i, L_i, rtol=1e-12, atol=0.0):
+        raise ValueError(f"L_i {balanced.L_i} are not the periods of q at "
+                         f"L = {balanced.L}")
     sols = {}
     for L in balanced.L_i:
         key = round(float(L), 12)

@@ -317,12 +317,12 @@ def _write_report(out: OutDir, name: str, rep) -> None:
 
 
 def _solver_facts(u) -> dict:
-    """Newton and GMRES iterations and the residual of each periodic
-    profile u solved, one per period, and the balancing residuals B1/B2
-    where they are finite (a configuration built with given multiplicities
-    carries NaN)."""
+    """Newton iterations, inverse Jacobian norm and residual of each
+    periodic profile u solved, one per period, and the balancing residuals
+    B1/B2 where they are finite (a configuration built with given
+    multiplicities carries NaN)."""
     facts = {"profiles": [{"L": c.L, "n_iter": c.n_iter,
-                           "krylov_iters": c.krylov_iters,
+                           "jac_inv_norm": c.jac_inv_norm,
                            "residual_norm": c.residual_norm}
                           for c in {c.L: c for c in u.cyls}.values()]}
     for key in ("resid_B1", "resid_B2"):

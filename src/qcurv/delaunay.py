@@ -11,13 +11,15 @@ conformal fractional Laplacian on R x S^(n-1),
 
 dual_const * R^(xi) = q_ns / Theta_0(xi) (DelaTorre, del Pino, Gonzalez &
 Wei, Math. Ann. 2017), and Theta_0(0) = c_ns.  The solver collocates on
-the 2m-point periodic grid (M = 2m) with the m + 1 nodes of [0, L] as
-unknowns (evenness is structural): on even vectors the operator is the
-cosine series with eigenvalues q_ns / Theta_0(pi j/L), applied by one DCT-I
-pair, so the nodes carry the exact operator's fixed point and no image sum
-is formed.  Newton with a positivity-preserving line search and GMRES on
-that operator reach it in time O(M log M), memory O(M); the solver reports
-the neck value v(0) and the defect psi against the periodized profile sum.
+the 2m-point periodic grid with the m + 1 nodes of [0, L] as unknowns
+(evenness is structural): on even vectors the operator is the cosine
+series with eigenvalues q_ns / Theta_0(pi j/L), one DCT-I pair, so the
+nodes carry the exact operator's fixed point and no image sum is formed.
+The profile is analytic in a strip, so m grows like L, not like the output
+grid M: Newton with a positivity-preserving line search takes each step by
+LU on the dense (m+1)^2 operator, and the zero-padded cosine series puts v
+on the M-point grid.  The solver reports the neck value v(0), the defect
+psi against the periodized profile sum and the inverse Jacobian's norm.
 The branch point of the tower family is a root of the same symbol.
 
 Phase convention: profile peaks sit at odd multiples (1+2j)L so the neck,
@@ -36,7 +38,6 @@ import numpy as np
 from scipy.fft import dct, idct
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import loggamma
 
 from .params import Params, _check_finite, _check_tol
@@ -64,8 +65,9 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class CylSolution:
-    """Discrete 2L-periodic solution on the symmetric grid [-L, L]; its
-    n_iter Newton steps took krylov_iters GMRES iterations in all."""
+    """Discrete 2L-periodic solution on the symmetric grid [-L, L], after
+    n_iter Newton steps; jac_inv_norm is the max norm of the inverse
+    Newton Jacobian at the solution (in floating point)."""
 
     L: float
     grid: np.ndarray
@@ -74,7 +76,7 @@ class CylSolution:
     neck: float
     residual_norm: float
     n_iter: int
-    krylov_iters: int
+    jac_inv_norm: float
 
     @cached_property
     def spline(self) -> CubicSpline:
@@ -126,49 +128,52 @@ def _check_solver(M: int, tol: float) -> None:
     _check_tol(tol)
 
 
+def _modes(L: float, M: int) -> int:
+    """Newton's cosine modes: the profile is analytic in the strip
+    |Im t| < pi/2, so its coefficients fall like e^(-pi^2 j/(2L)) and reach
+    1e-15 of the first by j = 7.0 L; 16 more modes are the margin."""
+    return min(M // 2, int(np.ceil(7.5 * L)) + 16)
+
+
 def solve_periodic(L: float, prm: Params, M: int = 800,
                    tol: float = 1e-10) -> CylSolution:
-    """Solve the periodic problem at half-period L on an M-point grid.
+    """Solve the periodic problem at half-period L, resampled to an
+    M-point grid.
 
-    The returned solution is even by construction (half-grid unknowns,
-    reflected quadrature) and strictly positive; the damped Newton step
-    halves until positivity and residual decrease both hold.  GMRES solves
-    each step to 1e-14 relative; NewtonError when it does not, or after 60
-    steps.  ValueError for a tol that is not finite and positive.
+    Newton runs on the m + 1 nodes of [0, L] of `_modes`, each step a
+    dense LU solve; the damped step halves until positivity and residual
+    decrease both hold, and NewtonError after 60 steps.  The profile is
+    even by construction and strictly positive; its DCT-I coefficients,
+    zero-padded, put it on the M-point grid.  NewtonError also when the
+    last three coefficients exceed 1e-14 of the first (m too small).
+    ValueError for a tol that is not finite and positive.
     """
     _check_finite("L", L)
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
     _check_solver(M, tol)
-    m = M // 2
+    m = _modes(L, M)
     ts = np.linspace(0.0, L, m + 1)
-    lam = _collocation_symbol(L, m, prm)
+    eye = np.eye(m + 1)
+    A = _collocation_apply(_collocation_symbol(L, m, prm), eye).T
     Jper = _periodization_order(L, prm)
     v = _tower_profile(ts, L, prm, Jper + 1)
 
-    def residual(w: np.ndarray) -> np.ndarray:
-        return w - _collocation_apply(lam, w**prm.p)
+    def jacobian(w: np.ndarray) -> np.ndarray:
+        return eye - A * (prm.p * w ** (prm.p - 1.0))
 
-    F = residual(v)
+    F = v - A @ v**prm.p
     norm = float(np.max(np.abs(F)))
-    it, krylov = 0, []
+    it = 0
     while norm > tol:
         if it >= 60:
             raise NewtonError("iteration budget exhausted", norm, it)
-        d = prm.p * v ** (prm.p - 1.0)
-        jac = LinearOperator((m + 1, m + 1), dtype=float,
-                             matvec=lambda s: s - _collocation_apply(lam, d * s))
-        step, info = gmres(jac, -F, rtol=1e-14, atol=0.0,
-                           restart=min(m + 1, 64), maxiter=10,
-                           callback=krylov.append, callback_type="pr_norm")
-        if info != 0:
-            raise NewtonError(f"Krylov solve (GMRES) of Newton step {it + 1} "
-                              "did not reach 1e-14", norm, it)
+        step = np.linalg.solve(jacobian(v), -F)
         alpha = 1.0
         for _ in range(50):
             cand = v + alpha * step
             if np.all(cand > 0.0):
-                Fc = residual(cand)
+                Fc = cand - A @ cand**prm.p
                 nc = float(np.max(np.abs(Fc)))
                 if nc < norm:
                     v, F, norm = cand, Fc, nc
@@ -189,20 +194,24 @@ def solve_periodic(L: float, prm: Params, M: int = 800,
             "no tower solution at this half-period", norm, it)
     if v[0] > np.min(v):
         raise NewtonError("converged with the neck away from the origin", norm, it)
+    c = dct(v, type=1)
+    if np.max(np.abs(c[-3:])) > 1e-14 * abs(c[0]):
+        raise NewtonError(f"profile not resolved by {m} cosine modes", norm, it)
+    jac_inv_norm = float(np.linalg.norm(np.linalg.inv(jacobian(v)), np.inf))
+    if m < M // 2:
+        # the same cosine series on the M/2 + 1 nodes: the DCT-I scaled to
+        # the new length, its last mode counted once on m nodes, twice here
+        c *= (M // 2) / m
+        c[m] *= 0.5
+        v = idct(np.pad(c, (0, M // 2 - m)), type=1)
+        ts = np.linspace(0.0, L, M // 2 + 1)
 
     grid = np.concatenate([-ts[:0:-1], ts])
     v_full = np.concatenate([v[:0:-1], v])
     psi_full = v_full - _tower_profile(grid, L, prm, Jper + 1)
-    return CylSolution(
-        L=float(L),
-        grid=grid,
-        v=v_full,
-        psi=psi_full,
-        neck=float(v[0]),
-        residual_norm=norm,
-        n_iter=it,
-        krylov_iters=len(krylov),
-    )
+    return CylSolution(L=float(L), grid=grid, v=v_full, psi=psi_full,
+                       neck=float(v[0]), residual_norm=norm, n_iter=it,
+                       jac_inv_norm=jac_inv_norm)
 
 
 def radial_profile(sol: CylSolution, r, prm: Params):

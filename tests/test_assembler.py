@@ -1440,3 +1440,13 @@ def test_bad_tol_is_refused_before_any_node(balanced_pair, monkeypatch, tol):
                  lambda: beta_projection(u, KernelIndex(0, 0, 0), tol)):
         with pytest.raises(ValueError, match="tol must be positive"):
             call()
+
+
+@pytest.mark.parametrize("L", [float("nan"), 3.6, 2.5 + 1e-9])
+def test_periods_must_be_those_of_L(balanced_pair, L):
+    # the towers are built from L_i and beta_leading_form reads L: a NaN L
+    # assembled a finite u with a NaN leading form, and a wrong L would give
+    # a finite wrong bracket
+    cfg = dataclasses.replace(balanced_pair.balanced, L=L)
+    with pytest.raises(ValueError, match="L must be finite|not the periods"):
+        assemble(cfg, PRM)

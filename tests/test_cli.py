@@ -384,7 +384,9 @@ class TestAssembleResidualCommand:
         for facts in solver.values():
             for p in facts["profiles"]:
                 assert p["n_iter"] >= 1 and p["residual_norm"] <= 1e-10
-                assert p["krylov_iters"] >= p["n_iter"]
+                # about 3 on the branch, larger toward L* = 2.014 (4.2 at
+                # the control's L_i = 2.32)
+                assert 2.0 <= p["jac_inv_norm"] <= 10.0
         again = tmp_path / "again"
         assert cli.main(["assemble_residual", "--config", cfg,
                          "--out", str(again)]) == 0

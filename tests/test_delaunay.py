@@ -5,6 +5,7 @@ import pytest
 from scipy.fft import dct
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from qcurv import delaunay
 from qcurv.params import derive_params
@@ -86,6 +87,52 @@ def dense_solve(L, prm, M, tol=1e-10, max_iter=60):
             pytest.fail("dense oracle: no decrease along the Newton step")
         it += 1
     return v, it
+
+
+def gmres_solve(L, prm, M, tol=1e-10):
+    """The retired solver: Newton on all M/2 + 1 nodes of [0, L], each step
+    by GMRES on the DCT-I operator to 1e-14 relative, the same start, line
+    search, budget and refusals.  The full-grid profile and Newton steps."""
+    m = M // 2
+    ts = np.linspace(0.0, L, m + 1)
+    lam = delaunay._collocation_symbol(L, m, prm)
+    v = delaunay._tower_profile(ts, L, prm,
+                                delaunay._periodization_order(L, prm) + 1)
+
+    def residual(w):
+        return w - delaunay._collocation_apply(lam, w**prm.p)
+
+    F = residual(v)
+    norm, it = float(np.max(np.abs(F))), 0
+    while norm > tol:
+        if it >= 60:
+            raise NewtonError("iteration budget exhausted", norm, it)
+        d = prm.p * v ** (prm.p - 1.0)
+        jac = LinearOperator(
+            (m + 1, m + 1), dtype=float,
+            matvec=lambda s: s - delaunay._collocation_apply(lam, d * s))
+        step, info = gmres(jac, -F, rtol=1e-14, atol=0.0,
+                           restart=min(m + 1, 64), maxiter=10)
+        if info != 0:
+            raise NewtonError("Krylov solve (GMRES) did not reach 1e-14",
+                              norm, it)
+        alpha = 1.0
+        for _ in range(50):
+            cand = v + alpha * step
+            if np.all(cand > 0.0):
+                Fc = residual(cand)
+                if np.max(np.abs(Fc)) < norm:
+                    v, F, norm = cand, Fc, float(np.max(np.abs(Fc)))
+                    break
+            alpha *= 0.5
+        else:
+            raise NewtonError("positivity lost along the Newton step", norm, it)
+        it += 1
+    if (v.max() - v.min()) / v.mean() < 1e-2:
+        raise NewtonError("converged to the constant branch", norm, it)
+    if v[0] > np.min(v):
+        raise NewtonError("converged with the neck away from the origin", norm, it)
+    return np.concatenate([v[:0:-1], v]), it
 
 
 ORACLE_PAIRS = [(5, 1.5), (7, 2.5), (6, 1.2)]
@@ -373,16 +420,63 @@ def test_fft_operator_matches_dense_matrix(n, sigma):
 @pytest.mark.parametrize("L", [2.6, 3.1, 3.5, 4.5])
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
 def test_solver_matches_dense_newton(n, sigma, L, M, monkeypatch):
-    # Newton, GMRES and the line search on the trapezoid operator against
-    # the dense LU Newton on the same operator
+    # the DCT-built matrix, its Newton steps and the line search on the
+    # trapezoid operator, all M/2 + 1 nodes, against the dense LU Newton on
+    # the folded lattice matrix of the same operator
     prm = derive_params(n, sigma)
     monkeypatch.setattr(delaunay, "_collocation_symbol", trapezoid_symbol)
+    monkeypatch.setattr(delaunay, "_modes", lambda L, M: M // 2)
     sol = solve_periodic(L, prm, M=M, tol=1e-10)
     v, it = dense_solve(L, prm, M)
     assert sol.n_iter == it
     half = sol.v[M // 2:]
     assert np.max(np.abs(half - v)) <= 1e-14 * np.max(v)
-    assert sol.krylov_iters >= sol.n_iter
+
+
+@pytest.mark.parametrize("M", [400, 800])
+@pytest.mark.parametrize("L", [2.4, 3.1, 3.5, 4.6, 6.0, 12.0])
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_solver_matches_gmres_oracle(n, sigma, L, M):
+    # Newton on _modes(L, M) + 1 nodes, resampled, against Newton with GMRES
+    # steps on all M/2 + 1: the same step count and profile
+    prm = derive_params(n, sigma)
+    sol = solve_periodic(L, prm, M=M)
+    v, it = gmres_solve(L, prm, M)
+    assert delaunay._modes(L, M) < M // 2
+    assert sol.n_iter == it
+    assert np.max(np.abs(sol.v - v)) <= 1e-14 * np.max(v)
+
+
+@pytest.mark.parametrize("L", [1.6, 2.0, 2.1])
+def test_refusals_match_gmres_oracle(L):
+    # below L* = 2.014 and just above it, both land on the flat profile
+    with pytest.raises(NewtonError, match="constant branch") as ref:
+        gmres_solve(L, PRM, 800)
+    with pytest.raises(NewtonError, match="constant branch") as got:
+        solve_periodic(L, PRM, M=800)
+    assert got.value.iterations == ref.value.iterations
+
+
+@pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
+def test_jacobian_inverse_norm(n, sigma):
+    # ||J^-1|| is the Newton step's amplification at the solution: about 2-4
+    # on the branch, growing near L*, where the mode-1 eigenvalue of J
+    # tends to 0 (35 at (7, 2.5) and 59 at (6, 1.2) for L = 1.01 L*)
+    prm = derive_params(n, sigma)
+    for L in (2.5, 3.5, 6.0, 12.0):
+        assert 2.1 <= solve_periodic(L, prm).jac_inv_norm <= 3.5
+    if (n, sigma) != (5, 1.5):   # there Newton lands on the flat profile
+        near = solve_periodic(1.01 * bifurcation_half_period(prm), prm)
+        assert near.jac_inv_norm > 30.0
+
+
+def test_unresolved_profile_is_refused(monkeypatch):
+    # a strip law of 2L + 2 modes leaves the cosine tail above 1e-14 of the
+    # mean: Newton converges on the nodes, the profile is refused
+    monkeypatch.setattr(delaunay, "_modes",
+                        lambda L, M: int(np.ceil(2.0 * L)) + 2)
+    with pytest.raises(NewtonError, match="not resolved by 8 cosine modes"):
+        solve_periodic(3.0, PRM)
 
 
 def test_reruns_are_bit_identical():
@@ -390,18 +484,8 @@ def test_reruns_are_bit_identical():
     b = solve_periodic(3.5, PRM, M=800)
     assert a.v.tobytes() == b.v.tobytes()
     assert a.psi.tobytes() == b.psi.tobytes()
-    assert (a.n_iter, a.krylov_iters, a.residual_norm) == \
-        (b.n_iter, b.krylov_iters, b.residual_norm)
-
-
-def test_krylov_failure_raises(monkeypatch):
-    def stalled(A, b, **kw):
-        return np.zeros_like(b), 1
-    monkeypatch.setattr(delaunay, "gmres", stalled)
-    with pytest.raises(NewtonError, match="Krylov solve .* Newton step 1") as exc:
-        solve_periodic(3.0, PRM, M=400)
-    assert exc.value.iterations == 0
-    assert exc.value.residual > 1e-10
+    assert (a.n_iter, a.jac_inv_norm, a.residual_norm) == \
+        (b.n_iter, b.jac_inv_norm, b.residual_norm)
 
 
 @pytest.mark.parametrize("n,sigma", ORACLE_PAIRS)
@@ -418,7 +502,8 @@ def test_solver_eigenvalues_meet_branch_point(n, sigma):
 
 
 def test_peak_memory_at_M_6400():
-    # the dense Newton step needed three (M/2+1)^2 matrices, 82 MB each here
+    # Newton on all M/2 + 1 nodes with dense steps needed three
+    # (M/2+1)^2 matrices, 82 MB each here; its matrices now have _modes rows
     tracemalloc.start()
     try:
         solve_periodic(3.5, PRM, M=6400)
@@ -432,11 +517,11 @@ def test_peak_memory_at_M_6400():
 def test_grid_error_is_rounding_at_M_400(n, sigma):
     # the exact symbol leaves no aliasing error at the nodes: the trapezoid
     # operator was off by its alias sum, 2.3e-7 at (5, 1.5) and 1.4e-5 at
-    # (6, 1.2) for M = 400
+    # (6, 1.2) for M = 400.  The reference solves on all 3201 nodes
     prm = derive_params(n, sigma)
-    ref = solve_periodic(3.5, prm, M=6400)
+    ref, _ = gmres_solve(3.5, prm, 6400)
     sol = solve_periodic(3.5, prm, M=400)
-    assert np.max(np.abs(sol.v - ref.v[::16])) <= 1e-12
+    assert np.max(np.abs(sol.v - ref[::16])) <= 1e-14
 
 
 def test_non_finite_half_period_row_names_it():

@@ -1,9 +1,10 @@
 """Every import in the package is used, every export has a reader,
-nothing in the package integrates with scipy.integrate, only the CLI
-serialises, no assembler entry point takes parameters beside the ones its
-solution carries, and options that only ever took one value stay constants.
+nothing in the package integrates with scipy.integrate or solves with
+scipy.sparse, only the CLI serialises, no assembler entry point takes
+parameters beside the ones its solution carries, and options that only ever
+took one value stay constants.
 
-Six AST scans of src/qcurv.  A name bound by an import statement must be
+Seven AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
@@ -11,12 +12,14 @@ the acceptance gates, and any other public top-level function or class by
 those or by its own module: the unit tests alone do not keep a public name
 alive.
 No module imports or reads scipy.integrate: the package has one quadrature
-layer, the fixed panels of kernels.gauss_panels.  Only cli.py imports
-json, io or csv: the library returns data and the CLI alone decides how it
-is written.  No public assembler
-function whose first parameter is an ApproxSolution takes a `prm`: the
-solution's own u.prm is the only one its numbers are right for.  No public
-signature or class brings back an option in REMOVED_OPTIONS.
+layer, the fixed panels of kernels.gauss_panels.  No module imports or
+reads scipy.sparse: the periodic profile's Newton steps are dense LU
+solves on a few dozen cosine modes.  Only cli.py imports json, io or csv:
+the library returns data and the CLI alone decides how it is written.  No
+public assembler function whose first parameter is an ApproxSolution takes
+a `prm`: the solution's own u.prm is the only one its numbers are right
+for.  No public signature or class brings back an option in
+REMOVED_OPTIONS.
 """
 
 import ast
@@ -161,9 +164,10 @@ def test_scan_flags_an_unread_export():
     assert unread_exports(package, readers) == ["a.g", "a.h", "c.p", "c.S"]
 
 
-def scipy_integrate_uses(source: str) -> list[int]:
-    """Lines that import scipy.integrate, a name from it, or read it as
-    scipy.integrate."""
+def scipy_uses(source: str, sub: str) -> list[int]:
+    """Lines that import scipy.<sub>, a name from it, or read it as
+    scipy.<sub>."""
+    full = f"scipy.{sub}"
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -172,13 +176,12 @@ def scipy_integrate_uses(source: str) -> list[int]:
             names = [node.module or ""]
             if node.module == "scipy":
                 names += [f"scipy.{alias.name}" for alias in node.names]
-        elif (isinstance(node, ast.Attribute) and node.attr == "integrate"
+        elif (isinstance(node, ast.Attribute) and node.attr == sub
               and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
-            names = ["scipy.integrate"]
+            names = [full]
         else:
             continue
-        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
-               for name in names):
+        if any(name == full or name.startswith(full + ".") for name in names):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -187,7 +190,7 @@ def scipy_integrate_uses(source: str) -> list[int]:
                          ids=lambda p: p.name)
 def test_no_scipy_integrate(path):
     # one quadrature layer: the package integrates on kernels.gauss_panels
-    assert scipy_integrate_uses(path.read_text(encoding="utf-8")) == []
+    assert scipy_uses(path.read_text(encoding="utf-8"), "integrate") == []
 
 
 def test_scan_flags_scipy_integrate():
@@ -196,7 +199,24 @@ def test_scan_flags_scipy_integrate():
            "import scipy\nscipy.integrate.quad\n"
            "from scipy.integrate._quadpack_py import quad\n"
            "import scipy.interpolate\n")
-    assert scipy_integrate_uses(src) == [1, 2, 3, 6, 7]
+    assert scipy_uses(src, "integrate") == [1, 2, 3, 6, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_sparse(path):
+    # the periodic profile takes dense Newton steps on a few dozen cosine
+    # modes; no Krylov solver or sparse operator comes back
+    assert scipy_uses(path.read_text(encoding="utf-8"), "sparse") == []
+
+
+def test_scan_flags_scipy_sparse():
+    src = ("from scipy.sparse.linalg import LinearOperator, gmres\n"
+           "import scipy.sparse as sp\nfrom scipy import sparse\n"
+           "import scipy\nscipy.sparse.linalg.gmres\n"
+           "from scipy import special\nimport scipy.sparsetools\n"
+           "from scipy.linalg import solve\n")
+    assert scipy_uses(src, "sparse") == [1, 2, 3, 5]
 
 
 SERIALISERS = {"json", "io", "csv"}
@@ -292,6 +312,7 @@ REMOVED_OPTIONS = {
         "toda")),
     ("balancing", "balance_jacobian", "kernel_tol"),
     ("bubbles", "TowerConfig", "tau"),
+    ("delaunay", "CylSolution", "krylov_iters"),
     ("delaunay", "solve_periodic", "max_iter"),
     ("delaunay", "solve_periodic", "init_factor"),
     ("delaunay", "bifurcation_half_period", "w_max"),
