@@ -24,7 +24,7 @@ L_star = bifurcation_half_period(prm)
 print(f"branch point: non-constant profiles exist for L > {L_star:.5f}")
 
 Ls = [2.0, 2.5, 3.0, 3.5, 4.0]
-sweep = neck_sweep(Ls, prm, M=800, tol=1e-10)
+sweep = neck_sweep(Ls, prm, M=800)
 
 print(f"\n{'L':>5} {'neck':>12} {'sup defect':>12} {'iters':>6}   note")
 for row in sweep.rows:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -94,8 +95,9 @@ CUT_ON, CUT_OFF = 0.5, 1.0
 # negative on the overlap).
 INT_ON, INT_OFF = 1.0, 2.0
 
-# tower levels 0..LEVELS of each assembled point
-LEVELS = 6
+# tower levels 0..LEVELS of each assembled point, and the grid of its
+# periodic profile
+LEVELS, PROFILE_M = 6, 400
 
 
 def cutoff(s: np.ndarray, on: float = CUT_ON,
@@ -135,24 +137,26 @@ def _complete_frame(u_hat: np.ndarray, v_pref: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ApproxSolution:
+    """The glued function: per marked point a deformed `TowerConfig`, which
+    holds its center, period, baseline and levels, and a periodic profile."""
+
     prm: Params
-    centers: np.ndarray              # (N, n)
-    towers: tuple[TowerConfig, ...]       # deformed
-    base_towers: tuple[TowerConfig, ...]  # zero perturbation
+    towers: tuple[TowerConfig, ...]
     cyls: tuple[CylSolution, ...]
-    baselines: np.ndarray            # R^i
     balanced: BalancedConfig | None
+
+    @cached_property
+    def centers(self) -> np.ndarray:  # (N, n)
+        return np.array([cfg.center for cfg in self.towers])
 
     @property
     def size(self) -> int:
-        return self.centers.shape[0]
+        return len(self.towers)
 
     @property
     def axis(self) -> np.ndarray:
         if self.size == 1:
-            e = np.zeros(self.centers.shape[1])
-            e[0] = 1.0
-            return e
+            return np.eye(self.centers.shape[1])[0]
         a = self.centers[-1] - self.centers[0]
         return a / np.linalg.norm(a)
 
@@ -181,16 +185,17 @@ class ApproxSolution:
     def _term(self, i: int, s: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """chi_i phi_i at distances s < CUT_OFF from x_i (s2 their squares);
         the callers select those points.  phi_i is the periodic profile
-        about x_i minus its two-sided base tower (outward levels included),
-        both radial about x_i.  The levels -J..J, from the stored scales and
-        their scalar squares, are summed once over the (levels, points)
-        array, as `tower_eval` sums its half tower; the power is skipped at
-        gamma_s = 1.  The cutoff multiplies only the annulus s > CUT_ON,
-        where it is not exactly 1, and a rounded s = 1.0 gets the term 0.
-        ValueError at s = 0."""
-        g, R, cfg = self.prm.gamma_s, self.baselines[i], self.base_towers[i]
-        tower = s2 + cfg.level_scales_sq[:, None]
-        np.divide(2.0 * cfg.level_scales[:, None], tower, out=tower)
+        about x_i minus its undeformed two-sided tower (outward levels
+        included), both radial about x_i.  The levels -J..J, from the
+        tower's `base_scales` and their scalar squares, are summed once over
+        the (levels, points) array, as `tower_eval` sums its half tower; the
+        power is skipped at gamma_s = 1.  The cutoff multiplies only the
+        annulus s > CUT_ON, where it is not exactly 1, and a rounded s = 1.0
+        gets the term 0.  ValueError at s = 0."""
+        g, R = self.prm.gamma_s, self.towers[i].baseline
+        lam, lam_sq = self.towers[i].base_scales
+        tower = s2 + lam_sq[:, None]
+        np.divide(2.0 * lam[:, None], tower, out=tower)
         if g != 1.0:
             tower **= g
         phi = R ** (-g) * radial_profile(self.cyls[i], s / R, self.prm)
@@ -215,16 +220,10 @@ class ApproxSolution:
         def axial(z):
             return np.column_stack((z, np.zeros_like(z)))
 
-        def project(cfg, c):
-            return dataclasses.replace(cfg, center=c,
-                                       shifts=axial(cfg.shifts @ line.a))
-
         centers = axial((self.centers - line.p0) @ line.a)
-        return dataclasses.replace(
-            self, centers=centers,
-            towers=tuple(project(t, c) for t, c in zip(self.towers, centers)),
-            base_towers=tuple(project(t, c)
-                              for t, c in zip(self.base_towers, centers)))
+        return dataclasses.replace(self, towers=tuple(
+            dataclasses.replace(t, center=c, shifts=axial(t.shifts @ line.a))
+            for t, c in zip(self.towers, centers)))
 
     def __call__(self, x: np.ndarray) -> float | np.ndarray:
         """u at one point (d,) or a batch (..., d); ValueError at a marked
@@ -253,40 +252,34 @@ class ApproxSolution:
         return out
 
 
-def _build_towers(centers, baselines, periods, a0_hat, perturb, prm):
-    towers, base = [], []
+def _build_towers(centers, baselines, periods, a0_hat, perturb):
+    towers = []
     n = centers.shape[1]
     for i in range(centers.shape[0]):
-        lam = baselines[i] * np.exp(-(1.0 + 2.0 * np.arange(LEVELS + 1))
-                                    * periods[i])
-        if perturb is None:
-            r = np.zeros(LEVELS + 1)
-            a_tilde = np.zeros((LEVELS + 1, n))
-        else:
-            r, a_tilde = perturb[i]
-            r = np.asarray(r, dtype=float)
-            a_tilde = np.asarray(a_tilde, dtype=float)
-            if r.shape != (LEVELS + 1,) or a_tilde.shape != (LEVELS + 1, n):
-                raise ValueError("perturbation shape mismatch with levels")
+        base = TowerConfig(index=i, center=centers[i], period=periods[i],
+                           levels=LEVELS, baseline=baselines[i])
+        lam = base.base_scales[0][LEVELS:]
+        r, a_tilde = ((None, np.zeros((LEVELS + 1, n))) if perturb is None
+                      else perturb[i])
+        a_tilde = np.asarray(a_tilde, dtype=float)
+        if a_tilde.shape != (LEVELS + 1, n):
+            raise ValueError("perturbation shape mismatch with levels")
         shifts = lam[:, None] ** 2 * (a0_hat[i][None, :] + a_tilde)
-        towers.append(TowerConfig(
-            index=i, center=centers[i], period=periods[i], levels=LEVELS,
-            baseline=baselines[i], dilations=r, shifts=shifts,
+        towers.append(dataclasses.replace(
+            base, dilations=r, shifts=shifts,
             shift_bound=max(1.0, 2.0 * float(np.linalg.norm(a0_hat[i])) + 1.0)))
-        base.append(TowerConfig(
-            index=i, center=centers[i], period=periods[i], levels=LEVELS,
-            baseline=baselines[i]))
-    return tuple(towers), tuple(base)
+    return tuple(towers)
 
 
 def assemble(balanced: BalancedConfig, prm: Params,
-             perturb: list[tuple[np.ndarray, np.ndarray]] | None = None,
-             M: int = 400) -> ApproxSolution:
+             perturb: list[tuple[np.ndarray, np.ndarray]] | None = None
+             ) -> ApproxSolution:
     """The glued function of a balanced configuration: towers of levels
     0..LEVELS, and one periodic profile per distinct period, solved at
-    solve_periodic's tolerance and put on M points.  perturb gives each
-    tower's per-level (dilations, shifts).  ValueError when the points are
-    not prm.n-dimensional, or L_i is not periods_from_q(q, L) to 1e-12."""
+    solve_periodic's tolerance and put on PROFILE_M points.  perturb gives
+    each tower's per-level (dilations, shifts).  ValueError when the points
+    are not prm.n-dimensional, or L_i is not periods_from_q(q, L) to
+    1e-12."""
     centers = balanced.sigma_set.points
     if centers.shape[1] != prm.n:
         raise ValueError(f"points have {centers.shape[1]} coordinates, "
@@ -299,13 +292,11 @@ def assemble(balanced: BalancedConfig, prm: Params,
     for L in balanced.L_i:
         key = round(float(L), 12)
         if key not in sols:
-            sols[key] = solve_periodic(L, prm, M=M)
+            sols[key] = solve_periodic(L, prm, M=PROFILE_M)
     cyls = tuple(sols[round(float(L), 12)] for L in balanced.L_i)
-    towers, base = _build_towers(centers, balanced.R, balanced.L_i,
-                                 balanced.a0_hat, perturb, prm)
-    return ApproxSolution(prm=prm, centers=centers, towers=towers,
-                          base_towers=base, cyls=cyls,
-                          baselines=np.asarray(balanced.R, dtype=float),
+    towers = _build_towers(centers, balanced.R, balanced.L_i,
+                           balanced.a0_hat, perturb)
+    return ApproxSolution(prm=prm, towers=towers, cyls=cyls,
                           balanced=balanced)
 
 
@@ -608,7 +599,7 @@ def _dual_nodes(um: ApproxSolution, F, zx: np.ndarray, rx: np.ndarray,
     sees that tail amplified by e^(gamma_s tau_x), so the depth reference
     is the deeper of the two."""
     d = np.min(np.hypot(zx[:, None] - um.centers[:, 0], rx[:, None]), axis=1)
-    tau_ref = max([-np.log(cfg.level_scales[cfg.levels]) for cfg in um.towers]
+    tau_ref = max([-np.log(cfg.level_scales[0]) for cfg in um.towers]
                   + list(-np.log(d[d > 0])))
     return _node_set(um, F, tol, tau_ref, zx, rx)
 
@@ -936,11 +927,12 @@ def weighted_fn_norm(points: np.ndarray, values: np.ndarray,
                      sigma_set_points: np.ndarray, prm: Params) -> float:
     """Discrete sup proxy: near samples weighted dist^{-z_near}, far samples
     |x - c|^{-z_far} about the centroid c of the marked points (where
-    `sample_grid` places them), transition plain.  NaN over zero samples."""
-    if len(tags) == 0:
-        return float("nan")
+    `sample_grid` places them), transition plain.  NaN over zero samples,
+    and when any value is NaN."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
+    if len(tags) == 0 or np.any(np.isnan(values)):
+        return float("nan")
     z_near, z_far = weight.resolve(prm)
     dists = np.min(np.linalg.norm(
         points[:, None, :] - sigma_set_points[None, :, :], axis=-1), axis=1)

@@ -51,7 +51,11 @@ class SingularSet:
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("a singular set needs at least two points")
         object.__setattr__(self, "points", pts)
-        off = self.distances[~np.eye(len(pts), dtype=bool)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            off = self.distances[~np.eye(len(pts), dtype=bool)]
+        if not np.all(np.isfinite(off)):
+            raise ValueError("singular points and their distances must be "
+                             "finite")
         if np.min(off) < 2.0:
             raise ValueError(
                 f"pairwise distances must be >= 2 after normalization "
@@ -69,8 +73,9 @@ class SingularSet:
 
 def _check_q(q: np.ndarray, N: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    if q.shape != (N,) or np.any(q <= 0):
-        raise ValueError("q must be a positive vector matching the point count")
+    if q.shape != (N,) or not np.all((q > 0) & (q < np.inf)):
+        raise ValueError("q must be a positive finite vector matching the "
+                         "point count")
     return q
 
 
@@ -120,7 +125,7 @@ def solve_B1(sigma_set: SingularSet, q: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             return _balance_map(sigma_set, q, np.exp(y), A2, g)
 
-    if np.max(np.abs(F(y)[0])) > B1_TOL:
+    if not np.max(np.abs(F(y)[0])) <= B1_TOL:
         sol = root(F, y, jac=True, method="lm")
         y, norm = sol.x, np.max(np.abs(F(sol.x)[0]))
         if not norm <= B1_TOL:
@@ -217,8 +222,8 @@ def periods_from_q(q: np.ndarray, L: float, prm: Params) -> np.ndarray:
     """Per-point periods: q_i e^{-g L} = e^{-g L_i}."""
     _check_finite("L", L)
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0) or L <= 0:
-        raise ValueError("q and L must be positive")
+    if not np.all((q > 0) & (q < np.inf)) or L <= 0:
+        raise ValueError("q must be positive and finite, and L positive")
     L_i = L - np.log(q) / prm.gamma_s
     if np.any(L_i <= 1.0):
         bad = np.argmin(L_i)

@@ -13,6 +13,7 @@ Everything here is pure evaluation over frozen configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,22 +94,20 @@ _DILATION_RATE = 0.5
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """Deformed half tower at one singular point.
-
-    Level j (0-based) sits at log height t_j = (1+2j)*period with scale
-    lam_j = baseline*(1+dilations[j])*exp(-t_j) and center
+    """Deformed half tower at one singular point, the one owner of the
+    level layout: level j = 0..levels sits at log height t_j = (1+2j)*period
+    with scale lam_j = (baseline*(1+dilations[j]))*exp(-t_j) and center
     center + shifts[j].  Admissibility keeps the deformations subordinate:
     |dilations[j]| <= exp(-_DILATION_RATE*t_j) and
     |shifts[j]| <= shift_bound*lam_j^2.
-    Negative levels (used by the doubly infinite sum) carry no deformation
-    data and fall back to the standard scales.
 
-    The scales and centers of levels j = -levels..levels are computed once,
-    in row j + levels of `level_scales` and `level_centers`; every level
-    evaluation reads them there.  `level_scales_sq` holds each scale squared
-    by the scalar power a single `Bubble` uses, which can differ from the
-    array square by an ulp.  `level_shared` marks the coordinates on which
-    all those level centers agree.
+    The scales and centers of the levels are computed once, in row j of
+    `level_scales` and `level_centers`; every level evaluation reads them
+    there.  `level_scales_sq` holds each scale squared by the scalar power
+    a single `Bubble` uses, which can differ from the array square by an
+    ulp.  `level_shared` marks the coordinates on which all the level
+    centers agree.  `base_scales` holds the undeformed two-sided levels
+    j = -levels..levels that the periodic profile's remainder subtracts.
     """
 
     index: int
@@ -153,18 +152,13 @@ class TowerConfig:
         tj = self.level_heights()
         if np.any(np.abs(dil) > np.exp(-_DILATION_RATE * tj)):
             raise ValueError("dilation perturbations exceed the admissible envelope")
-        J = self.levels
-        js = np.arange(-J, J + 1)
-        lams = (self.baseline * (1.0 + np.concatenate([np.zeros(J), dil]))
-                * np.exp(-(1.0 + 2.0 * js) * self.period))
-        object.__setattr__(self, "level_scales", lams)
+        lam = self.baseline * (1.0 + dil) * np.exp(-tj)
+        object.__setattr__(self, "level_scales", lam)
         object.__setattr__(self, "level_scales_sq",
-                           np.array([lam**2 for lam in lams]))
-        object.__setattr__(self, "level_centers", self.center + np.concatenate(
-            [np.zeros((J, n)), shf]))
+                           np.array([x**2 for x in lam]))
+        object.__setattr__(self, "level_centers", self.center + shf)
         object.__setattr__(self, "level_shared", np.all(
             self.level_centers == self.level_centers[0], axis=0))
-        lam = self.scales()
         if np.any(lam <= 0):
             raise ValueError("deformed scales must stay positive")
         if np.any(np.diff(lam) >= 0):
@@ -176,22 +170,27 @@ class TowerConfig:
     def dim(self) -> int:
         return self.center.shape[0]
 
+    @cached_property
+    def base_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """(baseline*exp(-(1+2j)*period) in row j + levels, j = -levels..
+        levels, and their scalar squares): the undeformed two-sided tower."""
+        J = self.levels
+        lam = self.baseline * np.exp(-(1.0 + 2.0 * np.arange(-J, J + 1))
+                                     * self.period)
+        return lam, np.array([x**2 for x in lam])
+
     def level_heights(self) -> np.ndarray:
         """t_j = (1+2j)*period for j = 0..levels."""
         return (1.0 + 2.0 * np.arange(self.levels + 1)) * self.period
 
-    def scales(self) -> np.ndarray:
-        """Deformed scales lam_j for the stored levels."""
-        return self.level_scales[self.levels:].copy()
-
     def level(self, j: int) -> tuple[float, np.ndarray]:
-        """(lam_j, center_j); negative j gives the undeformed mirror level."""
-        if not -self.levels <= j <= self.levels:
-            raise ValueError(f"level {j} beyond truncation {self.levels}")
-        return self.level_scales[j + self.levels], self.level_centers[j + self.levels]
+        """(lam_j, center_j) of level j = 0..levels."""
+        if not 0 <= j <= self.levels:
+            raise ValueError(f"level {j} outside 0..{self.levels}")
+        return self.level_scales[j], self.level_centers[j]
 
     def level_bubble(self, j: int) -> Bubble:
-        """Bubble of level j; negative j gives the undeformed mirror level."""
+        """Bubble of level j = 0..levels."""
         return Bubble(*self.level(j))
 
 
@@ -219,10 +218,10 @@ def tower_eval(x: np.ndarray, cfg: TowerConfig,
     would make the bits depend on the block size.
     """
     x = np.asarray(x, dtype=float)
-    lam2 = 2.0 * cfg.level_scales[cfg.levels:, None]
-    lam_sq = cfg.level_scales_sq[cfg.levels:, None]
+    lam2 = 2.0 * cfg.level_scales[:, None]
+    lam_sq = cfg.level_scales_sq[:, None]
     ctr = [c[:1] if shared else c for c, shared in
-           zip(cfg.level_centers[cfg.levels:].T[:, :, None], cfg.level_shared)]
+           zip(cfg.level_centers.T[:, :, None], cfg.level_shared)]
     pts = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
     vals = np.empty((lam2.shape[0], pts.shape[1]))
     diff = np.empty((lam2.shape[0], min(_BLOCK, pts.shape[1])))
@@ -279,9 +278,9 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
     """Analytic derivative of one tower level at the current configuration.
 
     Mode 0 differentiates in the dilation perturbation: lam_j depends on it
-    linearly with slope baseline*exp(-t_j), so the value is that slope times
-    `dlam_bubble`.  Modes ell >= 1 return -lam_j * dU/dx_ell =
-    (x-x0)_ell * `translation_factor`.
+    linearly with slope baseline*exp(-t_j), so the value is
+    (`dlam_bubble`*baseline)*exp(-t_j).  Modes ell >= 1 return
+    -lam_j * dU/dx_ell = (x-x0)_ell * `translation_factor`.
     """
     if idx.tower != cfg.index:
         raise ValueError(f"index targets tower {idx.tower}, config is {cfg.index}")
@@ -292,7 +291,7 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
     rho2 = _sq_dist(x, ctr)
     if idx.mode == 0:
         val = (dlam_bubble(rho2, lam, prm) * cfg.baseline
-               * np.exp(-(1.0 + 2.0 * idx.level) * cfg.period))
+               * np.exp(-cfg.level_heights()[idx.level]))
     else:
         val = ((x[..., idx.mode - 1] - ctr[idx.mode - 1])
                * translation_factor(rho2, lam, prm))

@@ -122,10 +122,13 @@ def _collocation_apply(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return idct(lam * dct(w, type=1), type=1)
 
 
-def _check_solver(M: int, tol: float) -> None:
+# Newton stops once max |v - A v^p| on the nodes is at most this
+NEWTON_TOL = 1e-10
+
+
+def _check_grid(M: int) -> None:
     if M < 200 or M % 2:
         raise ValueError(f"grid size must be even and >= 200: {M}")
-    _check_tol(tol)
 
 
 def _modes(L: float, M: int) -> int:
@@ -135,23 +138,22 @@ def _modes(L: float, M: int) -> int:
     return min(M // 2, int(np.ceil(7.5 * L)) + 16)
 
 
-def solve_periodic(L: float, prm: Params, M: int = 800,
-                   tol: float = 1e-10) -> CylSolution:
+def solve_periodic(L: float, prm: Params, M: int = 800) -> CylSolution:
     """Solve the periodic problem at half-period L, resampled to an
     M-point grid.
 
     Newton runs on the m + 1 nodes of [0, L] of `_modes`, each step a
-    dense LU solve; the damped step halves until positivity and residual
-    decrease both hold, and NewtonError after 60 steps.  The profile is
+    dense LU solve until the residual is at most NEWTON_TOL; the damped
+    step halves until positivity and residual decrease both hold, and
+    NewtonError after 60 steps.  The profile is
     even by construction and strictly positive; its DCT-I coefficients,
     zero-padded, put it on the M-point grid.  NewtonError also when the
     last three coefficients exceed 1e-14 of the first (m too small).
-    ValueError for a tol that is not finite and positive.
     """
     _check_finite("L", L)
     if L < 1.5:
         raise ValueError(f"half-period too small: {L} < 1.5")
-    _check_solver(M, tol)
+    _check_grid(M)
     m = _modes(L, M)
     ts = np.linspace(0.0, L, m + 1)
     eye = np.eye(m + 1)
@@ -165,7 +167,7 @@ def solve_periodic(L: float, prm: Params, M: int = 800,
     F = v - A @ v**prm.p
     norm = float(np.max(np.abs(F)))
     it = 0
-    while norm > tol:
+    while norm > NEWTON_TOL:
         if it >= 60:
             raise NewtonError("iteration budget exhausted", norm, it)
         step = np.linalg.solve(jacobian(v), -F)
@@ -277,11 +279,11 @@ class SweepResult:
     slope_psi: float
 
 
-def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
-               tol: float = 1e-10) -> SweepResult:
+def neck_sweep(L_list: Sequence[float], prm: Params,
+               M: int = 800) -> SweepResult:
     """Solve along increasing L and fit the two decay laws.
 
-    A bad M or tol raises ValueError before any solve; solver failures
+    A bad M raises ValueError before any solve; solver failures
     are kept as marked rows, and the slopes use the successful entries.
     """
     L_arr = [float(L) for L in L_list]
@@ -290,11 +292,11 @@ def neck_sweep(L_list: Sequence[float], prm: Params, M: int = 800,
     known = [L for L in L_arr if not np.isnan(L)]  # NaN rows are marked
     if any(b <= a for a, b in zip(known, known[1:])):
         raise ValueError("half-periods must be strictly increasing")
-    _check_solver(M, tol)
+    _check_grid(M)
     rows = []
     for L in L_arr:
         try:
-            sol = solve_periodic(L, prm, M=M, tol=tol)
+            sol = solve_periodic(L, prm, M=M)
             rows.append(SweepRow(L, sol.neck, float(np.max(np.abs(sol.psi))),
                                  sol.residual_norm, sol.n_iter))
         except (NewtonError, ValueError) as exc:

@@ -307,8 +307,8 @@ def gram_cokernels(cfg: TowerConfig, prm: Params, tol: float = 1e-9) -> np.ndarr
         raise ValueError("Gram matrix is defined at the common-center configuration")
     n = prm.n
     heights = cfg.level_heights()
-    lams = cfg.scales()[:, None]
-    slopes = cfg.baseline * np.exp(-heights)[:, None]
+    lams = cfg.level_scales[:, None]
+    slopes = cfg.base_scales[0][cfg.levels:, None]
     lo, hi = heights[0] - 30.0, heights[-1] + 30.0
     edges = np.linspace(lo, hi, int(np.ceil(2.0 * (hi - lo))) + 1)
     vals, mass = [], None

@@ -3,10 +3,11 @@
 The inverse operator acts on radial densities through a one-dimensional
 convolution kernel obtained by integrating the Riesz kernel over spheres.
 Two reductions appear: a bounded one (exponent ``gamma_s``) driving the
-fixed-point equation, and a singular one (exponent ``gamma_dual``) used for
-dual-side estimates.  Both have a closed form in the Gauss hypergeometric
-function of e^(-2|t|), as has the ring kernel, the Riesz kernel integrated
-over the orbit of a point about a line.
+fixed-point equation, and a singular one (exponent ``gamma_dual``), which
+only the CLI's ``kernel`` table and the acceptance check of its decay rate
+read.  Both have a closed form in the Gauss hypergeometric function of
+e^(-2|t|), as has the ring kernel, the Riesz kernel integrated over the
+orbit of a point about a line.
 
 The convolution's multiplier is the closed form ``Params.dual_const`` =
 riesz_const q_ns, and no fit: ``assembler.dual_apply_radial`` runs this

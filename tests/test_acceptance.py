@@ -83,7 +83,7 @@ def test_02_kernel_decay_rates():
 
 def test_03_delaunay_neck_law():
     t0 = time.time()
-    sweep = neck_sweep([2.0, 2.5, 3.0, 3.5, 4.0], PRM, M=800, tol=1e-10)
+    sweep = neck_sweep([2.0, 2.5, 3.0, 3.5, 4.0], PRM, M=800)
     below = sweep.rows[0]
     print(f"neck law over 5 half-periods ({time.time() - t0:.1f}s): "
           f"eps slope {sweep.slope_eps:.4f} (within 5% of "

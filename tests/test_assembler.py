@@ -37,12 +37,16 @@ E2 = np.array([0.0, 1.0, 0, 0, 0])
 def assemble_single(center, R, L, prm, M=400):
     """One-point assembly, with no balancing: the pipeline null test."""
     center = np.asarray(center, dtype=float)[None, :]
-    towers, base = _build_towers(center, np.array([R]), np.array([L]),
-                                 np.zeros_like(center), None, prm)
-    return ApproxSolution(prm=prm, centers=center, towers=towers,
-                          base_towers=base,
-                          cyls=(solve_periodic(L, prm, M=M),),
-                          baselines=np.array([float(R)]), balanced=None)
+    towers = _build_towers(center, np.array([R]), np.array([L]),
+                           np.zeros_like(center), None)
+    return ApproxSolution(prm=prm, towers=towers,
+                          cyls=(solve_periodic(L, prm, M=M),), balanced=None)
+
+
+def base_tower(cfg):
+    """cfg without its deformations: the undeformed tower whose two-sided
+    levels phi_i subtracts."""
+    return dataclasses.replace(cfg, dilations=None, shifts=None)
 
 
 def correction(u, x, i):
@@ -51,10 +55,11 @@ def correction(u, x, i):
     (negative-level) bubbles, so phi_i is the genuinely small periodic
     remainder and the glued function loses those bubbles in value and in
     mass alike.  u itself evaluates phi_i from the distance to x_i."""
-    R = u.baselines[i]
+    R = u.towers[i].baseline
     prof = R ** (-u.prm.gamma_s) * radial_profile(
         u.cyls[i], np.linalg.norm(x - u.centers[i], axis=-1) / R, u.prm)
-    return prof - _oracle_tower(x, u.base_towers[i], u.prm, half=False)
+    return prof - _oracle_tower(x, base_tower(u.towers[i]), u.prm,
+                                half=False)
 
 
 def line_points(line, zr):
@@ -171,9 +176,10 @@ def term_filtered(u, i, s, s2):
     out = np.zeros(s.shape)
     live = s < CUT_OFF
     s, s2 = s[live], s2[live]
-    g, R, cfg = u.prm.gamma_s, u.baselines[i], u.base_towers[i]
-    tower = s2 + cfg.level_scales_sq[:, None]
-    np.divide(2.0 * cfg.level_scales[:, None], tower, out=tower)
+    g, R = u.prm.gamma_s, u.towers[i].baseline
+    lam, lam_sq = u.towers[i].base_scales
+    tower = s2 + lam_sq[:, None]
+    np.divide(2.0 * lam[:, None], tower, out=tower)
     tower **= g
     phi = R ** (-g) * radial_profile(u.cyls[i], s / R, u.prm)
     phi -= tower.sum(axis=0)
@@ -283,10 +289,10 @@ class TestAssemble:
         with its outward (mirror) levels removed, exactly."""
         cyl = single.cyls[0]
         g = PRM.gamma_s
-        R = single.baselines[0]
+        R = single.towers[0].baseline
         for x in (0.04 * E1, 0.3 * E1, 0.3 * E2, 0.49 * E1):
             prof = R ** (-g) * radial_profile(cyl, np.linalg.norm(x) / R, PRM)
-            base = single.base_towers[0]
+            base = base_tower(single.towers[0])
             mirror = (_oracle_tower(x, base, PRM, half=False)
                       - tower_eval(x, base, PRM))
             assert float(single(x)) == pytest.approx(prof - mirror,
@@ -296,7 +302,7 @@ class TestAssemble:
         # the removed mirror levels displace the value from the pure profile
         # by a first-order amount; pinning it documents the construction
         cyl = single.cyls[0]
-        R = single.baselines[0]
+        R = single.towers[0].baseline
         x = 0.3 * E1
         prof = R ** (-PRM.gamma_s) * radial_profile(
             cyl, np.linalg.norm(x) / R, PRM)
@@ -314,7 +320,7 @@ class TestAssemble:
 
     def test_far_field_coefficient(self, balanced_pair):
         u = balanced_pair
-        lam_sum = sum(np.sum(2.0 * t.scales() ** PRM.gamma_s)
+        lam_sum = sum(np.sum(2.0 * t.level_scales ** PRM.gamma_s)
                       for t in u.towers)
         for direction in (E1, E2):
             x = u.origin + 50.0 * direction
@@ -423,7 +429,7 @@ class TestDualApply:
         """Pure periodic profile is an exact fixed point of the dual map:
         the pipeline null test, at solver-tolerance level."""
         cyl = single.cyls[0]
-        R = single.baselines[0]
+        R = single.towers[0].baseline
         g = PRM.gamma_s
         # near + transition samples only: the printed far weight |x|^{n+2s}
         # amplifies, so out there it measures quadrature noise, not the
@@ -525,7 +531,7 @@ class TestDualApply:
             fn = lambda pts: a * np.linalg.norm(pts, axis=-1) ** (-PRM.gamma_s)
             radii, tol = (0.7,), 1e-10
         elif case == "delaunay":
-            cyl, R = single.cyls[0], single.baselines[0]
+            cyl, R = single.cyls[0], single.towers[0].baseline
             fn = lambda pts: (R ** (-PRM.gamma_s) * radial_profile(
                 cyl, np.linalg.norm(pts, axis=-1) / R, PRM))
             radii = (0.02, 0.1, 0.5, 1.0, 3.0)
@@ -1052,6 +1058,16 @@ class TestWeightedNorm:
                              WeightSpec(tau=0.5, kind="starstar"),
                              np.zeros((1, 5)), PRM)
         assert b / a == pytest.approx(0.25 ** (near_s - near_ss), rel=1e-12)
+
+    @pytest.mark.parametrize("vals", [[np.nan] * 3, [np.nan, 1.0, 2.0]])
+    def test_nan_value_gives_nan(self, vals):
+        # Python's max dropped a NaN: all-NaN values gave a perfect 0.0 and
+        # [nan, 1, 2] gave 144.5
+        pts = np.array([[0.1, 0, 0, 0, 0], [0.3, 0, 0, 0, 0],
+                        [0.6, 0, 0, 0, 0]])
+        norm = weighted_fn_norm(pts, np.array(vals), ["near:0"] * 3,
+                                WeightSpec(tau=0.5), np.zeros((1, 5)), PRM)
+        assert np.isnan(norm)
 
 
 class TestResidual:

@@ -41,6 +41,15 @@ class TestSingularSet:
         with pytest.raises(ValueError, match="rescale"):
             bal.SingularSet(points=pts)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_rejects_non_finite_points(self, bad):
+        # a NaN distance passed the spacing check, and so did an infinite
+        # one, also between finite points whose distance overflows
+        pts = np.zeros((2, 5))
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bal.SingularSet(points=pts)
+
 
 class TestSolveB1:
     def test_two_point_closed_form(self):
@@ -253,6 +262,19 @@ class TestPeriods:
     def test_rejects_floor(self):
         with pytest.raises(ValueError, match="floor"):
             bal.periods_from_q(np.array([np.exp(4.0 * PRM.gamma_s)]), 4.0, PRM)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_q_is_refused(bad):
+    # q = [nan, 1] at L = 3 came back "balanced": the equal-scale R, L_i
+    # [nan, 3.0] and NaN residuals, with no error
+    q = np.array([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        bal.balance(two_points(), q, 3.0, IC, PRM)
+    with pytest.raises(ValueError, match="finite"):
+        bal.solve_B1(two_points(), q, IC, PRM)
+    with pytest.raises(ValueError, match="finite"):
+        bal.periods_from_q(q, 3.0, PRM)
 
 
 class TestConfigIO:

@@ -108,7 +108,7 @@ def test_tower_basics_and_truncation_tail():
     big = _standard_cfg(levels=2, period=1.0)
     bigger = _standard_cfg(levels=3, period=1.0)
     xu = np.array([1.0] + [0.0] * (N - 1))
-    lam_new = bigger.scales()[-1]
+    lam_new = bigger.level_scales[-1]
     delta = tower_eval(xu, bigger, PRM) - tower_eval(xu, big, PRM)
     assert 0 < delta <= (2.0 * lam_new) ** PRM.gamma_s
 
@@ -125,8 +125,8 @@ def test_tower_ef_conjugation():
 
 def test_full_tower_adds_mirror_levels():
     cfg = _standard_cfg(levels=2)
-    u = _ray(lambda pts: sum(bubble_eval(pts, cfg.level_bubble(j), PRM)
-                             for j in range(-cfg.levels, cfg.levels + 1)))
+    u = _ray(lambda pts: sum(bubble_eval(pts, Bubble(lam, cfg.center), PRM)
+                             for lam in cfg.base_scales[0]))
     ts = np.linspace(-6.0, 6.0, 13)
     got = ef_forward(u, ts, PRM)
     want = sum(np.cosh(ts - (1.0 + 2.0 * j) * cfg.period) ** (-PRM.gamma_s)
@@ -155,9 +155,9 @@ def test_admissibility_enforced():
         _standard_cfg(period=-1.0)
     # admissible deformations are accepted; envelope at level j is e^(-tau*t_j)
     ok = np.zeros((3, N))
-    ok[1, 1] = 0.5 * _standard_cfg().scales()[1] ** 2
+    ok[1, 1] = 0.5 * _standard_cfg().level_scales[1] ** 2
     cfg = _standard_cfg(dilations=np.array([0.1, 0.01, 0.0]), shifts=ok)
-    assert cfg.scales()[0] == pytest.approx(1.1 * np.exp(-2.0), rel=1e-14)
+    assert cfg.level_scales[0] == pytest.approx(1.1 * np.exp(-2.0), rel=1e-14)
 
 
 def test_kernel_gradient_oracle():
@@ -180,7 +180,7 @@ def test_kernel_gradient_oracle():
             dn = bubble_eval(x, replace(cfg, dilations=dil_m).level_bubble(j), PRM)
             fd = (up - dn) / (2.0 * h)
         else:
-            lam = cfg.scales()[j]
+            lam = cfg.level_scales[j]
             e = np.zeros(N); e[ell - 1] = h
             up = bubble_eval(x + e, cfg.level_bubble(j), PRM)
             dn = bubble_eval(x - e, cfg.level_bubble(j), PRM)
@@ -208,7 +208,7 @@ def test_kernel_far_field_bounds():
     cfg = _standard_cfg(levels=2, period=2.0)
     rng = np.random.default_rng(5)
     for j in range(cfg.levels + 1):
-        lam = cfg.scales()[j]
+        lam = cfg.level_scales[j]
         for r in (1.0, 2.0, 5.0, 20.0):
             d = rng.normal(size=N)
             x = r * d / np.linalg.norm(d)
@@ -272,7 +272,8 @@ def _deformed_tower(n):
     base = TowerConfig(**kw)
     dil = 0.5 * np.exp(-0.5 * base.level_heights()) * rng.uniform(-1.0, 1.0, 7)
     shf = rng.normal(size=(7, n))
-    shf *= (0.5 * base.scales() ** 2 / np.linalg.norm(shf, axis=1))[:, None]
+    shf *= (0.5 * base.level_scales ** 2
+            / np.linalg.norm(shf, axis=1))[:, None]
     return TowerConfig(**kw, dilations=dil, shifts=shf)
 
 
@@ -281,27 +282,36 @@ def _points(cfg, count, seed):
     rng = np.random.default_rng(seed)
     d = rng.normal(size=(count, cfg.dim))
     d /= np.linalg.norm(d, axis=1)[:, None]
-    r = np.exp(rng.uniform(np.log(0.1 * cfg.scales()[-1]), np.log(10.0), count))
+    r = np.exp(rng.uniform(np.log(0.1 * cfg.level_scales[-1]), np.log(10.0),
+                           count))
     return cfg.center + r[:, None] * d
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_level_arrays_match_level_bubble(n):
+    # the level arrays hold levels 0..J in row j; base_scales holds the
+    # undeformed two-sided levels -J..J in row j + J
     cfg = _deformed_tower(n)
     J = cfg.levels
-    assert cfg.level_scales.shape == (2 * J + 1,)
-    assert cfg.level_centers.shape == (2 * J + 1, n)
-    for j in range(-J, J + 1):
+    assert cfg.level_scales.shape == (J + 1,)
+    assert cfg.level_centers.shape == (J + 1, n)
+    for j in range(J + 1):
         b, old = cfg.level_bubble(j), _oracle_level(cfg, j)
-        assert cfg.level_scales[j + J] == b.lam == old.lam
-        assert np.array_equal(cfg.level_centers[j + J], b.center)
+        assert cfg.level_scales[j] == b.lam == old.lam
+        assert np.array_equal(cfg.level_centers[j], b.center)
         assert np.array_equal(b.center, old.center)
-        assert cfg.level_scales_sq[j + J] == old.lam ** 2
-    assert np.array_equal(cfg.scales(), cfg.level_scales[J:])
+        assert cfg.level_scales_sq[j] == old.lam ** 2
+    lam, lam_sq = cfg.base_scales
+    assert lam.shape == lam_sq.shape == (2 * J + 1,)
+    base = replace(cfg, dilations=None, shifts=None)
+    for j in range(-J, J + 1):
+        old = _oracle_level(base, j)
+        assert lam[j + J] == old.lam
+        assert lam_sq[j + J] == old.lam ** 2
     with pytest.raises(ValueError):
         cfg.level_bubble(J + 1)
     with pytest.raises(ValueError):
-        cfg.level_bubble(-J - 1)
+        cfg.level_bubble(-1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -397,7 +407,7 @@ def test_tower_eval_keeps_scalar_square_of_scales():
     for k in range(1000):
         cfg = TowerConfig(index=0, center=np.zeros(N), period=1.0, levels=6,
                           baseline=0.2 + 1e-3 * k)
-        if np.any(cfg.scales() ** 2 != cfg.level_scales_sq[cfg.levels:]):
+        if np.any(cfg.level_scales ** 2 != cfg.level_scales_sq):
             break
     else:
         pytest.skip("scalar and array squares agree on this platform")

@@ -111,16 +111,12 @@ CASES = {
         {0.0: lambda r: isinstance(r, TowerConfig)}),
     ("delaunay", "solve_periodic", "L"): (
         lambda v: solve_periodic(v, PRM, M=200), {}),
-    ("delaunay", "solve_periodic", "tol"): (
-        lambda v: solve_periodic(2.5, PRM, M=200, tol=v), {}),
     # a NaN half-period is kept as a marked row between the rows it does
     # not order; +inf orders after 2.5 and 3.0 only if 3.0 comes first
     ("delaunay", "neck_sweep", "L_list"): (
         lambda v: neck_sweep([2.5, v, 3.0], PRM, M=200),
         {NAN: lambda r: [row.error for row in r.rows] == [
             None, "L must be finite: nan", None]}),
-    ("delaunay", "neck_sweep", "tol"): (
-        lambda v: neck_sweep([2.5, 3.0, 3.5], PRM, M=200, tol=v), {}),
     ("delaunay", "bifurcation_half_period", "tol"): (
         lambda v: bifurcation_half_period(PRM, tol=v), {}),
     # psi(0) vanishes identically

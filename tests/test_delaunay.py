@@ -140,7 +140,7 @@ ORACLE_PAIRS = [(5, 1.5), (7, 2.5), (6, 1.2)]
 
 @pytest.fixture(scope="module")
 def sol3():
-    return solve_periodic(3.0, PRM, M=400, tol=1e-10)
+    return solve_periodic(3.0, PRM, M=400)
 
 
 def test_solution_invariants(sol3):
@@ -162,18 +162,18 @@ def test_neck_against_tail_sum(sol3):
 
 
 def test_grid_refinement_stability():
-    a = solve_periodic(3.0, PRM, M=400, tol=1e-10)
-    b = solve_periodic(3.0, PRM, M=800, tol=1e-10)
+    a = solve_periodic(3.0, PRM, M=400)
+    b = solve_periodic(3.0, PRM, M=800)
     assert abs(a.neck - b.neck) / b.neck <= 1e-4
 
 
 def test_newton_basin(monkeypatch):
-    a = solve_periodic(3.0, PRM, M=400, tol=1e-10)
+    a = solve_periodic(3.0, PRM, M=400)
     profile = delaunay._tower_profile
     # Newton starts 20% above the tower profile; only v is compared
     monkeypatch.setattr(delaunay, "_tower_profile",
                         lambda *args: 1.2 * profile(*args))
-    b = solve_periodic(3.0, PRM, M=400, tol=1e-10)
+    b = solve_periodic(3.0, PRM, M=400)
     assert np.max(np.abs(a.v - b.v)) <= 10 * 1e-10
 
 
@@ -183,7 +183,7 @@ def test_flat_branch_detected_below_threshold():
     # below the threshold the only solution is the flat profile; the solver
     # must refuse rather than report it as a tower
     with pytest.raises(NewtonError, match="constant branch|neck away"):
-        solve_periodic(2.0, PRM, M=400, tol=1e-10)
+        solve_periodic(2.0, PRM, M=400)
     # and the flat value it would have reported is the closed-form height
     a = cyl_coefficient(PRM)
     assert 0.75 < a < 0.76
@@ -360,7 +360,7 @@ def test_radial_profile_refuses_unmappable_radii(sol3, bad):
         radial_profile(sol3, np.array([[1.0, 0.5], [bad, 2.0]]), PRM)
 
 def test_sweep_laws_and_markers():
-    sweep = neck_sweep([2.0, 2.5, 3.0, 3.5, 4.0], PRM, M=400, tol=1e-10)
+    sweep = neck_sweep([2.0, 2.5, 3.0, 3.5, 4.0], PRM, M=400)
     assert len(sweep.rows) == 5
     # the below-threshold entry is marked, the rest carry the tower branch
     assert sweep.rows[0].error is not None
@@ -389,14 +389,7 @@ def test_sweep_input_validation():
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_bad_tol_is_refused(tol):
-    # at NaN the Newton loop never ran and the start came back as the
-    # solution; at 0 or -1 no step could meet it ("positivity lost"); the
-    # sweep refuses once, before its rows would each turn it into NaN.  The
-    # branch point took tol -1 and returned 2.01395
-    with pytest.raises(ValueError, match="tol"):
-        solve_periodic(2.5, PRM, M=200, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        neck_sweep([2.5, 3.0, 3.5], PRM, M=200, tol=tol)
+    # the branch point took tol -1 and returned 2.01395
     with pytest.raises(ValueError, match="tol"):
         bifurcation_half_period(PRM, tol=tol)
 
@@ -426,7 +419,7 @@ def test_solver_matches_dense_newton(n, sigma, L, M, monkeypatch):
     prm = derive_params(n, sigma)
     monkeypatch.setattr(delaunay, "_collocation_symbol", trapezoid_symbol)
     monkeypatch.setattr(delaunay, "_modes", lambda L, M: M // 2)
-    sol = solve_periodic(L, prm, M=M, tol=1e-10)
+    sol = solve_periodic(L, prm, M=M)
     v, it = dense_solve(L, prm, M)
     assert sol.n_iter == it
     half = sol.v[M // 2:]

@@ -300,6 +300,9 @@ REMOVED_OPTIONS = {
     ("assembler", "assemble", "levels"),
     ("assembler", "assemble", "solver_tol"),
     ("assembler", "assemble", "tau"),
+    ("assembler", "assemble", "M"),
+    ("assembler", "ApproxSolution", "base_towers"),
+    ("assembler", "ApproxSolution", "baselines"),
     ("assembler", "WeightSpec", "zeta1"),
     ("assembler", "residual", "mc_samples"),
     ("balancing", "solve_B1", "max_iter"),
@@ -315,6 +318,9 @@ REMOVED_OPTIONS = {
     ("delaunay", "CylSolution", "krylov_iters"),
     ("delaunay", "solve_periodic", "max_iter"),
     ("delaunay", "solve_periodic", "init_factor"),
+    ("delaunay", "solve_periodic", "tol"),
+    ("delaunay", "neck_sweep", "tol"),
+    ("bubbles", "TowerConfig.scales", "self"),
     ("delaunay", "bifurcation_half_period", "w_max"),
     ("interactions", "oracle_fit_constants", "d"),
     ("interactions", "oracle_fit_constants", "tol"),

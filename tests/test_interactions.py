@@ -447,7 +447,7 @@ class TestGram:
 def _gram_integrand(cfg, prm, j, k, mode):
     """Integrand in t = -ln|x| and prefactor of the (level j, level k) entry
     of the dilation (mode 0) or translation (mode >= 1) block."""
-    heights, lams = cfg.level_heights(), cfg.scales()
+    heights, lams = cfg.level_heights(), cfg.level_scales
     slopes = cfg.baseline * np.exp(-heights)
     lj, lk, n = lams[j], lams[k], prm.n
 
