@@ -255,6 +255,9 @@ class ApproxSolution:
 def _build_towers(centers, baselines, periods, a0_hat, perturb):
     towers = []
     n = centers.shape[1]
+    if perturb is not None and len(perturb) != centers.shape[0]:
+        raise ValueError(f"perturb has {len(perturb)} entries for "
+                         f"{centers.shape[0]} towers")
     for i in range(centers.shape[0]):
         base = TowerConfig(index=i, center=centers[i], period=periods[i],
                            levels=LEVELS, baseline=baselines[i])
@@ -317,9 +320,10 @@ def assemble(balanced: BalancedConfig, prm: Params,
 # faster than 2048 and near unbounded blocks, for under 1 MB of peak memory
 # where unbounded blocks take about 5.5 MB
 _BLOCK = 8192
-# draws per block of the Monte Carlo probe, and per residual's probed sample
+# Monte Carlo probe: draws per block, per residual's sample, and replicates
 _MC_BLOCK = 16_384
-_MC_SAMPLES = 200_000
+_MC_SAMPLES = 50_000
+_MC_REPLICATES = 16
 _ORDERS = (16, 8)
 # panel sizes at tol 1e-7: log-radius across the cutoff annuli, above and
 # below the deepest sample, radius near the origin, log-radius beyond; the
@@ -727,57 +731,70 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, tol: float = 1e-8) -> float:
     return float(u.prm.dual_const * fine)
 
 
+def _mc_draws(n_samples: int, parts: int) -> int:
+    """n_samples rounded up to equal strata per component and replicate."""
+    return _MC_REPLICATES * parts * -(-n_samples // (_MC_REPLICATES * parts))
+
+
 def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
              seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of the dual operator at x (quadrature guard):
-    (estimate, standard error) from n_samples >= 2 draws, on n-D points.
+    (estimate, standard error) from n_samples >= 2 draws, rounded up to
+    whole strata by `_mc_draws`, on n-D points.
 
     Importance mixture of equal weights: about each center a radius
     (1 - U)^(1/gamma_s) in (0, 1], of density gamma_s s^(gamma_s - n) /
     |S^(n-1)|, matching the local blow-up; about x a heavy tail, radius
     (1 - U)^(-1/(2 sigma)) >= 1, of density 2 sigma r^(-2 sigma - n) /
-    |S^(n-1)|.  The generator gives the component labels, then one U per
-    draw, then the directions' normals block by block: blocks drawn in
-    sequence are one batch, so the result does not depend on _MC_BLOCK.
-    Per draw only its label, in the smallest unsigned integer type that
-    holds N + 1, its radius and its value are kept, 17 bytes below 255
-    marked points; the variance is taken in place on the values.  The
-    points, stored by coordinate, each center's squared distances, which
-    the density and u's cutoffs share, the kernel and u are built one block
-    of about _MC_BLOCK draws at a time.  The blocks are near-equal, never a
-    short tail: u's last bit depends on the batch size below about 12
-    points.  A draw that rounds outside every component's support has
-    density 0 and value 0.  At a marked point the dual map is infinite:
-    ValueError, as in `dual_apply`.
+    |S^(n-1)|.  Stratified: each of _MC_REPLICATES = 16 replicates gives
+    each component m draws, the j-th at U = (j + V)/m, with 1 - U formed as
+    (m - j - V)/m > 0; the estimate is the mean of the replicate means, the
+    standard error their spread over 4.  The generator gives one V per draw,
+    then the directions' normals block by block: blocks drawn in sequence
+    are one batch, so the result does not depend on _MC_BLOCK.  Per draw
+    only its component label (one byte below 255 marked points), radius and
+    value are kept.  The points, stored by coordinate, each center's squared
+    distances, which the density and u's cutoffs share, the kernel and u are
+    built one block of about _MC_BLOCK draws at a time.  The blocks are
+    near-equal, never a short tail: u's last bit depends on the batch size
+    below about 12 points.  A draw that rounds outside every component's
+    support has density 0 and value 0.  ValueError for an x that is not a
+    finite point of R^n, and at a marked point, where the dual map is
+    infinite, as in `dual_apply`.
 
     The mixture does not cover the region within 1 of x but outside every
     center's unit ball: its density is 0 there, and the estimate omits that
     share of the integral.  There u is the half towers alone, and on the
     balanced d = 3.1, L = 3.3 pair the share is 1.3e-7 to 7.8e-7 of the
     dual value at the transition samples and at most 3.1e-7 at the far
-    ones, far below the probe's standard error there, about 2.5 % of the
-    value at 200k draws.
+    ones, far below the probe's standard error there, about 2e-3 to 4e-3
+    of the value at 50k draws.
     """
     if n_samples < 2:
         raise ValueError(f"mc_probe needs n_samples >= 2, got {n_samples}")
-    x = np.asarray(x, dtype=float)
-    _require_unmarked(u.centers, x)
-    rng = np.random.default_rng(seed)
     prm, N = u.prm, u.size
     n, g, two_s = prm.n, prm.gamma_s, 2.0 * prm.sigma
-    comp = rng.integers(0, N + 1, size=n_samples).astype(
-        np.min_scalar_type(N + 1))
-    radius = rng.random(n_samples)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"mc_probe needs a finite point of R^{n}, got {x}")
+    _require_unmarked(u.centers, x)
+    rng = np.random.default_rng(seed)
+    draws = _mc_draws(n_samples, N + 1)
+    radius = rng.random(draws)
+    cells = radius.reshape(_MC_REPLICATES, N + 1, -1)   # V to radius, in place
+    m = cells.shape[-1]
+    np.divide(np.arange(m, 0, -1) - cells, m, out=cells)
+    cells **= np.append(np.full(N, 1.0 / g), -1.0 / two_s)[:, None]
+    comp = np.repeat(np.tile(np.arange(N + 1, dtype=np.min_scalar_type(N + 1)),
+                             _MC_REPLICATES), m)
     anchors = np.vstack((u.centers, x)).T
     w_in = g / prm.omega_sphere / (N + 1)
     w_far = two_s / prm.omega_sphere / (N + 1)
-    vals = np.zeros(n_samples)
-    nb = -(-n_samples // _MC_BLOCK)
-    edges = [k * n_samples // nb for k in range(nb + 1)]
+    vals = np.zeros(draws)
+    nb = -(-draws // _MC_BLOCK)
+    edges = [k * draws // nb for k in range(nb + 1)]
     for lo, hi in zip(edges, edges[1:]):
         c, r = comp[lo:hi], radius[lo:hi]
-        np.subtract(1.0, r, out=r)      # U to radius, in place
-        r **= np.where(c < N, 1.0 / g, -1.0 / two_s)
         dirs = rng.standard_normal((hi - lo, n))
         t = r / np.sqrt(_sq_dist(dirs, np.zeros(n)))
         ys = np.empty((n, hi - lo))     # the points, by coordinate
@@ -795,11 +812,10 @@ def mc_probe(u: ApproxSolution, x: np.ndarray, n_samples: int,
                where=rr2 >= 1.0)
         val = rr2 ** (0.5 * (two_s - n)) * u._glued(pts, sq=sq) ** prm.p
         np.divide(val, dens, out=vals[lo:hi], where=dens > 0.0)
-    mean = np.mean(vals)
-    vals -= mean                        # np.std's steps, in place
-    std = np.sqrt(np.add.reduce(np.square(vals, out=vals)) / n_samples)
-    return (prm.dual_const * float(mean),
-            prm.dual_const * float(std / np.sqrt(n_samples)))
+    means = np.mean(vals.reshape(_MC_REPLICATES, -1), axis=1)
+    return (prm.dual_const * float(np.mean(means)),
+            prm.dual_const * float(np.std(means, ddof=1)
+                                   / np.sqrt(_MC_REPLICATES)))
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -1009,10 +1025,10 @@ def residuals(us, weight: WeightSpec,
     for a tol that is not finite and positive.
 
     mc_points > 0 adds to the first report `mc_probe` checks at that many of
-    its finite samples, each of _MC_SAMPLES = 200k draws, after the node
-    sets are released: about 0.45 us per draw and a 6.8 MB allocation peak,
-    so 0.09 s per point, on top of the quadrature (2-core Intel Xeon, numpy
-    2.4).  Each check reports its number of draws.
+    its finite samples, each of _MC_SAMPLES = 50k draws in 16 replicates,
+    after the node sets are released: about 0.3-0.45 us per draw and a
+    3.7 MB allocation peak, so 0.02 s per point, on top of the quadrature
+    (2-core Intel Xeon, numpy 2.4).  Each check reports both counts.
     """
     _check_tol(tol)
     u0, prm = us[0], us[0].prm
@@ -1063,7 +1079,8 @@ def residuals(us, weight: WeightSpec,
             est, err = mc_probe(u0, pts[k], _MC_SAMPLES, mc_seed + int(k))
             det = float(uv[0, k] - vals[0, k])  # the deterministic dual value
             checks.append({"sample": int(k), "mc": est, "det": det,
-                           "mc_stderr": err, "draws": _MC_SAMPLES})
+                           "mc_stderr": err, "replicates": _MC_REPLICATES,
+                           "draws": _mc_draws(_MC_SAMPLES, u0.size + 1)})
     reports = []
     for m, u in enumerate(us):
         ok = ~np.isnan(vals[m])

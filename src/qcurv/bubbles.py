@@ -127,8 +127,9 @@ class TowerConfig:
         object.__setattr__(self, "center",
                            np.array(self.center, dtype=float, copy=True))
         n = self.center.shape[0]
-        if self.center.ndim != 1:
-            raise ValueError("tower center must be a single point")
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("tower center must be a single point with "
+                             "finite coordinates")
         if not 0 < self.period < np.inf:
             raise ValueError(f"period must be positive and finite, got "
                              f"{self.period}")
@@ -150,7 +151,7 @@ class TowerConfig:
         object.__setattr__(self, "dilations", dil)
         object.__setattr__(self, "shifts", shf)
         tj = self.level_heights()
-        if np.any(np.abs(dil) > np.exp(-_DILATION_RATE * tj)):
+        if not np.all(np.abs(dil) <= np.exp(-_DILATION_RATE * tj)):
             raise ValueError("dilation perturbations exceed the admissible envelope")
         lam = self.baseline * (1.0 + dil) * np.exp(-tj)
         object.__setattr__(self, "level_scales", lam)
@@ -159,11 +160,12 @@ class TowerConfig:
         object.__setattr__(self, "level_centers", self.center + shf)
         object.__setattr__(self, "level_shared", np.all(
             self.level_centers == self.level_centers[0], axis=0))
-        if np.any(lam <= 0):
+        if not np.all(lam > 0):
             raise ValueError("deformed scales must stay positive")
-        if np.any(np.diff(lam) >= 0):
+        if not np.all(np.diff(lam) < 0):
             raise ValueError("scales must decrease strictly level by level")
-        if np.any(np.linalg.norm(shf, axis=1) > self.shift_bound * lam**2):
+        if not np.all(np.linalg.norm(shf, axis=1)
+                      <= self.shift_bound * lam**2):
             raise ValueError("translation perturbations exceed the admissible envelope")
 
     @property

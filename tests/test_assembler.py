@@ -75,22 +75,15 @@ def on_line(u, F):
     return lambda zr, uv: F(line_points(line, zr))
 
 
-def mc_probe_oracle(u, x, prm, n_samples, seed):
-    """`mc_probe` with every draw's point and temporary held at once, in its
-    draw order: the labels, one uniform per draw, then every normal as one
-    batch.  The blocked probe must reproduce it bit for bit."""
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
+def mixture_values(u, x, prm, comp, r, dirs):
+    """The probe's values f / p at the draws of component labels comp, radii
+    r and normals dirs, every point and temporary held at once."""
     n, g, two_s = prm.n, prm.gamma_s, 2 * prm.sigma
     N = u.size
-    comp = rng.integers(0, N + 1, size=n_samples)
-    r = (1.0 - rng.random(n_samples)) ** np.where(comp < N, 1.0 / g,
-                                                  -1.0 / two_s)
-    dirs = rng.standard_normal((n_samples, n))
     ys = (np.vstack((u.centers, x))[comp]
           + (r / np.linalg.norm(dirs, axis=1))[:, None] * dirs)
     # mixture density at each draw, from squared distances
-    dens = np.zeros(n_samples)
+    dens = np.zeros(comp.size)
     for c in u.centers:
         d2 = np.sum((ys - c) ** 2, axis=1)
         inside = d2 <= 1.0
@@ -101,55 +94,50 @@ def mc_probe_oracle(u, x, prm, n_samples, seed):
     dens[far] += (two_s / prm.omega_sphere / (N + 1)
                   * rr2[far] ** (-0.5 * (two_s + n)))
     good = dens > 0.0
-    vals = np.zeros(n_samples)
+    vals = np.zeros(comp.size)
     kern = rr2[good] ** (0.5 * (two_s - n))
     vals[good] = kern * u(ys[good]) ** prm.p / dens[good]
-    est = prm.dual_const * float(np.mean(vals))
-    err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
+    return vals
+
+
+def mc_probe_oracle(u, x, prm, n_samples, seed):
+    """`mc_probe` with every draw's point and temporary held at once, in its
+    draw order: one uniform V per draw, then every normal as one batch.
+    Draw i = (r (N + 1) + c) m + j is stratum j of component c in replicate
+    r, with 1 - U = (m - j - V) / m.  The blocked probe must reproduce it
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    N, reps = u.size, 16
+    m = -(-n_samples // (reps * (N + 1)))
+    cell, j = np.divmod(np.arange(reps * (N + 1) * m), m)
+    comp = cell % (N + 1)
+    r = ((m - j - rng.random(comp.size)) / m) ** np.where(
+        comp < N, 1.0 / prm.gamma_s, -1.0 / (2 * prm.sigma))
+    dirs = rng.standard_normal((comp.size, prm.n))
+    vals = mixture_values(u, x, prm, comp, r, dirs)
+    means = np.mean(vals.reshape(reps, -1), axis=1)
+    est = prm.dual_const * float(np.mean(means))
+    err = prm.dual_const * float(np.std(means, ddof=1) / np.sqrt(reps))
     return est, err
 
 
 def mc_probe_retired(u, x, prm, n_samples, seed):
-    """The probe's earlier random stream, all at once: the labels, every
-    normal, then per component its radii, the centers' as exp(-Exp(gamma_s))
-    and the far ones as (1 - U)^(-1/(2 sigma)).  Its far density is
-    corrected to 2 sigma r^(-2 sigma - n) / |S^(n-1)|, as in `mc_probe`
-    (it read r^(-2 sigma - n + 1)), so that only the stream differs."""
+    """The plain Monte Carlo probe the stratified one replaced, all at once:
+    a random component label per draw, one uniform per draw, then every
+    normal; the estimate is the mean of all draws and the standard error
+    their spread over sqrt(n_samples).  Same mixture, same law."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    n, g = prm.n, prm.gamma_s
     N = u.size
     comp = rng.integers(0, N + 1, size=n_samples)
-    dirs = rng.standard_normal((n_samples, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ys = np.empty((n_samples, n))
-    dens = np.zeros(n_samples)
-    for k in range(N):
-        m = comp == k
-        taus = rng.exponential(1.0 / g, size=int(np.sum(m)))
-        s = np.exp(-taus)
-        ys[m] = u.centers[k] + s[:, None] * dirs[m]
-    m = comp == N
-    r = (1.0 - rng.random(int(np.sum(m)))) ** (-1.0 / (2 * prm.sigma))
-    ys[m] = x + r[:, None] * dirs[m]
-    # mixture density at each draw
-    for k in range(N):
-        s = np.linalg.norm(ys - u.centers[k], axis=1)
-        inside = s <= 1.0
-        dens[inside] += (g * s[inside] ** (g - n)
-                         / prm.omega_sphere) / (N + 1)
-    rr = np.linalg.norm(ys - x, axis=1)
-    far = rr >= 1.0
-    dens[far] += (2 * prm.sigma * rr[far] ** (-2 * prm.sigma - n)
-                  / prm.omega_sphere) / (N + 1)
-    good = dens > 0.0
-    vals = np.zeros(n_samples)
-    kern = rr[good] ** (2 * prm.sigma - n)
-    vals[good] = kern * u(ys[good]) ** prm.p / dens[good]
+    r = (1.0 - rng.random(n_samples)) ** np.where(
+        comp < N, 1.0 / prm.gamma_s, -1.0 / (2 * prm.sigma))
+    dirs = rng.standard_normal((n_samples, prm.n))
+    vals = mixture_values(u, x, prm, comp, r, dirs)
     est = prm.dual_const * float(np.mean(vals))
     err = prm.dual_const * float(np.std(vals) / np.sqrt(n_samples))
     return est, err
-
 
 
 def cutoff_masked(s, on=CUT_ON, off=CUT_OFF):
@@ -395,6 +383,26 @@ class TestAssemble:
         cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
         perturb = [(np.zeros(3), np.zeros((3, 5)))] * 2
         with pytest.raises(ValueError, match="shape"):
+            assemble(cfg, PRM, perturb=perturb)
+
+    @pytest.mark.parametrize("which", ["dilations", "shifts"])
+    def test_rejects_nan_perturbation(self, which):
+        # NaN compares False with every bound, so each test must pass only
+        # values that are inside it
+        cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
+        dil, shf = np.zeros(7), np.zeros((7, 5))
+        if which == "dilations":
+            dil[:] = np.nan
+        else:
+            shf[:] = np.nan
+        with pytest.raises(ValueError, match="admissible"):
+            assemble(cfg, PRM, perturb=[(dil, shf)] * 2)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_perturb_count(self, count):
+        cfg = bal.balance(pair(), np.ones(2), 2.5, IC, PRM)
+        perturb = [(np.zeros(7), np.zeros((7, 5)))] * count
+        with pytest.raises(ValueError, match=f"{count} entries for 2 towers"):
             assemble(cfg, PRM, perturb=perturb)
 
     def test_rejects_overlapping_balls(self):
@@ -690,11 +698,43 @@ class TestMCProbe:
     @pytest.mark.parametrize("k,seed", [(0, 1), (20, 2), (40, 3), (45, 4),
                                         (60, 5), (40, 6)])
     def test_agrees_with_retired_stream(self, balanced_pair, k, seed):
-        # the draw order changed the estimate of a given seed, not its law
+        # stratified draws changed the estimate of a given seed, not its law
         x = sample_grid(balanced_pair)[0][k]
         est, err = mc_probe(balanced_pair, x, 50_000, seed)
         old, old_err = mc_probe_retired(balanced_pair, x, PRM, 50_000, seed)
         assert abs(est - old) <= 4.0 * np.hypot(err, old_err)
+
+    def test_stderr_is_calibrated(self, balanced_pair):
+        # over 16 seeds the estimates spread as the reported stderr says,
+        # to the factor 2 that two 16-sample spreads allow
+        x = sample_grid(balanced_pair)[0][45]
+        est, err = np.array([mc_probe(balanced_pair, x, 50_000, seed)
+                             for seed in range(16)]).T
+        assert 0.5 <= np.std(est, ddof=1) / np.mean(err) <= 2.0
+
+    @pytest.mark.parametrize("k", [0, 36, 51])
+    def test_agrees_with_dual_apply(self, balanced_pair, k):
+        # the first sample of each region: near (0.02 from a marked point,
+        # the hardest), transition and far
+        x = sample_grid(balanced_pair)[0][k]
+        det = dual_apply(balanced_pair, x, tol=1e-9)
+        est, err = mc_probe(balanced_pair, x, 50_000, 1)
+        assert abs(est - det) <= 4.0 * err
+
+    def test_draws_fill_every_stratum(self, balanced_pair, triangle):
+        # 16 replicates give each of the N + 1 components as many strata
+        assert assembler._mc_draws(50_000, balanced_pair.size + 1) == 50_016
+        assert assembler._mc_draws(50_000, triangle.size + 1) == 50_048
+        assert assembler._mc_draws(2, 3) == 48
+
+    @pytest.mark.parametrize("x", [[np.inf, 0, 0, 0, 0], [np.nan, 0, 0, 0, 0],
+                                   [1.5, 0.3, 0, 0]],
+                             ids=["inf", "nan", "length 4"])
+    def test_bad_point_raises(self, balanced_pair, x):
+        # inf gave a "perfect" 0 +- 0, NaN a NaN and a 4-vector a numpy
+        # broadcast error
+        with pytest.raises(ValueError, match=r"finite point of R\^5"):
+            mc_probe(balanced_pair, np.array(x), 1000, 1)
 
     @pytest.mark.parametrize("block", [1000, 50_000])
     def test_block_size_is_only_performance(self, balanced_pair, triangle,

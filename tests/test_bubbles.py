@@ -221,11 +221,13 @@ def test_kernel_far_field_bounds():
     (lambda: Bubble(1.0, np.zeros((2, N))), "single point"),
     (lambda: TowerConfig(index=0, center=np.zeros((2, N)), period=2.0,
                          levels=2), "single point"),
+    (lambda: TowerConfig(index=0, center=np.full(N, np.nan), period=2.0,
+                         levels=2), "finite coordinates"),
     (lambda: _standard_cfg(levels=-1), "levels must be >= 0"),
     (lambda: _standard_cfg(dilations=np.zeros(2)), "dilations must have"),
     (lambda: _standard_cfg(shifts=np.zeros((3, N - 1))), "shifts must have"),
-], ids=["bubble-center-2d", "tower-center-2d", "levels-neg",
-        "dilations-shape", "shifts-shape"])
+], ids=["bubble-center-2d", "tower-center-2d", "tower-center-nan",
+        "levels-neg", "dilations-shape", "shifts-shape"])
 def test_malformed_input_is_refused(build, detail):
     with pytest.raises(ValueError, match=detail):
         build()

@@ -403,7 +403,9 @@ class TestAssembleResidualCommand:
         rep = json.loads((tmp_path / "o1" / "residual_report.json")
                          .read_text())
         assert len(rep["mc_checks"]) == 1
-        assert rep["mc_checks"][0]["draws"] == 200_000
+        # 50k draws, rounded up to 16 replicates of 3 components' strata
+        assert rep["mc_checks"][0]["draws"] == 50_016
+        assert rep["mc_checks"][0]["replicates"] == 16
 
     def test_no_good_sample_is_3_with_nan_norm(self, tmp_path,
                                                monkeypatch):

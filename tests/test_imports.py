@@ -1,10 +1,10 @@
 """Every import in the package is used, every export has a reader,
-nothing in the package integrates with scipy.integrate or solves with
-scipy.sparse, only the CLI serialises, no assembler entry point takes
-parameters beside the ones its solution carries, and options that only ever
-took one value stay constants.
+nothing in the package integrates with scipy.integrate, solves with
+scipy.sparse or imports scipy.stats, only the CLI serialises, no assembler
+entry point takes parameters beside the ones its solution carries, and
+options that only ever took one value stay constants.
 
-Seven AST scans of src/qcurv.  A name bound by an import statement must be
+Eight AST scans of src/qcurv.  A name bound by an import statement must be
 read somewhere in its module, or be listed in the module's __all__
 (``from __future__`` imports are exempt).  A name in a module's __all__
 must be read by another module of the package, by bench/, by demos/ or by
@@ -14,12 +14,15 @@ alive.
 No module imports or reads scipy.integrate: the package has one quadrature
 layer, the fixed panels of kernels.gauss_panels.  No module imports or
 reads scipy.sparse: the periodic profile's Newton steps are dense LU
-solves on a few dozen cosine modes.  Only cli.py imports json, io or csv:
-the library returns data and the CLI alone decides how it is written.  No
-public assembler function whose first parameter is an ApproxSolution takes
-a `prm`: the solution's own u.prm is the only one its numbers are right
-for.  No public signature or class brings back an option in
-REMOVED_OPTIONS.
+solves on a few dozen cosine modes.  No module imports or reads
+scipy.stats: importing it after qcurv.cli takes 0.3-0.5 s (2-core Intel
+Xeon, scipy 1.17), every CLI run would pay it, and it is more than the
+Monte Carlo guard's time that Sobol' points from its qmc module would
+save.  Only cli.py imports json, io or csv: the library returns data and
+the CLI alone decides how it is written.  No public assembler function
+whose first parameter is an ApproxSolution takes a `prm`: the solution's
+own u.prm is the only one its numbers are right for.  No public signature
+or class brings back an option in REMOVED_OPTIONS.
 """
 
 import ast
@@ -208,6 +211,14 @@ def test_no_scipy_sparse(path):
     # the periodic profile takes dense Newton steps on a few dozen cosine
     # modes; no Krylov solver or sparse operator comes back
     assert scipy_uses(path.read_text(encoding="utf-8"), "sparse") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_stats(path):
+    # the Monte Carlo guard stratifies with numpy alone: scipy.stats (for
+    # its qmc module) costs more to import than its points would save
+    assert scipy_uses(path.read_text(encoding="utf-8"), "stats") == []
 
 
 def test_scan_flags_scipy_sparse():
