@@ -31,12 +31,13 @@ to the sample taken out and integrated again on triangles from it, where u
 is evaluated afresh and the kernel's kink at the sample falls into the
 radial factor of the triangle.  For assemblies on the same marked points,
 panels of the same geometry take the kernel and the triangles once per
-sample (`residuals`).  Every value is also computed with the 8-point rule
-on the same panels, and QuadratureError is raised when the two differ by
-more than tol times the value (for a projection, tol times the integrand's
-absolute mass).  Configurations outside the reduction, and
-sigma <= 1, where the ring kernel is unbounded on the diagonal, raise
-NotImplementedError.
+sample (`residuals`), each chunk for a group of samples at once; the
+projections evaluate u once per distinct panel (`beta_projections`).
+Every value is also computed with the 8-point rule on the same panels,
+and QuadratureError is raised when the two differ by more than tol times
+the value (for a projection, tol times the integrand's absolute mass).
+Configurations outside the reduction, and sigma <= 1, where the ring
+kernel is unbounded on the diagonal, raise NotImplementedError.
 
 The projection of the residual on a cokernel direction never touches the
 inverse operator: pairing with f'(U) Z and moving the Riesz kernel onto the
@@ -61,7 +62,7 @@ import numpy as np
 from .params import Params, _check_tol, nonlin, nonlin_prime
 from .kernels import (QuadratureError, check_rules, gauss_panels,
                       log_radial_convolution, ring_kernel, riesz_kernel_cyl)
-from .bubbles import (TowerConfig, KernelIndex, _sq_dist, bubble_eval,
+from .bubbles import (TowerConfig, KernelIndex, _level_at, _sq_dist,
                       kernel_Z, tower_eval)
 from .balancing import BalancedConfig, _balance_map, periods_from_q
 from .delaunay import CylSolution, radial_profile, solve_periodic
@@ -76,6 +77,7 @@ __all__ = [
     "residual",
     "residuals",
     "beta_projection",
+    "beta_projections",
     "beta_leading_form",
     "weighted_fn_norm",
     "sample_grid",
@@ -434,7 +436,7 @@ class _Panels:
         part = cutoff(s, INT_ON, INT_OFF) if self.log else self.part(z, rho)
         return z, rho, jac * rho ** (self.n - 2) * part
 
-    def fill(self, um: ApproxSolution, fn) -> int:
+    def fill(self, um: ApproxSolution, fn, memo: dict | None = None) -> int:
         """Multiply the weights by the partition weight and by fn(zr, u),
         evaluated once at each node (z, rho) where the weight is not 0, with
         u = um there; the number of those nodes.  In a ball the partition
@@ -442,7 +444,10 @@ class _Panels:
         alone: both are taken once per radius of the rule, at its exact s,
         and only the half towers and the other centers' terms are evaluated
         node by node.  The far region evaluates u pointwise, and its
-        partition weight only on the rows (radii, ascending) within reach."""
+        partition weight only on the rows (radii, ascending) within reach.
+        A chunk with no zero weight (in a ball, or beyond reach) is taken
+        whole, with no gather and scatter.  memo, when given, holds u's
+        values per chunk and panel key, read by later panels of that key."""
         count = 0
         for k, (s, _, _, wf) in enumerate(self.rules):
             if self.log:
@@ -459,12 +464,18 @@ class _Panels:
                     m = int(np.searchsorted(s[r], self.reach, side="right"))
                     if m:
                         w[:m] *= self.part(z[:m], rho[:m])
-                live = w != 0.0
-                zr = np.stack((z[live], rho[live])).T
-                uv = (um._glued(zr, (self.own, own[r][live])) if self.log
-                      else um(zr))
-                w[live] *= fn(zr, uv)
-                count += int(np.count_nonzero(live))
+                live = (w != 0.0).ravel()
+                if live.all():
+                    live = slice(None)
+                zr = np.stack((z.ravel()[live], rho.ravel()[live])).T
+                uv = None if memo is None else memo.get((self.key, k, r.start))
+                if uv is None:
+                    uv = (um._glued(zr, (self.own, own[r].ravel()[live]))
+                          if self.log else um(zr))
+                    if memo is not None:
+                        memo[self.key, k, r.start] = uv
+                w.reshape(-1)[live] *= fn(zr, uv)
+                count += zr.shape[0]
         return count
 
     def near(self, z: float, rho: float):
@@ -524,10 +535,11 @@ class _Nodes:
 
 
 def _node_set(um: ApproxSolution, fn, tol: float, tau_ref: float,
-              zx: np.ndarray, rx: np.ndarray) -> _Nodes:
+              zx: np.ndarray, rx: np.ndarray, memo: dict | None = None
+              ) -> _Nodes:
     """Panels over the half-plane, with fn(zr, u) evaluated on their nodes
-    once, u from um = u.meridian(): see `_Panels.fill`.  (zx, rx) are the
-    samples' points in the half-plane, none for a projection.
+    once, u from um = u.meridian() or memo: see `_Panels.fill`.  (zx, rx)
+    are the samples' points in the half-plane, none for a projection.
 
     Below the log-depth tau_ref the integrand's share falls like
     e^(-gamma_s tau), so each ball runs in log-radius from -ln INT_OFF to
@@ -582,7 +594,7 @@ def _node_set(um: ApproxSolution, fn, tol: float, tau_ref: float,
                             np.exp(_split([np.log(r1), np.log(r_far)],
                                           h * _H_LOG_FAR))])
     panels.append(_Panels(zo, e_far, fine, prm.n, part=far, reach=edge))
-    evals = sum(p.fill(um, fn) for p in panels)
+    evals = sum(p.fill(um, fn, memo) for p in panels)
     return _Nodes(um=um, fn=fn, panels=tuple(panels), evals=evals)
 
 
@@ -616,55 +628,65 @@ def _require_unmarked(centers: np.ndarray, x: np.ndarray) -> None:
                          f"{int(at[0])}")
 
 
-def _dual_at(sets, zx: float, rx: float) -> list[tuple[float, float, int]]:
-    """Per node set of `sets` (one prm and one set of marked points), the
-    (16-point, 8-point) value of int |x-y|^(2s-n) F(y) dy at the point
-    x = (zx, rx) of the half-plane: the set's kernel sums with the panels
-    about x taken out, plus those panels again on triangles from x, where F
-    is evaluated afresh; and the number of those patch nodes.  Panels in
-    one place of the sets' lists with equal keys take the kernel and the
-    patch once; each set adds its own terms in its own order, so its sums
-    are those of a call on it alone.  x is no marked point: there u^p is
+def _dual_at(sets, zx: np.ndarray,
+             rx: np.ndarray) -> list[list[tuple[float, float, int]]]:
+    """Per sample x = (zx[s], rx[s]) of the half-plane and per node set of
+    `sets` (one prm and one set of marked points), the (16-point, 8-point)
+    value of int |x-y|^(2s-n) F(y) dy: the set's kernel sums with the
+    panels about x taken out, plus those panels again on triangles from x,
+    where F is evaluated afresh; and the number of those patch nodes.
+    Panels in one place of the sets' lists with equal keys take the kernel
+    and the patch once; each chunk's nodes are formed once, and its kernel
+    for groups of samples of at most 2 _BLOCK values.  Each sample and set
+    adds its terms in the order of a call on it alone, so its sums are
+    those of that call bit for bit.  No x is a marked point: there u^p is
     not integrable against the kernel, and the callers refuse it."""
-    zx, rx = float(zx), float(rx)
     prm = sets[0].um.prm
     t_edges = _t_edges(prm)
-    out = [[0.0, 0.0] for _ in sets]
-    evals = [0] * len(sets)
+    xs = list(zip(zx.tolist(), rx.tolist()))
+    zc, rc = zx[:, None, None], rx[:, None, None]
+    out = [[[0.0, 0.0] for _ in sets] for _ in xs]
+    evals = [[0] * len(sets) for _ in xs]
     for row in zip(*(ns.panels for ns in sets)):
         groups: dict = {}
         for m, p in enumerate(row):
             groups.setdefault(p.key, []).append(m)
         for members in groups.values():
             p = row[members[0]]
-            hit = p.near(zx, rx)
+            hits = [p.near(*x) for x in xs]
             for k, order in enumerate(_ORDERS):
                 for r in p.chunks(k):
                     z, rho = p.nodes(k, r)
-                    kern = ring_kernel(zx - z, rx, rho, prm)
+                    step = max(1, 2 * _BLOCK // z.size)
+                    for g in range(0, len(xs), step):
+                        kern = ring_kernel(zc[g:g + step] - z,
+                                           rc[g:g + step], rho, prm)
+                        for s, ks in enumerate(kern, g):
+                            for m in members:
+                                out[s][m][k] += float(np.sum(
+                                    row[m].rules[k][3][r] * ks))
+                for s, (x, hit) in enumerate(zip(xs, hits)):
+                    if hit is None:
+                        continue
+                    (i0, i1), (j0, j1) = hit[1]
+                    r = slice(i0 * order, (i1 + 1) * order)
+                    c = slice(j0 * order, (j1 + 1) * order)
+                    z, rho = p.nodes(k, r, c)
+                    kern = ring_kernel(x[0] - z, x[1], rho, prm)
                     for m in members:
-                        out[m][k] += float(np.sum(row[m].rules[k][3][r]
-                                                  * kern))
-                if hit is None:
-                    continue
-                (i0, i1), (j0, j1) = hit[1]
-                r = slice(i0 * order, (i1 + 1) * order)
-                c = slice(j0 * order, (j1 + 1) * order)
-                z, rho = p.nodes(k, r, c)
-                kern = ring_kernel(zx - z, rx, rho, prm)
-                for m in members:
-                    out[m][k] -= float(np.sum(row[m].rules[k][3][r, c]
-                                              * kern))
-                q1, q2, wq = p.patch(*hit, order, t_edges)
-                pz, prho, pw = p.map(q1, q2)
-                pw = pw * wq
-                live = pw != 0.0
-                sums = _patch_sum([sets[m] for m in members], pw[live],
-                                  pz[live], prho[live], zx, rx)
-                for m, total in zip(members, sums):
-                    out[m][k] += total
-                    evals[m] += int(np.count_nonzero(live))
-    return [(fine, coarse, e) for (fine, coarse), e in zip(out, evals)]
+                        out[s][m][k] -= float(np.sum(row[m].rules[k][3][r, c]
+                                                     * kern))
+                    q1, q2, wq = p.patch(*hit, order, t_edges)
+                    pz, prho, pw = p.map(q1, q2)
+                    pw = pw * wq
+                    live = pw != 0.0
+                    sums = _patch_sum([sets[m] for m in members], pw[live],
+                                      pz[live], prho[live], *x)
+                    for m, total in zip(members, sums):
+                        out[s][m][k] += total
+                        evals[s][m] += int(np.count_nonzero(live))
+    return [[(fine, coarse, e) for (fine, coarse), e in zip(o, ev)]
+            for o, ev in zip(out, evals)]
 
 
 # ─────────────────────────────────────────────────────────────────────────────
@@ -723,12 +745,18 @@ def dual_apply(u: ApproxSolution, x: np.ndarray, tol: float = 1e-8) -> float:
     x = np.asarray(x, dtype=float)
     um, line = _meridian(u)
     _require_unmarked(u.centers, x)
-    zx, rx = line.coords(x)
-    nodes = _dual_nodes(um, lambda zr, uv: uv ** u.prm.p, np.atleast_1d(zx),
-                        np.atleast_1d(rx), tol)
-    fine, coarse, _ = _dual_at((nodes,), zx, rx)[0]
+    zx, rx = (np.atleast_1d(v) for v in line.coords(x))
+    nodes = _dual_nodes(um, lambda zr, uv: uv ** u.prm.p, zx, rx, tol)
+    fine, coarse, _ = _dual_at((nodes,), zx, rx)[0][0]
     check_rules(fine, coarse, tol, "dual map")
     return float(u.prm.dual_const * fine)
+
+
+def mc_flagged(check: dict) -> bool:
+    """A `residuals` Monte Carlo check fails the guard: its estimate is
+    NaN or lies more than 6 stderr from the quadrature's value, which with
+    16 replicates (t(15) tails) happens to 2.4e-5 of checks on correct code."""
+    return not abs(check["mc"] - check["det"]) <= 6.0 * check["mc_stderr"]
 
 
 def _mc_draws(n_samples: int, parts: int) -> int:
@@ -833,12 +861,15 @@ class Estimate(float):
         return out
 
 
-def _plain_integral(um: ApproxSolution, G, lam: float, tol: float) -> Estimate:
+def _plain_integral(um: ApproxSolution, G, lam: float, tol: float,
+                    memo: dict | None = None) -> Estimate:
     """int G dy over R^n on the meridian panels, for integrands G(zr, u)
     that decay like e^(-gamma_s |tau|) in the log-distance tau from a bubble
-    of scale lam.  A projection is a small difference of that integrand's
-    mass int |G|, so the 8-point rule must agree to tol times the mass."""
-    nodes = _node_set(um, G, tol, -np.log(lam), np.empty(0), np.empty(0))
+    of scale lam (memo: see `_Panels.fill`).  A projection is a small
+    difference of that integrand's mass int |G|, so the 8-point rule must
+    agree to tol times the mass."""
+    nodes = _node_set(um, G, tol, -np.log(lam), np.empty(0), np.empty(0),
+                      memo)
     fine, coarse, mass = (um.prm.omega_equator * sum(
         float(np.sum(op(p.rules[k][3]))) for p in nodes.panels)
         for k, op in ((0, np.asarray), (1, np.asarray), (0, np.abs)))
@@ -846,17 +877,22 @@ def _plain_integral(um: ApproxSolution, G, lam: float, tol: float) -> Estimate:
     return Estimate(fine, abs(fine - coarse), mass)
 
 
-def beta_projection(u: ApproxSolution, idx: KernelIndex,
-                    tol: float = 1e-9) -> Estimate:
-    """Projection of the residual on the (tower, level, mode) direction, as
-    an `Estimate`: a float with its err_est and its integrand's mass.
+def beta_projections(u: ApproxSolution, idxs, tol: float = 1e-9
+                     ) -> list[Estimate]:
+    """Projections of the residual on the (tower, level, mode) directions
+    idxs, as `Estimate`s: floats with their err_est and integrand's mass.
+    u is evaluated once per distinct panel (`_Panels.key`) across the
+    indices, and only its values are kept, within the call; each value is
+    that of `beta_projection` on its index alone, bit for bit.  The indices
+    are checked in order; the first refused one raises.
 
     The integrand runs on the meridian half-plane, with the level's bubble
-    and kernel taken from the meridian tower.  Translation mode l is a_l
-    times the axial mode, a the line's unit direction: the part of the
-    kernel direction across the line is odd on each S^(n-2) orbit and
-    integrates to 0.  A zero component a_l gives 0 exactly, with err_est
-    and mass 0: nothing is integrated.  The
+    and kernel taken from the meridian tower, their squared distances and
+    bubble values formed once for both.  Translation mode l is a_l times
+    the axial mode, a the line's unit direction: the part of the kernel
+    direction across the line is odd on each S^(n-2) orbit and integrates
+    to 0.  A zero component a_l gives 0 exactly, with err_est and mass 0:
+    nothing is integrated.  The
     quadrature nodes sit at the axial coordinate z_c + s cos(theta) in the
     line's frame, which is rounded to the double spacing delta = |z_c|*eps
     at the level center's axial coordinate z_c, so inside the level's core
@@ -866,38 +902,49 @@ def beta_projection(u: ApproxSolution, idx: KernelIndex,
     the normalised pairing int f'(U_j) Z_j^2 of the tower at z_c = 3 was
     off by 3e-4 to 0.07 times delta/lam_j over levels with delta/lam_j from
     1e-7 to 0.7 (L = 2.5..3.5), and by 13x at delta/lam_j = 169; a tower at
-    the line's foot has delta = 0.  The value passes the 16- vs 8-point
+    the line's foot has delta = 0.  Each value passes the 16- vs 8-point
     check at tol or raises QuadratureError.  ValueError for a tol that is
     not finite and positive.
     """
     _check_tol(tol)
     prm = u.prm
     um, _ = _meridian(u)
-    i = idx.tower
-    if not (0 <= i < u.size):
-        raise ValueError(f"tower {i} out of range")
-    if idx.level > u.towers[i].levels or idx.mode > prm.n:
-        raise ValueError("index outside the truncation")
-    a_l = float(u.axis[idx.mode - 1]) if idx.mode else 1.0
-    if a_l == 0.0:
-        return Estimate(0.0, 0.0, 0.0)  # odd integrand across the line
-    cfg = um.towers[i]
-    b = cfg.level_bubble(idx.level)
-    spacing = abs(float(b.center[0])) * np.finfo(float).eps
-    if spacing > tol * b.lam:
-        raise ValueError(
-            f"level {idx.level} of tower {i} cannot be resolved to "
-            f"tol={tol:g}: the double spacing at its center is "
-            f"{spacing / b.lam:.3g} of its scale")
-    axial = dataclasses.replace(idx, mode=min(idx.mode, 1))
+    memo: dict = {}
+    out = []
+    for idx in idxs:
+        i = idx.tower
+        if not (0 <= i < u.size):
+            raise ValueError(f"tower {i} out of range")
+        if idx.level > u.towers[i].levels or idx.mode > prm.n:
+            raise ValueError("index outside the truncation")
+        a_l = float(u.axis[idx.mode - 1]) if idx.mode else 1.0
+        if a_l == 0.0:
+            out.append(Estimate(0.0, 0.0, 0.0))  # odd across the line
+            continue
+        cfg = um.towers[i]
+        b = cfg.level_bubble(idx.level)
+        spacing = abs(float(b.center[0])) * np.finfo(float).eps
+        if spacing > tol * b.lam:
+            raise ValueError(
+                f"level {idx.level} of tower {i} cannot be resolved to "
+                f"tol={tol:g}: the double spacing at its center is "
+                f"{spacing / b.lam:.3g} of its scale")
+        axial = dataclasses.replace(idx, mode=min(idx.mode, 1))
 
-    def G(zr, uv):
-        U = bubble_eval(zr, b, prm)
-        core = (nonlin_prime(U, prm) * uv - nonlin(uv, prm)
-                - (prm.p - 1.0) * nonlin(U, prm))
-        return core * (a_l * kernel_Z(zr, axial, cfg, prm))
+        def G(zr, uv):      # filled within this iteration
+            at = _level_at(zr, cfg, idx.level, prm)
+            core = (nonlin_prime(at[1], prm) * uv - nonlin(uv, prm)
+                    - (prm.p - 1.0) * nonlin(at[1], prm))
+            return core * (a_l * kernel_Z(zr, axial, cfg, prm, at))
 
-    return _plain_integral(um, G, b.lam, tol)
+        out.append(_plain_integral(um, G, b.lam, tol, memo))
+    return out
+
+
+def beta_projection(u: ApproxSolution, idx: KernelIndex,
+                    tol: float = 1e-9) -> Estimate:
+    """The projection of `beta_projections` on the one index idx."""
+    return beta_projections(u, (idx,), tol)[0]
 
 
 def beta_leading_form(u: ApproxSolution, i: int) -> float:
@@ -1014,21 +1061,25 @@ def residuals(us, weight: WeightSpec,
     for each assembly u of `us`; they share prm and the marked points
     (ValueError otherwise), and so the samples.
 
-    Each assembly has its own node set, with u^p evaluated on it once; each
-    sample then adds its kernel sums and patch (`_dual_at`), shared panels
-    once for all, so each report is bit for bit that of a call on its
-    assembly alone.  `nodes` counts the evaluations of u^p: the node set's
-    and every patch's.  A sample whose 16- and 8-point dual values differ by
-    more than tol times the value is NaN, with the QuadratureError message
-    in `errors`, and so is a sample at a marked point, with the
-    ValueError's; `err_est` holds the gap of every other sample.  ValueError
-    for a tol that is not finite and positive.
+    Each assembly has its own node set, with u^p evaluated on it once; one
+    `_dual_at` call adds every unmarked sample's kernel sums and patch,
+    shared panels once for all, so each report is bit for bit that of a
+    call on its assembly, and on each sample, alone.  `nodes` counts the
+    evaluations of u^p: the node set's and every patch's.  A sample whose
+    16- and 8-point dual values differ by more than tol times the value is
+    NaN, with the QuadratureError message in `errors`, and so is a sample
+    at a marked point or one that raises alone (the samples run one by one
+    when the joint call raises), with its exception's; `err_est` holds the
+    gap of every other sample.  ValueError for a tol that is not finite and
+    positive.
 
     mc_points > 0 adds to the first report `mc_probe` checks at that many of
     its finite samples, each of _MC_SAMPLES = 50k draws in 16 replicates,
     after the node sets are released: about 0.3-0.45 us per draw and a
     3.7 MB allocation peak, so 0.02 s per point, on top of the quadrature
-    (2-core Intel Xeon, numpy 2.4).  Each check reports both counts.
+    (2-core Intel Xeon, numpy 2.4).  Each check reports both counts; one
+    that fails the guard (`mc_flagged`) adds to the first report's `errors`
+    a line naming the sample, the gap in standard errors and both values.
     """
     _check_tol(tol)
     u0, prm = us[0], us[0].prm
@@ -1050,10 +1101,16 @@ def residuals(us, weight: WeightSpec,
     for m, u in enumerate(us):
         uv[m, free] = u(pts[free])
     errors = [[] for _ in us]
+    try:    # all unmarked samples at once; on an error, sample by sample
+        ats = dict(zip(np.flatnonzero(free).tolist(),
+                       _dual_at(sets, zx[free], rx[free])))
+    except Exception:
+        ats = {}
     for k, x in enumerate(pts):
         try:
             _require_unmarked(u0.centers, x)
-            at = _dual_at(sets, zx[k], rx[k])
+            at = ats.pop(k, None) or _dual_at(sets, zx[k:k + 1],
+                                              rx[k:k + 1])[0]
         except Exception as exc:  # per-sample propagation
             for e in errors:
                 e.append(f"sample {k}: {exc}")
@@ -1081,6 +1138,11 @@ def residuals(us, weight: WeightSpec,
             checks.append({"sample": int(k), "mc": est, "det": det,
                            "mc_stderr": err, "replicates": _MC_REPLICATES,
                            "draws": _mc_draws(_MC_SAMPLES, u0.size + 1)})
+            if mc_flagged(checks[-1]):
+                gap = abs(est - det) / err if err > 0.0 else np.inf
+                errors[0].append(f"sample {k}: Monte Carlo guard: the "
+                                 f"probe's {est!r} lies {gap:.3g} stderr "
+                                 f"from the quadrature's {det!r}")
     reports = []
     for m, u in enumerate(us):
         ok = ~np.isnan(vals[m])

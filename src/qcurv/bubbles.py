@@ -45,8 +45,9 @@ class Bubble:
                              f"got {self.lam}")
         object.__setattr__(self, "center",
                            np.array(self.center, dtype=float, copy=True))
-        if self.center.ndim != 1:
-            raise ValueError("bubble center must be a single point")
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("bubble center must be a single point with "
+                             "finite coordinates")
 
 
 def _sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -126,10 +127,10 @@ class TowerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center",
                            np.array(self.center, dtype=float, copy=True))
-        n = self.center.shape[0]
         if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
             raise ValueError("tower center must be a single point with "
                              "finite coordinates")
+        n = self.center.shape[0]
         if not 0 < self.period < np.inf:
             raise ValueError(f"period must be positive and finite, got "
                              f"{self.period}")
@@ -263,26 +264,36 @@ class KernelIndex:
             raise ValueError("kernel mode must be >= 0")
 
 
-def dlam_bubble(r2, lam, prm: Params):
-    """dU/dlam = gamma_s U (r2 - lam^2)/(lam (lam^2 + r2)) at |x - x0|^2 = r2."""
-    u = (2.0 * lam / (lam**2 + r2)) ** prm.gamma_s
+def dlam_bubble(r2, lam, prm: Params, u=None):
+    """dU/dlam = gamma_s U (r2 - lam^2)/(lam (lam^2 + r2)) at |x - x0|^2 = r2
+    (u, when given, is U there)."""
+    u = (2.0 * lam / (lam**2 + r2)) ** prm.gamma_s if u is None else u
     return prm.gamma_s * u * (r2 - lam**2) / (lam * (lam**2 + r2))
 
 
-def translation_factor(r2, lam, prm: Params):
-    """2 gamma_s lam U/(lam^2 + r2) = -lam dU/dx_l / (x - x0)_l."""
-    u = (2.0 * lam / (lam**2 + r2)) ** prm.gamma_s
+def translation_factor(r2, lam, prm: Params, u=None):
+    """2 gamma_s lam U/(lam^2 + r2) = -lam dU/dx_l / (x - x0)_l (u, when
+    given, is U there)."""
+    u = (2.0 * lam / (lam**2 + r2)) ** prm.gamma_s if u is None else u
     return 2.0 * prm.gamma_s * lam * u / (lam**2 + r2)
 
 
+def _level_at(x: np.ndarray, cfg: TowerConfig, j: int, prm: Params):
+    """(|x - center_j|^2, U_j) at x, which `kernel_Z` and U_j share."""
+    lam, ctr = cfg.level(j)
+    rho2 = _sq_dist(np.asarray(x, dtype=float), ctr)
+    return rho2, (2.0 * lam / (lam**2 + rho2)) ** prm.gamma_s
+
+
 def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
-             prm: Params) -> float | np.ndarray:
+             prm: Params, at=None) -> float | np.ndarray:
     """Analytic derivative of one tower level at the current configuration.
 
     Mode 0 differentiates in the dilation perturbation: lam_j depends on it
     linearly with slope baseline*exp(-t_j), so the value is
     (`dlam_bubble`*baseline)*exp(-t_j).  Modes ell >= 1 return
-    -lam_j * dU/dx_ell = (x-x0)_ell * `translation_factor`.
+    -lam_j * dU/dx_ell = (x-x0)_ell * `translation_factor`.  at, when
+    given, is the level's `_level_at(x, cfg, idx.level, prm)`.
     """
     if idx.tower != cfg.index:
         raise ValueError(f"index targets tower {idx.tower}, config is {cfg.index}")
@@ -290,11 +301,11 @@ def kernel_Z(x: np.ndarray, idx: KernelIndex, cfg: TowerConfig,
         raise ValueError(f"mode {idx.mode} out of range for dimension {cfg.dim}")
     lam, ctr = cfg.level(idx.level)
     x = np.asarray(x, dtype=float)
-    rho2 = _sq_dist(x, ctr)
+    rho2, u = _level_at(x, cfg, idx.level, prm) if at is None else at
     if idx.mode == 0:
-        val = (dlam_bubble(rho2, lam, prm) * cfg.baseline
+        val = (dlam_bubble(rho2, lam, prm, u) * cfg.baseline
                * np.exp(-cfg.level_heights()[idx.level]))
     else:
         val = ((x[..., idx.mode - 1] - ctr[idx.mode - 1])
-               * translation_factor(rho2, lam, prm))
+               * translation_factor(rho2, lam, prm, u))
     return float(val) if np.ndim(val) == 0 else val

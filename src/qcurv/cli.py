@@ -4,8 +4,9 @@ Every command reads one JSON config through SCHEMA, the config contract,
 writes CSV/JSON artifacts plus a manifest into --out (the library returns
 data; their formats are decided here alone), and exits 0 on success, 2 on
 a config problem or a geometry outside the deterministic reduction, 3 when
-a solver or quadrature gives up.  Reruns of the same config are
-bit-identical: no timestamps, fixed seeds, deterministic aggregation.
+a solver or quadrature gives up or the Monte Carlo guard fails.  Reruns of
+the same config are bit-identical: no timestamps, fixed seeds,
+deterministic aggregation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .interactions import interaction_constants, oracle_fit_constants, psi
 from .balancing import (BalanceError, BalancedConfig, SingularSet, balance,
                         periods_from_q)
 from .assembler import (WeightSpec, assemble, beta_leading_form,
-                        beta_projection, residuals, sample_grid)
+                        beta_projections, mc_flagged, residuals,
+                        sample_grid)
 from .bubbles import KernelIndex
 from . import toda as toda_mod
 
@@ -343,13 +345,13 @@ def cmd_assemble_residual(conf: dict, prm, out: OutDir) -> None:
     weight = WeightSpec(tau=r["tau"], kind=r["weight_kind"])
 
     def level0_betas(v, **tag):
-        out = []
-        for i in range(ss.size):
-            beta = beta_projection(v, KernelIndex(i, 0, 0), tol=RESIDUAL_TOL)
-            out.append({"tower": i, "level": 0, "mode": 0, "beta": beta,
-                        "err_est": beta.err_est, "mass": beta.mass,
-                        "leading_form": beta_leading_form(v, i), **tag})
-        return out
+        betas = beta_projections(v, [KernelIndex(i, 0, 0)
+                                     for i in range(ss.size)],
+                                 tol=RESIDUAL_TOL)
+        return [{"tower": i, "level": 0, "mode": 0, "beta": beta,
+                 "err_est": beta.err_est, "mass": beta.mass,
+                 "leading_form": beta_leading_form(v, i), **tag}
+                for i, beta in enumerate(betas)]
 
     us = [assemble(cfg, prm)]
     out.facts["solver"] = solver = {"balanced": _solver_facts(us[0])}
@@ -377,6 +379,10 @@ def cmd_assemble_residual(conf: dict, prm, out: OutDir) -> None:
     out.json("beta.json", {"L": cfg.L, "entries": betas})
     out.write("residual_summary.csv",
               _csv(["run", "weighted_norm"], summary_rows))
+    flagged = [c["sample"] for c in reps[0].mc_checks if mc_flagged(c)]
+    if flagged:
+        raise QuadratureError(f"Monte Carlo guard failed at samples "
+                              f"{flagged}: see residual_report.json errors")
 
 
 def cmd_toda(conf: dict, prm, out: OutDir) -> None:

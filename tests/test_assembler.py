@@ -16,16 +16,18 @@ from qcurv import assembler, balancing as bal, cli
 from qcurv.assembler import (CUT_OFF, CUT_ON, FAR_RADII, NEAR_RADII,
                              TRANSITION_RADII, ApproxSolution, WeightSpec,
                              assemble, beta_leading_form, beta_projection,
-                             cutoff, dual_apply, dual_apply_radial, mc_probe,
+                             beta_projections, cutoff, dual_apply,
+                             dual_apply_radial, mc_flagged, mc_probe,
                              residual, residuals, sample_grid,
                              weighted_fn_norm,
-                             _Line, _MC_BLOCK, _Nodes, _Panels,
+                             _Line, _MC_BLOCK, _Nodes, _ORDERS, _Panels,
                              _build_towers, _node_set, _patch_sum,
                              _plain_integral, _t_edges)
 from qcurv.bubbles import (Bubble, KernelIndex, bubble_eval, kernel_Z,
                            tower_eval)
 from qcurv.delaunay import radial_profile, solve_periodic
-from qcurv.kernels import QuadratureError, gauss_panels, riesz_kernel_cyl
+from qcurv.kernels import (QuadratureError, gauss_panels, riesz_kernel_cyl,
+                           ring_kernel)
 from qcurv.params import nonlin_prime
 
 PRM = derive_params(5, 1.5)
@@ -198,6 +200,56 @@ def patch_stacked(panel, q, rng, order, t_edges):
         q2s.append(pts[..., 1].ravel())
         ws.append((det * (t * tw)[:, None] * sw[None, :]).ravel())
     return np.concatenate(q1s), np.concatenate(q2s), np.concatenate(ws)
+
+def dual_at_retired(sets, zx, rx):
+    """The per-sample loop that `_dual_at` replaced, for one sample
+    (zx, rx): every chunk's nodes formed and its kernel taken for this
+    sample alone.  The oracle of the grouped kernel sums' bits."""
+    zx, rx = float(zx), float(rx)
+    prm = sets[0].um.prm
+    t_edges = _t_edges(prm)
+    out = [[0.0, 0.0] for _ in sets]
+    evals = [0] * len(sets)
+    for row in zip(*(ns.panels for ns in sets)):
+        groups: dict = {}
+        for m, p in enumerate(row):
+            groups.setdefault(p.key, []).append(m)
+        for members in groups.values():
+            p = row[members[0]]
+            hit = p.near(zx, rx)
+            for k, order in enumerate(_ORDERS):
+                for r in p.chunks(k):
+                    z, rho = p.nodes(k, r)
+                    kern = ring_kernel(zx - z, rx, rho, prm)
+                    for m in members:
+                        out[m][k] += float(np.sum(row[m].rules[k][3][r]
+                                                  * kern))
+                if hit is None:
+                    continue
+                (i0, i1), (j0, j1) = hit[1]
+                r = slice(i0 * order, (i1 + 1) * order)
+                c = slice(j0 * order, (j1 + 1) * order)
+                z, rho = p.nodes(k, r, c)
+                kern = ring_kernel(zx - z, rx, rho, prm)
+                for m in members:
+                    out[m][k] -= float(np.sum(row[m].rules[k][3][r, c]
+                                              * kern))
+                q1, q2, wq = p.patch(*hit, order, t_edges)
+                pz, prho, pw = p.map(q1, q2)
+                pw = pw * wq
+                live = pw != 0.0
+                sums = _patch_sum([sets[m] for m in members], pw[live],
+                                  pz[live], prho[live], zx, rx)
+                for m, total in zip(members, sums):
+                    out[m][k] += total
+                    evals[m] += int(np.count_nonzero(live))
+    return [(fine, coarse, e) for (fine, coarse), e in zip(out, evals)]
+
+
+def dual_at_per_sample(sets, zx, rx):
+    """`_dual_at`'s result by the retired loop, sample by sample."""
+    return [dual_at_retired(sets, a, b) for a, b in zip(zx, rx)]
+
 
 def report_file(rep, tmp_path, name):
     """The report as the CLI writes it, read back as text."""
@@ -893,6 +945,48 @@ class TestBetaProjection:
         beta_projection(balanced_pair, KernelIndex(0, 0, 0), tol=1e-6)
         assert len(calls) == 1
 
+    def test_projections_match_one_index_calls(self, pair_35):
+        # u once per distinct panel across the indices: each value, err_est
+        # and mass is that of a call on its index alone, on the balanced
+        # pair and on its q = (1.2, 1) control, whose deep ball panels
+        # differ between the towers
+        ref, qq = pair_35.balanced, np.array([1.2, 1.0])
+        unb = bal.BalancedConfig(
+            sigma_set=ref.sigma_set, q=qq, R=ref.R, a0_hat=ref.a0_hat,
+            L=ref.L, L_i=bal.periods_from_q(qq, ref.L, PRM),
+            resid_B1=np.nan, resid_B2=np.nan)
+        idxs = [KernelIndex(t, j, m) for t in (0, 1) for m in (0, 1)
+                for j in (0, 1)]
+        for u in (pair_35, assemble(unb, PRM)):
+            joint = beta_projections(u, idxs, tol=1e-7)
+            alone = [beta_projection(u, idx, tol=1e-7) for idx in idxs]
+            assert [(float(b), b.err_est, b.mass) for b in joint] == \
+                [(float(b), b.err_est, b.mass) for b in alone]
+
+    def test_shared_panels_evaluate_u_once(self, balanced_pair, monkeypatch):
+        # the two towers' level-0 projections of the balanced pair run on
+        # the same panels: one call evaluates u on them once
+        glued, points = ApproxSolution._glued, []
+
+        def counted(self, pts, own=None, sq=None):
+            points.append(pts.shape[0])
+            return glued(self, pts, own, sq)
+
+        monkeypatch.setattr(ApproxSolution, "_glued", counted)
+        idxs = [KernelIndex(0, 0, 0), KernelIndex(1, 0, 0)]
+        beta_projection(balanced_pair, idxs[0], tol=1e-7)
+        one = sum(points)
+        points.clear()
+        beta_projections(balanced_pair, idxs, tol=1e-7)
+        assert sum(points) == one > 0
+
+    def test_indices_refused_in_order(self, balanced_pair):
+        bad = [KernelIndex(5, 0, 0), KernelIndex(0, 99, 0)]
+        with pytest.raises(ValueError, match="tower 5 out of range"):
+            beta_projections(balanced_pair, bad)
+        with pytest.raises(ValueError, match="outside the truncation"):
+            beta_projections(balanced_pair, bad[::-1])
+
     def test_index_validation(self, balanced_pair):
         with pytest.raises(ValueError):
             beta_projection(balanced_pair, KernelIndex(5, 0, 0))
@@ -1480,6 +1574,97 @@ class TestResiduals:
         with pytest.raises(ValueError, match="same marked points"):
             residuals([gate[2], low], WeightSpec(tau=0.5))
 
+    @pytest.mark.parametrize("block", [2048, 8192, 1 << 30])
+    def test_grouped_kernel_sums_match_retired_loop(self, gate, monkeypatch,
+                                                    block):
+        # the kernel for a group of samples at once, per chunk: every
+        # value, err_est and node count is the per-sample loop's, at each
+        # block size, for near, transition and far samples on and off the
+        # line, with a sample at a marked point failing alone
+        grid, tags = sample_grid(gate[0])
+        keep = list(range(0, len(grid), 4))
+        samples = (np.vstack([grid[keep], gate[0].centers[1:]]),
+                   [tags[k] for k in keep] + ["near:1"])
+        assert {t.split(":")[0] for t in samples[1]} == {"near", "transition",
+                                                         "far"}
+        monkeypatch.setattr(assembler, "_BLOCK", block)
+
+        def run():
+            return residuals(gate, WeightSpec(tau=0.5), samples=samples,
+                             tol=1e-7)
+
+        grouped = run()
+        monkeypatch.setattr(assembler, "_dual_at", dual_at_per_sample)
+        for a, b in zip(grouped, run()):
+            assert a.errors == b.errors == (
+                f"sample {len(keep)}: the dual map is infinite at marked "
+                "point 1",)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.err_est.tobytes() == b.err_est.tobytes()
+            assert a.nodes == b.nodes
+
+    def test_failing_group_falls_back_to_samples(self, gate, monkeypatch):
+        # an error in the grouped call is redone sample by sample: only the
+        # sample that raises fails, with its own message
+        us = gate[2:]
+        grid, tags = sample_grid(us[0])
+        samples = (grid[::16], tags[::16])
+        alone = residuals(us, WeightSpec(tau=0.5), samples=samples, tol=1e-7)
+        dual_at = assembler._dual_at
+        bad = _Line.of(us[0]).coords(samples[0][2])
+
+        def failing(sets, zx, rx):
+            if np.any((zx == bad[0]) & (rx == bad[1])):
+                raise FloatingPointError("blew up")
+            return dual_at(sets, zx, rx)
+
+        monkeypatch.setattr(assembler, "_dual_at", failing)
+        joint = residuals(us, WeightSpec(tau=0.5), samples=samples, tol=1e-7)
+        keep = np.arange(len(samples[1])) != 2
+        for a, b in zip(joint, alone):
+            assert a.errors == ("sample 2: blew up",)
+            assert np.isnan(a.values[2])
+            assert a.values[keep].tobytes() == b.values[keep].tobytes()
+            assert a.err_est[keep].tobytes() == b.err_est[keep].tobytes()
+
+
+class TestMCGuard:
+    """The Monte Carlo guard fails a check whose estimate lies more than
+    6 standard errors from the quadrature's value."""
+
+    @pytest.fixture(scope="class")
+    def case(self, balanced_pair):
+        u = balanced_pair
+        samples = (np.array([u.centers[0] + 0.7 * E1,
+                             u.origin + 5.0 * E2]), ["transition", "far"])
+        rep = residual(u, WeightSpec(tau=0.5), samples=samples, tol=1e-7,
+                       mc_points=1)
+        assert rep.errors == () and not mc_flagged(rep.mc_checks[0])
+        return u, samples, rep
+
+    @pytest.mark.parametrize("off,flagged", [(100.0, True), (-100.0, True),
+                                             (5.9, False), (-5.9, False),
+                                             (np.nan, True)])
+    def test_verdict(self, case, monkeypatch, off, flagged):
+        u, samples, ref = case
+        k, det = ref.mc_checks[0]["sample"], ref.mc_checks[0]["det"]
+        se = 1e-3 * abs(det)
+        monkeypatch.setattr(assembler, "mc_probe",
+                            lambda *args: (det + off * se, se))
+        rep = residual(u, WeightSpec(tau=0.5), samples=samples, tol=1e-7,
+                       mc_points=1)
+        assert report_fields(rep)[:3] == report_fields(ref)[:3]
+        assert rep.mc_checks[0]["det"] == det
+        assert mc_flagged(rep.mc_checks[0]) is flagged
+        if not flagged:
+            assert rep.errors == ()
+            return
+        assert len(rep.errors) == 1
+        assert rep.errors[0].startswith(f"sample {k}: Monte Carlo guard: ")
+        assert repr(det) in rep.errors[0]
+        if np.isfinite(off):
+            assert f"lies {abs(off):.3g} stderr" in rep.errors[0]
+
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_bad_tol_is_refused_before_any_node(balanced_pair, monkeypatch, tol):
@@ -1506,3 +1691,25 @@ def test_periods_must_be_those_of_L(balanced_pair, L):
     cfg = dataclasses.replace(balanced_pair.balanced, L=L)
     with pytest.raises(ValueError, match="L must be finite|not the periods"):
         assemble(cfg, PRM)
+
+
+def test_cli_pair_matches_retired_loop(tmp_path, monkeypatch):
+    # the CLI's balanced pair and its control, with a Monte Carlo check:
+    # every output file of the grouped kernel sums is the per-sample loop's
+    doc = {"n": 5, "sigma": 1.5, "seed": 11,
+           "points": [[0, 0, 0, 0, 0], [3, 0, 0, 0, 0]], "q": [1.0, 1.0],
+           "L": 2.5, "residual": {"regions": ["transition"], "mc_points": 1,
+                                  "compare_q": [1.2, 1.0]}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    outs = [tmp_path / "grouped", tmp_path / "retired"]
+    assert cli.main(["assemble_residual", "--config", str(cfg),
+                     "--out", str(outs[0])]) == 0
+    monkeypatch.setattr(assembler, "_dual_at", dual_at_per_sample)
+    assert cli.main(["assemble_residual", "--config", str(cfg),
+                     "--out", str(outs[1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "residual_report_compare.json" in names
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

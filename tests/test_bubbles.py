@@ -219,14 +219,23 @@ def test_kernel_far_field_bounds():
 
 @pytest.mark.parametrize("build,detail", [
     (lambda: Bubble(1.0, np.zeros((2, N))), "single point"),
+    # a NaN center built a bubble that evaluated to NaN, an infinite one a
+    # bubble that evaluated to a "perfect" 0.0
+    (lambda: Bubble(1.0, np.full(N, np.nan)), "finite coordinates"),
+    (lambda: Bubble(1.0, np.array([np.inf, 0, 0, 0, 0])),
+     "finite coordinates"),
     (lambda: TowerConfig(index=0, center=np.zeros((2, N)), period=2.0,
                          levels=2), "single point"),
+    # a scalar center raised IndexError reading its dimension
+    (lambda: TowerConfig(index=0, center=1.0, period=2.0, levels=2),
+     "single point"),
     (lambda: TowerConfig(index=0, center=np.full(N, np.nan), period=2.0,
                          levels=2), "finite coordinates"),
     (lambda: _standard_cfg(levels=-1), "levels must be >= 0"),
     (lambda: _standard_cfg(dilations=np.zeros(2)), "dilations must have"),
     (lambda: _standard_cfg(shifts=np.zeros((3, N - 1))), "shifts must have"),
-], ids=["bubble-center-2d", "tower-center-2d", "tower-center-nan",
+], ids=["bubble-center-2d", "bubble-center-nan", "bubble-center-inf",
+        "tower-center-2d", "tower-center-scalar", "tower-center-nan",
         "levels-neg", "dilations-shape", "shifts-shape"])
 def test_malformed_input_is_refused(build, detail):
     with pytest.raises(ValueError, match=detail):

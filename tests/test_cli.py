@@ -407,6 +407,32 @@ class TestAssembleResidualCommand:
         assert rep["mc_checks"][0]["draws"] == 50_016
         assert rep["mc_checks"][0]["replicates"] == 16
 
+    def test_failed_mc_guard_is_3_after_writing(self, tmp_path,
+                                                monkeypatch):
+        # a probe 100 stderr off the quadrature fails the guard: every file
+        # is written, the report names the sample, and the exit code is 3
+        probe = assembler.mc_probe
+
+        def shifted(*args):
+            est, err = probe(*args)
+            return est + 100.0 * err, err
+
+        monkeypatch.setattr(assembler, "mc_probe", shifted)
+        doc = {**BASE, "residual": {"regions": ["transition"],
+                                    "mc_points": 2, "compare_q": [1.2, 1.0]}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert cli.main(["assemble_residual", "--config", cfg,
+                         "--out", str(out)]) == 3
+        for name in ("residual_report.json", "residual_report_compare.json",
+                     "beta.json", "residual_summary.csv"):
+            assert (out / name).exists()
+        rep = json.loads((out / "residual_report.json").read_text())
+        assert all(math.isfinite(v) for v in rep["values"])
+        assert [e.split(":")[0] for e in rep["errors"]] == [
+            f"sample {c['sample']}" for c in rep["mc_checks"]]
+        assert all("Monte Carlo guard" in e for e in rep["errors"])
+
     def test_no_good_sample_is_3_with_nan_norm(self, tmp_path,
                                                monkeypatch):
         def fail(*args, **kwargs):

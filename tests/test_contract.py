@@ -20,8 +20,9 @@ import inspect
 import numpy as np
 import pytest
 
-from qcurv.assembler import (WeightSpec, beta_projection, cutoff, dual_apply,
-                             dual_apply_radial, residual, residuals)
+from qcurv.assembler import (WeightSpec, beta_projection, beta_projections,
+                             cutoff, dual_apply, dual_apply_radial, residual,
+                             residuals)
 from qcurv.balancing import SingularSet, balance, periods_from_q
 from qcurv.bubbles import Bubble, TowerConfig
 from qcurv.delaunay import bifurcation_half_period, neck_sweep, solve_periodic
@@ -85,6 +86,8 @@ CASES = {
         lambda v: dual_apply(None, ORIGIN, tol=v), {}),
     ("assembler", "beta_projection", "tol"): (
         lambda v: beta_projection(None, None, tol=v), {}),
+    ("assembler", "beta_projections", "tol"): (
+        lambda v: beta_projections(None, None, tol=v), {}),
     ("assembler", "residuals", "tol"): (
         lambda v: residuals([None], None, tol=v), {}),
     ("assembler", "residual", "tol"): (
